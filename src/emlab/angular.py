@@ -291,7 +291,6 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         alpha_c = pot.magnetic
         alpha_sq = np.convolve(alpha_c, alpha_c)
         elec = pot.electric
-        dmax = 2 * truncation
 
         def coeff(c, m):
             d = (len(c) - 1) // 2
@@ -307,7 +306,6 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         M += (J + L) * coeff(alpha_c, diff)
         M += coeff(alpha_sq, diff)
         M -= coeff(elec, diff)
-        del dmax
     elif pot.dimension == 3:
         basis = SphereBasis(truncation)
         theta, phi, w = basis.grid()
@@ -434,11 +432,6 @@ def angular_spectrum(pot: AngularPotential, count: int = 16,
         )
     M, basis = assemble_angular_matrix(pot, truncation)
     return eigendecompose(M, count, basis, pot)
-
-
-def mu1(spectrum: AngularSpectrum) -> float:
-    """Smallest angular eigenvalue."""
-    return spectrum.mu1()
 
 
 def closed_form_ab_spectrum(alpha: float, a0: float, count: int) -> np.ndarray:

@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .angular import angular_spectrum, build_potential
-from .asymptotics import extract_coefficients, kelvin_transform
 from .errors import EmlabError, ScenarioValidationError
-from .frequency import frequency_trace
 from .scenario import (
     VERIFY_CHECKS,
+    Pipeline,
     parse_scenario,
     report_json,
     run_scenario,
@@ -69,40 +64,29 @@ def main(argv=None) -> int:
         scn = parse_scenario(args.config)
     except (OSError, ScenarioValidationError) as exc:
         parser.exit(2, f"emlab: {exc}\n")
-    if args.seed is not None:
-        from .scenario import scenario_from_dict
-
-        scn = scenario_from_dict({**scn.raw, "seed": args.seed})
 
     try:
-        if args.command == "run":
-            report = run_scenario(scn, out_dir=args.out, tol_scale=args.tol_scale)
+        if args.command in ("run", "verify"):
+            if args.command == "run":
+                report = run_scenario(scn, out_dir=args.out, tol_scale=args.tol_scale,
+                                      seed=args.seed)
+            else:
+                names = None
+                if args.check:
+                    names = [n.strip() for n in args.check.split(",") if n.strip()]
+                try:
+                    report = verify_suite(scn, names=names, out_dir=args.out,
+                                          tol_scale=args.tol_scale, seed=args.seed)
+                except ScenarioValidationError as exc:
+                    parser.exit(2, f"emlab: {exc}\n")
             sys.stdout.write(report_json(report))
             return _status_code(report)
 
-        if args.command == "verify":
-            names = None
-            if args.check:
-                names = [n.strip() for n in args.check.split(",") if n.strip()]
-            try:
-                report = verify_suite(scn, names=names, out_dir=args.out,
-                                      tol_scale=args.tol_scale)
-            except ScenarioValidationError as exc:
-                parser.exit(2, f"emlab: {exc}\n")
-            sys.stdout.write(report_json(report))
-            return _status_code(report)
-
-        pot = build_potential(scn.potential)
-        spectrum = angular_spectrum(pot, count=scn.eigen_count,
-                                    truncation=scn.truncation)
+        pipe = Pipeline(scn)
         if args.command == "spectrum":
-            _emit(spectrum.to_json(), args.out, "spectrum.json")
-            return 0
-
-        from .scenario import _solve_field, _target_gamma
-
-        field, h, info = _solve_field(scn, spectrum)
-        if args.command == "solve":
+            _emit(pipe.spectrum.to_json(), args.out, "spectrum.json")
+        elif args.command == "solve":
+            field, _, info = pipe.solution
             doc = {
                 "converged": info["converged"],
                 "iterations": info["iterations"],
@@ -111,42 +95,20 @@ def main(argv=None) -> int:
             }
             _emit(doc, args.out, "solve.json")
             return 0 if info["converged"] else 1
-
-        k0, gamma = _target_gamma(scn, spectrum)
-        if args.command == "frequency":
-            trace = frequency_trace(field, h, scn.radii)
+        elif args.command == "frequency":
+            _emit(pipe.trace.fit_summary(), args.out, "frequency.json")
             if args.out is not None:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-                trace.to_csv(out / "trace.csv")
-            _emit(trace.fit_summary(), args.out, "frequency.json")
-            return 0
-
-        if args.command == "asymptotics":
-            profile = extract_coefficients(field, gamma, scn.boundary_radius, h)
-            _emit(profile.to_json(), args.out, "profile.json")
-            return 0
-
-        if args.command == "kelvin":
-            v = kelvin_transform(field)
-            back = kelvin_transform(v)
-            inv = float(np.abs(back.values - field.values).max()
-                        / np.abs(field.values).max())
-            tr_u = frequency_trace(field, h, scn.radii)
-            mirror = np.sort(1.0 / tr_u.r)
-            tr_v = frequency_trace(v, None, mirror)
-            shift = scn.dimension - 2
-            if scn.side == "exterior":
-                conj = np.abs(np.sort(tr_v.N) - (np.sort(tr_u.N) - shift)).max()
-            else:
-                conj = np.abs(np.sort(tr_u.N) - (np.sort(tr_v.N) - shift)).max()
-            _emit({"involution_residual": inv, "conjugacy_residual": float(conj)},
+                pipe.trace.to_csv(Path(args.out) / "trace.csv")
+        elif args.command == "asymptotics":
+            _emit(pipe.profile(scn.boundary_radius).to_json(), args.out, "profile.json")
+        else:
+            inv, conj = pipe.kelvin
+            _emit({"involution_residual": inv, "conjugacy_residual": conj},
                   args.out, "kelvin.json")
-            return 0
+        return 0
     except EmlabError as exc:
         sys.stderr.write(f"emlab: {type(exc).__name__}: {exc}\n")
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .errors import (
 )
 
 DEFAULT_MODE_COUNT = 16
-DEFAULT_EXTERIOR_SPAN = 1e6
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Configuration-driven pipeline: scenario files in, JSON reports out.
 
 A scenario JSON describes one singular problem (potential, perturbation,
-boundary data, grid, requested radii and checks).  ``run_scenario`` executes
-spectrum -> modal solve -> frequency trace -> asymptotic profile ->
-verification and returns a report where every asserted quantity carries
+boundary data, grid, requested radii and checks).  ``Pipeline`` defines the
+chain spectrum -> modal solve -> frequency trace -> asymptotic profile ->
+Kelvin picture once; ``run_scenario`` and ``verify_suite`` run check blocks
+on it and return a report where every asserted quantity carries
 {value, tolerance, pass}.
 """
 
@@ -13,6 +14,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,8 @@ from .modal import (
 
 SCHEMA_VERSION = 1
 
-#: multiplied by --tol-scale; every entry is an acceptance threshold
+#: acceptance thresholds, each multiplied by --tol-scale; the picard_converged
+#: check is the exception, a 0/1 flag held at 0.5
 TOLERANCES = {
     "picard_converged": 1e-12,
     "gamma_fit": 1e-5,
@@ -70,8 +73,18 @@ DEFAULT_CHECKS = {
     "inequalities": False,
 }
 
-VERIFY_CHECKS = ("hardy", "diamagnetic", "hardy2d", "mu1", "pohozaev",
-                 "height_derivative")
+#: run toggle -> the check blocks it enables
+TOGGLE_BLOCKS = {
+    "frequency": ("solve", "frequency"),
+    "identities": ("solve", "height_derivative", "pohozaev"),
+    "asymptotics": ("solve", "asymptotics"),
+    "kelvin": ("solve", "kelvin"),
+    "inequalities": ("hardy", "diamagnetic", "hardy2d", "mu1", "hardy2d_constant"),
+}
+
+#: the blocks ``verify`` may name, in the order the pipeline runs them
+VERIFY_CHECKS = ("height_derivative", "pohozaev", "hardy", "diamagnetic",
+                 "hardy2d", "mu1")
 
 
 @dataclass(frozen=True)
@@ -164,7 +177,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _validate(1 <= k <= eigen_count,
                   f"boundary mode {k} outside the requested {eigen_count} eigenvalues")
         values[k] = _as_complex(val)
-    _validate(bool(values), "boundary values must name at least one mode")
+    _validate(any(v != 0 for v in values.values()),
+              "boundary values must give at least one mode a nonzero value")
     _validate(all(np.isfinite([v.real, v.imag]).all() for v in values.values()),
               "boundary values must be finite")
 
@@ -230,6 +244,81 @@ def scenario_hash(scn: Scenario) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+class Pipeline:
+    """The method's chain for one scenario: spectrum, modal solve, frequency
+    trace, profile coefficients and Kelvin picture.
+
+    Every stage is computed on first use and kept, so ``run``, ``verify`` and
+    each CLI subcommand pay only for the stages they read, each once.
+    """
+
+    def __init__(self, scn: Scenario):
+        self.scn = scn
+
+    @cached_property
+    def potential(self):
+        return build_potential(self.scn.potential)
+
+    @cached_property
+    def spectrum(self):
+        return angular_spectrum(self.potential, count=self.scn.eigen_count,
+                                truncation=self.scn.truncation)
+
+    @cached_property
+    def solution(self):
+        """``(field, h, info)`` on the scenario's radial grid; ``h`` is None
+        and ``info`` trivial when there is no nonzero perturbation."""
+        scn = self.scn
+        R = scn.boundary_radius
+        if scn.side == "interior":
+            r = grids.log_grid(R * scn.rmin_ratio, R, scn.grid_nodes)
+        else:
+            r = grids.log_grid(R, R * scn.exterior_span, scn.grid_nodes)
+        if scn.perturbation is not None and _as_complex(
+                scn.perturbation.get("amplitude", 0.0)) != 0:
+            h = perturbation_from_descriptor(scn.perturbation)
+            field, info = solve_perturbed_field(
+                self.spectrum, h, scn.boundary_values, r, mode_count=scn.eigen_count
+            )
+            return field, h, info
+        sols = homogeneous_solutions(self.spectrum, scn.boundary_values, r, side=scn.side)
+        info = {"iterations": 0, "residuals": [], "converged": True}
+        return synthesize_field(self.spectrum, sols), None, info
+
+    @cached_property
+    def target(self) -> tuple[int, float]:
+        """``(k0, gamma)``: the lowest forced mode and the exponent the
+        frequency must reach (sigma_+ inside, -sigma_- outside)."""
+        k0 = min(k for k, v in self.scn.boundary_values.items() if v != 0)
+        exp = characteristic_exponents(self.scn.dimension, self.spectrum.mu(k0), k0)
+        return k0, exp.sigma_plus if self.scn.side == "interior" else -exp.sigma_minus
+
+    @cached_property
+    def trace(self):
+        field, h, _ = self.solution
+        return frequency_trace(field, h, self.scn.radii)
+
+    def profile(self, R: float):
+        field, h, _ = self.solution
+        return extract_coefficients(field, self.target[1], R, h)
+
+    @cached_property
+    def kelvin(self) -> tuple[float, float]:
+        """``(involution, conjugacy)`` residuals: K(K(u)) against u, and the
+        frequency of K(u) against that of u shifted by N - 2."""
+        field = self.solution[0]
+        v = kelvin_transform(field)
+        back = kelvin_transform(v)
+        inv = float(np.abs(back.values - field.values).max()
+                    / max(np.abs(field.values).max(), 1e-300))
+        tr_u = self.trace
+        # mirror the snapped radii so both traces use reciprocal grid nodes
+        tr_v = frequency_trace(v, None, np.sort(1.0 / tr_u.r))
+        outer, inner = (tr_v, tr_u) if self.scn.side == "exterior" else (tr_u, tr_v)
+        shift = self.scn.dimension - 2
+        return inv, float(np.abs(np.sort(outer.N) - (np.sort(inner.N) - shift)).max())
+
+
 def _check(name: str, value: float, tol: float, ok=None) -> dict:
     if ok is None:
         ok = bool(abs(value) <= tol)
@@ -237,64 +326,13 @@ def _check(name: str, value: float, tol: float, ok=None) -> dict:
             "pass": bool(ok)}
 
 
-def _solve_field(scn: Scenario, spectrum):
-    R = scn.boundary_radius
-    if scn.side == "interior":
-        r = grids.log_grid(R * scn.rmin_ratio, R, scn.grid_nodes)
-    else:
-        r = grids.log_grid(R, R * scn.exterior_span, scn.grid_nodes)
-    h = None
-    if scn.perturbation is not None and _as_complex(
-            scn.perturbation.get("amplitude", 0.0)) != 0:
-        h = perturbation_from_descriptor(scn.perturbation)
-        field, info = solve_perturbed_field(
-            spectrum, h, scn.boundary_values, r, mode_count=scn.eigen_count
-        )
-    else:
-        sols = homogeneous_solutions(spectrum, scn.boundary_values, r, side=scn.side)
-        field = synthesize_field(spectrum, sols)
-        info = {"iterations": 0, "residuals": [], "converged": True}
-    return field, h, info
+def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
+             seed: int | None = None) -> dict:
+    """Run the named check blocks, always in pipeline order, and return the
+    report.
 
-
-def _target_gamma(scn: Scenario, spectrum) -> tuple[int, float]:
-    k0 = min(k for k, v in scn.boundary_values.items() if v != 0)
-    exp = characteristic_exponents(scn.dimension, spectrum.mu(k0), k0)
-    gamma = exp.sigma_plus if scn.side == "interior" else -exp.sigma_minus
-    return k0, gamma
-
-
-def _inequality_checks(scn: Scenario, pot, tol_scale: float):
-    checks, margins = [], {}
-    rng = np.random.default_rng(scn.seed)
-    tol = TOLERANCES["margin"] * tol_scale
-    sweeps = ["hardy", "diamagnetic"] + (["hardy2d"] if scn.dimension == 2 else [])
-    for name in sweeps:
-        out = inequality_sweep(pot, name, count=scn.sweep_count, rng=rng, tol=tol)
-        margins[name] = out
-        if out["status"] == "degenerate":
-            continue
-        checks.append(_check(f"{name}_margin", out["min_margin"], tol,
-                             ok=out["min_margin"] >= -tol))
-    if scn.dimension == 2:
-        gap = mu1_comparison(pot)
-        checks.append(_check("mu1_comparison", gap,
-                             TOLERANCES["mu1_comparison"] * tol_scale,
-                             ok=gap >= -TOLERANCES["mu1_comparison"] * tol_scale))
-        info = hardy_2d_constant_check(pot)
-        margins["hardy2d_constant"] = info
-        if not info["degenerate"]:
-            checks.append(_check("hardy2d_agreement", info["agreement"],
-                                 TOLERANCES["hardy2d_agreement"] * tol_scale))
-    return checks, margins
-
-
-def run_scenario(scn: Scenario, out_dir=None, tol_scale: float = 1.0,
-                 seed: int | None = None) -> dict:
-    """Execute the pipeline and return the report dictionary.
-
-    Writes ``report.json`` (and ``trace.csv`` when a trace is produced) under
-    ``out_dir`` if given.  Partial reports carry status "error".
+    Writes ``report.json`` (and ``trace.csv`` when the frequency block ran)
+    under ``out_dir`` if given.  Partial reports carry status "error".
     """
     t0 = time.perf_counter()
     if seed is not None:
@@ -307,101 +345,92 @@ def run_scenario(scn: Scenario, out_dir=None, tol_scale: float = 1.0,
         "checks": [],
     }
     checks = report["checks"]
+
+    def add(name, value, key=None, one_sided=False):
+        tol = TOLERANCES[key or name] * tol_scale
+        checks.append(_check(name, value, tol, ok=value >= -tol if one_sided else None))
+
+    pipe = Pipeline(scn)
+    R, interior = scn.boundary_radius, scn.side == "interior"
     trace = None
     try:
-        pot = build_potential(scn.potential)
-        spectrum = angular_spectrum(pot, count=scn.eigen_count,
-                                    truncation=scn.truncation)
-        report["spectrum"] = spectrum.to_json()
+        if "spectrum" in names:
+            report["spectrum"] = pipe.spectrum.to_json()
 
-        needs_field = any(scn.checks[n] for n in
-                          ("frequency", "identities", "asymptotics", "kelvin"))
-        field = h = None
-        if needs_field:
-            field, h, info = _solve_field(scn, spectrum)
+        if "solve" in names:
+            info = pipe.solution[2]
             report["solver"] = {"iterations": info["iterations"],
                                 "converged": info["converged"]}
-            checks.append(_check("picard_converged", 0.0 if info["converged"] else 1.0,
+            # a 0/1 flag: Picard's own tolerance lives in solve_perturbed_field
+            checks.append(_check("picard_converged", float(not info["converged"]),
                                  0.5, ok=info["converged"]))
-            k0, gamma = _target_gamma(scn, spectrum)
+            k0, gamma = pipe.target
             report["k0"] = k0
             report["gamma_target"] = gamma
-            report["regularity"] = classify_regularity(
-                gamma if scn.side == "interior" else -gamma, scn.dimension
-            )
+            report["regularity"] = classify_regularity(gamma if interior else -gamma,
+                                                       scn.dimension)
 
-        if scn.checks["frequency"] and field is not None:
-            trace = frequency_trace(field, h, scn.radii)
+        if "frequency" in names:
+            trace = pipe.trace
             report["frequency"] = trace.fit_summary()
-            checks.append(_check("gamma_fit", trace.gamma_hat - gamma,
-                                 TOLERANCES["gamma_fit"] * tol_scale))
+            gamma, h = pipe.target[1], pipe.solution[1]
+            add("gamma_fit", trace.gamma_hat - gamma)
             if h is not None and np.isfinite(trace.eps_hat):
-                checks.append(_check("eps_rate", (trace.eps_hat - h.epsilon) / h.epsilon,
-                                     TOLERANCES["eps_rate"]))
+                add("eps_rate", (trace.eps_hat - h.epsilon) / h.epsilon)
             scaling = height_scaling_limit(trace, gamma)
             report["h_scaling"] = scaling
-            checks.append(_check("h_scaling_slope", scaling["slope_defect"],
-                                 TOLERANCES["h_scaling_slope"] * tol_scale))
-            checks.append(_check("h_scaling_drift", scaling["drift"],
-                                 TOLERANCES["h_scaling_drift"]))
+            add("h_scaling_slope", scaling["slope_defect"])
+            add("h_scaling_drift", scaling["drift"])
 
-        if scn.checks["identities"] and field is not None:
-            resid = check_height_derivative(field, h)
-            checks.append(_check("height_derivative", resid,
-                                 TOLERANCES["height_derivative"] * tol_scale))
+        if "height_derivative" in names:
+            add("height_derivative", check_height_derivative(*pipe.solution[:2]))
+        if "pohozaev" in names:
             r_mid = float(np.sqrt(scn.radii.min() * scn.radii.max()))
-            poh = pohozaev_residual(field, h, r_mid)
-            checks.append(_check("pohozaev", poh,
-                                 TOLERANCES["pohozaev"] * tol_scale))
+            add("pohozaev", pohozaev_residual(*pipe.solution[:2], r_mid))
 
-        if scn.checks["asymptotics"] and field is not None:
-            R = scn.boundary_radius
-            R1, R2 = (R, R / 2) if scn.side == "interior" else (R, 2 * R)
-            p1 = extract_coefficients(field, gamma, R1, h)
-            p2 = extract_coefficients(field, gamma, R2, h)
+        if "asymptotics" in names:
+            field, h, _ = pipe.solution
+            k0, gamma = pipe.target
+            p1 = pipe.profile(R)
+            p2 = pipe.profile(R / 2 if interior else 2 * R)
             report["profile"] = p1.to_json()
-            diff = float(np.abs(p1.beta - p2.beta).max())
-            checks.append(_check("beta_r_independence", diff,
-                                 TOLERANCES["beta_r_independence"] * tol_scale))
+            add("beta_r_independence", float(np.abs(p1.beta - p2.beta).max()))
             if h is None and len(scn.boundary_values) == 1:
-                bv = scn.boundary_values[k0]
-                i = k0 - p1.j0
-                defect = abs(p1.beta[i] - bv * R ** (-gamma if scn.side == "interior"
-                                                    else gamma))
-                checks.append(_check("beta_unit", defect,
-                                     TOLERANCES["beta_unit"] * tol_scale))
+                beta = p1.beta[k0 - p1.j0]
+                add("beta_unit", abs(beta - scn.boundary_values[k0]
+                                     * R ** (-gamma if interior else gamma)))
             if h is not None:
-                lams = (np.geomspace(1e-4 * R, 1e-2 * R, 8) if scn.side == "interior"
+                lams = (np.geomspace(1e-4 * R, 1e-2 * R, 8) if interior
                         else np.geomspace(1e2 * R, 1e4 * R, 8))
                 blow = blowup_profile(field, gamma, lams, h, profile=p1)
                 report["blowup_rate"] = blow["rate"]
                 if np.isfinite(blow["rate"]):
-                    checks.append(_check("blowup_rate",
-                                         (blow["rate"] - h.epsilon) / h.epsilon,
-                                         TOLERANCES["blowup_rate"]))
+                    add("blowup_rate", (blow["rate"] - h.epsilon) / h.epsilon)
 
-        if scn.checks["kelvin"] and field is not None:
-            v = kelvin_transform(field)
-            back = kelvin_transform(v)
-            inv = float(np.abs(back.values - field.values).max()
-                        / max(np.abs(field.values).max(), 1e-300))
-            checks.append(_check("kelvin_involution", inv,
-                                 TOLERANCES["kelvin_involution"] * tol_scale))
-            tr_u = trace if trace is not None else frequency_trace(field, h, scn.radii)
-            # mirror the snapped radii so both traces use reciprocal grid nodes
-            mirror = np.sort(1.0 / tr_u.r)
-            tr_v = frequency_trace(v, None, mirror)
-            shift = scn.dimension - 2
-            if scn.side == "exterior":
-                conj = np.abs(np.sort(tr_v.N) - (np.sort(tr_u.N) - shift)).max()
-            else:
-                conj = np.abs(np.sort(tr_u.N) - (np.sort(tr_v.N) - shift)).max()
-            checks.append(_check("kelvin_conjugacy", float(conj),
-                                 TOLERANCES["kelvin_conjugacy"] * tol_scale))
+        if "kelvin" in names:
+            inv, conj = pipe.kelvin
+            add("kelvin_involution", inv)
+            add("kelvin_conjugacy", conj)
 
-        if scn.checks["inequalities"]:
-            iq_checks, margins = _inequality_checks(scn, pot, tol_scale)
-            checks.extend(iq_checks)
+        # the sweeps share one generator and always draw in this order, so the
+        # same names give the same report whatever order they were listed in
+        rng = np.random.default_rng(scn.seed)
+        margins = {}
+        for name in ("hardy", "diamagnetic", "hardy2d"):
+            if name in names and (name != "hardy2d" or scn.dimension == 2):
+                out = inequality_sweep(pipe.potential, name, count=scn.sweep_count,
+                                       rng=rng, tol=TOLERANCES["margin"] * tol_scale)
+                margins[name] = out
+                if out["status"] != "degenerate":
+                    add(f"{name}_margin", out["min_margin"], key="margin", one_sided=True)
+        if "mu1" in names and scn.dimension == 2:
+            add("mu1_comparison", mu1_comparison(pipe.potential), one_sided=True)
+        if "hardy2d_constant" in names and scn.dimension == 2:
+            info = hardy_2d_constant_check(pipe.potential)
+            margins["hardy2d_constant"] = info
+            if not info["degenerate"]:
+                add("hardy2d_agreement", info["agreement"])
+        if not names.isdisjoint(TOGGLE_BLOCKS["inequalities"]):
             report["margins"] = margins
 
         report["status"] = "pass" if all(c["pass"] for c in checks) else "fail"
@@ -419,72 +448,28 @@ def run_scenario(scn: Scenario, out_dir=None, tol_scale: float = 1.0,
     return report
 
 
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=True) + "\n"
+def run_scenario(scn: Scenario, out_dir=None, tol_scale: float = 1.0,
+                 seed: int | None = None) -> dict:
+    """Execute the spectrum and every check block the scenario enables."""
+    names = {"spectrum"}
+    for toggle, enabled in scn.checks.items():
+        if enabled:
+            names.update(TOGGLE_BLOCKS[toggle])
+    return _execute(scn, names, out_dir, tol_scale, seed)
 
 
 def verify_suite(scn: Scenario, names=None, out_dir=None,
                  tol_scale: float = 1.0, seed: int | None = None) -> dict:
-    """Run only the named verification checks (default: all of them)."""
-    if names is None:
-        names = list(VERIFY_CHECKS)
-    unknown = [n for n in names if n not in VERIFY_CHECKS]
+    """Run only the named verification checks (default: all of them), in
+    pipeline order whatever order they are named in."""
+    names = set(VERIFY_CHECKS if names is None else names)
+    unknown = sorted(names - set(VERIFY_CHECKS))
     if unknown:
         raise ScenarioValidationError(
             f"unknown check name(s) {unknown}; valid: {list(VERIFY_CHECKS)}"
         )
-    if seed is not None:
-        scn = scenario_from_dict({**scn.raw, "seed": int(seed)})
-    t0 = time.perf_counter()
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "scenario": scn.to_json(),
-        "scenario_hash": scenario_hash(scn),
-        "checks": [],
-        "margins": {},
-    }
-    checks = report["checks"]
-    try:
-        pot = build_potential(scn.potential)
-        rng = np.random.default_rng(scn.seed)
-        tol = TOLERANCES["margin"] * tol_scale
-        for name in names:
-            if name in ("hardy", "diamagnetic", "hardy2d"):
-                if name == "hardy2d" and scn.dimension != 2:
-                    continue
-                out = inequality_sweep(pot, name, count=scn.sweep_count,
-                                       rng=rng, tol=tol)
-                report["margins"][name] = out
-                if out["status"] != "degenerate":
-                    checks.append(_check(f"{name}_margin", out["min_margin"], tol,
-                                         ok=out["min_margin"] >= -tol))
-            elif name == "mu1":
-                if scn.dimension != 2:
-                    continue
-                gap = mu1_comparison(pot)
-                lim = TOLERANCES["mu1_comparison"] * tol_scale
-                checks.append(_check("mu1_comparison", gap, lim, ok=gap >= -lim))
-            else:
-                spectrum = angular_spectrum(pot, count=scn.eigen_count,
-                                            truncation=scn.truncation)
-                field, h, _ = _solve_field(scn, spectrum)
-                if name == "pohozaev":
-                    r_mid = float(np.sqrt(scn.radii.min() * scn.radii.max()))
-                    checks.append(_check("pohozaev",
-                                         pohozaev_residual(field, h, r_mid),
-                                         TOLERANCES["pohozaev"] * tol_scale))
-                else:
-                    checks.append(_check("height_derivative",
-                                         check_height_derivative(field, h),
-                                         TOLERANCES["height_derivative"] * tol_scale))
-        report["status"] = "pass" if all(c["pass"] for c in checks) else "fail"
-    except EmlabError as exc:
-        report["status"] = "error"
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-    report["wall_clock"] = time.perf_counter() - t0
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(report_json(report))
-    return report
+    return _execute(scn, names, out_dir, tol_scale, seed)
+
+
+def report_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=True) + "\n"

@@ -9,7 +9,6 @@ from emlab.angular import (
     build_potential,
     circulation,
     closed_form_ab_spectrum,
-    mu1,
 )
 from emlab.errors import (
     AliasingError,
@@ -175,17 +174,17 @@ class TestSpectrum:
         assert np.abs(R).max() < 1e-9
 
     def test_mu1_with_shift(self):
-        assert mu1(angular_spectrum(ab(0.3, 0.05), count=4)) == pytest.approx(0.04, abs=1e-12)
+        assert angular_spectrum(ab(0.3, 0.05), count=4).mu1() == pytest.approx(0.04, abs=1e-12)
 
     def test_mu1_free_sphere(self):
         pot = build_potential({"kind": "dipole", "strength": 0.0})
-        assert mu1(angular_spectrum(pot, count=3, truncation=8)) == pytest.approx(0.0, abs=1e-12)
+        assert angular_spectrum(pot, count=3, truncation=8).mu1() == pytest.approx(0.0, abs=1e-12)
 
     def test_mu1_equals_hardy_constant(self):
         sp = angular_spectrum(ab(0.3), count=1)
         phi = circulation(sp.potential)
         best = min(abs(k - phi) for k in range(-3, 4)) ** 2
-        assert mu1(sp) == pytest.approx(best, abs=1e-12)
+        assert sp.mu1() == pytest.approx(best, abs=1e-12)
 
     def test_aliasing_guard(self):
         pot = build_potential(

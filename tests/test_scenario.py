@@ -1,13 +1,17 @@
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emlab.scenario
 from emlab.cli import main as cli_main
 from emlab.errors import ScenarioValidationError
 from emlab.scenario import (
+    DEFAULT_CHECKS,
     SCHEMA_VERSION,
+    TOLERANCES,
     parse_scenario,
     run_scenario,
     scenario_from_dict,
@@ -15,7 +19,8 @@ from emlab.scenario import (
     verify_suite,
 )
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def minimal_doc(**over):
@@ -69,6 +74,10 @@ class TestParsing:
             boundary={"radius": 1.0, "values": {"1": [0.0, 2.0]}}
         ))
         assert scn.boundary_values[1] == 2j
+
+    def test_all_zero_boundary_rejected(self):
+        with pytest.raises(ScenarioValidationError, match="nonzero"):
+            scenario_from_dict(minimal_doc(boundary={"values": {"1": 0.0}}))
 
     def test_hash_is_stable(self):
         a = scenario_from_dict(minimal_doc())
@@ -239,8 +248,96 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["scenario"]["seed"] == 7
 
+    def test_all_zero_boundary_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps(minimal_doc(boundary={"values": {"1": 0.0}})))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(cfg), "run"])
+        assert exc.value.code == 2
+        assert "nonzero" in capsys.readouterr().err
+
     def test_tol_scale_loosens(self, capsys):
         # absurdly large factor cannot turn a pass into a fail
         code = cli_main(["--config", str(SCENARIOS / "ab_basic.json"),
                          "--tol-scale", "100", "run"])
         assert code == 0
+
+
+def _cli_json(capsys, scenario: str, *argv) -> dict:
+    code = cli_main(["--config", str(SCENARIOS / scenario), *argv])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _without_wall_clock(report: dict) -> str:
+    return json.dumps({k: v for k, v in report.items() if k != "wall_clock"},
+                      sort_keys=True)
+
+
+class TestOnePipeline:
+    """run, verify and every CLI subcommand read one definition of each stage."""
+
+    @pytest.mark.parametrize("command,key", [("spectrum", "spectrum"),
+                                             ("frequency", "frequency"),
+                                             ("asymptotics", "profile")])
+    def test_subcommand_equals_run_section(self, ab_basic_report, capsys, command, key):
+        _, out = ab_basic_report
+        on_disk = json.loads((out / "report.json").read_text())
+        assert _cli_json(capsys, "ab_basic.json", command) == on_disk[key]
+
+    def test_kelvin_subcommand_equals_run_checks(self, capsys):
+        report = run_scenario(parse_scenario(SCENARIOS / "exterior_kelvin.json"))
+        by_name = {c["name"]: c["value"] for c in report["checks"]}
+        doc = _cli_json(capsys, "exterior_kelvin.json", "kelvin")
+        assert doc == {"involution_residual": by_name["kelvin_involution"],
+                       "conjugacy_residual": by_name["kelvin_conjugacy"]}
+
+    def test_verify_solves_the_field_once(self, monkeypatch):
+        calls = []
+        solve = emlab.scenario.solve_perturbed_field
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(emlab.scenario, "solve_perturbed_field", counting)
+        report = verify_suite(parse_scenario(SCENARIOS / "ab_basic.json"),
+                              names=["pohozaev", "height_derivative"])
+        assert report["status"] == "pass"
+        assert [c["name"] for c in report["checks"]] == ["height_derivative", "pohozaev"]
+        assert len(calls) == 1
+
+    def test_verify_order_does_not_matter(self):
+        scn = scenario_from_dict(minimal_doc(sweep_count=10))
+        a = verify_suite(scn, names=["diamagnetic", "hardy"])
+        b = verify_suite(scn, names=["hardy", "diamagnetic"])
+        assert _without_wall_clock(a) == _without_wall_clock(b)
+        assert [c["name"] for c in a["checks"]] == ["hardy_margin", "diamagnetic_margin"]
+
+
+class TestTolScale:
+    def test_every_tolerance_scales(self):
+        scn = parse_scenario(SCENARIOS / "ab_basic.json")
+        scn = scenario_from_dict({**scn.raw, "sweep_count": 5,
+                                  "checks": dict.fromkeys(DEFAULT_CHECKS, True)})
+        report = run_scenario(scn, tol_scale=2.0)
+        rows = {c["name"]: c["tolerance"] for c in report["checks"]}
+        assert {"eps_rate", "h_scaling_drift", "blowup_rate", "kelvin_conjugacy",
+                "hardy_margin", "mu1_comparison"} <= set(rows)
+        assert rows.pop("picard_converged") == 0.5
+        for name, tol in rows.items():
+            key = "margin" if name.endswith("_margin") else name
+            assert tol == TOLERANCES[key] * 2.0, name
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse((ROOT / "src" / "emlab" / "cli.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    private = [name for name in imported
+               if any(part.startswith("_") for part in name.split("."))]
+    assert private == []
