@@ -24,7 +24,7 @@ pot = build_potential({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0})
 spectrum = angular_spectrum(pot, count=8)
 h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
 r = grids.log_grid(1e-8, 1.0, 3000)
-field, _ = solve_perturbed_field(spectrum, h, {1: 1.0}, r, mode_count=8)
+field, _ = solve_perturbed_field(spectrum, h, {1: 1.0}, r)
 
 gamma = 0.3  # characteristic exponent of the attached ground mode
 print("coefficient extraction at three observation radii")

@@ -25,7 +25,7 @@ spectrum = angular_spectrum(pot, count=8)
 h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
 r = grids.log_grid(1e-8, 1.0, 3000)
 
-field, info = solve_perturbed_field(spectrum, h, {1: 1.0}, r, mode_count=8)
+field, info = solve_perturbed_field(spectrum, h, {1: 1.0}, r)
 print(f"Picard iteration: converged = {info['converged']} "
       f"after {info['iterations']} sweeps")
 print("  residuals:", ["%.1e" % v for v in info["residuals"]])

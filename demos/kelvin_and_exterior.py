@@ -21,7 +21,7 @@ pot = build_potential({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0})
 spectrum = angular_spectrum(pot, count=8)
 h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side="exterior")
 r = grids.log_grid(1.0, 1e8, 3000)
-field, info = solve_perturbed_field(spectrum, h, {1: 1.0}, r, mode_count=8)
+field, info = solve_perturbed_field(spectrum, h, {1: 1.0}, r)
 print("exterior Picard solve converged:", info["converged"])
 
 tr = exterior_frequency_trace(field, h, np.geomspace(2.0, 1e5, 12))

@@ -204,8 +204,8 @@ class CircleBasis:
         self.indices = np.arange(-truncation, truncation + 1)
         self.size = 2 * truncation + 1
 
-    def grid(self, n_nodes: int | None = None):
-        n = n_nodes or 4 * (self.truncation + 1)
+    def grid(self):
+        n = 4 * (self.truncation + 1)
         t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         w = np.full(n, 2 * np.pi / n)
         return t, w
@@ -398,7 +398,7 @@ def eigendecompose(matrix: np.ndarray, count: int, basis, pot: AngularPotential,
     """Lowest `count` eigenpairs of the Hermitian Galerkin matrix."""
     n = matrix.shape[0]
     if count > n:
-        raise ValueError(f"requested {count} eigenpairs from a {n}x{n} matrix")
+        raise AliasingError(f"requested {count} eigenpairs from a {n}x{n} matrix")
     try:
         w, v = eigh(matrix, subset_by_index=(0, count - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover

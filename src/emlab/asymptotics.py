@@ -25,8 +25,7 @@ from .modal import (
     ModalSolution,
     PerturbationSpec,
     characteristic_exponents,
-    perturbation_samples,
-    project_onto_modes,
+    modal_stack,
     synthesize_field,
 )
 
@@ -107,27 +106,6 @@ class AsymptoticProfile:
         }
 
 
-def _field_zeta(field: FieldSample, h: PerturbationSpec | None) -> np.ndarray:
-    K = field.spectrum.count
-    if field.modal is not None:
-        zeta = np.zeros((K, len(field.r)), dtype=complex)
-        for k, sol in field.modal.items():
-            zeta[k - 1] = sol.zeta
-        return zeta
-    if h is None:
-        return np.zeros((K, len(field.r)), dtype=complex)
-    return perturbation_samples(h, field, field.spectrum)
-
-
-def _field_phi(field: FieldSample) -> np.ndarray:
-    if field.modal is not None:
-        phi = np.zeros((field.spectrum.count, len(field.r)), dtype=complex)
-        for k, sol in field.modal.items():
-            phi[k - 1] = sol.phi
-        return phi
-    return project_onto_modes(field, field.spectrum)
-
-
 def extract_interior_coefficients(field: FieldSample, gamma: float, R: float,
                                   h: PerturbationSpec | None = None) -> AsymptoticProfile:
     """Coefficients beta_i on the eigenspace matched by gamma.
@@ -147,8 +125,7 @@ def extract_interior_coefficients(field: FieldSample, gamma: float, R: float,
     r = field.r
     iR = grids.nearest_index(r, R)
     R = r[iR]
-    phi = _field_phi(field)
-    zeta = _field_zeta(field, h)
+    phi, _, zeta = modal_stack(field, h)
     beta = np.zeros(m, dtype=complex)
     for i in range(m):
         k = j0 + i
@@ -183,8 +160,7 @@ def extract_exterior_coefficients(field: FieldSample, gamma: float, R: float,
     r = field.r
     iR = grids.nearest_index(r, R)
     R = r[iR]
-    phi = _field_phi(field)
-    zeta = _field_zeta(field, h)
+    phi, _, zeta = modal_stack(field, h)
     beta = np.zeros(m, dtype=complex)
     for i in range(m):
         k = j0 + i
@@ -311,22 +287,17 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
     t = 1.0 / r[::-1]
     new_side = "exterior" if field.side == "interior" else "interior"
     if field.modal is not None and field.spectrum is not None:
-        new_sols = {}
-        for k, sol in field.modal.items():
-            phi_rev = sol.phi[::-1]
-            dphi_rev = sol.dphi[::-1]
-            zeta_rev = sol.zeta[::-1]
-            phi_t = t ** (2 - N) * phi_rev
-            dphi_t = (2 - N) * t ** (1 - N) * phi_rev - t ** (-N) * dphi_rev
-            zeta_t = t ** (-2 - N) * zeta_rev
-            new_sols[k] = ModalSolution(
-                exponents=sol.exponents, r=t, phi=phi_t, dphi=dphi_t,
-                zeta=zeta_t, boundary_radius=1.0 / sol.boundary_radius,
-                c1=sol.c1, side=new_side,
+        new_sols = {
+            k: ModalSolution(
+                exponents=sol.exponents, r=t,
+                phi=t ** (2 - N) * sol.phi[::-1],
+                dphi=(2 - N) * t ** (1 - N) * sol.phi[::-1] - t ** (-N) * sol.dphi[::-1],
+                zeta=t ** (-2 - N) * sol.zeta[::-1],
+                boundary_radius=1.0 / sol.boundary_radius, c1=sol.c1, side=new_side,
             )
-        out = synthesize_field(field.spectrum, new_sols,
-                               n_angular=len(field.angular_nodes[0]))
-        return replace(out, side=new_side)
+            for k, sol in field.modal.items()
+        }
+        return synthesize_field(field.spectrum, new_sols)
     factor = (t ** (2 - N))[:, None]
     values = factor * field.values[::-1]
     du_dr = None

@@ -28,44 +28,10 @@ from scipy.optimize import curve_fit
 
 from . import grids
 from .errors import DegenerateSolutionError, NumericalFailureError, TailFitError
-from .modal import FieldSample, PerturbationSpec, perturbation_samples, project_onto_modes
+from .modal import FieldSample, PerturbationSpec, modal_stack
 
 #: nodes next to each grid edge excluded from fits and residual scans
 EDGE_EXCLUSION = 5
-
-
-def _modal_arrays(field: FieldSample, h: PerturbationSpec | None = None):
-    """(mu, phi, dphi, zeta) arrays of shape (K,) and (K, n_r).
-
-    Attached modal data is used when present; otherwise profiles come from
-    angular projection, derivatives from gradient samples or log-grid finite
-    differences, and forcings from the supplied perturbation.
-    """
-    spectrum = field.spectrum
-    if spectrum is None:
-        raise DegenerateSolutionError("field carries no angular spectrum")
-    K = spectrum.count
-    n_r = len(field.r)
-    mu = np.asarray(spectrum.eigenvalues, dtype=float)
-    if field.modal is not None:
-        phi = np.zeros((K, n_r), dtype=complex)
-        dphi = np.zeros((K, n_r), dtype=complex)
-        zeta = np.zeros((K, n_r), dtype=complex)
-        for k, sol in field.modal.items():
-            phi[k - 1] = sol.phi
-            dphi[k - 1] = sol.dphi
-            zeta[k - 1] = sol.zeta
-        return mu, phi, dphi, zeta
-    phi = project_onto_modes(field, spectrum)
-    if field.du_dr is not None:
-        dphi = project_onto_modes(field, spectrum, data=field.du_dr)
-    else:
-        dphi = grids.log_derivative(phi.T, field.r).T
-    if h is not None:
-        zeta = perturbation_samples(h, field, spectrum)
-    else:
-        zeta = np.zeros((K, n_r), dtype=complex)
-    return mu, phi, dphi, zeta
 
 
 def _energy_density(mu, phi, dphi, zeta, r):
@@ -86,7 +52,8 @@ def _dense_trace(field: FieldSample, h: PerturbationSpec | None):
     """(H, D, N) on the full radial grid."""
     N_dim = field.dimension
     r = field.r
-    mu, phi, dphi, zeta = _modal_arrays(field, h)
+    phi, dphi, zeta = modal_stack(field, h)
+    mu = field.spectrum.eigenvalues
     H = np.sum(np.abs(phi) ** 2, axis=0)
     g = _energy_density(mu, phi, dphi, zeta, r)
     f = r ** (N_dim - 1) * g
@@ -103,7 +70,7 @@ def _dense_trace(field: FieldSample, h: PerturbationSpec | None):
 
 def height(field: FieldSample, r: float) -> float:
     """Scaled boundary mass H(r) at the nearest grid node."""
-    _, phi, _, _ = _modal_arrays(field, None)
+    phi = modal_stack(field)[0]
     H = np.sum(np.abs(phi) ** 2, axis=0)
     return float(H[grids.nearest_index(field.r, r)])
 
@@ -251,7 +218,8 @@ def pohozaev_residual(field: FieldSample, h: PerturbationSpec | None, r: float) 
     N_dim = field.dimension
     rg = field.r
     exterior = field.side == "exterior"
-    mu, phi, dphi, zeta = _modal_arrays(field, h)
+    phi, dphi, zeta = modal_stack(field, h)
+    mu = field.spectrum.eigenvalues
     i = grids.nearest_index(rg, r)
     ri = rg[i]
     dens = np.sum(np.abs(dphi) ** 2, axis=0) + np.sum(

@@ -329,15 +329,15 @@ def _sweep_margin(check: str, pot: AngularPotential, tf: TestFunction,
 
 def inequality_sweep(pot: AngularPotential, check: str, count: int = 50,
                      rng=None, r: np.ndarray | None = None,
-                     tol: float = TOL_QUAD) -> dict:
+                     tol: float = TOL_QUAD, mu1_value: float | None = None) -> dict:
     """Margin sweep over random test functions; report {name, count,
-    min_margin, status}."""
+    min_margin, status}.  The Hardy sweep uses ``mu1_value`` when given,
+    as ``hardy_boundary_margin`` does, and computes mu1 otherwise."""
     rng = np.random.default_rng(rng)
     if r is None:
         r = grids.log_grid(1e-6, 1.0, 2400)
-    mu1_value = float("nan")
     hardy_const = float("nan")
-    if check == "hardy":
+    if check == "hardy" and mu1_value is None:
         mu1_value = mu1_of(pot)
     if check == "hardy2d":
         info = hardy_2d_constant_check(pot)

@@ -22,12 +22,15 @@ from .angular import AngularSpectrum, _coeff_array, _eval_trig
 from .errors import (
     AliasingError,
     DegenerateIndicialError,
+    DegenerateSolutionError,
     ForcingTooSingularError,
     GridMismatchError,
     IndefiniteFormError,
 )
 
-DEFAULT_MODE_COUNT = 16
+#: Picard stops once successive fields agree to this fraction of their sup norm
+PICARD_TOL = 1e-12
+PICARD_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -204,23 +207,50 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
     )
 
 
+class _Nodal:
+    """A nodal array of ``FieldSample``: an array passed in is kept as
+    given; on a field with modal profiles that was given none it is summed
+    from the profiles on first read and then kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, field, owner=None):
+        if field is None:
+            return None  # the dataclass default
+        d = field.__dict__
+        if d[self.name] is None and d["modal"] is not None:
+            d[self.name] = _modal_sum(field, self.name)
+        return d[self.name]
+
+    def __set__(self, field, value):
+        field.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class FieldSample:
-    """Complex samples of a field on a log-radial x angular product grid."""
+    """Complex samples of a field on a log-radial x angular product grid.
+
+    A synthesized field is its modal profiles, u = sum_k phi_k psi_k; its
+    nodal arrays are built from them only when read.
+    """
 
     dimension: int
     r: np.ndarray
     angular_nodes: tuple
     angular_weights: np.ndarray
-    values: np.ndarray  # (n_r, n_nodes)
-    du_dr: np.ndarray | None = None
-    angular_gradient: tuple | None = None  # per-component (n_r, n_nodes)
+    values: np.ndarray | None = _Nodal()  # (n_r, n_nodes)
+    du_dr: np.ndarray | None = _Nodal()
+    angular_gradient: tuple | None = _Nodal()  # per-component (n_r, n_nodes)
     modal: dict | None = None  # mode index -> ModalSolution
     spectrum: AngularSpectrum | None = None
     side: str = "interior"
 
     def __post_init__(self):
-        if self.values.shape != (len(self.r), len(self.angular_nodes[0])):
+        values = self.__dict__["values"]
+        if values is None and self.modal is None:
+            raise GridMismatchError("a field needs values or modal profiles")
+        if values is not None and values.shape != (len(self.r), len(self.angular_nodes[0])):
             raise GridMismatchError("value array shape does not match the grid")
         if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
             raise GridMismatchError("radial grid must be positive and increasing")
@@ -246,46 +276,64 @@ class FieldSample:
         )
 
 
-def _angular_grid(spectrum: AngularSpectrum, n_nodes: int | None):
-    basis = spectrum.basis
-    if spectrum.potential.dimension == 2:
-        t, w = basis.grid(n_nodes)
-        return (t,), w
-    theta, phi, w = basis.grid()
-    return (theta, phi), w
+def _modal_sum(field: FieldSample, name: str):
+    """One nodal array of a synthesized field: sum_k phi_k psi_k for
+    ``values``, phi_k' psi_k for ``du_dr``, phi_k grad psi_k per component
+    for ``angular_gradient``; outer products accumulated in mode order."""
+    nodes, spectrum = field.angular_nodes, field.spectrum
+    shape = (len(field.r), len(nodes[0]))
+    if name == "angular_gradient":
+        comps = tuple(np.zeros(shape, dtype=complex) for _ in range(field.dimension - 1))
+        for k, sol in field.modal.items():
+            for comp, gpsi in zip(comps, spectrum.psi_gradient(k, *nodes)):
+                comp += np.outer(sol.phi, gpsi)
+        return comps
+    out = np.zeros(shape, dtype=complex)
+    for k, sol in field.modal.items():
+        out += np.outer(sol.phi if name == "values" else sol.dphi,
+                        spectrum.psi_values(k, *nodes))
+    return out
 
 
-def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
-                     n_angular: int | None = None,
-                     with_gradient: bool = True) -> FieldSample:
-    """u(r, theta) = sum_k phi_k(r) psi_k(theta) on the shared product grid."""
+def synthesize_field(spectrum: AngularSpectrum, solutions: dict) -> FieldSample:
+    """u(r, theta) = sum_k phi_k(r) psi_k(theta) on the shared product grid;
+    the nodal arrays are summed when first read."""
     sols = list(solutions.values())
     if not sols:
         raise ValueError("no modal solutions supplied")
     r = sols[0].r
-    side = sols[0].side
-    for s in sols:
-        if s.r.shape != r.shape or not np.allclose(s.r, r):
-            raise GridMismatchError("modal solutions must share the radial grid")
-    nodes, w = _angular_grid(spectrum, n_angular)
-    n_nodes = len(nodes[0])
-    values = np.zeros((len(r), n_nodes), dtype=complex)
-    du_dr = np.zeros_like(values) if with_gradient else None
-    n_comp = 1 if spectrum.potential.dimension == 2 else 2
-    ang_grad = tuple(np.zeros_like(values) for _ in range(n_comp)) if with_gradient else None
-    for k, sol in solutions.items():
-        psi = spectrum.psi_values(k, *nodes)
-        values += np.outer(sol.phi, psi)
-        if with_gradient:
-            du_dr += np.outer(sol.dphi, psi)
-            for comp, gpsi in zip(ang_grad, spectrum.psi_gradient(k, *nodes)):
-                comp += np.outer(sol.phi, gpsi)
+    if any(s.r.shape != r.shape or not np.allclose(s.r, r) for s in sols):
+        raise GridMismatchError("modal solutions must share the radial grid")
+    *nodes, w = spectrum.basis.grid()
     return FieldSample(
         dimension=spectrum.potential.dimension,
-        r=r, angular_nodes=nodes, angular_weights=w, values=values,
-        du_dr=du_dr, angular_gradient=ang_grad,
-        modal=dict(solutions), spectrum=spectrum, side=side,
+        r=r, angular_nodes=tuple(nodes), angular_weights=w, values=None,
+        modal=dict(solutions), spectrum=spectrum, side=sols[0].side,
     )
+
+
+def modal_stack(field: FieldSample, h: PerturbationSpec | None = None):
+    """(phi, dphi, zeta) arrays of shape (K, n_r), K = spectrum.count.
+
+    A synthesized field returns its attached profiles.  Sampled data is
+    projected onto the modes: derivatives from the du_dr samples or, without
+    them, by log-grid finite differences; forcings from ``h`` (zero without).
+    """
+    spectrum = field.spectrum
+    if spectrum is None:
+        raise DegenerateSolutionError("field carries no angular spectrum")
+    shape = (spectrum.count, len(field.r))
+    if field.modal is not None:
+        phi, dphi, zeta = (np.zeros(shape, dtype=complex) for _ in range(3))
+        for k, sol in field.modal.items():
+            phi[k - 1], dphi[k - 1], zeta[k - 1] = sol.phi, sol.dphi, sol.zeta
+        return phi, dphi, zeta
+    phi = project_onto_modes(field, spectrum)
+    dphi = (grids.log_derivative(phi.T, field.r).T if field.du_dr is None
+            else project_onto_modes(field, spectrum, data=field.du_dr))
+    zeta = (np.zeros(shape, dtype=complex) if h is None
+            else perturbation_samples(h, field, spectrum))
+    return phi, dphi, zeta
 
 
 def project_onto_modes(field: FieldSample, spectrum: AngularSpectrum,
@@ -330,25 +378,23 @@ def homogeneous_solutions(spectrum: AngularSpectrum, boundary_values: dict,
 
 
 def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
-                          boundary_values: dict, r: np.ndarray,
-                          mode_count: int | None = None,
-                          tol_fp: float = 1e-12, max_iter: int = 50,
-                          n_angular: int | None = None):
-    """Self-consistent solution of L u = h u by Picard iteration.
+                          boundary_values: dict, r: np.ndarray):
+    """Self-consistent solution of L u = h u by Picard iteration over all
+    ``spectrum.count`` modes.
 
     Starts from the homogeneous field matching the boundary data, then
     alternates forcing projection and radial solves until successive fields
-    agree in sup norm.  Returns (FieldSample, info dict).
+    agree in sup norm to PICARD_TOL.  Returns (FieldSample, info dict).
     """
     N = spectrum.potential.dimension
     side = h.side
-    K = mode_count or min(spectrum.count, DEFAULT_MODE_COUNT)
+    K = spectrum.count
     exps = {k: characteristic_exponents(N, spectrum.mu(k), k) for k in range(1, K + 1)}
     bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
     sols = homogeneous_solutions(spectrum, bvals, r, side=side)
-    field = synthesize_field(spectrum, sols, n_angular=n_angular)
+    field = synthesize_field(spectrum, sols)
     residuals = []
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         zeta = perturbation_samples(h, field, spectrum)
         # modes carrying only projection roundoff are treated as unforced
         zmax = np.abs(zeta).max()
@@ -361,16 +407,16 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
             )
             for k in range(1, K + 1)
         }
-        new_field = synthesize_field(spectrum, sols, n_angular=n_angular)
+        new_field = synthesize_field(spectrum, sols)
         resid = float(np.abs(new_field.values - field.values).max())
         residuals.append(resid)
         field = new_field
         scale = max(float(np.abs(field.values).max()), 1e-300)
-        if resid < tol_fp * scale:
+        if resid < PICARD_TOL * scale:
             break
     info = {
         "iterations": len(residuals),
         "residuals": residuals,
-        "converged": bool(residuals and residuals[-1] < tol_fp * scale),
+        "converged": bool(residuals and residuals[-1] < PICARD_TOL * scale),
     }
     return field, info

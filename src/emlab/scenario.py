@@ -20,7 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, grids
-from .angular import angular_spectrum, build_potential
+from .angular import (
+    DEFAULT_TRUNCATION_CIRCLE,
+    DEFAULT_TRUNCATION_SPHERE,
+    angular_spectrum,
+    build_potential,
+)
 from .asymptotics import (
     blowup_profile,
     classify_regularity,
@@ -48,7 +53,6 @@ SCHEMA_VERSION = 1
 #: acceptance thresholds, each multiplied by --tol-scale; the picard_converged
 #: check is the exception, a 0/1 flag held at 0.5
 TOLERANCES = {
-    "picard_converged": 1e-12,
     "gamma_fit": 1e-5,
     "eps_rate": 0.1,
     "height_derivative": 1e-6,
@@ -144,50 +148,74 @@ def _validate(cond: bool, message: str) -> None:
         raise ScenarioValidationError(message)
 
 
+def _number(value, what: str, kind=float):
+    """``kind(value)``, or a validation error naming the entry."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, IndexError, OverflowError):
+        raise ScenarioValidationError(f"{what} must be a number, got {value!r}") from None
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a scenario document and fill defaults."""
     _validate(isinstance(doc, dict), "scenario must be a JSON object")
     pot_desc = doc.get("potential")
     _validate(isinstance(pot_desc, dict), "scenario needs a potential descriptor")
-    dimension = int(doc.get("dimension", 3 if pot_desc.get("kind") == "dipole" else 2))
+    dimension = _number(doc.get("dimension", 3 if pot_desc.get("kind") == "dipole" else 2),
+                        "dimension", int)
     if pot_desc.get("kind") == "dipole":
         _validate(dimension == 3, "dipole potentials require dimension 3")
     else:
         _validate(dimension == 2, f"potential kind {pot_desc.get('kind')!r} requires dimension 2")
+    for key in ("alpha", "a0", "strength", "lam"):
+        if key in pot_desc:
+            _validate(np.isfinite(_number(pot_desc[key], f"potential.{key}")),
+                      f"potential.{key} must be finite")
 
     pert = doc.get("perturbation")
     side = doc.get("side", "interior")
     _validate(side in ("interior", "exterior"), f"unknown side {side!r}")
     if pert is not None:
-        eps = pert.get("epsilon", 0.5)
+        _validate(isinstance(pert, dict), "perturbation must be a JSON object")
+        eps = _number(pert.get("epsilon", 0.5), "perturbation.epsilon")
         _validate(np.isfinite(eps) and eps > 0,
                   "perturbation decay offset epsilon must be > 0 (|x|^(-2 +- eps))")
+        _number(pert.get("amplitude", 0.0), "perturbation.amplitude", _as_complex)
         pert = dict(pert)
         pert.setdefault("side", side)
         _validate(pert["side"] == side, "perturbation side must match the scenario side")
 
     boundary = doc.get("boundary", {})
-    R = float(boundary.get("radius", 1.0))
+    R = _number(boundary.get("radius", 1.0), "boundary radius")
     _validate(np.isfinite(R) and R > 0, "boundary radius must be positive")
-    eigen_count = int(doc.get("eigen_count", 8))
+    eigen_count = _number(doc.get("eigen_count", 8), "eigen_count", int)
     _validate(eigen_count >= 1, "eigen_count must be >= 1")
+    truncation = doc.get("truncation")
+    if truncation is not None:
+        truncation = _number(truncation, "truncation", int)
+        _validate(truncation >= 1, "truncation must be >= 1")
+    else:  # an explicit basis is checked at run time, after the aliasing guard
+        T = DEFAULT_TRUNCATION_CIRCLE if dimension == 2 else DEFAULT_TRUNCATION_SPHERE
+        size = 2 * T + 1 if dimension == 2 else (T + 1) ** 2
+        _validate(eigen_count <= size, f"eigen_count {eigen_count} exceeds the {size} "
+                                       f"functions of the default angular basis")
     values = {}
     for key, val in boundary.get("values", {"1": 1.0}).items():
-        k = int(key)
+        k = _number(key, "boundary mode", int)
         _validate(1 <= k <= eigen_count,
                   f"boundary mode {k} outside the requested {eigen_count} eigenvalues")
-        values[k] = _as_complex(val)
+        values[k] = _number(val, f"boundary value of mode {k}", _as_complex)
     _validate(any(v != 0 for v in values.values()),
               "boundary values must give at least one mode a nonzero value")
     _validate(all(np.isfinite([v.real, v.imag]).all() for v in values.values()),
               "boundary values must be finite")
 
     grid = doc.get("grid", {})
-    nodes = int(grid.get("nodes", grids.DEFAULT_RADIAL_NODES))
+    nodes = _number(grid.get("nodes", grids.DEFAULT_RADIAL_NODES), "grid.nodes", int)
     _validate(nodes >= 100, "radial grid needs at least 100 nodes")
-    rmin_ratio = float(grid.get("rmin_ratio", grids.DEFAULT_RMIN_RATIO))
+    rmin_ratio = _number(grid.get("rmin_ratio", grids.DEFAULT_RMIN_RATIO), "grid.rmin_ratio")
     _validate(0 < rmin_ratio < 1, "rmin_ratio must lie in (0, 1)")
-    span = float(grid.get("exterior_span", 1e8))
+    span = _number(grid.get("exterior_span", 1e8), "grid.exterior_span")
     _validate(span > 1, "exterior_span must exceed 1")
 
     radii = doc.get("radii")
@@ -197,9 +225,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         else:
             radii = np.geomspace(2 * R, 1e6 * R, 20)
     else:
-        radii = np.asarray([float(v) for v in radii], dtype=float)
+        _validate(isinstance(radii, list), "radii must be a list of numbers")
+        radii = np.asarray([_number(v, "each radius") for v in radii], dtype=float)
         _validate(np.all(np.isfinite(radii)) and np.all(radii > 0),
                   "trace radii must be positive and finite")
+        lo, hi = (R * rmin_ratio, R) if side == "interior" else (R, R * span)
+        _validate(np.all((radii >= lo) & (radii <= hi)),
+                  f"trace radii must lie on the radial grid [{lo:g}, {hi:g}]")
 
     checks = dict(DEFAULT_CHECKS)
     for name, toggle in doc.get("checks", {}).items():
@@ -207,7 +239,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
                   f"unknown check toggle {name!r}; valid: {sorted(DEFAULT_CHECKS)}")
         checks[name] = bool(toggle)
 
-    truncation = doc.get("truncation")
+    sweep_count = _number(doc.get("sweep_count", 50), "sweep_count", int)
+    _validate(sweep_count >= 1, "sweep_count must be >= 1")
+    seed = _number(doc.get("seed", 42), "seed", int)
+    _validate(seed >= 0, "seed must be >= 0")
     return Scenario(
         dimension=dimension,
         potential=pot_desc,
@@ -219,11 +254,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         rmin_ratio=rmin_ratio,
         exterior_span=span,
         eigen_count=eigen_count,
-        truncation=None if truncation is None else int(truncation),
+        truncation=truncation,
         radii=radii,
         checks=checks,
-        sweep_count=int(doc.get("sweep_count", 50)),
-        seed=int(doc.get("seed", 42)),
+        sweep_count=sweep_count,
+        seed=seed,
         raw=doc,
     )
 
@@ -277,9 +312,7 @@ class Pipeline:
         if scn.perturbation is not None and _as_complex(
                 scn.perturbation.get("amplitude", 0.0)) != 0:
             h = perturbation_from_descriptor(scn.perturbation)
-            field, info = solve_perturbed_field(
-                self.spectrum, h, scn.boundary_values, r, mode_count=scn.eigen_count
-            )
+            field, info = solve_perturbed_field(self.spectrum, h, scn.boundary_values, r)
             return field, h, info
         sols = homogeneous_solutions(self.spectrum, scn.boundary_values, r, side=scn.side)
         info = {"iterations": 0, "residuals": [], "converged": True}
@@ -361,7 +394,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
             info = pipe.solution[2]
             report["solver"] = {"iterations": info["iterations"],
                                 "converged": info["converged"]}
-            # a 0/1 flag: Picard's own tolerance lives in solve_perturbed_field
+            # a 0/1 flag: Picard's own tolerance is modal.PICARD_TOL
             checks.append(_check("picard_converged", float(not info["converged"]),
                                  0.5, ok=info["converged"]))
             k0, gamma = pipe.target
@@ -418,8 +451,10 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
         margins = {}
         for name in ("hardy", "diamagnetic", "hardy2d"):
             if name in names and (name != "hardy2d" or scn.dimension == 2):
+                mu1 = pipe.spectrum.mu1() if name == "hardy" else None
                 out = inequality_sweep(pipe.potential, name, count=scn.sweep_count,
-                                       rng=rng, tol=TOLERANCES["margin"] * tol_scale)
+                                       rng=rng, tol=TOLERANCES["margin"] * tol_scale,
+                                       mu1_value=mu1)
                 margins[name] = out
                 if out["status"] != "degenerate":
                     add(f"{name}_margin", out["min_margin"], key="margin", one_sided=True)

@@ -45,7 +45,7 @@ def ab_perturbed(ab_spectrum, radial_grid):
     from emlab.modal import PerturbationSpec, solve_perturbed_field
 
     h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
-    field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid, mode_count=8)
+    field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
     assert info["converged"]
     return field, h
 
@@ -55,6 +55,6 @@ def ab_exterior_perturbed(ab_spectrum, exterior_grid):
     from emlab.modal import PerturbationSpec, solve_perturbed_field
 
     h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side="exterior")
-    field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, exterior_grid, mode_count=8)
+    field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, exterior_grid)
     assert info["converged"]
     return field, h

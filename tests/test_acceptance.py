@@ -48,8 +48,7 @@ def dense_grid():
 @pytest.fixture(scope="module")
 def eps10_perturbed(ab_spectrum, radial_grid):
     h = PerturbationSpec(amplitude=0.05, epsilon=1.0)
-    field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid,
-                                        mode_count=8)
+    field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
     assert info["converged"]
     return field, h
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from emlab import grids
+from emlab.angular import AngularSpectrum
 from emlab.errors import (
     DegenerateIndicialError,
     ForcingTooSingularError,
@@ -10,6 +11,7 @@ from emlab.errors import (
     IndefiniteFormError,
 )
 from emlab.modal import (
+    FieldSample,
     ModalExponents,
     PerturbationSpec,
     characteristic_exponents,
@@ -210,7 +212,7 @@ class TestPerturbation:
 class TestPicard:
     def test_geometric_convergence(self, ab_spectrum, radial_grid):
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
-        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid, mode_count=8)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
         assert info["converged"]
         ratios = [b / a for a, b in zip(info["residuals"], info["residuals"][1:]) if a > 1e-13]
         assert all(rho < 0.9 for rho in ratios)
@@ -218,7 +220,7 @@ class TestPicard:
     def test_solution_satisfies_mode_ode(self, ab_spectrum, radial_grid):
         # the converged profile must reproduce itself through one more solve
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular={"cos": [1.0]})
-        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid, mode_count=8)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
         assert info["converged"]
         z = perturbation_samples(h, field, ab_spectrum)
         sol1 = solve_radial_mode(field.modal[1].exponents, z[0], 1.0, radial_grid)
@@ -226,13 +228,22 @@ class TestPicard:
 
     def test_leading_slope_is_sigma_plus(self, ab_spectrum, radial_grid):
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
-        field, _ = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid, mode_count=8)
+        field, _ = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
         slope = grids.fitted_slope(radial_grid[:200], np.abs(field.modal[1].phi[:200]))
         assert slope == pytest.approx(0.3, abs=1e-3)
 
+    def test_converges_without_gradient_samples(self, ab_spectrum, radial_grid, monkeypatch):
+        def no_gradient(*args, **kwargs):
+            raise AssertionError("Picard iteration read a gradient sample")
+
+        monkeypatch.setattr(AngularSpectrum, "psi_gradient", no_gradient)
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
+        assert info["converged"]
+
     def test_exterior_picard(self, ab_spectrum, exterior_grid):
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side="exterior")
-        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, exterior_grid, mode_count=8)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, exterior_grid)
         assert info["converged"]
         slope = grids.fitted_slope(exterior_grid[-200:], np.abs(field.modal[1].phi[-200:]))
         assert slope == pytest.approx(-0.3, abs=1e-3)
@@ -261,3 +272,74 @@ class TestFieldSample:
 
         with pytest.raises(GridMismatchError):
             replace(field, values=field.values[:10])
+
+
+def _modal_sums(field):
+    """values, du_dr and angular gradient summed here from the profiles."""
+    sp, nodes = field.spectrum, field.angular_nodes
+    values = sum(np.outer(s.phi, sp.psi_values(k, *nodes)) for k, s in field.modal.items())
+    du_dr = sum(np.outer(s.dphi, sp.psi_values(k, *nodes)) for k, s in field.modal.items())
+    grads = [sp.psi_gradient(k, *nodes) for k in field.modal]
+    ang = tuple(
+        sum(np.outer(s.phi, g[c]) for s, g in zip(field.modal.values(), grads))
+        for c in range(field.dimension - 1)
+    )
+    return values, du_dr, ang
+
+
+class TestLazyNodalArrays:
+    @pytest.fixture(params=["interior", "exterior", "dipole"])
+    def field(self, request, ab_perturbed, ab_exterior_perturbed, dipole_spectrum,
+              radial_grid):
+        if request.param == "interior":
+            return ab_perturbed[0]
+        if request.param == "exterior":
+            return ab_exterior_perturbed[0]
+        sols = homogeneous_solutions(dipole_spectrum, {1: 1.0, 2: 0.3, 4: 0.2j}, radial_grid)
+        return synthesize_field(dipole_spectrum, sols)
+
+    def test_arrays_are_modal_sums(self, field):
+        values, du_dr, ang = _modal_sums(field)
+        assert_allclose(field.values, values, rtol=0, atol=1e-14 * np.abs(values).max())
+        assert_allclose(field.du_dr, du_dr, rtol=0, atol=1e-14 * np.abs(du_dr).max())
+        assert len(field.angular_gradient) == field.dimension - 1
+        for got, want in zip(field.angular_gradient, ang):
+            assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_built_once_and_kept(self, field):
+        assert field.values is field.values
+        assert field.du_dr is field.du_dr
+        assert field.angular_gradient is field.angular_gradient
+
+    def test_detached_carries_the_arrays(self, field):
+        bare = field.detached()
+        assert bare.modal is None
+        assert bare.values is field.values
+        assert bare.du_dr is field.du_dr
+        assert bare.angular_gradient is field.angular_gradient
+
+    def test_synthesis_reads_no_angular_sample(self, dipole_spectrum, radial_grid,
+                                               monkeypatch):
+        sols = homogeneous_solutions(dipole_spectrum, {1: 1.0}, radial_grid)
+
+        def no_samples(*args, **kwargs):
+            raise AssertionError("nodal samples built before they were read")
+
+        monkeypatch.setattr(AngularSpectrum, "psi_values", no_samples)
+        monkeypatch.setattr(AngularSpectrum, "psi_gradient", no_samples)
+        field = synthesize_field(dipole_spectrum, sols)
+        assert field.modal.keys() == {1}
+        with pytest.raises(AssertionError):
+            field.values
+
+    def test_frozen(self, ab_perturbed):
+        from dataclasses import FrozenInstanceError
+
+        with pytest.raises(FrozenInstanceError):
+            ab_perturbed[0].values = None
+
+    def test_sampled_field_needs_values(self, ab_perturbed):
+        field = ab_perturbed[0]
+        with pytest.raises(GridMismatchError):
+            FieldSample(dimension=2, r=field.r, angular_nodes=field.angular_nodes,
+                        angular_weights=field.angular_weights, values=None)

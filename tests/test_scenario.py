@@ -1,11 +1,16 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emlab.angular
 import emlab.scenario
+from emlab.angular import AngularSpectrum
 from emlab.cli import main as cli_main
 from emlab.errors import ScenarioValidationError
 from emlab.scenario import (
@@ -313,6 +318,57 @@ class TestOnePipeline:
         b = verify_suite(scn, names=["hardy", "diamagnetic"])
         assert _without_wall_clock(a) == _without_wall_clock(b)
         assert [c["name"] for c in a["checks"]] == ["hardy_margin", "diamagnetic_margin"]
+
+
+class TestModalFirst:
+    def test_dipole_run_reads_no_nodal_array(self, monkeypatch):
+        def no_samples(*args, **kwargs):
+            raise AssertionError("nodal samples built")
+
+        monkeypatch.setattr(AngularSpectrum, "psi_values", no_samples)
+        monkeypatch.setattr(AngularSpectrum, "psi_gradient", no_samples)
+        report = run_scenario(parse_scenario(SCENARIOS / "dipole.json"))
+        assert report["status"] == "pass"
+
+    def test_3d_hardy_sweep_uses_the_pipeline_spectrum(self, monkeypatch):
+        calls = []
+        eig = emlab.angular.eigendecompose
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(emlab.angular, "eigendecompose", counting)
+        scn = scenario_from_dict({
+            "potential": {"kind": "dipole", "strength": 1.0, "axis": [0, 0, 1]},
+            "truncation": 16, "sweep_count": 2,
+            "checks": {"frequency": False, "identities": False, "asymptotics": False,
+                       "inequalities": True},
+        })
+        report = run_scenario(scn)
+        assert report["status"] == "pass"
+        assert [c["name"] for c in report["checks"]] == ["hardy_margin", "diamagnetic_margin"]
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("over", [
+    {"sweep_count": 0},
+    {"eigen_count": 500},
+    {"potential": {"kind": "aharonov_bohm", "alpha": "abc"}},
+    {"grid": {"nodes": "many"}},
+    {"seed": "x"},
+    {"radii": [5.0, 10.0]},
+], ids=["sweep_count", "eigen_count", "alpha", "nodes", "seed", "radii"])
+def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(minimal_doc(**over)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "emlab.cli", "--config", str(cfg), "run"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("emlab: ")
 
 
 class TestTolScale:
