@@ -14,6 +14,7 @@ electric case (A = 0) is supported, in the basis of real spherical harmonics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
@@ -195,7 +196,37 @@ def circulation(pot: AngularPotential) -> float:
     return float(pot.magnetic[d].real)
 
 
-class CircleBasis:
+def _frozen(tables):
+    """Mark an array, or each array of a tuple, read-only and return it."""
+    for a in tables if isinstance(tables, tuple) else (tables,):
+        a.flags.writeable = False
+    return tables
+
+
+class _Tabulated:
+    """A basis keeps its tables on its own quadrature grid: each is built
+    once, on first use, and then kept read-only.  Other nodes are evaluated
+    fresh on every call."""
+
+    def grid(self):
+        if "grid" not in self._tables:
+            self._tables["grid"] = _frozen(self._make_grid())
+        return self._tables["grid"]
+
+    def on_grid(self, nodes) -> bool:
+        grid = self.grid()[:-1]
+        return len(nodes) == len(grid) and all(
+            n is g or np.array_equal(n, g) for n, g in zip(nodes, grid))
+
+    def _tabulated(self, name: str, compute, nodes):
+        if not self.on_grid(nodes):
+            return compute(*nodes)
+        if name not in self._tables:
+            self._tables[name] = _frozen(compute(*nodes))
+        return self._tables[name]
+
+
+class CircleBasis(_Tabulated):
     """Complex exponentials e^{ijt} / sqrt(2 pi), |j| <= J."""
 
     def __init__(self, truncation: int):
@@ -203,22 +234,27 @@ class CircleBasis:
         self.truncation = truncation
         self.indices = np.arange(-truncation, truncation + 1)
         self.size = 2 * truncation + 1
+        self._tables = {}
 
-    def grid(self):
+    def _make_grid(self):
         n = 4 * (self.truncation + 1)
         t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         w = np.full(n, 2 * np.pi / n)
         return t, w
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        """Matrix (n_nodes, size) of basis values."""
+    def _values(self, t):
         return np.exp(1j * np.outer(t, self.indices)) / np.sqrt(2 * np.pi)
 
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        """Matrix (n_nodes, size) of basis values."""
+        return self._tabulated("values", self._values, (t,))
+
     def tangential_derivative(self, t: np.ndarray) -> np.ndarray:
-        return self.evaluate(t) * (1j * self.indices)
+        return self._tabulated(
+            "derivative", lambda t: self.evaluate(t) * (1j * self.indices), (t,))
 
 
-class SphereBasis:
+class SphereBasis(_Tabulated):
     """Real spherical harmonics up to degree J, ordered by (l, m)."""
 
     def __init__(self, truncation: int):
@@ -227,15 +263,15 @@ class SphereBasis:
         self.indices = [(l, m) for l in range(truncation + 1) for m in range(-l, l + 1)]
         self.size = len(self.indices)
         self.laplace_eigs = np.array([l * (l + 1) for l, _ in self.indices], dtype=float)
+        self._tables = {}
 
-    def grid(self, n_polar: int | None = None, n_azimuth: int | None = None):
-        np_pol = n_polar or 2 * self.truncation + 2
-        np_az = n_azimuth or 2 * self.truncation + 2
-        x, wx = roots_legendre(np_pol)
+    def _make_grid(self):
+        n = 2 * self.truncation + 2
+        x, wx = roots_legendre(n)
         theta = np.arccos(x)
-        phi = np.linspace(0.0, 2 * np.pi, np_az, endpoint=False)
+        phi = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         TH, PH = np.meshgrid(theta, phi, indexing="ij")
-        W = np.outer(wx, np.full(np_az, 2 * np.pi / np_az))
+        W = np.outer(wx, np.full(n, 2 * np.pi / n))
         return TH.ravel(), PH.ravel(), W.ravel()
 
     def _complex_values(self, theta, phi, diff: bool):
@@ -260,16 +296,32 @@ class SphereBasis:
             return np.sqrt(2.0) * (-1.0) ** m * table[(l, m)].real
         return np.sqrt(2.0) * (-1.0) ** (-m) * table[(l, -m)].imag
 
-    def evaluate(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def _values(self, theta, phi):
         vals, _, _ = self._complex_values(theta, phi, diff=False)
         return np.stack([self._realize(vals, l, m) for l, m in self.indices], axis=-1)
 
-    def gradient(self, theta: np.ndarray, phi: np.ndarray):
-        """Tangential gradient components (d/dtheta, (1/sin theta) d/dphi)."""
+    def _gradient(self, theta, phi):
         _, dth, dph = self._complex_values(theta, phi, diff=True)
         gt = np.stack([self._realize(dth, l, m) for l, m in self.indices], axis=-1)
         gp = np.stack([self._realize(dph, l, m) for l, m in self.indices], axis=-1)
         return gt, gp / np.sin(theta)[..., None]
+
+    def evaluate(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        return self._tabulated("values", self._values, (theta, phi))
+
+    def gradient(self, theta: np.ndarray, phi: np.ndarray):
+        """Tangential gradient components (d/dtheta, (1/sin theta) d/dphi)."""
+        return self._tabulated("gradient", self._gradient, (theta, phi))
+
+
+@lru_cache(maxsize=8)
+def angular_basis(dimension: int, truncation: int):
+    """The basis of a truncation, shared so that its tables are built once."""
+    if dimension == 2:
+        return CircleBasis(truncation)
+    if dimension == 3:
+        return SphereBasis(truncation)
+    raise UnsupportedConfigurationError(f"dimension {dimension} not supported")
 
 
 def assemble_angular_matrix(pot: AngularPotential, truncation: int):
@@ -285,8 +337,8 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
+    basis = angular_basis(pot.dimension, truncation)
     if pot.dimension == 2:
-        basis = CircleBasis(truncation)
         js = basis.indices
         alpha_c = pot.magnetic
         alpha_sq = np.convolve(alpha_c, alpha_c)
@@ -306,15 +358,12 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         M += (J + L) * coeff(alpha_c, diff)
         M += coeff(alpha_sq, diff)
         M -= coeff(elec, diff)
-    elif pot.dimension == 3:
-        basis = SphereBasis(truncation)
+    else:
         theta, phi, w = basis.grid()
         B = basis.evaluate(theta, phi)
         a_vals = pot.electric_sphere(theta, phi)
         M = np.diag(basis.laplace_eigs).astype(complex)
         M -= (B * (w * a_vals)[:, None]).T @ B
-    else:
-        raise UnsupportedConfigurationError(f"dimension {pot.dimension} not supported")
     herm = np.abs(M - M.conj().T).max()
     scale = max(np.abs(M).max(), 1.0)
     if herm > 1e-12 * scale:
@@ -340,6 +389,8 @@ class AngularSpectrum:
     eigenvectors: np.ndarray  # (basis.size, K), columns phase-fixed
     blocks: list = field(default_factory=list)  # [(j0, m)] 1-based
     truncation: int = 0
+    # per-mode samples on the basis grid, filled on first use
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -363,17 +414,31 @@ class AngularSpectrum:
         j0, m = self.block_of(k0)
         return j0, m, [self.eigenvectors[:, j0 - 1 + i] for i in range(m)]
 
+    def _sample(self, name: str, k: int, nodes, compute):
+        """compute(column k); kept read-only per mode on the basis grid."""
+        v = self.eigenvectors[:, k - 1]
+        if not self.basis.on_grid(nodes):
+            return compute(v)
+        key = (name, k)
+        if key not in self._samples:
+            self._samples[key] = _frozen(compute(v))
+        return self._samples[key]
+
     def psi_values(self, k: int, *nodes) -> np.ndarray:
         """Samples of psi_k at angular nodes (t,) or (theta, phi)."""
-        return self.basis.evaluate(*nodes) @ self.eigenvectors[:, k - 1]
+        return self._sample("values", k, nodes, lambda v: self.basis.evaluate(*nodes) @ v)
 
     def psi_gradient(self, k: int, *nodes):
         """Tangential gradient samples of psi_k; 1 component on S^1, 2 on S^2."""
         if self.potential.dimension == 2:
-            return (self.basis.tangential_derivative(*nodes) @ self.eigenvectors[:, k - 1],)
-        gt, gp = self.basis.gradient(*nodes)
-        v = self.eigenvectors[:, k - 1]
-        return gt @ v, gp @ v
+            return self._sample("gradient", k, nodes, lambda v: (
+                self.basis.tangential_derivative(*nodes) @ v,))
+
+        def compute(v):
+            gt, gp = self.basis.gradient(*nodes)
+            return gt @ v, gp @ v
+
+        return self._sample("gradient", k, nodes, compute)
 
     def to_json(self) -> dict:
         return {

@@ -4,11 +4,13 @@ The quadratic form of the operator,
 
     Q(u) = int [ |grad u + i A(x/|x|) u / |x||^2 - a(x/|x|) |u|^2/|x|^2 ] dx,
 
-is evaluated in polar form on sampled test functions, and the classical
-comparison statements are checked as nonnegative margins: positivity of Q,
-the Hardy inequality with boundary terms, the sharp 2-d magnetic Hardy
-constant, the diamagnetic inequality, and the eigenvalue comparison between
-a magnetic operator and its field-free companion.
+is evaluated in polar form: for product test functions w(r) g(theta)
+through angular scalars and one radial quadrature, for general sampled
+fields by nodal quadrature.  The classical comparison statements are checked
+as nonnegative margins: positivity of Q, the Hardy inequality with boundary
+terms, the sharp 2-d magnetic Hardy constant, the diamagnetic inequality,
+and the eigenvalue comparison between a magnetic operator and its field-free
+companion.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 from . import grids
 from .angular import (
     AngularPotential,
-    CircleBasis,
-    SphereBasis,
+    angular_basis,
     angular_spectrum,
     circulation,
 )
@@ -59,16 +60,75 @@ def radial_bump_derivative(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TestFunction:
-    """A sampled function of compact (or full-ball) support with gradients."""
+class Product:
+    """u = w(r) g(theta) with a real radial factor: w and w' on the radial
+    grid, g and its tangential gradient components on the angular nodes."""
 
-    field: FieldSample
+    dimension: int
+    r: np.ndarray
+    angular_nodes: tuple
+    angular_weights: np.ndarray
+    w: np.ndarray
+    dw: np.ndarray
+    g: np.ndarray
+    dg: tuple
+
+    def samples(self) -> FieldSample:
+        return FieldSample(
+            dimension=self.dimension, r=self.r, angular_nodes=self.angular_nodes,
+            angular_weights=self.angular_weights, values=np.outer(self.w, self.g),
+            du_dr=np.outer(self.dw, self.g),
+            angular_gradient=tuple(np.outer(self.w, d) for d in self.dg),
+        )
+
+
+class _Samples:
+    """``TestFunction.field``: kept as given, or built from the product on
+    first read and then kept."""
+
+    def __get__(self, tf, owner=None):
+        if tf is None:
+            return None  # the dataclass default
+        d = tf.__dict__
+        if d["field"] is None:
+            d["field"] = d["product"].samples()
+        return d["field"]
+
+    def __set__(self, tf, value):
+        tf.__dict__["field"] = value
+
+
+@dataclass(frozen=True, kw_only=True)
+class TestFunction:
+    """A function of compact (or full-ball) support with gradients.
+
+    A product keeps its factors, and the forms below reduce it through
+    angular scalars and one radial quadrature; its nodal ``field`` is built
+    only when read.  A function given a general ``field`` is evaluated by
+    nodal quadrature, the oracle for the separated path.
+    """
+
     support: float
     tag: str
+    field: FieldSample | None = _Samples()
+    product: Product | None = None
+
+    def __post_init__(self):
+        if (self.__dict__["field"] is None) == (self.product is None):
+            raise ValueError("a test function is either a sampled field or a product")
+
+    @property
+    def _grid(self):
+        """Whichever of product and field carries the grid, unbuilt."""
+        return self.field if self.product is None else self.product
 
     @property
     def dimension(self) -> int:
-        return self.field.dimension
+        return self._grid.dimension
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._grid.r
 
     def gradient_defect(self) -> float:
         """Sup-norm disagreement between du_dr samples and a finite
@@ -81,15 +141,14 @@ class TestFunction:
 
 
 def _circle_nodes(degree: int = 8):
-    basis = CircleBasis(2 * degree)
-    t, w = basis.grid()
+    t, w = angular_basis(2, 2 * degree).grid()
     return (t,), w
 
 
 def _sphere_nodes(degree: int = 8):
     # the (degree+1) x (degree+1) tensor rule integrates bilinear products
     # of harmonics up to the degree exactly
-    basis = SphereBasis(degree)
+    basis = angular_basis(3, degree)
     theta, phi, w = basis.grid()
     return basis, (theta, phi), w
 
@@ -115,26 +174,20 @@ def random_test_function(dimension: int, rng, r: np.ndarray,
         t = nodes[0]
         c = disk(2 * degree + 1)
         j = np.arange(-degree, degree + 1)
-        g = np.exp(1j * np.outer(t, j)) @ c
-        dg = np.exp(1j * np.outer(t, j)) @ (1j * j * c)
-        values = np.outer(w_r, g)
-        du_dr = np.outer(dw_r, g)
-        ang_grad = (np.outer(w_r, dg),)
+        modes = np.exp(1j * np.outer(t, j))
+        g = modes @ c
+        dg = (modes @ (1j * j * c),)
     elif dimension == 3:
         basis, nodes, weights = _sphere_nodes(degree)
         c = disk(basis.size)
         g = basis.evaluate(*nodes) @ c
         gth, gph = basis.gradient(*nodes)
-        values = np.outer(w_r, g)
-        du_dr = np.outer(dw_r, g)
-        ang_grad = (np.outer(w_r, gth @ c), np.outer(w_r, gph @ c))
+        dg = (gth @ c, gph @ c)
     else:
         raise UnsupportedConfigurationError(f"no test functions for N = {dimension}")
-    field = FieldSample(
-        dimension=dimension, r=r, angular_nodes=nodes, angular_weights=weights,
-        values=values, du_dr=du_dr, angular_gradient=ang_grad,
-    )
-    return TestFunction(field=field, support=support, tag=tag)
+    product = Product(dimension=dimension, r=r, angular_nodes=nodes,
+                      angular_weights=weights, w=w_r, dw=dw_r, g=g, dg=dg)
+    return TestFunction(product=product, support=support, tag=tag)
 
 
 def profile_test_function(dimension: int, r: np.ndarray, radial, radial_derivative,
@@ -143,96 +196,120 @@ def profile_test_function(dimension: int, r: np.ndarray, radial, radial_derivati
     """Explicit product test function w(r) g(theta) from callables.
 
     ``angular`` maps the angular nodes to (g, grad components); None means
-    the constant profile g = 1.
+    the constant profile g = 1.  A complex radial factor gives a sampled
+    test function.
     """
     if dimension == 2:
         nodes, weights = _circle_nodes()
     else:
         _, nodes, weights = _sphere_nodes()
     n_nodes = len(nodes[0])
-    w_r = np.asarray(radial(r), dtype=complex)
-    dw_r = np.asarray(radial_derivative(r), dtype=complex)
+    w_r = np.asarray(radial(r))
+    dw_r = np.asarray(radial_derivative(r))
     if angular is None:
         g = np.ones(n_nodes, dtype=complex)
         dg = tuple(np.zeros(n_nodes, dtype=complex) for _ in range(dimension - 1))
     else:
         g, dg = angular(*nodes)
-    field = FieldSample(
-        dimension=dimension, r=r, angular_nodes=nodes, angular_weights=weights,
-        values=np.outer(w_r, g), du_dr=np.outer(dw_r, g),
-        angular_gradient=tuple(np.outer(w_r, d) for d in dg),
-    )
-    return TestFunction(field=field, support=float(support or r[-1]), tag=tag)
+    product = Product(dimension=dimension, r=r, angular_nodes=nodes,
+                      angular_weights=weights, w=w_r, dw=dw_r, g=g, dg=tuple(dg))
+    support = float(support or r[-1])
+    if np.iscomplexobj(w_r) or np.iscomplexobj(dw_r):
+        return TestFunction(field=product.samples(), support=support, tag=tag)
+    return TestFunction(product=product, support=support, tag=tag)
 
 
-def _covariant_angular(pot: AngularPotential, field: FieldSample):
-    """Angular part grad_S u + i A u on the nodes, as component arrays."""
-    if pot.dimension != field.dimension:
+def _check_dimension(pot: AngularPotential, tf: TestFunction) -> None:
+    if pot.dimension != tf.dimension:
         raise UnsupportedConfigurationError("potential and samples disagree on N")
-    if field.dimension == 2:
-        alpha = pot.alpha(field.angular_nodes[0])
-        return (field.angular_gradient[0] + 1j * alpha[None, :] * field.values,)
-    return field.angular_gradient
 
 
-def _electric_values(pot: AngularPotential, field: FieldSample) -> np.ndarray:
-    if field.dimension == 2:
-        return pot.electric_circle(field.angular_nodes[0])
-    return pot.electric_sphere(*field.angular_nodes)
+def _covariant_angular(pot: AngularPotential, nodes: tuple, u: np.ndarray, grad: tuple):
+    """Angular part grad_S u + i A u on the nodes, as component arrays;
+    ``u`` and ``grad`` may carry a leading radial axis."""
+    if len(nodes) == 1:
+        return (grad[0] + 1j * pot.alpha(nodes[0]) * u,)
+    return grad
+
+
+def _electric_values(pot: AngularPotential, nodes: tuple) -> np.ndarray:
+    if len(nodes) == 1:
+        return pot.electric_circle(nodes[0])
+    return pot.electric_sphere(*nodes)
+
+
+def _sphere_mass(tf: TestFunction) -> np.ndarray:
+    """int over the unit sphere of |u(s, .)|^2, at each grid radius s."""
+    p = tf.product
+    if p is None:
+        return (np.abs(tf.field.values) ** 2) @ tf.field.angular_weights
+    return p.w**2 * ((np.abs(p.g) ** 2) @ p.angular_weights)
+
+
+def _ball_integral(r: np.ndarray, f: np.ndarray, radius: float) -> float:
+    """int_0^radius f ds: quadrature to the grid node nearest the radius,
+    closed below r[0] by the power-law tail."""
+    i = grids.nearest_index(r, min(radius, r[-1]))
+    cum = grids.cumulative_integral(f, r)
+    tail = grids.tail_integral(r, f, side="lower", scale=float(np.abs(f).max()))
+    return float(complex(tail).real + cum[i])
 
 
 def _check_support(tf: TestFunction, r: float) -> None:
-    beyond = tf.field.r > r * (1 + 1e-12)
+    beyond = tf.r > r * (1 + 1e-12)
     if not np.any(beyond):
         return
-    mx = float(np.abs(tf.field.values).max())
-    if mx and float(np.abs(tf.field.values[beyond]).max()) > 1e-12 * mx:
+    p = tf.product
+    # sup over the angles of |u(s, .)|, at each grid radius s
+    sup = (np.abs(tf.field.values).max(axis=1) if p is None
+           else np.abs(p.w) * np.abs(p.g).max())
+    mx = float(sup.max())
+    if mx and float(sup[beyond].max()) > 1e-12 * mx:
         raise ValueError(f"test function is not supported in the ball of radius {r}")
 
 
+def _angular_energy(pot: AngularPotential, nodes: tuple, weights: np.ndarray,
+                    u: np.ndarray, grad: tuple) -> np.ndarray:
+    """int over the unit sphere of |grad_S u + i A u|^2 - a |u|^2; ``u``
+    and ``grad`` may carry a leading radial axis."""
+    cov = _covariant_angular(pot, nodes, u, grad)
+    energy = sum(np.abs(c) ** 2 for c in cov) @ weights
+    energy -= (_electric_values(pot, nodes) * np.abs(u) ** 2) @ weights
+    return energy
+
+
 def _radial_energy_density(pot: AngularPotential, tf: TestFunction) -> np.ndarray:
-    """g(s) with Q = int s^{N-1} g(s) ds."""
-    field = tf.field
-    w = field.angular_weights
-    cov = _covariant_angular(pot, field)
-    a_vals = _electric_values(pot, field)
-    p_rad = (np.abs(field.du_dr) ** 2) @ w
-    p_ang = sum(np.abs(c) ** 2 for c in cov) @ w
-    p_ang -= (a_vals[None, :] * np.abs(field.values) ** 2) @ w
-    return p_rad + p_ang / field.r**2
+    """e(s) with Q = int s^{N-1} e(s) ds."""
+    _check_dimension(pot, tf)
+    p = tf.product
+    if p is not None:
+        w = p.angular_weights
+        energy = _angular_energy(pot, p.angular_nodes, w, p.g, p.dg)
+        return p.dw**2 * ((np.abs(p.g) ** 2) @ w) + p.w**2 * energy / p.r**2
+    f = tf.field
+    energy = _angular_energy(pot, f.angular_nodes, f.angular_weights, f.values,
+                             f.angular_gradient)
+    return (np.abs(f.du_dr) ** 2) @ f.angular_weights + energy / f.r**2
 
 
 def quadratic_form(pot: AngularPotential, tf: TestFunction, r: float | None = None) -> float:
     """Q(u) over the ball of radius r by polar quadrature."""
-    field = tf.field
     if r is None:
-        r = float(field.r[-1])
+        r = float(tf.r[-1])
     _check_support(tf, r)
-    g = _radial_energy_density(pot, tf)
-    f = field.r ** (field.dimension - 1) * g
-    i = grids.nearest_index(field.r, min(r, field.r[-1]))
-    cum = grids.cumulative_integral(f, field.r)
-    tail = grids.tail_integral(field.r, f, side="lower", scale=float(np.abs(f).max()))
-    return float((complex(tail).real + cum[i]).real)
+    f = tf.r ** (tf.dimension - 1) * _radial_energy_density(pot, tf)
+    return _ball_integral(tf.r, f, r)
 
 
 def singular_mass(tf: TestFunction, r: float) -> float:
     """int over B_r of |u|^2 / |x|^2."""
-    field = tf.field
-    m = (np.abs(field.values) ** 2) @ field.angular_weights
-    f = field.r ** (field.dimension - 3) * m
-    i = grids.nearest_index(field.r, min(r, field.r[-1]))
-    cum = grids.cumulative_integral(f, field.r)
-    tail = grids.tail_integral(field.r, f, side="lower", scale=float(np.abs(f).max()))
-    return float(complex(tail).real + cum[i])
+    return _ball_integral(tf.r, tf.r ** (tf.dimension - 3) * _sphere_mass(tf), r)
 
 
 def boundary_mass(tf: TestFunction, r: float) -> float:
     """int over the sphere of radius r of |u|^2 dS, nearest grid node."""
-    field = tf.field
-    i = grids.nearest_index(field.r, r)
-    return float(field.r[i] ** (field.dimension - 1)
-                 * (np.abs(field.values[i]) ** 2) @ field.angular_weights)
+    i = grids.nearest_index(tf.r, r)
+    return float(tf.r[i] ** (tf.dimension - 1) * _sphere_mass(tf)[i])
 
 
 def lambda1_from_mu1(N: int, mu1: float) -> float:
@@ -270,9 +347,15 @@ def diamagnetic_margin(pot: AngularPotential, tf: TestFunction) -> float:
 
     The modulus gradient is Re(conj(u) grad u)/|u|; nodes where |u| is at
     roundoff level are excluded, mirroring the zero set in the chain rule.
+    For a product w(r) g(theta) with real w the radial terms cancel, so the
+    margin is (w^2/r^2) D(theta) with the angular defect
+    D = sum_j |cov_j g|^2 - (Re(conj(g) d_j g)/|g|)^2.
     """
+    _check_dimension(pot, tf)
+    if tf.product is not None:
+        return _product_diamagnetic_margin(pot, tf.product)
     field = tf.field
-    cov = _covariant_angular(pot, field)
+    cov = _covariant_angular(pot, field.angular_nodes, field.values, field.angular_gradient)
     u = field.values
     m = np.abs(u)
     mask = m > ZERO_CUTOFF
@@ -285,6 +368,29 @@ def diamagnetic_margin(pot: AngularPotential, tf: TestFunction) -> float:
         dm_ang = [np.real(np.conj(u) * g) / m for g in field.angular_gradient]
     mod = dm_r**2 + sum(d**2 for d in dm_ang) / r2
     return float((mag - mod)[mask].min())
+
+
+def _product_diamagnetic_margin(pot: AngularPotential, p: Product) -> float:
+    cov = _covariant_angular(pot, p.angular_nodes, p.g, p.dg)
+    ag = np.abs(p.g)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mod = sum((np.real(np.conj(p.g) * d) / ag) ** 2 for d in p.dg)
+        need = ZERO_CUTOFF / ag  # |w| above this keeps |u| above the cutoff
+    defect = sum(np.abs(c) ** 2 for c in cov) - mod
+    # the extreme radial factor w^2/r^2 among the radii each node admits:
+    # sorted by decreasing |w|, node j admits a prefix of length n[j]
+    aw = np.abs(p.w)
+    order = np.argsort(-aw, kind="stable")
+    q = (p.w**2 / p.r**2)[order]
+    n = np.searchsorted(-aw[order], -need, side="left")
+    ok = n > 0
+    if not np.any(ok):
+        raise ValueError("test function vanishes everywhere above the cutoff")
+    last = n[ok] - 1
+    d = defect[ok]
+    # q >= 0, so q D is least at the least q where D >= 0, the greatest where not
+    q_ext = np.where(d >= 0, np.minimum.accumulate(q)[last], np.maximum.accumulate(q)[last])
+    return float((q_ext * d).min())
 
 
 def mu1_comparison(pot: AngularPotential) -> float:

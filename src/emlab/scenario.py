@@ -156,6 +156,13 @@ def _number(value, what: str, kind=float):
         raise ScenarioValidationError(f"{what} must be a number, got {value!r}") from None
 
 
+def _object(value, what: str) -> dict:
+    """``value``, or a validation error naming the entry if it is not a
+    JSON object."""
+    _validate(isinstance(value, dict), f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a scenario document and fill defaults."""
     _validate(isinstance(doc, dict), "scenario must be a JSON object")
@@ -176,7 +183,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     side = doc.get("side", "interior")
     _validate(side in ("interior", "exterior"), f"unknown side {side!r}")
     if pert is not None:
-        _validate(isinstance(pert, dict), "perturbation must be a JSON object")
+        _object(pert, "perturbation")
         eps = _number(pert.get("epsilon", 0.5), "perturbation.epsilon")
         _validate(np.isfinite(eps) and eps > 0,
                   "perturbation decay offset epsilon must be > 0 (|x|^(-2 +- eps))")
@@ -184,8 +191,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         pert = dict(pert)
         pert.setdefault("side", side)
         _validate(pert["side"] == side, "perturbation side must match the scenario side")
+        try:
+            perturbation_from_descriptor(pert)
+        except (TypeError, ValueError, EmlabError) as exc:
+            raise ScenarioValidationError(f"perturbation.angular: {exc}") from None
 
-    boundary = doc.get("boundary", {})
+    boundary = _object(doc.get("boundary", {}), "boundary")
     R = _number(boundary.get("radius", 1.0), "boundary radius")
     _validate(np.isfinite(R) and R > 0, "boundary radius must be positive")
     eigen_count = _number(doc.get("eigen_count", 8), "eigen_count", int)
@@ -200,7 +211,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _validate(eigen_count <= size, f"eigen_count {eigen_count} exceeds the {size} "
                                        f"functions of the default angular basis")
     values = {}
-    for key, val in boundary.get("values", {"1": 1.0}).items():
+    for key, val in _object(boundary.get("values", {"1": 1.0}), "boundary.values").items():
         k = _number(key, "boundary mode", int)
         _validate(1 <= k <= eigen_count,
                   f"boundary mode {k} outside the requested {eigen_count} eigenvalues")
@@ -210,13 +221,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _validate(all(np.isfinite([v.real, v.imag]).all() for v in values.values()),
               "boundary values must be finite")
 
-    grid = doc.get("grid", {})
+    grid = _object(doc.get("grid", {}), "grid")
     nodes = _number(grid.get("nodes", grids.DEFAULT_RADIAL_NODES), "grid.nodes", int)
     _validate(nodes >= 100, "radial grid needs at least 100 nodes")
     rmin_ratio = _number(grid.get("rmin_ratio", grids.DEFAULT_RMIN_RATIO), "grid.rmin_ratio")
     _validate(0 < rmin_ratio < 1, "rmin_ratio must lie in (0, 1)")
     span = _number(grid.get("exterior_span", 1e8), "grid.exterior_span")
-    _validate(span > 1, "exterior_span must exceed 1")
+    _validate(1 < span < np.inf, "exterior_span must be finite and exceed 1")
 
     radii = doc.get("radii")
     if radii is None:
@@ -225,16 +236,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
         else:
             radii = np.geomspace(2 * R, 1e6 * R, 20)
     else:
-        _validate(isinstance(radii, list), "radii must be a list of numbers")
+        _validate(isinstance(radii, list) and len(radii) > 0,
+                  "radii must be a non-empty list of numbers")
         radii = np.asarray([_number(v, "each radius") for v in radii], dtype=float)
-        _validate(np.all(np.isfinite(radii)) and np.all(radii > 0),
-                  "trace radii must be positive and finite")
-        lo, hi = (R * rmin_ratio, R) if side == "interior" else (R, R * span)
-        _validate(np.all((radii >= lo) & (radii <= hi)),
-                  f"trace radii must lie on the radial grid [{lo:g}, {hi:g}]")
+    lo, hi = (R * rmin_ratio, R) if side == "interior" else (R, R * span)
+    _validate(0 < lo and hi < np.inf, f"radial grid [{lo:g}, {hi:g}] must be positive and finite")
+    if not np.all(np.isfinite(radii) & (radii >= lo) & (radii <= hi)):
+        raise ScenarioValidationError(
+            f"trace radii {radii.min():g}..{radii.max():g} must be finite and lie "
+            f"on the radial grid [{lo:g}, {hi:g}]")
 
     checks = dict(DEFAULT_CHECKS)
-    for name, toggle in doc.get("checks", {}).items():
+    for name, toggle in _object(doc.get("checks", {}), "checks").items():
         _validate(name in DEFAULT_CHECKS,
                   f"unknown check toggle {name!r}; valid: {sorted(DEFAULT_CHECKS)}")
         checks[name] = bool(toggle)

@@ -4,6 +4,9 @@ from numpy.testing import assert_allclose
 
 from emlab.angular import (
     AngularSpectrum,
+    CircleBasis,
+    SphereBasis,
+    angular_basis,
     angular_spectrum,
     assemble_angular_matrix,
     build_potential,
@@ -251,3 +254,76 @@ class TestSphereGradients:
         fd_p = (sp.psi_values(2, th, ph + eps) - v0) / eps / np.sin(th)
         assert_allclose(gt, fd_t, atol=1e-4)
         assert_allclose(gp, fd_p, atol=1e-4)
+
+
+class TestTables:
+    """Basis tables and per-mode samples on a basis grid are built once and
+    kept read-only; any other nodes are evaluated fresh."""
+
+    @pytest.mark.parametrize("dimension,fresh", [(2, CircleBasis(16)), (3, SphereBasis(8))])
+    def test_tables_equal_a_fresh_evaluation(self, dimension, fresh):
+        basis = angular_basis(dimension, fresh.truncation)
+        assert basis is angular_basis(dimension, fresh.truncation)
+        *nodes, _ = basis.grid()
+        if dimension == 2:
+            pairs = [(basis.evaluate(*nodes), fresh.evaluate(*nodes)),
+                     (basis.tangential_derivative(*nodes), fresh.tangential_derivative(*nodes))]
+        else:
+            pairs = [(basis.evaluate(*nodes), fresh.evaluate(*nodes)),
+                     *zip(basis.gradient(*nodes), fresh.gradient(*nodes))]
+        for cached, new in pairs:
+            assert cached is not new
+            assert np.array_equal(cached, new)
+
+    @pytest.mark.parametrize("pot,truncation", [
+        (ab(0.3), 64),
+        (build_potential({"kind": "dipole", "strength": 1.0, "axis": [1, 1, 0]}), 8),
+    ], ids=["circle", "sphere"])
+    def test_psi_samples_equal_a_fresh_evaluation(self, pot, truncation):
+        spectrum = angular_spectrum(pot, count=4, truncation=truncation)
+        fresh = type(spectrum.basis)(truncation)
+        *nodes, _ = spectrum.basis.grid()
+        for k in range(1, 5):
+            v = spectrum.eigenvectors[:, k - 1]
+            assert np.array_equal(spectrum.psi_values(k, *nodes), fresh.evaluate(*nodes) @ v)
+            if pot.dimension == 2:
+                want = (fresh.tangential_derivative(*nodes) @ v,)
+            else:
+                want = tuple(g @ v for g in fresh.gradient(*nodes))
+            got = spectrum.psi_gradient(k, *nodes)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert spectrum.psi_values(k, *nodes) is spectrum.psi_values(k, *nodes)
+
+    def test_cached_tables_are_read_only(self):
+        basis = angular_basis(3, 8)
+        *nodes, w = basis.grid()
+        spectrum = angular_spectrum(ab(0.3), count=2)
+        t, _ = spectrum.basis.grid()
+        for table in (w, basis.evaluate(*nodes), *basis.gradient(*nodes),
+                      spectrum.psi_values(1, t), spectrum.psi_gradient(1, t)[0]):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_other_nodes_are_evaluated_fresh(self):
+        basis = angular_basis(3, 8)
+        theta, phi, _ = basis.grid()
+        full = basis.evaluate(theta, phi)
+        part = basis.evaluate(theta[:7], phi[:7])
+        assert part.flags.writeable
+        assert_allclose(part, full[:7], rtol=0, atol=1e-14)
+        assert basis.evaluate(theta[:7], phi[:7]) is not part
+        spectrum = angular_spectrum(ab(0.3), count=2)
+        t = np.linspace(0.1, 6.0, 9)
+        assert spectrum.psi_values(1, t).flags.writeable
+        assert spectrum.psi_values(1, t) is not spectrum.psi_values(1, t)
+
+    @pytest.mark.parametrize("pot,truncation", [
+        (ab(0.3), 16),
+        (build_potential({"kind": "dipole", "strength": 0.7, "axis": [1, 0, 1]}), 8),
+    ], ids=["circle", "sphere"])
+    def test_assembly_is_repeatable(self, pot, truncation):
+        first, basis = assemble_angular_matrix(pot, truncation)
+        second, again = assemble_angular_matrix(pot, truncation)
+        assert again is basis
+        assert np.array_equal(first, second)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from emlab import grids
+from emlab import grids, inequalities
 from emlab.angular import build_potential
 from emlab.errors import UnsupportedConfigurationError
+from emlab.modal import FieldSample
 from emlab.inequalities import (
     TOL_QUAD,
+    boundary_mass,
     diamagnetic_margin,
     hardy_2d_constant_check,
     hardy_boundary_margin,
@@ -271,3 +273,62 @@ class TestTestFunctions:
     def test_unknown_check_rejected(self, ab_pot):
         with pytest.raises(ValueError):
             inequality_sweep(ab_pot, "bogus", count=1, rng=0)
+
+
+FOURIER = {"kind": "fourier", "magnetic": {"mean": 0.2, "cos": [0.3], "sin": [-0.1]},
+           "electric": {"mean": -0.05, "cos": [0.1]}}
+DIPOLE = {"kind": "dipole", "strength": 0.8, "axis": [1, 1, 1]}
+
+
+def _separated_cases():
+    rng = np.random.default_rng(7)
+    cases = []
+    for desc in ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": -0.1}, FOURIER):
+        cases += [(desc, random_test_function(2, rng, GRID)) for _ in range(3)]
+        cases.append((desc, bump_tf(mode=2)))
+    cases += [(DIPOLE, random_test_function(3, rng, GRID)) for _ in range(3)]
+    cases.append((DIPOLE, profile_test_function(
+        3, GRID, radial_bump, radial_bump_derivative,
+        angular=lambda th, ph: (np.cos(th) + 0.5j, (-np.sin(th), np.zeros_like(ph))),
+    )))
+    return cases
+
+
+class TestSeparatedForm:
+    """A product test function reduced in separated form agrees with the
+    nodal quadrature of its samples, the oracle."""
+
+    @pytest.mark.parametrize("desc,tf", _separated_cases())
+    def test_against_sampled_path(self, desc, tf):
+        pot = build_potential(desc)
+        assert tf.product is not None
+        oracle = inequalities.TestFunction(field=tf.field, support=tf.support, tag=tf.tag)
+        assert oracle.product is None
+        for form in (lambda t: quadratic_form(pot, t), lambda t: singular_mass(t, 1.0),
+                     lambda t: singular_mass(t, 0.4), lambda t: boundary_mass(t, 0.4)):
+            assert form(tf) == pytest.approx(form(oracle), rel=1e-12, abs=0)
+        f = oracle.field
+        grad_scale = float((np.abs(f.du_dr) ** 2 + sum(np.abs(g) ** 2 for g in f.angular_gradient)
+                            / f.r[:, None] ** 2).max())
+        assert abs(diamagnetic_margin(pot, tf) - diamagnetic_margin(pot, oracle)) \
+            <= 1e-12 * grad_scale
+
+    def test_field_is_built_on_first_read(self, rng):
+        tf = random_test_function(2, rng, GRID)
+        assert tf.__dict__["field"] is None
+        assert tf.field is tf.field
+        assert np.array_equal(tf.field.values, np.outer(tf.product.w, tf.product.g))
+
+    @pytest.mark.parametrize("desc,checks", [
+        ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0}, ("hardy", "diamagnetic", "hardy2d")),
+        (DIPOLE, ("hardy", "diamagnetic")),
+    ], ids=["circle", "sphere"])
+    def test_sweep_builds_no_nodal_field(self, monkeypatch, desc, checks):
+        def no_field(self):
+            raise AssertionError("nodal FieldSample built")
+
+        pot = build_potential(desc)
+        monkeypatch.setattr(FieldSample, "__post_init__", no_field)
+        for check in checks:
+            out = inequality_sweep(pot, check, count=3, rng=0, mu1_value=0.0)
+            assert out["count"] == 3

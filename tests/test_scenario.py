@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emlab.angular
 import emlab.scenario
@@ -16,6 +17,7 @@ from emlab.errors import ScenarioValidationError
 from emlab.scenario import (
     DEFAULT_CHECKS,
     SCHEMA_VERSION,
+    Scenario,
     TOLERANCES,
     parse_scenario,
     run_scenario,
@@ -358,7 +360,17 @@ class TestModalFirst:
     {"grid": {"nodes": "many"}},
     {"seed": "x"},
     {"radii": [5.0, 10.0]},
-], ids=["sweep_count", "eigen_count", "alpha", "nodes", "seed", "radii"])
+    {"grid": {"rmin_ratio": 0.01}},
+    {"side": "exterior", "grid": {"exterior_span": 100}},
+    {"boundary": 5},
+    {"grid": 5},
+    {"checks": []},
+    {"boundary": {"values": [1]}},
+    {"perturbation": {"angular": "x"}},
+    {"radii": []},
+], ids=["sweep_count", "eigen_count", "alpha", "nodes", "seed", "radii",
+        "default_radii_inside", "default_radii_outside", "boundary", "grid", "checks",
+        "boundary_values", "perturbation_angular", "empty_radii"])
 def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(minimal_doc(**over)))
@@ -369,6 +381,52 @@ def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("emlab: ")
+
+
+SHIPPED = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
+#: entries of a scenario document, as key paths, that mutations replace or drop
+PATHS = [(k,) for k in sorted({k for d in SHIPPED for k in d} | {"radii", "truncation", "grid"})]
+PATHS += [("potential", k) for k in ("kind", "alpha", "a0", "strength", "axis")]
+PATHS += [("perturbation", k) for k in ("amplitude", "epsilon", "side", "angular")]
+PATHS += [("boundary", "radius"), ("boundary", "values"), ("boundary", "values", "1")]
+PATHS += [("grid", k) for k in ("nodes", "rmin_ratio", "exterior_span")]
+PATHS += [("checks", k) for k in (*DEFAULT_CHECKS, "bogus")]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one to three entries replaced or dropped."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(SHIPPED))))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(PATHS))
+        node = doc
+        for name in parents:
+            if not isinstance(node.get(name), dict):
+                node[name] = {}
+            node = node[name]
+        if draw(st.booleans()):
+            node.pop(key, None)
+        else:
+            node[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(doc=mutated_scenarios() | JSON_VALUES)
+def test_any_document_parses_or_is_rejected(doc):
+    try:
+        scn = scenario_from_dict(doc)
+    except ScenarioValidationError:
+        return
+    assert isinstance(scn, Scenario)
+    scenario_hash(scn)
 
 
 class TestTolScale:
