@@ -15,7 +15,7 @@ from emlab import grids
 from emlab.angular import angular_spectrum, build_potential
 from emlab.asymptotics import (
     blowup_profile,
-    extract_interior_coefficients,
+    extract_coefficients,
     gradient_blowup_profile,
 )
 from emlab.modal import PerturbationSpec, solve_perturbed_field
@@ -29,10 +29,10 @@ field, _ = solve_perturbed_field(spectrum, h, {1: 1.0}, r)
 gamma = 0.3  # characteristic exponent of the attached ground mode
 print("coefficient extraction at three observation radii")
 for R in (1.0, 0.5, 0.25):
-    prof = extract_interior_coefficients(field, gamma, R, h)
+    prof = extract_coefficients(field, gamma, R, h)
     print(f"  R = {R:5.2f}: beta = {prof.beta}")
 
-prof = extract_interior_coefficients(field, gamma, 1.0, h)
+prof = extract_coefficients(field, gamma, 1.0, h)
 print(f"\nmatched block: k0 = {prof.k0}, (j0, m) = ({prof.j0}, {prof.m})")
 print("regularity at the origin:", prof.regularity)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from emlab import grids
 from emlab.angular import angular_spectrum, build_potential
-from emlab.asymptotics import extract_exterior_coefficients, kelvin_transform
+from emlab.asymptotics import extract_coefficients, kelvin_transform
 from emlab.frequency import exterior_frequency_trace, frequency_trace
 from emlab.modal import PerturbationSpec, solve_perturbed_field
 
@@ -28,7 +28,7 @@ tr = exterior_frequency_trace(field, h, np.geomspace(2.0, 1e5, 12))
 print(f"decay exponent fit: gamma_tilde = {tr.gamma_hat:.10f} (exact 0.3)")
 
 for R in (1.0, 2.0, 4.0):
-    prof = extract_exterior_coefficients(field, 0.3, R, h)
+    prof = extract_coefficients(field, 0.3, R, h)
     print(f"  R = {R}: beta_tilde = {prof.beta}")
 
 v = kelvin_transform(field)

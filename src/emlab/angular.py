@@ -364,6 +364,8 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         a_vals = pot.electric_sphere(theta, phi)
         M = np.diag(basis.laplace_eigs).astype(complex)
         M -= (B * (w * a_vals)[:, None]).T @ B
+    if not np.all(np.isfinite(M)):
+        raise NumericalFailureError("assembled matrix has non-finite entries")
     herm = np.abs(M - M.conj().T).max()
     scale = max(np.abs(M).max(), 1.0)
     if herm > 1e-12 * scale:

@@ -65,8 +65,7 @@ def match_block(spectrum: AngularSpectrum, gamma: float, N: int, side: str = "in
             exp = characteristic_exponents(N, spectrum.mu(k), k)
         except IndefiniteFormError:
             continue
-        target = exp.sigma_plus if side == "interior" else -exp.sigma_minus
-        if abs(target - gamma) <= tol:
+        if abs(exp.limit_exponent(side) - gamma) <= tol:
             j0, m = spectrum.block_of(k)
             return k, j0, m
     raise NoEigenvalueMatchError(
@@ -106,90 +105,53 @@ class AsymptoticProfile:
         }
 
 
-def extract_interior_coefficients(field: FieldSample, gamma: float, R: float,
-                                  h: PerturbationSpec | None = None) -> AsymptoticProfile:
-    """Coefficients beta_i on the eigenspace matched by gamma.
-
-    beta_i = R^-gamma phi_i(R)
-             + int_0^R zeta_i(s)/(2 gamma + N - 2)
-               (s^{1-gamma} - s^{gamma+N-1}/R^{2 gamma+N-2}) ds,
-
-    independent of the extraction radius R for a true solution.
-    """
-    N = field.dimension
-    denom = 2 * gamma + N - 2
-    if abs(denom) < 1e-12:
-        raise DegenerateExponentError("2 gamma + N - 2 vanishes; formula degenerates")
-    spectrum = field.spectrum
-    k0, j0, m = match_block(spectrum, gamma, N, side="interior")
-    r = field.r
-    iR = grids.nearest_index(r, R)
-    R = r[iR]
-    phi, _, zeta = modal_stack(field, h)
-    beta = np.zeros(m, dtype=complex)
-    for i in range(m):
-        k = j0 + i
-        z = zeta[k - 1]
-        val = R ** (-gamma) * phi[k - 1, iR]
-        if np.abs(z).max() > 0:
-            w = z / denom * (r ** (1 - gamma) - r ** (gamma + N - 1) / R**denom)
-            cum = grids.cumulative_integral(w, r)
-            tail = grids.tail_integral(r, w, side="lower", scale=float(np.abs(w).max()))
-            val = val + tail + cum[iR]
-        beta[i] = val
-    return AsymptoticProfile(
-        gamma=float(gamma), k0=k0, j0=j0, m=m, beta=beta, R=float(R),
-        side="interior", regularity=classify_regularity(gamma, N),
-    )
-
-
-def extract_exterior_coefficients(field: FieldSample, gamma: float, R: float,
-                                  h: PerturbationSpec | None = None) -> AsymptoticProfile:
-    """Exterior coefficients from sphere data at R and the tail beyond it.
-
-    beta_i = R^gamma phi_i(R)
-             + int_R^inf zeta_i(s)/(2 gamma - N + 2)
-               (s^{gamma+1} - R^{2 gamma-N+2} s^{-gamma+N-1}) ds.
-    """
-    N = field.dimension
-    denom = 2 * gamma - N + 2
-    if abs(denom) < 1e-12:
-        raise DegenerateExponentError("2 gamma - N + 2 vanishes; formula degenerates")
-    spectrum = field.spectrum
-    k0, j0, m = match_block(spectrum, gamma, N, side="exterior")
-    r = field.r
-    iR = grids.nearest_index(r, R)
-    R = r[iR]
-    phi, _, zeta = modal_stack(field, h)
-    beta = np.zeros(m, dtype=complex)
-    for i in range(m):
-        k = j0 + i
-        z = zeta[k - 1]
-        val = R**gamma * phi[k - 1, iR]
-        if np.abs(z).max() > 0:
-            w = z / denom * (r ** (gamma + 1) - R**denom * r ** (-gamma + N - 1))
-            comp = grids.complement_cumulative(w, r)
-            tail = grids.tail_integral(r, w, side="upper", scale=float(np.abs(w).max()))
-            val = val + comp[iR] + tail
-        beta[i] = val
-    return AsymptoticProfile(
-        gamma=float(gamma), k0=k0, j0=j0, m=m, beta=beta, R=float(R),
-        side="exterior", regularity=classify_regularity(gamma, N),
-    )
-
-
 def extract_coefficients(field: FieldSample, gamma: float, R: float,
                          h: PerturbationSpec | None = None) -> AsymptoticProfile:
-    if field.side == "interior":
-        return extract_interior_coefficients(field, gamma, R, h)
-    return extract_exterior_coefficients(field, gamma, R, h)
+    """Coefficients beta_i on the eigenspace matched by gamma.
+
+    With g = gamma inside, g = -gamma outside and d = 2 g + N - 2,
+
+        beta_i = R^-g phi_i(R)
+                 + int_{singular end}^R zeta_i(s)/d (s^{1-g} - s^{g+N-1}/R^d) ds,
+
+    the singular end being 0 inside and infinity outside; independent of the
+    extraction radius R for a true solution.
+    """
+    N = field.dimension
+    side = field.side
+    g = gamma if side == "interior" else -gamma
+    d = 2 * g + N - 2
+    if abs(d) < 1e-12:
+        raise DegenerateExponentError("2 g + N - 2 vanishes; formula degenerates")
+    k0, j0, m = match_block(field.spectrum, gamma, N, side=side)
+    r = field.r
+    iR = grids.nearest_index(r, R)
+    R = r[iR]
+    phi, _, zeta = modal_stack(field, h)
+    # outside, the integral from infinity to R is minus the one over [R, inf)
+    orient = 1.0 if side == "interior" else -1.0
+    beta = np.zeros(m, dtype=complex)
+    for i in range(m):
+        k = j0 + i
+        z = zeta[k - 1]
+        val = R ** (-g) * phi[k - 1, iR]
+        if np.abs(z).max() > 0:
+            w = orient * z / d * (r ** (1 - g) - r ** (g + N - 1) / R**d)
+            val = val + grids.singular_integral(w, r, side)[iR]
+        beta[i] = val
+    return AsymptoticProfile(
+        gamma=float(gamma), k0=k0, j0=j0, m=m, beta=beta, R=float(R),
+        side=side, regularity=classify_regularity(gamma, N),
+    )
 
 
-def _rate_fit(lams: np.ndarray, dists: np.ndarray, floor: float) -> float:
+def _rate_fit(side: str, lams: np.ndarray, dists: np.ndarray, floor: float) -> float:
+    """Decay rate of the distances as lambda approaches the singular end."""
     mask = dists > floor
     if mask.sum() < 2:
         return float("nan")
-    return grids.fitted_slope(lams[mask], dists[mask])
+    x = lams if side == "interior" else 1.0 / lams
+    return grids.fitted_slope(x[mask], dists[mask])
 
 
 def blowup_profile(field: FieldSample, gamma: float, lams,
@@ -207,17 +169,16 @@ def blowup_profile(field: FieldSample, gamma: float, lams,
         R0 = field.r[-1] if field.side == "interior" else field.r[0]
         profile = extract_coefficients(field, gamma, R0, h)
     target = profile.angular_values(spectrum, *field.angular_nodes)
-    sign = -1.0 if field.side == "interior" else 1.0
+    g = gamma if field.side == "interior" else -gamma
     profiles = []
     dists = np.zeros(len(lams))
     for n, lam in enumerate(lams):
         i = grids.nearest_index(field.r, lam)
-        p = field.r[i] ** (sign * gamma) * field.values[i]
+        p = field.r[i] ** (-g) * field.values[i]
         profiles.append(p)
         dists[n] = float(np.abs(p - target).max())
     scale = float(np.abs(target).max())
-    rate = _rate_fit(lams if field.side == "interior" else 1.0 / lams,
-                     dists, 1e-12 * scale)
+    rate = _rate_fit(field.side, lams, dists, 1e-12 * scale)
     return {
         "profiles": profiles,
         "distances": dists,
@@ -242,24 +203,23 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
     if profile is None:
         R0 = field.r[-1] if field.side == "interior" else field.r[0]
         profile = extract_coefficients(field, gamma, R0, h)
-    radial_factor = gamma if field.side == "interior" else -gamma
+    g = gamma if field.side == "interior" else -gamma
     target_rad = 0
     target_ang = None
     for i in range(profile.m):
         k = profile.j0 + i
         psi = spectrum.psi_values(k, *field.angular_nodes)
         gpsi = spectrum.psi_gradient(k, *field.angular_nodes)
-        target_rad = target_rad + profile.beta[i] * radial_factor * psi
+        target_rad = target_rad + profile.beta[i] * g * psi
         if target_ang is None:
             target_ang = [profile.beta[i] * g for g in gpsi]
         else:
             target_ang = [t + profile.beta[i] * g for t, g in zip(target_ang, gpsi)]
-    sign = -1.0 if field.side == "interior" else 1.0
     dists = np.zeros(len(lams))
     for n, lam in enumerate(lams):
         i = grids.nearest_index(field.r, lam)
         ri = field.r[i]
-        scale_pow = ri ** (sign * gamma)
+        scale_pow = ri ** (-g)
         d_rad = np.abs(ri * scale_pow * field.du_dr[i] - target_rad).max()
         d_ang = max(
             np.abs(scale_pow * comp[i] - t).max()
@@ -268,8 +228,7 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
         dists[n] = max(float(d_rad), float(d_ang))
     scale = max(float(np.abs(target_rad).max()),
                 max(float(np.abs(t).max()) for t in target_ang))
-    rate = _rate_fit(lams if field.side == "interior" else 1.0 / lams,
-                     dists, 1e-11 * scale)
+    rate = _rate_fit(field.side, lams, dists, 1e-11 * scale)
     return {"distances": dists, "rate": rate, "profile": profile}
 
 

@@ -58,13 +58,7 @@ def _dense_trace(field: FieldSample, h: PerturbationSpec | None):
     g = _energy_density(mu, phi, dphi, zeta, r)
     f = r ** (N_dim - 1) * g
     scale = max(float(np.abs(f).max()), _energy_scale(mu, H, r, N_dim))
-    if field.side == "interior":
-        tail = grids.tail_integral(r, f, side="lower", scale=scale)
-        E = tail.real + grids.cumulative_integral(f, r)
-    else:
-        tail = grids.tail_integral(r, f, side="upper", scale=scale)
-        E = grids.complement_cumulative(f, r) + tail.real
-    D = E / r ** (N_dim - 2)
+    D = grids.singular_integral(f, r, field.side, scale) / r ** (N_dim - 2)
     return H, D, D / np.where(H > 0, H, np.nan)
 
 

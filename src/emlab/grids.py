@@ -4,7 +4,8 @@ All radial integrals in the package are performed on geometric grids after the
 substitution s = e^x, which turns power-law integrands into exponentials and
 makes composite Simpson quadrature accurate down to the puncture.  The portion
 of an integral below the lowest grid node (or above the highest, for exterior
-problems) is closed by a fitted power law.
+problems) is closed by a fitted power law; ``singular_integral`` holds that
+choice of end for every caller.
 """
 
 from __future__ import annotations
@@ -124,6 +125,20 @@ def tail_integral(
             rw, fw.imag, lower, scale
         )
     return _tail_fit_real(rw, fw, lower, scale)
+
+
+def singular_integral(f: np.ndarray, r: np.ndarray, side: str,
+                      scale: float | None = None) -> np.ndarray:
+    """Integral of f between the singular end and each node, closed beyond
+    the grid by the power-law tail: over (0, r[i]] for side="interior",
+    over [r[i], +inf) for side="exterior".  ``scale`` is passed to
+    ``tail_integral``.
+    """
+    if side == "interior":
+        return tail_integral(r, f, side="lower", scale=scale) + cumulative_integral(f, r)
+    if side == "exterior":
+        return complement_cumulative(f, r) + tail_integral(r, f, side="upper", scale=scale)
+    raise ValueError(f"unknown side {side!r}")
 
 
 def log_derivative(f: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .angular import (
     circulation,
 )
 from .errors import UnsupportedConfigurationError
-from .modal import FieldSample
+from .modal import FieldSample, _Lazy
 
 #: quadrature tolerance for inequality margins
 TOL_QUAD = 1e-8
@@ -82,22 +82,6 @@ class Product:
         )
 
 
-class _Samples:
-    """``TestFunction.field``: kept as given, or built from the product on
-    first read and then kept."""
-
-    def __get__(self, tf, owner=None):
-        if tf is None:
-            return None  # the dataclass default
-        d = tf.__dict__
-        if d["field"] is None:
-            d["field"] = d["product"].samples()
-        return d["field"]
-
-    def __set__(self, tf, value):
-        tf.__dict__["field"] = value
-
-
 @dataclass(frozen=True, kw_only=True)
 class TestFunction:
     """A function of compact (or full-ball) support with gradients.
@@ -110,7 +94,7 @@ class TestFunction:
 
     support: float
     tag: str
-    field: FieldSample | None = _Samples()
+    field: FieldSample | None = _Lazy(lambda tf, _: tf.product.samples())
     product: Product | None = None
 
     def __post_init__(self):
@@ -250,9 +234,7 @@ def _ball_integral(r: np.ndarray, f: np.ndarray, radius: float) -> float:
     """int_0^radius f ds: quadrature to the grid node nearest the radius,
     closed below r[0] by the power-law tail."""
     i = grids.nearest_index(r, min(radius, r[-1]))
-    cum = grids.cumulative_integral(f, r)
-    tail = grids.tail_integral(r, f, side="lower", scale=float(np.abs(f).max()))
-    return float(complex(tail).real + cum[i])
+    return float(grids.singular_integral(f, r, "interior", float(np.abs(f).max()))[i])
 
 
 def _check_support(tf: TestFunction, r: float) -> None:
@@ -400,8 +382,8 @@ def mu1_comparison(pot: AngularPotential) -> float:
     return mu1_of(pot) - mu1_of(pot.without_magnetic())
 
 
-def hardy_2d_constant_check(pot: AngularPotential) -> dict:
-    """Best 2-d magnetic Hardy constant against its closed form.
+def _hardy_2d_closed_form(pot: AngularPotential) -> tuple[float, bool]:
+    """(constant, degenerate) of the best 2-d magnetic Hardy inequality.
 
     For N = 2 and a = 0 the constant is (min over integers k of
     |k - Phi_A|)^2 with Phi_A the circulation of A.  Integer circulation is
@@ -411,13 +393,19 @@ def hardy_2d_constant_check(pot: AngularPotential) -> dict:
         raise UnsupportedConfigurationError("the 2-d Hardy constant needs N = 2")
     flux = circulation(pot)
     dist = abs(flux - np.round(flux))
-    closed = float(dist**2)
+    return float(dist**2), bool(dist < 1e-9)
+
+
+def hardy_2d_constant_check(pot: AngularPotential) -> dict:
+    """Best 2-d magnetic Hardy constant: the lowest eigenvalue of the
+    electric-free angular operator against its closed form."""
+    closed, degenerate = _hardy_2d_closed_form(pot)
     pot0 = replace(pot, electric=np.zeros(1, dtype=complex))
     mu = mu1_of(pot0)
     return {
         "mu1": float(mu),
         "closed_form": closed,
-        "degenerate": bool(dist < 1e-9),
+        "degenerate": degenerate,
         "agreement": abs(float(mu) - closed),
     }
 
@@ -446,9 +434,8 @@ def inequality_sweep(pot: AngularPotential, check: str, count: int = 50,
     if check == "hardy" and mu1_value is None:
         mu1_value = mu1_of(pot)
     if check == "hardy2d":
-        info = hardy_2d_constant_check(pot)
-        hardy_const = info["closed_form"]
-        if info["degenerate"]:
+        hardy_const, degenerate = _hardy_2d_closed_form(pot)
+        if degenerate:
             return {"name": check, "count": 0, "min_margin": 0.0,
                     "status": "degenerate"}
     margins = np.array([

@@ -46,6 +46,11 @@ class ModalExponents:
     def gap(self) -> float:
         return self.sigma_plus - self.sigma_minus
 
+    def limit_exponent(self, side: str) -> float:
+        """Frequency limit of this mode at the singular end: sigma_plus at
+        the origin (interior), -sigma_minus at infinity (exterior)."""
+        return self.sigma_plus if side == "interior" else -self.sigma_minus
+
 
 def characteristic_exponents(N: int, mu: float, k: int = 0) -> ModalExponents:
     """sigma = -(N-2)/2 +- sqrt(((N-2)/2)^2 + mu); needs the radicand > 0."""
@@ -166,7 +171,9 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
 
     the second integral closed below r[0] by a power-law tail so that the
     s- homogeneous branch is absent and u/|x| stays square integrable.
-    The exterior variant decays at infinity and is matched at R = r[0].
+    The exterior variant exchanges the roles of s+ and s-: it is matched
+    at R = r[0], its first integral runs from R to s and its second from s
+    to infinity, so that the profile decays at infinity.
     """
     sp, sm = exp.sigma_plus, exp.sigma_minus
     if sp - sm < 1e-12:
@@ -179,52 +186,65 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
     _check_forcing_decay(zeta, r, exp, side)
     gap = sp - sm
     scale = float(np.abs(zeta).max())
-    if side == "interior":
-        R = r[-1]
-        f_plus = r ** (1.0 - sp) * zeta / gap
-        f_minus = r ** (1.0 - sm) * zeta / gap
-        cum_plus = grids.cumulative_integral(f_plus, r)
-        cum_minus = grids.cumulative_integral(f_minus, r)
-        tail = grids.tail_integral(r, f_minus, side="lower", scale=scale)
-        I_plus = cum_plus[-1] - cum_plus  # integral from s to R
-        I_minus = tail + cum_minus  # integral from 0 to s
-        c1 = boundary_value * R ** (-sp) - R ** (sm - sp) * I_minus[-1]
-        phi = r**sp * (c1 + I_plus) + r**sm * I_minus
-        dphi = sp * r ** (sp - 1) * (c1 + I_plus) + sm * r ** (sm - 1) * I_minus
-    else:
-        R = r[0]
-        f_minus = r ** (1.0 - sm) * zeta / gap
-        f_plus = r ** (1.0 - sp) * zeta / gap
-        cum_minus = grids.cumulative_integral(f_minus, r)  # from R to s
-        tail = grids.tail_integral(r, f_plus, side="upper", scale=scale)
-        I_plus = grids.complement_cumulative(f_plus, r) + tail  # from s to infinity
-        c1 = boundary_value * R ** (-sm) - R ** (sp - sm) * I_plus[0]
-        phi = r**sm * (c1 + cum_minus) + r**sp * I_plus
-        dphi = sm * r ** (sm - 1) * (c1 + cum_minus) + sp * r ** (sp - 1) * I_plus
+    interior = side == "interior"
+    # a: the branch fixed by the boundary value; b: the one kept at the singular end
+    a, b = (sp, sm) if interior else (sm, sp)
+    iR = -1 if interior else 0
+    R = r[iR]
+    cum_a = grids.cumulative_integral(r ** (1.0 - a) * zeta / gap, r)
+    I_a = cum_a[-1] - cum_a if interior else cum_a  # between s and R
+    I_b = grids.singular_integral(r ** (1.0 - b) * zeta / gap, r, side, scale)
+    c1 = boundary_value * R ** (-a) - R ** (b - a) * I_b[iR]
+    phi = r**a * (c1 + I_a) + r**b * I_b
+    dphi = a * r ** (a - 1) * (c1 + I_a) + b * r ** (b - 1) * I_b
     return ModalSolution(
         exponents=exp, r=r, phi=phi, dphi=dphi, zeta=zeta,
         boundary_radius=float(R), c1=complex(c1), side=side,
     )
 
 
-class _Nodal:
-    """A nodal array of ``FieldSample``: an array passed in is kept as
-    given; on a field with modal profiles that was given none it is summed
-    from the profiles on first read and then kept."""
+class _Lazy:
+    """A field of a frozen dataclass kept as given, or, when given None,
+    built by ``build(obj, name)`` on first read and then kept."""
+
+    def __init__(self, build):
+        self.build = build
 
     def __set_name__(self, owner, name):
         self.name = name
 
-    def __get__(self, field, owner=None):
-        if field is None:
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return None  # the dataclass default
-        d = field.__dict__
-        if d[self.name] is None and d["modal"] is not None:
-            d[self.name] = _modal_sum(field, self.name)
+        d = obj.__dict__
+        if d[self.name] is None:
+            d[self.name] = self.build(obj, self.name)
         return d[self.name]
 
-    def __set__(self, field, value):
-        field.__dict__[self.name] = value
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+def _modal_sum(field: FieldSample, name: str):
+    """One nodal array of a synthesized field: sum_k phi_k psi_k for
+    ``values``, phi_k' psi_k for ``du_dr``, phi_k grad psi_k per component
+    for ``angular_gradient``; outer products accumulated in mode order.
+    None for a field without modal profiles."""
+    if field.modal is None:
+        return None
+    nodes, spectrum = field.angular_nodes, field.spectrum
+    shape = (len(field.r), len(nodes[0]))
+    if name == "angular_gradient":
+        comps = tuple(np.zeros(shape, dtype=complex) for _ in range(field.dimension - 1))
+        for k, sol in field.modal.items():
+            for comp, gpsi in zip(comps, spectrum.psi_gradient(k, *nodes)):
+                comp += np.outer(sol.phi, gpsi)
+        return comps
+    out = np.zeros(shape, dtype=complex)
+    for k, sol in field.modal.items():
+        out += np.outer(sol.phi if name == "values" else sol.dphi,
+                        spectrum.psi_values(k, *nodes))
+    return out
 
 
 @dataclass(frozen=True)
@@ -239,9 +259,9 @@ class FieldSample:
     r: np.ndarray
     angular_nodes: tuple
     angular_weights: np.ndarray
-    values: np.ndarray | None = _Nodal()  # (n_r, n_nodes)
-    du_dr: np.ndarray | None = _Nodal()
-    angular_gradient: tuple | None = _Nodal()  # per-component (n_r, n_nodes)
+    values: np.ndarray | None = _Lazy(_modal_sum)  # (n_r, n_nodes)
+    du_dr: np.ndarray | None = _Lazy(_modal_sum)
+    angular_gradient: tuple | None = _Lazy(_modal_sum)  # per-component (n_r, n_nodes)
     modal: dict | None = None  # mode index -> ModalSolution
     spectrum: AngularSpectrum | None = None
     side: str = "interior"
@@ -274,25 +294,6 @@ class FieldSample:
             angular_gradient=None,
             modal=None,
         )
-
-
-def _modal_sum(field: FieldSample, name: str):
-    """One nodal array of a synthesized field: sum_k phi_k psi_k for
-    ``values``, phi_k' psi_k for ``du_dr``, phi_k grad psi_k per component
-    for ``angular_gradient``; outer products accumulated in mode order."""
-    nodes, spectrum = field.angular_nodes, field.spectrum
-    shape = (len(field.r), len(nodes[0]))
-    if name == "angular_gradient":
-        comps = tuple(np.zeros(shape, dtype=complex) for _ in range(field.dimension - 1))
-        for k, sol in field.modal.items():
-            for comp, gpsi in zip(comps, spectrum.psi_gradient(k, *nodes)):
-                comp += np.outer(sol.phi, gpsi)
-        return comps
-    out = np.zeros(shape, dtype=complex)
-    for k, sol in field.modal.items():
-        out += np.outer(sol.phi if name == "values" else sol.dphi,
-                        spectrum.psi_values(k, *nodes))
-    return out
 
 
 def synthesize_field(spectrum: AngularSpectrum, solutions: dict) -> FieldSample:

@@ -163,6 +163,11 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _radial_bounds(side: str, R: float, rmin_ratio: float, span: float):
+    """Ends of the radial grid: (R rmin_ratio, R) inside, (R, R span) outside."""
+    return (R * rmin_ratio, R) if side == "interior" else (R, R * span)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a scenario document and fill defaults."""
     _validate(isinstance(doc, dict), "scenario must be a JSON object")
@@ -178,6 +183,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if key in pot_desc:
             _validate(np.isfinite(_number(pot_desc[key], f"potential.{key}")),
                       f"potential.{key} must be finite")
+    try:
+        build_potential(pot_desc)
+    except (TypeError, ValueError, OverflowError, EmlabError) as exc:
+        raise ScenarioValidationError(f"potential: {exc}") from None
 
     pert = doc.get("perturbation")
     side = doc.get("side", "interior")
@@ -239,7 +248,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _validate(isinstance(radii, list) and len(radii) > 0,
                   "radii must be a non-empty list of numbers")
         radii = np.asarray([_number(v, "each radius") for v in radii], dtype=float)
-    lo, hi = (R * rmin_ratio, R) if side == "interior" else (R, R * span)
+    lo, hi = _radial_bounds(side, R, rmin_ratio, span)
     _validate(0 < lo and hi < np.inf, f"radial grid [{lo:g}, {hi:g}] must be positive and finite")
     if not np.all(np.isfinite(radii) & (radii >= lo) & (radii <= hi)):
         raise ScenarioValidationError(
@@ -317,11 +326,8 @@ class Pipeline:
         """``(field, h, info)`` on the scenario's radial grid; ``h`` is None
         and ``info`` trivial when there is no nonzero perturbation."""
         scn = self.scn
-        R = scn.boundary_radius
-        if scn.side == "interior":
-            r = grids.log_grid(R * scn.rmin_ratio, R, scn.grid_nodes)
-        else:
-            r = grids.log_grid(R, R * scn.exterior_span, scn.grid_nodes)
+        r = grids.log_grid(*_radial_bounds(scn.side, scn.boundary_radius, scn.rmin_ratio,
+                                           scn.exterior_span), scn.grid_nodes)
         if scn.perturbation is not None and _as_complex(
                 scn.perturbation.get("amplitude", 0.0)) != 0:
             h = perturbation_from_descriptor(scn.perturbation)
@@ -337,7 +343,7 @@ class Pipeline:
         frequency must reach (sigma_+ inside, -sigma_- outside)."""
         k0 = min(k for k, v in self.scn.boundary_values.items() if v != 0)
         exp = characteristic_exponents(self.scn.dimension, self.spectrum.mu(k0), k0)
-        return k0, exp.sigma_plus if self.scn.side == "interior" else -exp.sigma_minus
+        return k0, exp.limit_exponent(self.scn.side)
 
     @cached_property
     def trace(self):

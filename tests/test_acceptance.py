@@ -7,8 +7,7 @@ from emlab import grids
 from emlab.angular import angular_spectrum, build_potential
 from emlab.asymptotics import (
     blowup_profile,
-    extract_exterior_coefficients,
-    extract_interior_coefficients,
+    extract_coefficients,
     gradient_blowup_profile,
     kelvin_transform,
 )
@@ -116,12 +115,12 @@ def test_ac04_perturbed_limit_and_rate(ab_perturbed, eps10_perturbed):
 
 def test_ac05_beta_radius_independence(ab_spectrum, radial_grid, ab_perturbed):
     field, h = ab_perturbed
-    p1 = extract_interior_coefficients(field, 0.3, 1.0, h)
-    p2 = extract_interior_coefficients(field, 0.3, 0.5, h)
+    p1 = extract_coefficients(field, 0.3, 1.0, h)
+    p2 = extract_coefficients(field, 0.3, 0.5, h)
     drift = float(np.abs(p1.beta - p2.beta).max())
     sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
     hom = synthesize_field(ab_spectrum, sols)
-    unit = abs(extract_interior_coefficients(hom, 0.3, 1.0).beta[0] - 1.0)
+    unit = abs(extract_coefficients(hom, 0.3, 1.0).beta[0] - 1.0)
     ok = drift <= 1e-8 and unit <= 1e-10
     _report("AC05 coefficient extraction R-independence", ok,
             f"R vs R/2 drift {drift:.2e} (tol 1e-8), "
@@ -205,8 +204,8 @@ def test_ac10_exterior_limit(ab_exterior_perturbed):
     tr = exterior_frequency_trace(field, h, np.geomspace(2.0, 1e5, 20))
     gamma_t = 0.3  # (N-2)/2 + sqrt(((N-2)/2)^2 + mu_1) for N = 2
     dg = abs(tr.gamma_hat - gamma_t)
-    p1 = extract_exterior_coefficients(field, gamma_t, 1.0, h)
-    p2 = extract_exterior_coefficients(field, gamma_t, 2.0, h)
+    p1 = extract_coefficients(field, gamma_t, 1.0, h)
+    p2 = extract_coefficients(field, gamma_t, 2.0, h)
     drift = float(np.abs(p1.beta - p2.beta).max())
     ok = dg <= 1e-5 and drift <= 1e-8
     _report("AC10 decay exponent and coefficients at infinity", ok,
@@ -235,11 +234,11 @@ def test_ac11_inequality_sweeps():
 
 def test_ac12_regularity_classification(ab_spectrum, radial_grid):
     sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
-    holder = extract_interior_coefficients(
+    holder = extract_coefficients(
         synthesize_field(ab_spectrum, sols), 0.3, 1.0
     ).regularity
     sols3 = homogeneous_solutions(ab_spectrum, {3: 1.0}, radial_grid)
-    lipschitz = extract_interior_coefficients(
+    lipschitz = extract_coefficients(
         synthesize_field(ab_spectrum, sols3), 1.3, 1.0
     ).regularity
     ok = (holder["label"] == "holder"

@@ -16,6 +16,7 @@ from emlab.angular import (
 from emlab.errors import (
     AliasingError,
     InvalidCoefficientsError,
+    NumericalFailureError,
     UnsupportedConfigurationError,
 )
 
@@ -100,6 +101,11 @@ class TestAssembly:
         )
         M, _ = assemble_angular_matrix(pot, 12)
         assert_allclose(M, M.conj().T, atol=1e-13)
+
+    def test_non_finite_matrix_rejected(self):
+        # alpha^2 overflows; the Hermitian defect of inf - inf is NaN
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            assemble_angular_matrix(ab(1e200), 4)
 
     def test_dipole_tridiagonal_gaunt(self):
         # coupling of cos(theta) between degrees l and l+1 at equal azimuthal

@@ -8,8 +8,7 @@ from emlab.angular import angular_spectrum, build_potential
 from emlab.asymptotics import (
     blowup_profile,
     classify_regularity,
-    extract_exterior_coefficients,
-    extract_interior_coefficients,
+    extract_coefficients,
     gradient_blowup_profile,
     kelvin_transform,
     match_block,
@@ -73,7 +72,7 @@ class TestBlockMatch:
 
 class TestInteriorCoefficients:
     def test_homogeneous_unit(self, ab_single):
-        prof = extract_interior_coefficients(ab_single, 0.3, 1.0)
+        prof = extract_coefficients(ab_single, 0.3, 1.0)
         assert prof.k0 == 1
         assert prof.m == 1
         assert abs(prof.beta[0] - 1.0) < 1e-10
@@ -82,24 +81,24 @@ class TestInteriorCoefficients:
     def test_double_block_values(self, half_spectrum, radial_grid):
         sols = homogeneous_solutions(half_spectrum, {1: 0.6, 2: 0.8j}, radial_grid)
         field = synthesize_field(half_spectrum, sols)
-        prof = extract_interior_coefficients(field, 0.5, 1.0)
+        prof = extract_coefficients(field, 0.5, 1.0)
         assert_allclose(prof.beta, [0.6, 0.8j], atol=1e-10)
 
     def test_radius_independence_perturbed(self, ab_perturbed):
         field, h = ab_perturbed
-        p1 = extract_interior_coefficients(field, 0.3, 1.0, h)
-        p2 = extract_interior_coefficients(field, 0.3, 0.5, h)
+        p1 = extract_coefficients(field, 0.3, 1.0, h)
+        p2 = extract_coefficients(field, 0.3, 0.5, h)
         assert np.abs(p1.beta - p2.beta).max() < 1e-8
 
     def test_quadrature_path_matches_modal(self, ab_perturbed):
         field, h = ab_perturbed
-        p1 = extract_interior_coefficients(field, 0.3, 0.9, h)
-        p2 = extract_interior_coefficients(field.detached(), 0.3, 0.9, h)
+        p1 = extract_coefficients(field, 0.3, 0.9, h)
+        p2 = extract_coefficients(field.detached(), 0.3, 0.9, h)
         assert np.abs(p1.beta - p2.beta).max() < 1e-10
 
     def test_degenerate_exponent(self, ab_single):
         with pytest.raises(DegenerateExponentError):
-            extract_interior_coefficients(ab_single, 0.0, 1.0)
+            extract_coefficients(ab_single, 0.0, 1.0)
 
     def test_phase_covariance(self, half_spectrum, radial_grid):
         # re-phasing eigenvectors rotates beta but keeps |beta|
@@ -109,13 +108,13 @@ class TestInteriorCoefficients:
         phases = np.exp(1j * np.array([0.7, -1.1, 0.2, 0.5, 1.3, -0.4]))
         rotated = replace(half_spectrum, eigenvectors=vecs * phases[None, :])
         field_rot = replace(field, spectrum=rotated)
-        p = extract_interior_coefficients(field, 0.5, 1.0)
-        p_rot = extract_interior_coefficients(field_rot, 0.5, 1.0)
+        p = extract_coefficients(field, 0.5, 1.0)
+        p_rot = extract_coefficients(field_rot, 0.5, 1.0)
         assert_allclose(np.abs(p_rot.beta), np.abs(p.beta), atol=1e-10)
 
     def test_to_json(self, ab_perturbed):
         field, h = ab_perturbed
-        prof = extract_interior_coefficients(field, 0.3, 1.0, h)
+        prof = extract_coefficients(field, 0.3, 1.0, h)
         doc = prof.to_json()
         assert set(doc) == {"gamma", "k0", "block", "beta", "R", "side", "regularity"}
         assert doc["block"] == [1, 1]
@@ -129,15 +128,29 @@ class TestExteriorCoefficients:
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, exterior_grid, side="exterior")
         field = synthesize_field(ab_spectrum, sols)
         gamma_t = 0.3  # -sigma_minus for N = 2
-        prof = extract_exterior_coefficients(field, gamma_t, 1.0)
+        prof = extract_coefficients(field, gamma_t, 1.0)
         assert abs(prof.beta[0] - 1.0) < 1e-10
         assert prof.side == "exterior"
 
     def test_radius_independence_perturbed(self, ab_exterior_perturbed):
         field, h = ab_exterior_perturbed
-        p1 = extract_exterior_coefficients(field, 0.3, 1.0, h)
-        p2 = extract_exterior_coefficients(field, 0.3, 2.0, h)
+        p1 = extract_coefficients(field, 0.3, 1.0, h)
+        p2 = extract_coefficients(field, 0.3, 2.0, h)
         assert np.abs(p1.beta - p2.beta).max() < 1e-8
+
+    def test_matches_the_exterior_formula(self, ab_exterior_perturbed):
+        # beta = R^gamma phi(R) + int_R^inf zeta/(2 gamma - N + 2)
+        #        (s^{gamma+1} - R^{2 gamma-N+2} s^{-gamma+N-1}) ds
+        field, h = ab_exterior_perturbed
+        gamma, N, r, sol = 0.3, 2, field.r, field.modal[1]
+        denom = 2 * gamma - N + 2
+        for R in (1.0, 2.0, 50.0):
+            i = grids.nearest_index(r, R)
+            w = sol.zeta / denom * (r ** (gamma + 1) - r[i] ** denom * r ** (-gamma + N - 1))
+            tail = grids.tail_integral(r, w, side="upper", scale=float(np.abs(w).max()))
+            want = r[i] ** gamma * sol.phi[i] + grids.complement_cumulative(w, r)[i] + tail
+            got = extract_coefficients(field, gamma, R, h).beta[0]
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestBlowup:
@@ -231,7 +244,7 @@ class TestKelvin:
     def test_exterior_coefficients_via_kelvin(self, ab_perturbed):
         # interior coefficients of u equal exterior coefficients of its image
         field, h = ab_perturbed
-        p_int = extract_interior_coefficients(field, 0.3, 1.0, h)
+        p_int = extract_coefficients(field, 0.3, 1.0, h)
         v = kelvin_transform(field)
-        p_ext = extract_exterior_coefficients(v, 0.3, 1.0)
+        p_ext = extract_coefficients(v, 0.3, 1.0)
         assert np.abs(p_int.beta - p_ext.beta).max() < 1e-8

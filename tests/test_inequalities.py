@@ -129,8 +129,8 @@ class TestQuadraticForm:
             with np.errstate(invalid="ignore", divide="ignore"):
                 Ax = -np.sin(T) * 0.3 / R
                 Ay = np.cos(T) * 0.3 / R
-            gx = dUx + 1j * Ax * U
-            gy = dUy + 1j * Ay * U
+                gx = dUx + 1j * Ax * U
+                gy = dUy + 1j * Ay * U
             dens = np.abs(gx) ** 2 + np.abs(gy) ** 2
             dens[R == 0] = 0.0
             return np.trapezoid(np.trapezoid(dens, dx=hx), dx=hx)

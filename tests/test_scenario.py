@@ -352,6 +352,27 @@ class TestModalFirst:
         assert [c["name"] for c in report["checks"]] == ["hardy_margin", "diamagnetic_margin"]
         assert len(calls) == 1
 
+    def test_2d_inequality_run_makes_four_spectra(self, monkeypatch):
+        # the pipeline's, two for the mu1 comparison and one for the Hardy
+        # constant check; the hardy2d sweep needs only the closed form
+        calls = []
+        eig = emlab.angular.eigendecompose
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(emlab.angular, "eigendecompose", counting)
+        scn = scenario_from_dict(minimal_doc(
+            sweep_count=2,
+            checks={"frequency": False, "identities": False, "asymptotics": False,
+                    "inequalities": True},
+        ))
+        report = run_scenario(scn)
+        assert report["status"] == "pass"
+        assert "hardy2d_margin" in [c["name"] for c in report["checks"]]
+        assert len(calls) == 4
+
 
 @pytest.mark.parametrize("over", [
     {"sweep_count": 0},
@@ -368,9 +389,12 @@ class TestModalFirst:
     {"boundary": {"values": [1]}},
     {"perturbation": {"angular": "x"}},
     {"radii": []},
+    {"potential": {"kind": "fourier", "magnetic": "x"}},
+    {"dimension": 3, "potential": {"kind": "dipole", "axis": "x"}},
 ], ids=["sweep_count", "eigen_count", "alpha", "nodes", "seed", "radii",
         "default_radii_inside", "default_radii_outside", "boundary", "grid", "checks",
-        "boundary_values", "perturbation_angular", "empty_radii"])
+        "boundary_values", "perturbation_angular", "empty_radii", "fourier_magnetic",
+        "dipole_axis"])
 def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(minimal_doc(**over)))
@@ -381,6 +405,21 @@ def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("emlab: ")
+
+
+def test_overflowing_potential_ends_in_an_error_report(tmp_path):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(minimal_doc(
+        potential={"kind": "aharonov_bohm", "alpha": 1e200}, grid={"nodes": 100})))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "emlab.cli", "--config", str(cfg), "run"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "NumericalFailureError"
 
 
 SHIPPED = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
