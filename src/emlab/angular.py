@@ -354,10 +354,12 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         J, L = np.meshgrid(js, js, indexing="ij")
         M = np.zeros((basis.size, basis.size), dtype=complex)
         diff = J - L
-        M += np.where(J == L, (J * L).astype(complex), 0.0)
-        M += (J + L) * coeff(alpha_c, diff)
-        M += coeff(alpha_sq, diff)
-        M -= coeff(elec, diff)
+        # huge coefficients overflow here; the finiteness check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            M += np.where(J == L, (J * L).astype(complex), 0.0)
+            M += (J + L) * coeff(alpha_c, diff)
+            M += coeff(alpha_sq, diff)
+            M -= coeff(elec, diff)
     else:
         theta, phi, w = basis.grid()
         B = basis.evaluate(theta, phi)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import grids
-from .angular import AngularSpectrum, _coeff_array, _eval_trig
+from .angular import AngularSpectrum, _coeff_array, _eval_trig, _frozen
 from .errors import (
     AliasingError,
     DegenerateIndicialError,
@@ -174,16 +174,35 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
     The exterior variant exchanges the roles of s+ and s-: it is matched
     at R = r[0], its first integral runs from R to s and its second from s
     to infinity, so that the profile decays at infinity.
+
+    A mode without data (zero boundary value, zero forcing) has the zero
+    profile; it is returned as one read-only zero array without integrating.
     """
-    sp, sm = exp.sigma_plus, exp.sigma_minus
-    if sp - sm < 1e-12:
+    if side not in ("interior", "exterior"):
+        raise ValueError(f"unknown side {side!r}")
+    if exp.gap < 1e-12:
         raise DegenerateIndicialError(
             "coincident indicial exponents: logarithmic branch not supported"
         )
     zeta = np.asarray(zeta, dtype=complex)
     if zeta.shape != r.shape:
         raise GridMismatchError("zeta samples must live on the radial grid")
+    if boundary_value == 0 and not zeta.any():
+        zero = _frozen(np.zeros_like(zeta))
+        R = r[-1] if side == "interior" else r[0]
+        return ModalSolution(
+            exponents=exp, r=r, phi=zero, dphi=zero, zeta=zeta,
+            boundary_radius=float(R), c1=0j, side=side,
+        )
     _check_forcing_decay(zeta, r, exp, side)
+    return _variation_of_parameters(exp, zeta, boundary_value, r, side)
+
+
+def _variation_of_parameters(exp: ModalExponents, zeta: np.ndarray,
+                             boundary_value: complex, r: np.ndarray,
+                             side: str) -> ModalSolution:
+    """The integrals of ``solve_radial_mode`` for checked complex ``zeta``."""
+    sp, sm = exp.sigma_plus, exp.sigma_minus
     gap = sp - sm
     scale = float(np.abs(zeta).max())
     interior = side == "interior"
@@ -229,7 +248,8 @@ def _modal_sum(field: FieldSample, name: str):
     """One nodal array of a synthesized field: sum_k phi_k psi_k for
     ``values``, phi_k' psi_k for ``du_dr``, phi_k grad psi_k per component
     for ``angular_gradient``; outer products accumulated in mode order.
-    None for a field without modal profiles."""
+    A mode whose profile is zero adds nothing and is skipped.  None for a
+    field without modal profiles."""
     if field.modal is None:
         return None
     nodes, spectrum = field.angular_nodes, field.spectrum
@@ -237,13 +257,15 @@ def _modal_sum(field: FieldSample, name: str):
     if name == "angular_gradient":
         comps = tuple(np.zeros(shape, dtype=complex) for _ in range(field.dimension - 1))
         for k, sol in field.modal.items():
-            for comp, gpsi in zip(comps, spectrum.psi_gradient(k, *nodes)):
-                comp += np.outer(sol.phi, gpsi)
+            if sol.phi.any():
+                for comp, gpsi in zip(comps, spectrum.psi_gradient(k, *nodes)):
+                    comp += np.outer(sol.phi, gpsi)
         return comps
     out = np.zeros(shape, dtype=complex)
     for k, sol in field.modal.items():
-        out += np.outer(sol.phi if name == "values" else sol.dphi,
-                        spectrum.psi_values(k, *nodes))
+        profile = sol.phi if name == "values" else sol.dphi
+        if profile.any():
+            out += np.outer(profile, spectrum.psi_values(k, *nodes))
     return out
 
 
@@ -371,7 +393,7 @@ def homogeneous_solutions(spectrum: AngularSpectrum, boundary_values: dict,
     """Pure power-law profiles matching boundary data, zero forcing."""
     N = spectrum.potential.dimension
     out = {}
-    zeros = np.zeros_like(r, dtype=complex)
+    zeros = _frozen(np.zeros_like(r, dtype=complex))
     for k, val in boundary_values.items():
         exp = characteristic_exponents(N, spectrum.mu(k), k)
         out[k] = solve_radial_mode(exp, zeros, val, r, side=side)
@@ -394,12 +416,12 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
     bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
     sols = homogeneous_solutions(spectrum, bvals, r, side=side)
     field = synthesize_field(spectrum, sols)
+    zero = _frozen(np.zeros_like(r, dtype=complex))
     residuals = []
     for _ in range(PICARD_MAX_ITER):
         zeta = perturbation_samples(h, field, spectrum)
         # modes carrying only projection roundoff are treated as unforced
         zmax = np.abs(zeta).max()
-        zero = np.zeros_like(r, dtype=complex)
         sols = {
             k: solve_radial_mode(
                 exps[k],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emlab import grids
+from emlab import grids, modal
 from emlab.angular import AngularSpectrum
 from emlab.errors import (
     DegenerateIndicialError,
@@ -124,6 +124,47 @@ class TestRadialSolve:
         exp = characteristic_exponents(2, 0.09)
         with pytest.raises(GridMismatchError):
             solve_radial_mode(exp, np.zeros(7, dtype=complex), 1.0, radial_grid)
+
+
+class TestZeroData:
+    """A mode without boundary value or forcing skips the integrals; the
+    variation-of-parameters body stays as its oracle."""
+
+    @pytest.mark.parametrize("N,mu", [(2, 0.09), (3, 2.0)])
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_equals_the_general_body(self, N, mu, side, radial_grid, exterior_grid):
+        r = radial_grid if side == "interior" else exterior_grid
+        exp = characteristic_exponents(N, mu)
+        zeta = np.zeros_like(r, dtype=complex)
+        fast = solve_radial_mode(exp, zeta, 0.0, r, side=side)
+        slow = modal._variation_of_parameters(exp, zeta, 0.0, r, side)
+        for got, want in ((fast.phi, slow.phi), (fast.dphi, slow.dphi)):
+            assert np.array_equal(got, want)
+            for a in (got, want):
+                assert not np.signbit(a.real).any() and not np.signbit(a.imag).any()
+        assert fast.c1 == slow.c1 == 0j
+        assert fast.zeta is zeta and slow.zeta is zeta
+        assert (fast.exponents, fast.boundary_radius, fast.side) == \
+            (slow.exponents, slow.boundary_radius, slow.side)
+
+    def test_profile_is_read_only(self, radial_grid):
+        exp = characteristic_exponents(2, 0.09)
+        sol = solve_radial_mode(exp, np.zeros_like(radial_grid, dtype=complex), 0.0,
+                                radial_grid)
+        for a in (sol.phi, sol.dphi):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_keeps_the_checks(self, radial_grid):
+        zeros = np.zeros_like(radial_grid, dtype=complex)
+        degenerate = ModalExponents(k=1, mu=-0.25, sigma_plus=0.3, sigma_minus=0.3)
+        with pytest.raises(DegenerateIndicialError):
+            solve_radial_mode(degenerate, zeros, 0.0, radial_grid)
+        exp = characteristic_exponents(2, 0.09)
+        with pytest.raises(GridMismatchError):
+            solve_radial_mode(exp, zeros[:7], 0.0, radial_grid)
+        with pytest.raises(ValueError):
+            solve_radial_mode(exp, zeros, 0.0, radial_grid, side="outside")
 
 
 class TestSynthesisProjection:
@@ -249,6 +290,82 @@ class TestPicard:
         assert slope == pytest.approx(-0.3, abs=1e-3)
 
 
+class _CountingNumpy:
+    """numpy as seen from one module, counting the outer products formed."""
+
+    def __init__(self):
+        self.outer_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def outer(self, a, b):
+        self.outer_calls += 1
+        return np.outer(a, b)
+
+
+class TestPicardWork:
+    """Only modes carrying data are integrated and summed, and skipping the
+    others changes no bit of the solution."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Modes handed to the general radial body, in call order."""
+        calls = []
+
+        def counting(exp, *args):
+            calls.append(exp.k)
+            return general(exp, *args)
+
+        general = modal._variation_of_parameters
+        monkeypatch.setattr(modal, "_variation_of_parameters", counting)
+        return calls
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_constant_factor_solves_and_sums_the_forced_mode_only(
+            self, side, ab_spectrum, radial_grid, exterior_grid, solved, monkeypatch):
+        r = radial_grid if side == "interior" else exterior_grid
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side=side)
+        numpy = _CountingNumpy()
+        monkeypatch.setattr(modal, "np", numpy)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
+        n = info["iterations"]
+        assert n > 1
+        # the homogeneous start, then one solve per iteration
+        assert solved == [1] * (n + 1)
+        # the values of the start and of every iterate, one product each
+        assert numpy.outer_calls == n + 1
+        field.du_dr, field.angular_gradient
+        assert numpy.outer_calls == n + 3
+
+    @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
+    def test_skipping_changes_no_bit(self, angular, ab_spectrum, radial_grid, solved,
+                                     monkeypatch):
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
+        carrying = []
+
+        def general_only(exp, zeta, boundary_value, r, side="interior"):
+            zeta = np.asarray(zeta, dtype=complex)
+            if boundary_value != 0 or zeta.any():
+                carrying.append(exp.k)
+            return modal._variation_of_parameters(exp, zeta, boundary_value, r, side)
+
+        monkeypatch.setattr(modal, "solve_radial_mode", general_only)
+        fast_calls = solved.copy()
+        oracle, oracle_info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
+        assert info == oracle_info
+        for k, sol in oracle.modal.items():
+            assert np.array_equal(field.modal[k].phi, sol.phi)
+            assert np.array_equal(field.modal[k].dphi, sol.dphi)
+        assert np.array_equal(field.values, _modal_sums(oracle)[0])
+        # the general body ran exactly for the solves that carried data
+        assert fast_calls == carrying
+        if angular is not None:
+            # cos t couples each mode to its Fourier neighbours
+            assert {1, 2, 3} <= set(carrying)
+
+
 class TestFieldSample:
     def test_corrupted_drops_modal(self, ab_spectrum, radial_grid, rng):
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
@@ -305,6 +422,16 @@ class TestLazyNodalArrays:
         assert len(field.angular_gradient) == field.dimension - 1
         for got, want in zip(field.angular_gradient, ang):
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_zero_modes_skipped_bit_identically(self, field):
+        # the perturbed AB fields keep modes 2..8 at zero; the sums skip them
+        zero_modes = [k for k, s in field.modal.items() if not s.phi.any()]
+        assert len(zero_modes) == (0 if field.dimension == 3 else 7)
+        values, du_dr, ang = _modal_sums(field)
+        assert np.array_equal(field.values, values)
+        assert np.array_equal(field.du_dr, du_dr)
+        for got, want in zip(field.angular_gradient, ang, strict=True):
+            assert np.array_equal(got, want)
 
     def test_built_once_and_kept(self, field):
         assert field.values is field.values
