@@ -14,7 +14,7 @@ import numpy as np
 from emlab import grids
 from emlab.angular import angular_spectrum, build_potential
 from emlab.asymptotics import extract_coefficients, kelvin_transform
-from emlab.frequency import exterior_frequency_trace, frequency_trace
+from emlab.frequency import frequency_trace
 from emlab.modal import PerturbationSpec, solve_perturbed_field
 
 pot = build_potential({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0})
@@ -24,7 +24,7 @@ r = grids.log_grid(1.0, 1e8, 3000)
 field, info = solve_perturbed_field(spectrum, h, {1: 1.0}, r)
 print("exterior Picard solve converged:", info["converged"])
 
-tr = exterior_frequency_trace(field, h, np.geomspace(2.0, 1e5, 12))
+tr = frequency_trace(field, h, np.geomspace(2.0, 1e5, 12))
 print(f"decay exponent fit: gamma_tilde = {tr.gamma_hat:.10f} (exact 0.3)")
 
 for R in (1.0, 2.0, 4.0):
@@ -39,7 +39,7 @@ print(f"\ndouble Kelvin transform defect: {inv:.2e}")
 # compare N at reciprocal radii; reuse the snapped grid radii of the
 # exterior trace so both traces sample identical points.  Both traces are
 # stored toward their singular limit, so rows pair up directly.
-tr_u = exterior_frequency_trace(field, None, np.geomspace(2.0, 1e4, 8))
+tr_u = frequency_trace(field, None, np.geomspace(2.0, 1e4, 8))
 tr_v = frequency_trace(v, None, np.sort(1.0 / tr_u.r))
 print("\n     r          N_u(r)        N_v(1/r) + (N-2)")
 for ru, nu, nv in zip(tr_u.r, tr_u.N, tr_v.N):

@@ -1,62 +1,18 @@
 """Numerical laboratory for Schroedinger operators with singular homogeneous
 electromagnetic potentials: angular spectra, radial modal solutions, Almgren
-frequency traces, asymptotic profiles, and inequality verification."""
+frequency traces, asymptotic profiles, and inequality verification.
+
+The root exports the names of the README's library tour and the scenario
+API; everything else is imported from its module.
+"""
 
 __version__ = "0.1.0"
 
-from .angular import (
-    AngularPotential,
-    AngularSpectrum,
-    angular_spectrum,
-    assemble_angular_matrix,
-    build_potential,
-    circulation,
-    closed_form_ab_spectrum,
-    eigendecompose,
-)
-from .asymptotics import (
-    AsymptoticProfile,
-    blowup_profile,
-    classify_regularity,
-    extract_coefficients,
-    gradient_blowup_profile,
-    kelvin_transform,
-)
+from .angular import angular_spectrum, build_potential, closed_form_ab_spectrum
+from .asymptotics import extract_coefficients
+from .frequency import frequency_trace
 from .grids import log_grid
-from .frequency import (
-    FrequencyTrace,
-    check_height_derivative,
-    dirichlet,
-    exterior_frequency_trace,
-    frequency_trace,
-    height,
-    height_scaling_limit,
-    monotone_drift_correction,
-    pohozaev_residual,
-)
-from .inequalities import (
-    TestFunction,
-    diamagnetic_margin,
-    hardy_2d_constant_check,
-    hardy_boundary_margin,
-    inequality_sweep,
-    lambda1_from_mu1,
-    mu1_comparison,
-    positivity_check,
-    quadratic_form,
-    random_test_function,
-)
-from .modal import (
-    FieldSample,
-    ModalSolution,
-    PerturbationSpec,
-    characteristic_exponents,
-    homogeneous_solutions,
-    project_onto_modes,
-    solve_perturbed_field,
-    solve_radial_mode,
-    synthesize_field,
-)
+from .modal import PerturbationSpec, solve_perturbed_field, synthesize_field
 from .scenario import (
     Scenario,
     parse_scenario,
@@ -66,52 +22,18 @@ from .scenario import (
 )
 
 __all__ = [
-    "AngularPotential",
-    "AngularSpectrum",
-    "AsymptoticProfile",
-    "FieldSample",
-    "FrequencyTrace",
-    "ModalSolution",
     "PerturbationSpec",
     "Scenario",
-    "TestFunction",
     "angular_spectrum",
-    "assemble_angular_matrix",
-    "blowup_profile",
     "build_potential",
-    "characteristic_exponents",
-    "check_height_derivative",
-    "circulation",
-    "classify_regularity",
     "closed_form_ab_spectrum",
-    "diamagnetic_margin",
-    "dirichlet",
-    "eigendecompose",
-    "exterior_frequency_trace",
     "extract_coefficients",
     "frequency_trace",
-    "gradient_blowup_profile",
-    "hardy_2d_constant_check",
-    "hardy_boundary_margin",
-    "height",
-    "height_scaling_limit",
-    "homogeneous_solutions",
-    "inequality_sweep",
-    "kelvin_transform",
-    "lambda1_from_mu1",
     "log_grid",
-    "monotone_drift_correction",
-    "mu1_comparison",
     "parse_scenario",
-    "pohozaev_residual",
-    "positivity_check",
-    "project_onto_modes",
-    "quadratic_form",
-    "random_test_function",
     "run_scenario",
     "scenario_from_dict",
     "solve_perturbed_field",
-    "solve_radial_mode",
     "synthesize_field",
     "verify_suite",
     "__version__",

@@ -79,11 +79,6 @@ def _eval_trig(c: np.ndarray, t: np.ndarray) -> np.ndarray:
     return vals.real
 
 
-def _trig_derivative(c: np.ndarray) -> np.ndarray:
-    d = (len(c) - 1) // 2
-    return c * 1j * np.arange(-d, d + 1)
-
-
 @dataclass(frozen=True)
 class AngularPotential:
     """Angular data (A, a) of a singular homogeneous potential.
@@ -412,11 +407,6 @@ class AngularSpectrum:
             if j0 <= k0 <= j0 + m - 1:
                 return j0, m
         raise IndexError(f"mode index {k0} outside computed spectrum")
-
-    def eigenspace(self, k0: int):
-        """Multiplicity block containing k0: (j0, m, coefficient vectors)."""
-        j0, m = self.block_of(k0)
-        return j0, m, [self.eigenvectors[:, j0 - 1 + i] for i in range(m)]
 
     def _sample(self, name: str, k: int, nodes, compute):
         """compute(column k); kept read-only per mode on the basis grid."""

@@ -74,11 +74,8 @@ def main(argv=None) -> int:
                 names = None
                 if args.check:
                     names = [n.strip() for n in args.check.split(",") if n.strip()]
-                try:
-                    report = verify_suite(scn, names=names, out_dir=args.out,
-                                          tol_scale=args.tol_scale, seed=args.seed)
-                except ScenarioValidationError as exc:
-                    parser.exit(2, f"emlab: {exc}\n")
+                report = verify_suite(scn, names=names, out_dir=args.out,
+                                      tol_scale=args.tol_scale, seed=args.seed)
             sys.stdout.write(report_json(report))
             return _status_code(report)
 
@@ -106,6 +103,8 @@ def main(argv=None) -> int:
             _emit({"involution_residual": inv, "conjugacy_residual": conj},
                   args.out, "kelvin.json")
         return 0
+    except ScenarioValidationError as exc:  # a bad flag: --check, --seed, --tol-scale
+        parser.exit(2, f"emlab: {exc}\n")
     except EmlabError as exc:
         sys.stderr.write(f"emlab: {type(exc).__name__}: {exc}\n")
         return 1

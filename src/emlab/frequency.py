@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -62,19 +63,6 @@ def _dense_trace(field: FieldSample, h: PerturbationSpec | None):
     return H, D, D / np.where(H > 0, H, np.nan)
 
 
-def height(field: FieldSample, r: float) -> float:
-    """Scaled boundary mass H(r) at the nearest grid node."""
-    phi = modal_stack(field)[0]
-    H = np.sum(np.abs(phi) ** 2, axis=0)
-    return float(H[grids.nearest_index(field.r, r)])
-
-
-def dirichlet(field: FieldSample, h: PerturbationSpec | None, r: float) -> float:
-    """Scaled energy D(r) at the nearest grid node."""
-    _, D, _ = _dense_trace(field, h)
-    return float(D[grids.nearest_index(field.r, r)])
-
-
 def _fit_window(field: FieldSample, radii: np.ndarray):
     """Dense-grid indices of the decade closest to the singular limit."""
     r = field.r
@@ -91,11 +79,12 @@ def _fit_window(field: FieldSample, radii: np.ndarray):
 
 
 def _fit_frequency_limit(r_w: np.ndarray, n_w: np.ndarray, side: str):
-    """Least-squares fit of N(r) = gamma + C r^(+-eps) on the fit window."""
+    """(gamma, eps) of the least-squares fit of N(r) = gamma + C r^(+-eps)
+    on the fit window."""
     near = 0 if side == "interior" else -1
     gamma0 = float(n_w[near])
     if np.ptp(n_w) < 1e-11:
-        return gamma0, float("nan"), 0.0
+        return gamma0, float("nan")
     sign = 1.0 if side == "interior" else -1.0
 
     def model(logr, g, c, e):
@@ -111,21 +100,20 @@ def _fit_frequency_limit(r_w: np.ndarray, n_w: np.ndarray, side: str):
         )
     except RuntimeError as exc:
         raise NumericalFailureError(f"frequency limit fit failed: {exc}") from exc
-    return float(popt[0]), float(popt[2]), float(popt[1])
+    return float(popt[0]), float(popt[2])
 
 
 @dataclass(frozen=True)
 class FrequencyTrace:
-    """Frequency data at requested radii plus the fitted singular limit."""
+    """Frequency data at requested radii and on the fit window; the singular
+    limit is fitted on the window on first read of ``gamma_hat`` or
+    ``eps_hat``."""
 
     r: np.ndarray
     H: np.ndarray
     D: np.ndarray
     N: np.ndarray
     side: str
-    gamma_hat: float
-    eps_hat: float
-    fit_amplitude: float
     dense_r: np.ndarray
     dense_H: np.ndarray
     dense_D: np.ndarray
@@ -142,6 +130,18 @@ class FrequencyTrace:
                 fh.write(text)
         return text
 
+    @cached_property
+    def _limit(self) -> tuple[float, float]:
+        return _fit_frequency_limit(self.dense_r, self.dense_N, self.side)
+
+    @property
+    def gamma_hat(self) -> float:
+        return self._limit[0]
+
+    @property
+    def eps_hat(self) -> float:
+        return self._limit[1]
+
     def fit_summary(self) -> dict:
         drift = float(np.ptp(self.dense_N)) if len(self.dense_N) else float("nan")
         return {"gamma_hat": self.gamma_hat, "eps_hat": self.eps_hat, "drift": drift}
@@ -149,7 +149,8 @@ class FrequencyTrace:
 
 def frequency_trace(field: FieldSample, h: PerturbationSpec | None,
                     radii) -> FrequencyTrace:
-    """N(r) = D(r)/H(r) at the requested radii with the fitted limit."""
+    """N(r) = D(r)/H(r) at the requested radii, with the window of the
+    fitted limit."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     H, D, N = _dense_trace(field, h)
     idx = np.array([grids.nearest_index(field.r, v) for v in radii])
@@ -163,10 +164,8 @@ def frequency_trace(field: FieldSample, h: PerturbationSpec | None,
     bad = H[win] <= 0
     if np.any(bad):
         raise DegenerateSolutionError("H(r) vanishes inside the fit window")
-    gamma_hat, eps_hat, amp = _fit_frequency_limit(field.r[win], N[win], field.side)
     return FrequencyTrace(
         r=field.r[idx], H=H[idx], D=D[idx], N=N[idx], side=field.side,
-        gamma_hat=gamma_hat, eps_hat=eps_hat, fit_amplitude=amp,
         dense_r=field.r[win], dense_H=H[win], dense_D=D[win], dense_N=N[win],
     )
 
@@ -269,32 +268,3 @@ def height_scaling_limit(trace: FrequencyTrace, gamma: float) -> dict:
         "slope": slope,
         "slope_defect": abs(slope - 2 * sign * gamma),
     }
-
-
-def exterior_frequency_trace(field: FieldSample, h: PerturbationSpec | None,
-                             radii) -> FrequencyTrace:
-    """Exterior frequency with the volume integral over {|x| > r}."""
-    if field.side != "exterior":
-        raise DegenerateSolutionError("field is not an exterior sample")
-    return frequency_trace(field, h, radii)
-
-
-def monotone_drift_correction(trace: FrequencyTrace, tol: float = 1e-8) -> dict:
-    """Smallest C2 >= 0 making N(r) + (2 C2/eps) r^eps nondecreasing.
-
-    Discrete version of the frequency drift bound: a finite correction with
-    nonnegative increments (within tol) must exist on the resolved window.
-    """
-    eps = trace.eps_hat
-    if not np.isfinite(eps):
-        return {"C2": 0.0, "monotone": bool(np.all(np.diff(trace.dense_N) >= -tol))}
-    r_w = trace.dense_r
-    n_w = trace.dense_N
-    corr = 2.0 / eps * r_w**eps if trace.side == "interior" else -2.0 / eps * r_w ** (-eps)
-    dN = np.diff(n_w)
-    dC = np.diff(corr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = np.where(dN < 0, -dN / dC, 0.0)
-    C2 = float(np.nanmax(need)) if len(need) else 0.0
-    ok = bool(np.all(dN + C2 * dC >= -tol))
-    return {"C2": C2, "monotone": ok}

@@ -27,7 +27,7 @@ from .angular import (
     circulation,
 )
 from .errors import UnsupportedConfigurationError
-from .modal import FieldSample, _Lazy
+from .modal import FieldSample
 
 #: quadrature tolerance for inequality margins
 TOL_QUAD = 1e-8
@@ -62,7 +62,12 @@ def radial_bump_derivative(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Product:
     """u = w(r) g(theta) with a real radial factor: w and w' on the radial
-    grid, g and its tangential gradient components on the angular nodes."""
+    grid, g and its tangential gradient components on the angular nodes.
+
+    The forms below reduce a product through angular scalars and one radial
+    quadrature.  Any other test function is a sampled ``FieldSample``,
+    reduced by nodal quadrature, the oracle for the separated path.
+    """
 
     dimension: int
     r: np.ndarray
@@ -82,48 +87,6 @@ class Product:
         )
 
 
-@dataclass(frozen=True, kw_only=True)
-class TestFunction:
-    """A function of compact (or full-ball) support with gradients.
-
-    A product keeps its factors, and the forms below reduce it through
-    angular scalars and one radial quadrature; its nodal ``field`` is built
-    only when read.  A function given a general ``field`` is evaluated by
-    nodal quadrature, the oracle for the separated path.
-    """
-
-    support: float
-    tag: str
-    field: FieldSample | None = _Lazy(lambda tf, _: tf.product.samples())
-    product: Product | None = None
-
-    def __post_init__(self):
-        if (self.__dict__["field"] is None) == (self.product is None):
-            raise ValueError("a test function is either a sampled field or a product")
-
-    @property
-    def _grid(self):
-        """Whichever of product and field carries the grid, unbuilt."""
-        return self.field if self.product is None else self.product
-
-    @property
-    def dimension(self) -> int:
-        return self._grid.dimension
-
-    @property
-    def r(self) -> np.ndarray:
-        return self._grid.r
-
-    def gradient_defect(self) -> float:
-        """Sup-norm disagreement between du_dr samples and a finite
-        difference of the values, relative to the gradient scale."""
-        fd = grids.log_derivative(self.field.values, self.field.r)
-        scale = float(np.abs(self.field.du_dr).max())
-        if scale == 0:
-            return float(np.abs(fd[5:-5]).max())
-        return float(np.abs(fd - self.field.du_dr)[5:-5].max() / scale)
-
-
 def _circle_nodes(degree: int = 8):
     t, w = angular_basis(2, 2 * degree).grid()
     return (t,), w
@@ -137,8 +100,7 @@ def _sphere_nodes(degree: int = 8):
     return basis, (theta, phi), w
 
 
-def random_test_function(dimension: int, rng, r: np.ndarray,
-                         degree: int = 8, tag: str = "random") -> TestFunction:
+def random_test_function(dimension: int, rng, r: np.ndarray, degree: int = 8) -> Product:
     """Radial bump times a random angular polynomial of the given degree.
 
     Coefficients are drawn uniformly from the unit disk of the complex
@@ -169,14 +131,12 @@ def random_test_function(dimension: int, rng, r: np.ndarray,
         dg = (gth @ c, gph @ c)
     else:
         raise UnsupportedConfigurationError(f"no test functions for N = {dimension}")
-    product = Product(dimension=dimension, r=r, angular_nodes=nodes,
-                      angular_weights=weights, w=w_r, dw=dw_r, g=g, dg=dg)
-    return TestFunction(product=product, support=support, tag=tag)
+    return Product(dimension=dimension, r=r, angular_nodes=nodes,
+                   angular_weights=weights, w=w_r, dw=dw_r, g=g, dg=dg)
 
 
 def profile_test_function(dimension: int, r: np.ndarray, radial, radial_derivative,
-                          angular=None, support: float | None = None,
-                          tag: str = "explicit") -> TestFunction:
+                          angular=None) -> Product | FieldSample:
     """Explicit product test function w(r) g(theta) from callables.
 
     ``angular`` maps the angular nodes to (g, grad components); None means
@@ -197,13 +157,12 @@ def profile_test_function(dimension: int, r: np.ndarray, radial, radial_derivati
         g, dg = angular(*nodes)
     product = Product(dimension=dimension, r=r, angular_nodes=nodes,
                       angular_weights=weights, w=w_r, dw=dw_r, g=g, dg=tuple(dg))
-    support = float(support or r[-1])
     if np.iscomplexobj(w_r) or np.iscomplexobj(dw_r):
-        return TestFunction(field=product.samples(), support=support, tag=tag)
-    return TestFunction(product=product, support=support, tag=tag)
+        return product.samples()
+    return product
 
 
-def _check_dimension(pot: AngularPotential, tf: TestFunction) -> None:
+def _check_dimension(pot: AngularPotential, tf: Product | FieldSample) -> None:
     if pot.dimension != tf.dimension:
         raise UnsupportedConfigurationError("potential and samples disagree on N")
 
@@ -222,12 +181,11 @@ def _electric_values(pot: AngularPotential, nodes: tuple) -> np.ndarray:
     return pot.electric_sphere(*nodes)
 
 
-def _sphere_mass(tf: TestFunction) -> np.ndarray:
+def _sphere_mass(tf: Product | FieldSample) -> np.ndarray:
     """int over the unit sphere of |u(s, .)|^2, at each grid radius s."""
-    p = tf.product
-    if p is None:
-        return (np.abs(tf.field.values) ** 2) @ tf.field.angular_weights
-    return p.w**2 * ((np.abs(p.g) ** 2) @ p.angular_weights)
+    if isinstance(tf, Product):
+        return tf.w**2 * ((np.abs(tf.g) ** 2) @ tf.angular_weights)
+    return (np.abs(tf.values) ** 2) @ tf.angular_weights
 
 
 def _ball_integral(r: np.ndarray, f: np.ndarray, radius: float) -> float:
@@ -237,14 +195,13 @@ def _ball_integral(r: np.ndarray, f: np.ndarray, radius: float) -> float:
     return float(grids.singular_integral(f, r, "interior", float(np.abs(f).max()))[i])
 
 
-def _check_support(tf: TestFunction, r: float) -> None:
+def _check_support(tf: Product | FieldSample, r: float) -> None:
     beyond = tf.r > r * (1 + 1e-12)
     if not np.any(beyond):
         return
-    p = tf.product
     # sup over the angles of |u(s, .)|, at each grid radius s
-    sup = (np.abs(tf.field.values).max(axis=1) if p is None
-           else np.abs(p.w) * np.abs(p.g).max())
+    sup = (np.abs(tf.w) * np.abs(tf.g).max() if isinstance(tf, Product)
+           else np.abs(tf.values).max(axis=1))
     mx = float(sup.max())
     if mx and float(sup[beyond].max()) > 1e-12 * mx:
         raise ValueError(f"test function is not supported in the ball of radius {r}")
@@ -260,21 +217,19 @@ def _angular_energy(pot: AngularPotential, nodes: tuple, weights: np.ndarray,
     return energy
 
 
-def _radial_energy_density(pot: AngularPotential, tf: TestFunction) -> np.ndarray:
+def _radial_energy_density(pot: AngularPotential, tf: Product | FieldSample) -> np.ndarray:
     """e(s) with Q = int s^{N-1} e(s) ds."""
     _check_dimension(pot, tf)
-    p = tf.product
-    if p is not None:
-        w = p.angular_weights
-        energy = _angular_energy(pot, p.angular_nodes, w, p.g, p.dg)
-        return p.dw**2 * ((np.abs(p.g) ** 2) @ w) + p.w**2 * energy / p.r**2
-    f = tf.field
-    energy = _angular_energy(pot, f.angular_nodes, f.angular_weights, f.values,
-                             f.angular_gradient)
-    return (np.abs(f.du_dr) ** 2) @ f.angular_weights + energy / f.r**2
+    w = tf.angular_weights
+    if isinstance(tf, Product):
+        energy = _angular_energy(pot, tf.angular_nodes, w, tf.g, tf.dg)
+        return tf.dw**2 * ((np.abs(tf.g) ** 2) @ w) + tf.w**2 * energy / tf.r**2
+    energy = _angular_energy(pot, tf.angular_nodes, w, tf.values, tf.angular_gradient)
+    return (np.abs(tf.du_dr) ** 2) @ w + energy / tf.r**2
 
 
-def quadratic_form(pot: AngularPotential, tf: TestFunction, r: float | None = None) -> float:
+def quadratic_form(pot: AngularPotential, tf: Product | FieldSample,
+                   r: float | None = None) -> float:
     """Q(u) over the ball of radius r by polar quadrature."""
     if r is None:
         r = float(tf.r[-1])
@@ -283,12 +238,12 @@ def quadratic_form(pot: AngularPotential, tf: TestFunction, r: float | None = No
     return _ball_integral(tf.r, f, r)
 
 
-def singular_mass(tf: TestFunction, r: float) -> float:
+def singular_mass(tf: Product | FieldSample, r: float) -> float:
     """int over B_r of |u|^2 / |x|^2."""
     return _ball_integral(tf.r, tf.r ** (tf.dimension - 3) * _sphere_mass(tf), r)
 
 
-def boundary_mass(tf: TestFunction, r: float) -> float:
+def boundary_mass(tf: Product | FieldSample, r: float) -> float:
     """int over the sphere of radius r of |u|^2 dS, nearest grid node."""
     i = grids.nearest_index(tf.r, r)
     return float(tf.r[i] ** (tf.dimension - 1) * _sphere_mass(tf)[i])
@@ -299,17 +254,11 @@ def lambda1_from_mu1(N: int, mu1: float) -> float:
     return float(mu1 + ((N - 2) / 2.0) ** 2)
 
 
-def positivity_check(N: int, mu1: float) -> dict:
-    """Strict positive definiteness of the quadratic form."""
-    margin = lambda1_from_mu1(N, mu1)
-    return {"positive": bool(margin > 0), "margin": margin}
-
-
 def mu1_of(pot: AngularPotential, count: int = 1) -> float:
     return angular_spectrum(pot, count=count).mu1()
 
 
-def hardy_boundary_margin(pot: AngularPotential, tf: TestFunction, r: float,
+def hardy_boundary_margin(pot: AngularPotential, tf: Product | FieldSample, r: float,
                           mu1_value: float | None = None) -> float:
     """LHS minus RHS of the Hardy inequality with boundary terms.
 
@@ -324,7 +273,7 @@ def hardy_boundary_margin(pot: AngularPotential, tf: TestFunction, r: float,
     return float(lhs - rhs)
 
 
-def diamagnetic_margin(pot: AngularPotential, tf: TestFunction) -> float:
+def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> float:
     """min over nodes of |grad u + i A u/|x||^2 - |grad |u||^2.
 
     The modulus gradient is Re(conj(u) grad u)/|u|; nodes where |u| is at
@@ -334,20 +283,19 @@ def diamagnetic_margin(pot: AngularPotential, tf: TestFunction) -> float:
     D = sum_j |cov_j g|^2 - (Re(conj(g) d_j g)/|g|)^2.
     """
     _check_dimension(pot, tf)
-    if tf.product is not None:
-        return _product_diamagnetic_margin(pot, tf.product)
-    field = tf.field
-    cov = _covariant_angular(pot, field.angular_nodes, field.values, field.angular_gradient)
-    u = field.values
+    if isinstance(tf, Product):
+        return _product_diamagnetic_margin(pot, tf)
+    cov = _covariant_angular(pot, tf.angular_nodes, tf.values, tf.angular_gradient)
+    u = tf.values
     m = np.abs(u)
     mask = m > ZERO_CUTOFF
     if not np.any(mask):
         raise ValueError("test function vanishes everywhere above the cutoff")
-    r2 = field.r[:, None] ** 2
-    mag = np.abs(field.du_dr) ** 2 + sum(np.abs(c) ** 2 for c in cov) / r2
+    r2 = tf.r[:, None] ** 2
+    mag = np.abs(tf.du_dr) ** 2 + sum(np.abs(c) ** 2 for c in cov) / r2
     with np.errstate(invalid="ignore", divide="ignore"):
-        dm_r = np.real(np.conj(u) * field.du_dr) / m
-        dm_ang = [np.real(np.conj(u) * g) / m for g in field.angular_gradient]
+        dm_r = np.real(np.conj(u) * tf.du_dr) / m
+        dm_ang = [np.real(np.conj(u) * g) / m for g in tf.angular_gradient]
     mod = dm_r**2 + sum(d**2 for d in dm_ang) / r2
     return float((mag - mod)[mask].min())
 
@@ -410,7 +358,7 @@ def hardy_2d_constant_check(pot: AngularPotential) -> dict:
     }
 
 
-def _sweep_margin(check: str, pot: AngularPotential, tf: TestFunction,
+def _sweep_margin(check: str, pot: AngularPotential, tf: Product,
                   r: float, mu1_value: float, hardy_const: float) -> float:
     if check == "hardy":
         return hardy_boundary_margin(pot, tf, r, mu1_value=mu1_value)

@@ -101,11 +101,6 @@ class PerturbationSpec:
             raise GridMismatchError("trig angular factors are circle-only")
         return _eval_trig(self.angular, nodes[0])
 
-    def kelvin_image(self) -> "PerturbationSpec":
-        """The perturbation of the inverted problem: h -> |y|^-4 h(y/|y|^2)."""
-        side = "exterior" if self.side == "interior" else "interior"
-        return replace(self, side=side)
-
 
 def perturbation_from_descriptor(desc: dict) -> PerturbationSpec:
     amp = desc.get("amplitude", 0.0)

@@ -387,6 +387,8 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
     under ``out_dir`` if given.  Partial reports carry status "error".
     """
     t0 = time.perf_counter()
+    _validate(np.isfinite(tol_scale) and tol_scale > 0,
+              f"tol_scale must be finite and positive, got {tol_scale!r}")
     if seed is not None:
         scn = scenario_from_dict({**scn.raw, "seed": int(seed)})
     report = {

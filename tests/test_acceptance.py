@@ -13,7 +13,6 @@ from emlab.asymptotics import (
 )
 from emlab.frequency import (
     check_height_derivative,
-    exterior_frequency_trace,
     frequency_trace,
     height_scaling_limit,
     pohozaev_residual,
@@ -189,7 +188,7 @@ def test_ac09_kelvin_conjugacy(ab_exterior_perturbed, dipole_spectrum, exterior_
         inv = float(np.abs(back.values - field.values).max()
                     / np.abs(field.values).max())
         worst_i = max(worst_i, inv)
-        tr_u = exterior_frequency_trace(field, None, np.geomspace(2.0, 1e4, 20))
+        tr_u = frequency_trace(field, None, np.geomspace(2.0, 1e4, 20))
         tr_v = frequency_trace(v, None, np.sort(1.0 / tr_u.r))
         conj = float(np.abs(np.sort(tr_v.N) - (np.sort(tr_u.N) - shift)).max())
         worst_c = max(worst_c, conj)
@@ -201,7 +200,7 @@ def test_ac09_kelvin_conjugacy(ab_exterior_perturbed, dipole_spectrum, exterior_
 
 def test_ac10_exterior_limit(ab_exterior_perturbed):
     field, h = ab_exterior_perturbed
-    tr = exterior_frequency_trace(field, h, np.geomspace(2.0, 1e5, 20))
+    tr = frequency_trace(field, h, np.geomspace(2.0, 1e5, 20))
     gamma_t = 0.3  # (N-2)/2 + sqrt(((N-2)/2)^2 + mu_1) for N = 2
     dg = abs(tr.gamma_hat - gamma_t)
     p1 = extract_coefficients(field, gamma_t, 1.0, h)

@@ -206,22 +206,22 @@ class TestSpectrum:
 class TestEigenspace:
     def test_simple_ab_mode(self):
         sp = angular_spectrum(ab(0.3), count=4)
-        j0, m, vecs = sp.eigenspace(1)
+        j0, m = sp.block_of(1)
         assert (j0, m) == (1, 1)
         # ground mode of the shifted operator is the constant direction j = 0
-        idx = np.argmax(np.abs(vecs[0]))
+        idx = np.argmax(np.abs(sp.eigenvectors[:, j0 - 1]))
         assert sp.basis.indices[idx] == 0
 
     def test_double_block(self):
         sp = angular_spectrum(ab(0.5), count=4)
-        j0, m, vecs = sp.eigenspace(2)
+        j0, m = sp.block_of(2)
         assert (j0, m) == (1, 2)
-        assert abs(np.vdot(vecs[0], vecs[1])) < 1e-10
+        assert abs(np.vdot(sp.eigenvectors[:, j0 - 1], sp.eigenvectors[:, j0])) < 1e-10
 
     def test_free_degenerate_pair(self):
         pot = build_potential({"kind": "fourier", "magnetic": 0.0, "electric": 0.0})
         sp = angular_spectrum(pot, count=5)
-        j0, m, _ = sp.eigenspace(2)
+        j0, m = sp.block_of(2)
         assert (j0, m) == (2, 2)
 
 

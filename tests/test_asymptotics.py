@@ -14,7 +14,7 @@ from emlab.asymptotics import (
     match_block,
 )
 from emlab.errors import DegenerateExponentError, NoEigenvalueMatchError
-from emlab.frequency import exterior_frequency_trace, frequency_trace
+from emlab.frequency import frequency_trace
 from emlab.modal import homogeneous_solutions, synthesize_field
 
 
@@ -227,7 +227,7 @@ class TestKelvin:
         radii = np.geomspace(1e-5, 0.5, 20)
         v = kelvin_transform(field)
         tr_v = frequency_trace(v, None, radii)
-        tr_u = exterior_frequency_trace(field, None, np.sort(1.0 / radii))
+        tr_u = frequency_trace(field, None, np.sort(1.0 / radii))
         assert np.abs(np.sort(tr_v.N) - np.sort(tr_u.N)).max() < 1e-8
 
     def test_frequency_conjugacy_3d(self, dipole_spectrum, exterior_grid):
@@ -238,7 +238,7 @@ class TestKelvin:
         radii = np.geomspace(1e-5, 0.5, 10)
         v = kelvin_transform(field)
         tr_v = frequency_trace(v, None, radii)
-        tr_u = exterior_frequency_trace(field, None, np.sort(1.0 / radii))
+        tr_u = frequency_trace(field, None, np.sort(1.0 / radii))
         assert np.abs(np.sort(tr_v.N) - (np.sort(tr_u.N) - 1.0)).max() < 1e-8
 
     def test_exterior_coefficients_via_kelvin(self, ab_perturbed):

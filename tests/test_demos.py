@@ -16,3 +16,16 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_tour_runs_on_the_root_exports():
+    tour = (ROOT / "README.md").read_text().split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    assert ns["tr"].gamma_hat == pytest.approx(0.3, abs=1e-5)
+    assert ns["prof"].regularity["label"] == "holder"
+
+    names = {}
+    exec("from emlab import *", names)
+    assert {"closed_form_ab_spectrum", "run_scenario", "scenario_from_dict"} <= names.keys()

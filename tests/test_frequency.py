@@ -5,13 +5,10 @@ from numpy.testing import assert_allclose
 from emlab import grids
 from emlab.errors import DegenerateSolutionError
 from emlab.frequency import (
+    FrequencyTrace,
     check_height_derivative,
-    dirichlet,
-    exterior_frequency_trace,
     frequency_trace,
-    height,
     height_scaling_limit,
-    monotone_drift_correction,
     pohozaev_residual,
 )
 from emlab.modal import (
@@ -56,28 +53,32 @@ class TestHeight:
         # normalized angular profile: H(r) = r^(2 gamma)
         for r in (0.5, 1e-4):
             rr = grid_radius(ab_single, r)
-            assert height(ab_single, rr) == pytest.approx(rr**0.6, rel=1e-10)
+            H = frequency_trace(ab_single, None, [rr]).H[0]
+            assert H == pytest.approx(rr**0.6, rel=1e-10)
 
     def test_parseval_two_modes(self, ab_two_mode):
         rr = grid_radius(ab_two_mode, 0.25)
         expect = rr**0.6 + 0.25 * rr**1.4
-        assert height(ab_two_mode, rr) == pytest.approx(expect, rel=1e-9)
+        H = frequency_trace(ab_two_mode, None, [rr]).H[0]
+        assert H == pytest.approx(expect, rel=1e-9)
 
     def test_constant_field_free_circle(self, free_circle_spectrum, radial_grid):
         # u = 1: the scaled boundary mass is the circle length at every radius
         field = constant_field(free_circle_spectrum, radial_grid)
-        assert height(field, 0.3) == pytest.approx(2 * np.pi, rel=1e-12)
+        H = frequency_trace(field, None, [0.3]).H[0]
+        assert H == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 class TestDirichlet:
     def test_homogeneous_mode(self, ab_single):
         # D(r) = gamma r^(2 gamma)
         rr = grid_radius(ab_single, 0.25)
-        assert dirichlet(ab_single, None, rr) == pytest.approx(0.3 * rr**0.6, rel=1e-9)
+        D = frequency_trace(ab_single, None, [rr]).D[0]
+        assert D == pytest.approx(0.3 * rr**0.6, rel=1e-9)
 
     def test_constant_field_zero_energy(self, free_circle_spectrum, radial_grid):
         field = constant_field(free_circle_spectrum, radial_grid)
-        assert abs(dirichlet(field, None, 0.25)) < 1e-12
+        assert abs(frequency_trace(field, None, [0.25]).D[0]) < 1e-12
 
     def test_perturbed_matches_mode_integral(self, ab_perturbed):
         # 1d oracle: independent quadrature of the modal energy density
@@ -97,7 +98,7 @@ class TestDirichlet:
         cum = grids.cumulative_integral(f, r)
         tail = grids.tail_integral(r, f, side="lower", scale=float(np.abs(f).max()))
         oracle = complex(tail).real + cum[i]
-        assert dirichlet(field, h, r[i]) == pytest.approx(oracle, rel=1e-8)
+        assert frequency_trace(field, h, [r[i]]).D[0] == pytest.approx(oracle, rel=1e-8)
 
 
 class TestFrequencyTrace:
@@ -216,21 +217,38 @@ class TestExterior:
     def test_homogeneous_constancy(self, ab_spectrum, exterior_grid):
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, exterior_grid, side="exterior")
         field = synthesize_field(ab_spectrum, sols)
-        tr = exterior_frequency_trace(field, None, np.geomspace(2.0, 1e5, 20))
+        tr = frequency_trace(field, None, np.geomspace(2.0, 1e5, 20))
         assert np.abs(tr.N - 0.3).max() < 1e-10
         assert np.all(np.diff(tr.r) > 0)
 
     def test_perturbed_limit(self, ab_exterior_perturbed):
         field, h = ab_exterior_perturbed
-        tr = exterior_frequency_trace(field, h, np.geomspace(2.0, 1e5, 20))
+        tr = frequency_trace(field, h, np.geomspace(2.0, 1e5, 20))
         gamma_t = (field.dimension - 2) / 2 + np.sqrt(
             ((field.dimension - 2) / 2) ** 2 + field.spectrum.mu(1)
         )
         assert tr.gamma_hat == pytest.approx(gamma_t, abs=1e-5)
 
-    def test_interior_field_rejected(self, ab_single):
-        with pytest.raises(DegenerateSolutionError):
-            exterior_frequency_trace(ab_single, None, RADII)
+
+def monotone_drift_correction(trace: FrequencyTrace, tol: float = 1e-8) -> dict:
+    """Smallest C2 >= 0 making N(r) + (2 C2/eps) r^eps nondecreasing.
+
+    Discrete version of the frequency drift bound: a finite correction with
+    nonnegative increments (within tol) must exist on the resolved window.
+    """
+    eps = trace.eps_hat
+    if not np.isfinite(eps):
+        return {"C2": 0.0, "monotone": bool(np.all(np.diff(trace.dense_N) >= -tol))}
+    r_w = trace.dense_r
+    n_w = trace.dense_N
+    corr = 2.0 / eps * r_w**eps if trace.side == "interior" else -2.0 / eps * r_w ** (-eps)
+    dN = np.diff(n_w)
+    dC = np.diff(corr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = np.where(dN < 0, -dN / dC, 0.0)
+    C2 = float(np.nanmax(need)) if len(need) else 0.0
+    ok = bool(np.all(dN + C2 * dC >= -tol))
+    return {"C2": C2, "monotone": ok}
 
 
 class TestDriftCorrection:

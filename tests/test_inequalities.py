@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from emlab import grids, inequalities
+from emlab import grids
 from emlab.angular import build_potential
 from emlab.errors import UnsupportedConfigurationError
 from emlab.modal import FieldSample
 from emlab.inequalities import (
     TOL_QUAD,
+    Product,
     boundary_mass,
     diamagnetic_margin,
     hardy_2d_constant_check,
@@ -14,7 +15,6 @@ from emlab.inequalities import (
     inequality_sweep,
     lambda1_from_mu1,
     mu1_comparison,
-    positivity_check,
     quadratic_form,
     radial_bump,
     radial_bump_derivative,
@@ -62,20 +62,21 @@ class TestClosedForms:
     def test_lambda1(self, N, mu1, expect):
         assert lambda1_from_mu1(N, mu1) == pytest.approx(expect, abs=1e-15)
 
+    # the form is positive definite exactly when lambda1 = mu1 + ((N-2)/2)^2 > 0
     def test_positivity_true(self):
-        out = positivity_check(3, -0.24)
-        assert out["positive"]
-        assert out["margin"] == pytest.approx(0.01, abs=1e-12)
+        margin = lambda1_from_mu1(3, -0.24)
+        assert margin > 0
+        assert margin == pytest.approx(0.01, abs=1e-12)
 
     def test_positivity_boundary_case_is_false(self):
-        assert not positivity_check(2, 0.0)["positive"]
+        assert not lambda1_from_mu1(2, 0.0) > 0
 
     def test_positivity_ab(self, ab_pot):
         from emlab.inequalities import mu1_of
 
-        out = positivity_check(2, mu1_of(ab_pot))
-        assert out["positive"]
-        assert out["margin"] == pytest.approx(0.09, abs=1e-9)
+        margin = lambda1_from_mu1(2, mu1_of(ab_pot))
+        assert margin > 0
+        assert margin == pytest.approx(0.09, abs=1e-9)
 
 
 class TestQuadraticForm:
@@ -251,15 +252,26 @@ class TestHardy2d:
         assert out["status"] == "pass"
 
 
+def gradient_defect(tf: Product) -> float:
+    """Sup-norm disagreement between du_dr samples and a finite difference
+    of the values, relative to the gradient scale."""
+    field = tf.samples()
+    fd = grids.log_derivative(field.values, field.r)
+    scale = float(np.abs(field.du_dr).max())
+    if scale == 0:
+        return float(np.abs(fd[5:-5]).max())
+    return float(np.abs(fd - field.du_dr)[5:-5].max() / scale)
+
+
 class TestTestFunctions:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_gradient_consistency(self, dim, rng):
         tf = random_test_function(dim, rng, GRID)
-        assert tf.gradient_defect() < 1e-6
+        assert gradient_defect(tf) < 1e-6
 
     def test_support_vanishing(self, rng):
         tf = random_test_function(2, rng, GRID)
-        assert abs(tf.field.values[-1]).max() == 0.0
+        assert abs(tf.samples().values[-1]).max() == 0.0
 
     def test_rayleigh_quotient_above_lambda1(self, rng):
         # N = 3, A = 0: Q / int |u|^2/|x|^2 >= 1/4
@@ -301,23 +313,21 @@ class TestSeparatedForm:
     @pytest.mark.parametrize("desc,tf", _separated_cases())
     def test_against_sampled_path(self, desc, tf):
         pot = build_potential(desc)
-        assert tf.product is not None
-        oracle = inequalities.TestFunction(field=tf.field, support=tf.support, tag=tf.tag)
-        assert oracle.product is None
+        assert isinstance(tf, Product)
+        oracle = tf.samples()
+        assert not isinstance(oracle, Product)
         for form in (lambda t: quadratic_form(pot, t), lambda t: singular_mass(t, 1.0),
                      lambda t: singular_mass(t, 0.4), lambda t: boundary_mass(t, 0.4)):
             assert form(tf) == pytest.approx(form(oracle), rel=1e-12, abs=0)
-        f = oracle.field
-        grad_scale = float((np.abs(f.du_dr) ** 2 + sum(np.abs(g) ** 2 for g in f.angular_gradient)
-                            / f.r[:, None] ** 2).max())
+        grad_scale = float((np.abs(oracle.du_dr) ** 2
+                            + sum(np.abs(g) ** 2 for g in oracle.angular_gradient)
+                            / oracle.r[:, None] ** 2).max())
         assert abs(diamagnetic_margin(pot, tf) - diamagnetic_margin(pot, oracle)) \
             <= 1e-12 * grad_scale
 
-    def test_field_is_built_on_first_read(self, rng):
+    def test_samples_are_the_outer_product(self, rng):
         tf = random_test_function(2, rng, GRID)
-        assert tf.__dict__["field"] is None
-        assert tf.field is tf.field
-        assert np.array_equal(tf.field.values, np.outer(tf.product.w, tf.product.g))
+        assert np.array_equal(tf.samples().values, np.outer(tf.w, tf.g))
 
     @pytest.mark.parametrize("desc,checks", [
         ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0}, ("hardy", "diamagnetic", "hardy2d")),

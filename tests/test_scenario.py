@@ -263,6 +263,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "nonzero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-3", "run"], ["--seed", "-3", "verify"],
+        ["--tol-scale", "nan", "run"], ["--tol-scale", "inf", "run"],
+        ["--tol-scale", "-1", "run"], ["--tol-scale", "0", "verify"],
+    ], ids=["seed_run", "seed_verify", "tol_nan", "tol_inf", "tol_negative", "tol_zero"])
+    def test_bad_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(SCENARIOS / "verify_only.json"), *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("emlab: ")
+
     def test_tol_scale_loosens(self, capsys):
         # absurdly large factor cannot turn a pass into a fail
         code = cli_main(["--config", str(SCENARIOS / "ab_basic.json"),
