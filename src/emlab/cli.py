@@ -13,6 +13,7 @@ from .scenario import (
     parse_scenario,
     report_json,
     run_scenario,
+    validate_options,
     verify_suite,
 )
 
@@ -62,6 +63,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         scn = parse_scenario(args.config)
+        validate_options(args.tol_scale, args.seed, args.out)
     except (OSError, ScenarioValidationError) as exc:
         parser.exit(2, f"emlab: {exc}\n")
 
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
             _emit({"involution_residual": inv, "conjugacy_residual": conj},
                   args.out, "kelvin.json")
         return 0
-    except ScenarioValidationError as exc:  # a bad flag: --check, --seed, --tol-scale
+    except ScenarioValidationError as exc:  # a bad --check
         parser.exit(2, f"emlab: {exc}\n")
     except EmlabError as exc:
         sys.stderr.write(f"emlab: {type(exc).__name__}: {exc}\n")

@@ -66,7 +66,9 @@ class Product:
 
     The forms below reduce a product through angular scalars and one radial
     quadrature.  Any other test function is a sampled ``FieldSample``,
-    reduced by nodal quadrature, the oracle for the separated path.
+    reduced by nodal quadrature, the oracle for the separated path.  A sweep
+    holds its functions in one Product whose ``g`` and ``dg`` carry a
+    leading axis (``_random_products``); the public forms take one function.
     """
 
     dimension: int
@@ -100,39 +102,44 @@ def _sphere_nodes(degree: int = 8):
     return basis, (theta, phi), w
 
 
+def _random_products(dimension: int, rng, r: np.ndarray, count: int,
+                     degree: int = 8) -> Product:
+    """``count`` random test functions sharing the radial bump, as one
+    Product whose ``g`` and ``dg`` carry a leading axis over the functions.
+
+    The coefficients are drawn function after function, each its moduli and
+    then its angles, so the batch is the same draw as ``count`` successive
+    calls of ``random_test_function``.
+    """
+    support = float(r[-1])
+    w_r = radial_bump(r / support)
+    dw_r = radial_bump_derivative(r / support) / support
+    if dimension == 2:
+        nodes, weights = _circle_nodes(degree)
+        j = np.arange(-degree, degree + 1)
+        values = np.exp(1j * np.outer(nodes[0], j))
+        grads = (values * (1j * j),)
+    elif dimension == 3:
+        basis, nodes, weights = _sphere_nodes(degree)
+        values = basis.evaluate(*nodes)
+        grads = basis.gradient(*nodes)
+    else:
+        raise UnsupportedConfigurationError(f"no test functions for N = {dimension}")
+    u = rng.uniform(0, 1, (count, 2, values.shape[1]))
+    c = np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
+    return Product(dimension=dimension, r=r, angular_nodes=nodes,
+                   angular_weights=weights, w=w_r, dw=dw_r, g=c @ values.T,
+                   dg=tuple(c @ d.T for d in grads))
+
+
 def random_test_function(dimension: int, rng, r: np.ndarray, degree: int = 8) -> Product:
     """Radial bump times a random angular polynomial of the given degree.
 
     Coefficients are drawn uniformly from the unit disk of the complex
     plane; on the sphere they weight the real harmonics up to the degree.
     """
-    support = float(r[-1])
-    w_r = radial_bump(r / support)
-    dw_r = radial_bump_derivative(r / support) / support
-
-    def disk(n):
-        rho = np.sqrt(rng.uniform(0, 1, n))
-        ang = rng.uniform(0, 2 * np.pi, n)
-        return rho * np.exp(1j * ang)
-
-    if dimension == 2:
-        nodes, weights = _circle_nodes(degree)
-        t = nodes[0]
-        c = disk(2 * degree + 1)
-        j = np.arange(-degree, degree + 1)
-        modes = np.exp(1j * np.outer(t, j))
-        g = modes @ c
-        dg = (modes @ (1j * j * c),)
-    elif dimension == 3:
-        basis, nodes, weights = _sphere_nodes(degree)
-        c = disk(basis.size)
-        g = basis.evaluate(*nodes) @ c
-        gth, gph = basis.gradient(*nodes)
-        dg = (gth @ c, gph @ c)
-    else:
-        raise UnsupportedConfigurationError(f"no test functions for N = {dimension}")
-    return Product(dimension=dimension, r=r, angular_nodes=nodes,
-                   angular_weights=weights, w=w_r, dw=dw_r, g=g, dg=dg)
+    p = _random_products(dimension, rng, r, 1, degree)
+    return replace(p, g=p.g[0], dg=tuple(d[0] for d in p.dg))
 
 
 def profile_test_function(dimension: int, r: np.ndarray, radial, radial_derivative,
@@ -284,7 +291,7 @@ def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> floa
     """
     _check_dimension(pot, tf)
     if isinstance(tf, Product):
-        return _product_diamagnetic_margin(pot, tf)
+        return float(_product_diamagnetic_margin(pot, tf))
     cov = _covariant_angular(pot, tf.angular_nodes, tf.values, tf.angular_gradient)
     u = tf.values
     m = np.abs(u)
@@ -300,7 +307,9 @@ def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> floa
     return float((mag - mod)[mask].min())
 
 
-def _product_diamagnetic_margin(pot: AngularPotential, p: Product) -> float:
+def _product_diamagnetic_margin(pot: AngularPotential, p: Product) -> np.ndarray:
+    """The margin of a product, or of each product of a batch whose ``g``
+    and ``dg`` carry a leading axis."""
     cov = _covariant_angular(pot, p.angular_nodes, p.g, p.dg)
     ag = np.abs(p.g)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -314,13 +323,13 @@ def _product_diamagnetic_margin(pot: AngularPotential, p: Product) -> float:
     q = (p.w**2 / p.r**2)[order]
     n = np.searchsorted(-aw[order], -need, side="left")
     ok = n > 0
-    if not np.any(ok):
+    if not np.all(np.any(ok, axis=-1)):
         raise ValueError("test function vanishes everywhere above the cutoff")
-    last = n[ok] - 1
-    d = defect[ok]
+    last = np.maximum(n - 1, 0)
     # q >= 0, so q D is least at the least q where D >= 0, the greatest where not
-    q_ext = np.where(d >= 0, np.minimum.accumulate(q)[last], np.maximum.accumulate(q)[last])
-    return float((q_ext * d).min())
+    q_ext = np.where(defect >= 0, np.minimum.accumulate(q)[last],
+                     np.maximum.accumulate(q)[last])
+    return np.where(ok, q_ext * defect, np.inf).min(axis=-1)
 
 
 def mu1_comparison(pot: AngularPotential) -> float:
@@ -358,15 +367,34 @@ def hardy_2d_constant_check(pot: AngularPotential) -> dict:
     }
 
 
-def _sweep_margin(check: str, pot: AngularPotential, tf: Product,
-                  r: float, mu1_value: float, hardy_const: float) -> float:
-    if check == "hardy":
-        return hardy_boundary_margin(pot, tf, r, mu1_value=mu1_value)
+def _sweep_margins(pot: AngularPotential, check: str, batch: Product,
+                   mu1_value: float | None, hardy_const: float) -> np.ndarray:
+    """The margin of each product of a batch (``_random_products``).
+
+    The functions share the bump w, so the forms reduce to the radial
+    moments A = int s^{N-1} w'^2 and B = int s^{N-3} w^2, two quadratures
+    for the whole batch, times the angular scalars M = int |g|^2 and the
+    angular energy E of each function: Q = A M + B E, and the singular mass
+    is B M.
+    """
+    _check_dimension(pot, batch)
     if check == "diamagnetic":
-        return diamagnetic_margin(pot, tf)
+        return _product_diamagnetic_margin(pot, batch)
+    N, r, w = batch.dimension, batch.r, batch.w
+    radius = float(r[-1])
+    _check_support(batch, radius)
+    mass = (np.abs(batch.g) ** 2) @ batch.angular_weights
+    energy = _angular_energy(pot, batch.angular_nodes, batch.angular_weights,
+                             batch.g, batch.dg)
+    a = _ball_integral(r, r ** (N - 1) * batch.dw**2, radius)
+    b = _ball_integral(r, r ** (N - 3) * w**2, radius)
+    q = a * mass + b * energy
+    singular = b * mass
     if check == "hardy2d":
-        return quadratic_form(pot, tf, r) - hardy_const * singular_mass(tf, r)
-    raise ValueError(f"unknown inequality check {check!r}")
+        return q - hardy_const * singular
+    i = grids.nearest_index(r, radius)
+    boundary = r[i] ** (N - 1) * w[i] ** 2 * mass
+    return q + (N - 2) / (2 * radius) * boundary - lambda1_from_mu1(N, mu1_value) * singular
 
 
 def inequality_sweep(pot: AngularPotential, check: str, count: int = 50,
@@ -375,6 +403,8 @@ def inequality_sweep(pot: AngularPotential, check: str, count: int = 50,
     """Margin sweep over random test functions; report {name, count,
     min_margin, status}.  The Hardy sweep uses ``mu1_value`` when given,
     as ``hardy_boundary_margin`` does, and computes mu1 otherwise."""
+    if check not in ("hardy", "diamagnetic", "hardy2d"):
+        raise ValueError(f"unknown inequality check {check!r}")
     rng = np.random.default_rng(rng)
     if r is None:
         r = grids.log_grid(1e-6, 1.0, 2400)
@@ -386,12 +416,8 @@ def inequality_sweep(pot: AngularPotential, check: str, count: int = 50,
         if degenerate:
             return {"name": check, "count": 0, "min_margin": 0.0,
                     "status": "degenerate"}
-    margins = np.array([
-        _sweep_margin(check, pot, random_test_function(pot.dimension, rng, r),
-                      float(r[-1]), mu1_value, hardy_const)
-        for _ in range(count)
-    ])
-    min_margin = float(margins.min())
+    batch = _random_products(pot.dimension, rng, r, count)
+    min_margin = float(_sweep_margins(pot, check, batch, mu1_value, hardy_const).min())
     return {
         "name": check,
         "count": int(count),

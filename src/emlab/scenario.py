@@ -163,6 +163,21 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def validate_options(tol_scale: float = 1.0, seed: int | None = None,
+                     out_dir=None) -> None:
+    """Reject run options that fit no scenario: a ``tol_scale`` that is not
+    finite and positive, a negative ``seed``, or an ``out_dir`` that is, or
+    lies under, something other than a directory."""
+    _validate(np.isfinite(tol_scale) and tol_scale > 0,
+              f"tol_scale must be finite and positive, got {tol_scale!r}")
+    _validate(seed is None or seed >= 0, f"seed must be >= 0, got {seed!r}")
+    if out_dir is not None:
+        out = Path(out_dir)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        _validate(existing.is_dir(), f"output directory {str(out)!r}: "
+                                     f"{str(existing)!r} is not a directory")
+
+
 def _radial_bounds(side: str, R: float, rmin_ratio: float, span: float):
     """Ends of the radial grid: (R rmin_ratio, R) inside, (R, R span) outside."""
     return (R * rmin_ratio, R) if side == "interior" else (R, R * span)
@@ -387,8 +402,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
     under ``out_dir`` if given.  Partial reports carry status "error".
     """
     t0 = time.perf_counter()
-    _validate(np.isfinite(tol_scale) and tol_scale > 0,
-              f"tol_scale must be finite and positive, got {tol_scale!r}")
+    validate_options(tol_scale, seed, out_dir)
     if seed is not None:
         scn = scenario_from_dict({**scn.raw, "seed": int(seed)})
     report = {

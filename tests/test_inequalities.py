@@ -8,6 +8,9 @@ from emlab.modal import FieldSample
 from emlab.inequalities import (
     TOL_QUAD,
     Product,
+    _hardy_2d_closed_form,
+    _random_products,
+    _sweep_margins,
     boundary_mass,
     diamagnetic_margin,
     hardy_2d_constant_check,
@@ -15,6 +18,7 @@ from emlab.inequalities import (
     inequality_sweep,
     lambda1_from_mu1,
     mu1_comparison,
+    mu1_of,
     quadratic_form,
     radial_bump,
     radial_bump_derivative,
@@ -342,3 +346,138 @@ class TestSeparatedForm:
         for check in checks:
             out = inequality_sweep(pot, check, count=3, rng=0, mu1_value=0.0)
             assert out["count"] == 3
+
+
+SWEEP_CASES = [
+    ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": -0.1}, GRID),
+    (FOURIER, GRID),
+    (DIPOLE, GRID),
+    ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": -0.1}, grids.log_grid(1e-4, 2.5, 1500)),
+]
+SWEEP_IDS = ["ab", "fourier_electric", "dipole", "ab_explicit_grid"]
+
+
+def _oracle_margin(pot, check, tf, r, mu1):
+    """The margin of one product by the per-Product forms."""
+    if check == "hardy":
+        return hardy_boundary_margin(pot, tf, r, mu1_value=mu1)
+    if check == "hardy2d":
+        return quadratic_form(pot, tf, r) - _hardy_2d_closed_form(pot)[0] * singular_mass(tf, r)
+    return diamagnetic_margin(pot, tf)
+
+
+def _grad_scale(field) -> float:
+    return float((np.abs(field.du_dr) ** 2 + sum(np.abs(g) ** 2 for g in field.angular_gradient)
+                  / field.r[:, None] ** 2).max())
+
+
+class TestBatchedSweep:
+    """A sweep reduces all its test functions together; each margin is the
+    one the per-Product forms give, and the draw is that of successive
+    ``random_test_function`` calls."""
+
+    @pytest.mark.parametrize("desc,r", SWEEP_CASES, ids=SWEEP_IDS)
+    def test_each_margin_equals_the_per_product_forms(self, desc, r):
+        pot = build_potential(desc)
+        R, mu1 = float(r[-1]), mu1_of(pot)
+        # the sharp Hardy constant is a 2-d statement
+        checks = ("hardy", "diamagnetic") + (("hardy2d",) if pot.dimension == 2 else ())
+        for check in checks:
+            const = _hardy_2d_closed_form(pot)[0] if check == "hardy2d" else float("nan")
+            batch = _random_products(pot.dimension, np.random.default_rng(11), r, 6)
+            got = _sweep_margins(pot, check, batch, mu1, const)
+            singles = np.random.default_rng(11)
+            tfs = [random_test_function(pot.dimension, singles, r) for _ in range(6)]
+            for margin, tf in zip(got, tfs):
+                if check == "diamagnetic":
+                    oracle = tf.samples()
+                    assert abs(margin - diamagnetic_margin(pot, oracle)) \
+                        <= 1e-12 * _grad_scale(oracle)
+                else:
+                    assert margin == pytest.approx(_oracle_margin(pot, check, tf, R, mu1),
+                                                   rel=1e-12, abs=0)
+            out = inequality_sweep(pot, check, count=6, rng=11, r=r, mu1_value=mu1)
+            assert out["min_margin"] == float(got.min())
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_batch_is_the_draw_of_successive_single_functions(self, dimension):
+        batched, singles = np.random.default_rng(3), np.random.default_rng(3)
+        batch = _random_products(dimension, batched, GRID, 5)
+        tfs = [random_test_function(dimension, singles, GRID) for _ in range(5)]
+        assert batched.bit_generator.state == singles.bit_generator.state
+        for row, tf in enumerate(tfs):
+            for got, want in ((batch.g[row], tf.g), *zip((d[row] for d in batch.dg), tf.dg)):
+                assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_each_function_draws_its_moduli_then_its_angles(self):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        j = np.arange(-8, 9)
+        for _ in range(3):
+            tf = random_test_function(2, rng, GRID)
+            c = np.sqrt(ref.uniform(0, 1, j.size)) * np.exp(1j * ref.uniform(0, 2 * np.pi, j.size))
+            modes = np.exp(1j * np.outer(tf.angular_nodes[0], j))
+            assert np.allclose(tf.g, modes @ c, rtol=0, atol=1e-13)
+            assert np.allclose(tf.dg[0], modes @ (1j * j * c), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("check", ["hardy", "diamagnetic", "hardy2d"])
+    def test_sweep_leaves_the_generator_where_single_draws_do(self, ab_pot, check):
+        swept, singles = np.random.default_rng(9), np.random.default_rng(9)
+        inequality_sweep(ab_pot, check, count=7, rng=swept, mu1_value=0.09)
+        for _ in range(7):
+            random_test_function(2, singles, GRID)
+        assert swept.bit_generator.state == singles.bit_generator.state
+
+    def test_run_sweeps_draw_in_pipeline_order(self):
+        # hardy, diamagnetic and hardy2d share one generator: each takes the
+        # next sweep_count functions of the scenario seed's stream
+        from emlab.scenario import scenario_from_dict, verify_suite
+
+        desc = {"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0}
+        count, seed = 4, 5
+        scn = scenario_from_dict({"potential": desc, "sweep_count": count, "seed": seed})
+        report = verify_suite(scn, names=["hardy2d", "diamagnetic", "hardy"])
+        pot = build_potential(desc)
+        rng = np.random.default_rng(seed)
+        for check in ("hardy", "diamagnetic", "hardy2d"):
+            tfs = [random_test_function(2, rng, GRID) for _ in range(count)]
+            want = min(_oracle_margin(pot, check, tf, 1.0, 0.09) for tf in tfs)
+            got = report["margins"][check]["min_margin"]
+            if check == "diamagnetic":
+                scale = max(_grad_scale(tf.samples()) for tf in tfs)
+                assert abs(got - want) <= 1e-12 * scale
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestSweepWork:
+    """A sweep integrates the shared bump twice, whatever its count."""
+
+    @pytest.fixture
+    def quadratures(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integral(*args, **kwargs)
+
+        integral = grids.singular_integral
+        monkeypatch.setattr(grids, "singular_integral", counting)
+        return calls
+
+    @pytest.mark.parametrize("count", [1, 50])
+    @pytest.mark.parametrize("desc,check", [
+        ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0}, "hardy"),
+        ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0}, "hardy2d"),
+        (DIPOLE, "hardy"),
+    ], ids=["ab_hardy", "ab_hardy2d", "dipole_hardy"])
+    def test_two_radial_quadratures_per_sweep(self, quadratures, desc, check, count):
+        out = inequality_sweep(build_potential(desc), check, count=count, rng=0,
+                               mu1_value=0.0)
+        assert out["count"] == count
+        assert len(quadratures) == 2
+
+    @pytest.mark.parametrize("desc", [{"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0},
+                                      DIPOLE], ids=["ab", "dipole"])
+    def test_diamagnetic_sweep_integrates_nothing(self, quadratures, desc):
+        inequality_sweep(build_potential(desc), "diamagnetic", count=50, rng=0)
+        assert quadratures == []

@@ -187,6 +187,10 @@ class TestVerifySuite:
             verify_suite(scn, names=["nonsense"])
 
 
+#: the subcommands that report one pipeline stage
+FIELD_COMMANDS = ("spectrum", "solve", "frequency", "asymptotics", "kelvin")
+
+
 class TestCli:
     def test_run_exit_zero(self, tmp_path):
         code = cli_main(["--config", str(SCENARIOS / "ab_basic.json"),
@@ -273,6 +277,30 @@ class TestCli:
             cli_main(["--config", str(SCENARIOS / "verify_only.json"), *argv])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("emlab: ")
+
+    @pytest.mark.parametrize("command", ["run", "verify", *FIELD_COMMANDS])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        for out in (afile, afile / "sub"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["--config", str(SCENARIOS / "verify_only.json"),
+                          "--out", str(out), command])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("emlab: ") and err.count("\n") == 1
+        assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", FIELD_COMMANDS)
+    @pytest.mark.parametrize("argv", [["--seed", "-3"], ["--tol-scale", "nan"],
+                                      ["--tol-scale", "0"]],
+                             ids=["seed", "tol_nan", "tol_zero"])
+    def test_bad_flag_is_usage_error_for_every_command(self, capsys, command, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(SCENARIOS / "ab_basic.json"), *argv, command])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("emlab: ") and err.count("\n") == 1
 
     def test_tol_scale_loosens(self, capsys):
         # absurdly large factor cannot turn a pass into a fail
