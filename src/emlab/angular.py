@@ -174,11 +174,14 @@ def build_potential(desc: dict) -> AngularPotential:
         axis = np.asarray(desc.get("axis", (0.0, 0.0, 1.0)), dtype=float)
         if desc.get("dimension", 3) != 3 or axis.shape != (3,):
             raise UnsupportedConfigurationError("dipole potentials live on S^2 (N = 3)")
-        norm = np.linalg.norm(axis)
-        if norm == 0:
+        scale = np.abs(axis).max()
+        if scale == 0:
             raise InvalidCoefficientsError("dipole axis must be nonzero")
+        # scaled first so that the norm of a huge finite axis does not overflow
+        axis = axis / scale
         return AngularPotential(
-            dimension=3, kind=kind, dipole_strength=strength, dipole_axis=axis / norm
+            dimension=3, kind=kind, dipole_strength=strength,
+            dipole_axis=axis / np.linalg.norm(axis)
         )
     raise UnsupportedConfigurationError(f"unknown potential kind {kind!r}")
 
@@ -319,6 +322,51 @@ def angular_basis(dimension: int, truncation: int):
     raise UnsupportedConfigurationError(f"dimension {dimension} not supported")
 
 
+def _dipole_matrix(pot: AngularPotential, basis: SphereBasis) -> np.ndarray:
+    """Real symmetric Galerkin matrix diag(l(l+1)) - lam (n_x X + n_y Y + n_z Z)
+    of the dipole a = lam (n . theta) in the real harmonics of ``SphereBasis``.
+
+    X, Y, Z are the matrices of the coordinate functions, known in closed
+    form (Edmonds 1957, ch. 4-5); each couples degree l to degree l + 1
+    only.  S_lm is a multiple of P_l^|m|(cos theta) times cos(m phi) (m > 0),
+    1 (m = 0) or sin(|m| phi) (m < 0).  z = cos(theta) keeps m; x and y,
+    sin(theta) times cos(phi) and sin(phi), move |m| = mu to mu + 1 through
+
+        sin(theta) p_l^mu = sqrt((l+mu+1)(l+mu+2) / ((2l+1)(2l+3))) p_{l+1}^{mu+1}
+                          - sqrt((l-mu-1)(l-mu) / ((2l-1)(2l+1))) p_{l-1}^{mu+1}
+
+    for the normalized p_l^mu without the Condon-Shortley phase; the
+    couplings from mu + 1 down to mu are the transposed entries.
+    """
+    T = basis.truncation
+    lam_x, lam_y, lam_z = pot.dipole_strength * pot.dipole_axis
+    l, m = np.array(basis.indices[: T * T]).T  # the lower degree of each pair
+
+    def pos(l, m):
+        return l * (l + 1) + m
+
+    d = (2 * l + 1) * (2 * l + 3)
+    rows, cols, vals = [pos(l, m)], [pos(l + 1, m)], [lam_z * np.sqrt(((l + 1) ** 2 - m**2) / d)]
+    l, m, d = l[m >= 0], m[m >= 0], d[m >= 0]
+    # 1/sqrt(2) from the m = 0 normalization, 1/2 from the product of cosines or sines
+    f = np.where(m == 0, np.sqrt(0.5), 0.5)
+    up = f * np.sqrt((l + m + 1) * (l + m + 2) / d)
+    down = -f * np.sqrt((l - m) * (l - m + 1) / d)
+    # source (degree ls, order +-m) -- target (degree lt, order +-(m + 1))
+    for ls, lt, c in ((l, l + 1, up), (l + 1, l, down)):
+        for s, t, lam, sine in ((1, 1, lam_x, False), (-1, -1, lam_x, True),
+                                (1, -1, lam_y, False), (-1, 1, -lam_y, True)):
+            k = (m < lt) & (m > 0) if sine else m < lt
+            rows.append(pos(ls, s * m)[k])
+            cols.append(pos(lt, t * (m + 1))[k])
+            vals.append(lam * c[k])
+    i, j, v = (np.concatenate(a) for a in (rows, cols, vals))
+    M = np.diag(basis.laplace_eigs)
+    M[i, j] = -v
+    M[j, i] = -v
+    return M
+
+
 def assemble_angular_matrix(pot: AngularPotential, truncation: int):
     """Galerkin matrix of the angular sesquilinear form; returns (M, basis).
 
@@ -328,7 +376,8 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         j l delta_{jl} + (j + l) ahat_{j-l} + (alpha^2)hat_{j-l} - ahat^{el}_{j-l}
 
     with fhat_m the e^{imt} expansion coefficient.  With constant alpha the
-    spectrum is the multiset {(alpha - j)^2 - a0 : j in Z}.
+    spectrum is the multiset {(alpha - j)^2 - a0 : j in Z}.  N = 3: the real
+    symmetric dipole matrix of ``_dipole_matrix``.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -356,11 +405,7 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
             M += coeff(alpha_sq, diff)
             M -= coeff(elec, diff)
     else:
-        theta, phi, w = basis.grid()
-        B = basis.evaluate(theta, phi)
-        a_vals = pot.electric_sphere(theta, phi)
-        M = np.diag(basis.laplace_eigs).astype(complex)
-        M -= (B * (w * a_vals)[:, None]).T @ B
+        M = _dipole_matrix(pot, basis)
     if not np.all(np.isfinite(M)):
         raise NumericalFailureError("assembled matrix has non-finite entries")
     herm = np.abs(M - M.conj().T).max()
@@ -467,8 +512,6 @@ def eigendecompose(matrix: np.ndarray, count: int, basis, pot: AngularPotential,
     if resid > residual_tol * spectral_radius:
         raise NumericalFailureError(f"eigenpair residual {resid:.2e} exceeds tolerance")
     v = np.stack([_fix_phase(v[:, i]) for i in range(count)], axis=1)
-    if pot.dimension == 3:
-        v = v.real.astype(float)
     return AngularSpectrum(
         potential=pot,
         basis=basis,

@@ -261,8 +261,8 @@ def lambda1_from_mu1(N: int, mu1: float) -> float:
     return float(mu1 + ((N - 2) / 2.0) ** 2)
 
 
-def mu1_of(pot: AngularPotential, count: int = 1) -> float:
-    return angular_spectrum(pot, count=count).mu1()
+def mu1_of(pot: AngularPotential, count: int = 1, truncation: int | None = None) -> float:
+    return angular_spectrum(pot, count=count, truncation=truncation).mu1()
 
 
 def hardy_boundary_margin(pot: AngularPotential, tf: Product | FieldSample, r: float,
@@ -332,11 +332,17 @@ def _product_diamagnetic_margin(pot: AngularPotential, p: Product) -> np.ndarray
     return np.where(ok, q_ext * defect, np.inf).min(axis=-1)
 
 
-def mu1_comparison(pot: AngularPotential) -> float:
-    """mu1(A, a) - mu1(0, a), nonnegative by the diamagnetic inequality."""
+def mu1_comparison(pot: AngularPotential, mu1_value: float | None = None,
+                   truncation: int | None = None) -> float:
+    """mu1(A, a) - mu1(0, a), nonnegative by the diamagnetic inequality.
+
+    ``mu1_value``, when given, is mu1(A, a) at ``truncation``, the truncation
+    both sides are then solved at."""
     if pot.dimension != 2:
         raise UnsupportedConfigurationError("the magnetic comparison needs N = 2")
-    return mu1_of(pot) - mu1_of(pot.without_magnetic())
+    if mu1_value is None:
+        mu1_value = mu1_of(pot, truncation=truncation)
+    return mu1_value - mu1_of(pot.without_magnetic(), truncation=truncation)
 
 
 def _hardy_2d_closed_form(pot: AngularPotential) -> tuple[float, bool]:
@@ -353,12 +359,19 @@ def _hardy_2d_closed_form(pot: AngularPotential) -> tuple[float, bool]:
     return float(dist**2), bool(dist < 1e-9)
 
 
-def hardy_2d_constant_check(pot: AngularPotential) -> dict:
+def hardy_2d_constant_check(pot: AngularPotential, mu1_value: float | None = None,
+                            truncation: int | None = None) -> dict:
     """Best 2-d magnetic Hardy constant: the lowest eigenvalue of the
-    electric-free angular operator against its closed form."""
+    electric-free angular operator at ``truncation`` against its closed form.
+
+    When the electric part of ``pot`` is identically zero that operator is
+    the operator of ``pot`` itself, and ``mu1_value``, the mu1 of ``pot`` at
+    ``truncation``, is used if given."""
     closed, degenerate = _hardy_2d_closed_form(pot)
-    pot0 = replace(pot, electric=np.zeros(1, dtype=complex))
-    mu = mu1_of(pot0)
+    if mu1_value is not None and not np.any(pot.electric):
+        mu = mu1_value
+    else:
+        mu = mu1_of(replace(pot, electric=np.zeros(1, dtype=complex)), truncation=truncation)
     return {
         "mu1": float(mu),
         "closed_form": closed,

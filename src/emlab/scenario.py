@@ -494,9 +494,10 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
                 if out["status"] != "degenerate":
                     add(f"{name}_margin", out["min_margin"], key="margin", one_sided=True)
         if "mu1" in names and scn.dimension == 2:
-            add("mu1_comparison", mu1_comparison(pipe.potential), one_sided=True)
+            add("mu1_comparison", mu1_comparison(pipe.potential, pipe.spectrum.mu1(),
+                                                 scn.truncation), one_sided=True)
         if "hardy2d_constant" in names and scn.dimension == 2:
-            info = hardy_2d_constant_check(pipe.potential)
+            info = hardy_2d_constant_check(pipe.potential, pipe.spectrum.mu1(), scn.truncation)
             margins["hardy2d_constant"] = info
             if not info["degenerate"]:
                 add("hardy2d_agreement", info["agreement"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import emlab.angular
 from emlab.angular import (
     AngularSpectrum,
     CircleBasis,
@@ -125,6 +126,51 @@ class TestAssembly:
                     exact = c(l, abs(m))
                 coupling = -(M[i, j].real - (basis.laplace_eigs[i] if i == j else 0.0))
                 assert coupling == pytest.approx(exact, abs=1e-12)
+
+
+def quadrature_dipole_matrix(pot, truncation):
+    """The S^2 Galerkin matrix by quadrature on the basis grid, exact for the
+    degree 2T + 1 integrands S_i a S_j: the oracle of the closed form."""
+    basis = SphereBasis(truncation)
+    theta, phi, w = basis.grid()
+    B = basis.evaluate(theta, phi)
+    return np.diag(basis.laplace_eigs) - (B * (w * pot.electric_sphere(theta, phi))[:, None]).T @ B
+
+
+class TestDipoleClosedForm:
+    AXES = {"z": [0, 0, 1], "x": [1, 0, 0], "y": [0, 1, 0], "xyz": [1, 1, 1],
+            "random": list(np.random.default_rng(7).normal(size=3))}
+
+    @pytest.mark.parametrize("axis", AXES)
+    @pytest.mark.parametrize("truncation", [1, 4, 16])
+    def test_matches_the_quadrature_matrix(self, truncation, axis):
+        pot = build_potential({"kind": "dipole", "strength": 1.3, "axis": self.AXES[axis]})
+        M, _ = assemble_angular_matrix(pot, truncation)
+        oracle = quadrature_dipole_matrix(pot, truncation)
+        assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_sphere_spectrum_is_real(self, monkeypatch):
+        matrices = []
+        eig = emlab.angular.eigendecompose
+
+        def keeping(matrix, *args, **kwargs):
+            matrices.append(matrix)
+            return eig(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(emlab.angular, "eigendecompose", keeping)
+        pot = build_potential({"kind": "dipole", "strength": 0.8, "axis": [1, 2, 2]})
+        spectrum = angular_spectrum(pot, count=4, truncation=8)
+        assert [m.dtype for m in matrices] == [np.float64]
+        assert spectrum.eigenvectors.dtype == np.float64
+
+    def test_reads_no_basis_table(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("basis table read")
+
+        monkeypatch.setattr(SphereBasis, "evaluate", no_table)
+        monkeypatch.setattr(SphereBasis, "gradient", no_table)
+        pot = build_potential({"kind": "dipole", "strength": 0.8, "axis": [0, 1, 1]})
+        assert angular_spectrum(pot, count=4, truncation=12).count == 4
 
 
 class TestSpectrum:

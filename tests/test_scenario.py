@@ -14,6 +14,7 @@ import emlab.scenario
 from emlab.angular import AngularSpectrum
 from emlab.cli import main as cli_main
 from emlab.errors import ScenarioValidationError
+from emlab.inequalities import hardy_2d_constant_check, mu1_comparison
 from emlab.scenario import (
     DEFAULT_CHECKS,
     SCHEMA_VERSION,
@@ -391,9 +392,10 @@ class TestModalFirst:
         assert [c["name"] for c in report["checks"]] == ["hardy_margin", "diamagnetic_margin"]
         assert len(calls) == 1
 
-    def test_2d_inequality_run_makes_four_spectra(self, monkeypatch):
-        # the pipeline's, two for the mu1 comparison and one for the Hardy
-        # constant check; the hardy2d sweep needs only the closed form
+    def test_2d_inequality_run_makes_two_spectra(self, monkeypatch):
+        # the pipeline's, which the Hardy sweep, the mu1 comparison and the
+        # Hardy constant check (a = 0) share, and the magnetic-free one for
+        # the mu1 comparison; the hardy2d sweep needs only the closed form
         calls = []
         eig = emlab.angular.eigendecompose
 
@@ -410,17 +412,66 @@ class TestModalFirst:
         report = run_scenario(scn)
         assert report["status"] == "pass"
         assert "hardy2d_margin" in [c["name"] for c in report["checks"]]
-        assert len(calls) == 4
+        assert len(calls) == 2
+
+    def test_electric_term_adds_the_electric_free_spectrum(self, monkeypatch):
+        # with a0 != 0 the Hardy constant check needs its own operator
+        calls = []
+        eig = emlab.angular.eigendecompose
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(emlab.angular, "eigendecompose", counting)
+        scn = scenario_from_dict(minimal_doc(
+            potential={"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.1}, sweep_count=2,
+            checks={"frequency": False, "identities": False, "asymptotics": False,
+                    "inequalities": True},
+        ))
+        report = run_scenario(scn)
+        assert report["status"] == "pass"
+        assert "hardy2d_agreement" in [c["name"] for c in report["checks"]]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("potential", [
+        {"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0},
+        {"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.1},
+        {"kind": "fourier", "magnetic": {"mean": 0.3, "cos": [0.2], "sin": [0.0, 0.1]}},
+    ], ids=["ab", "ab_electric", "fourier"])
+    def test_shared_spectrum_gives_the_standalone_values(self, potential):
+        report = run_scenario(scenario_from_dict(minimal_doc(
+            potential=potential, sweep_count=2,
+            checks={"frequency": False, "identities": False, "asymptotics": False,
+                    "inequalities": True},
+        )))
+        pot = emlab.angular.build_potential(potential)
+        value = {c["name"]: c["value"] for c in report["checks"]}["mu1_comparison"]
+        assert value == mu1_comparison(pot)
+        assert report["margins"]["hardy2d_constant"] == hardy_2d_constant_check(pot)
 
 
-def run_cli(tmp_path, doc):
-    """``emlab --config <doc> run`` in a fresh interpreter."""
+def run_cli(tmp_path, doc, command="run"):
+    """``emlab --config <doc> <command>`` in a fresh interpreter."""
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(doc))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "emlab.cli", "--config", str(cfg), "run"],
+    return subprocess.run([sys.executable, "-m", "emlab.cli", "--config", str(cfg), command],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
+    spectra = []
+    for axis in ([1e308, 1e308, 0], [1, 1, 0]):
+        doc = {"dimension": 3, "eigen_count": 3,
+               "potential": {"kind": "dipole", "strength": 1.0, "axis": axis}}
+        proc = run_cli(tmp_path, doc, "spectrum")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        spectra.append(json.loads(proc.stdout))
+    assert spectra[0] == spectra[1]
+    assert spectra[0]["mu"] == pytest.approx([-0.15766, 1.95033, 1.95033], abs=1e-5)
 
 
 @pytest.mark.parametrize("over", [
