@@ -170,11 +170,12 @@ def blowup_profile(field: FieldSample, gamma: float, lams,
         profile = extract_coefficients(field, gamma, R0, h)
     target = profile.angular_values(spectrum, *field.angular_nodes)
     g = gamma if field.side == "interior" else -gamma
+    rows = [grids.nearest_index(field.r, lam) for lam in lams]
+    values = field.values_at(rows)
     profiles = []
     dists = np.zeros(len(lams))
-    for n, lam in enumerate(lams):
-        i = grids.nearest_index(field.r, lam)
-        p = field.r[i] ** (-g) * field.values[i]
+    for n, i in enumerate(rows):
+        p = field.r[i] ** (-g) * values[n]
         profiles.append(p)
         dists[n] = float(np.abs(p - target).max())
     scale = float(np.abs(target).max())

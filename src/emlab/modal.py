@@ -239,29 +239,37 @@ class _Lazy:
         obj.__dict__[self.name] = value
 
 
+def _outer_sum(profiles: dict, samples, shape: tuple) -> np.ndarray:
+    """sum_k outer(p_k, samples(k)) in mode order over the nonzero profiles:
+    the first product is the result, the later ones are added to it in
+    place.  Zeros of ``shape`` when every profile is zero."""
+    out = None
+    for k, p in profiles.items():
+        if p.any():
+            term = np.outer(p, samples(k))
+            if out is None:
+                out = term
+            else:
+                out += term
+    return np.zeros(shape, dtype=complex) if out is None else out
+
+
 def _modal_sum(field: FieldSample, name: str):
     """One nodal array of a synthesized field: sum_k phi_k psi_k for
     ``values``, phi_k' psi_k for ``du_dr``, phi_k grad psi_k per component
-    for ``angular_gradient``; outer products accumulated in mode order.
-    A mode whose profile is zero adds nothing and is skipped.  None for a
-    field without modal profiles."""
+    for ``angular_gradient``.  A mode whose profile is zero adds nothing and
+    is skipped.  None for a field without modal profiles."""
     if field.modal is None:
         return None
     nodes, spectrum = field.angular_nodes, field.spectrum
     shape = (len(field.r), len(nodes[0]))
     if name == "angular_gradient":
-        comps = tuple(np.zeros(shape, dtype=complex) for _ in range(field.dimension - 1))
-        for k, sol in field.modal.items():
-            if sol.phi.any():
-                for comp, gpsi in zip(comps, spectrum.psi_gradient(k, *nodes)):
-                    comp += np.outer(sol.phi, gpsi)
-        return comps
-    out = np.zeros(shape, dtype=complex)
-    for k, sol in field.modal.items():
-        profile = sol.phi if name == "values" else sol.dphi
-        if profile.any():
-            out += np.outer(profile, spectrum.psi_values(k, *nodes))
-    return out
+        phi = {k: sol.phi for k, sol in field.modal.items()}
+        return tuple(_outer_sum(phi, lambda k, c=c: spectrum.psi_gradient(k, *nodes)[c], shape)
+                     for c in range(field.dimension - 1))
+    profiles = {k: sol.phi if name == "values" else sol.dphi
+                for k, sol in field.modal.items()}
+    return _outer_sum(profiles, lambda k: spectrum.psi_values(k, *nodes), shape)
 
 
 @dataclass(frozen=True)
@@ -295,6 +303,15 @@ class FieldSample:
     @property
     def has_gradient(self) -> bool:
         return self.du_dr is not None and self.angular_gradient is not None
+
+    def values_at(self, rows) -> np.ndarray:
+        """``values[rows]``; a synthesized field sums just these rows from
+        its modal profiles, with the same products as the full array."""
+        if self.modal is None:
+            return self.values[rows]
+        nodes, spectrum = self.angular_nodes, self.spectrum
+        return _outer_sum({k: sol.phi[rows] for k, sol in self.modal.items()},
+                          lambda k: spectrum.psi_values(k, *nodes), (len(rows), len(nodes[0])))
 
     def detached(self) -> "FieldSample":
         """Copy without modal attachment; forces quadrature-based analysis."""
@@ -355,11 +372,14 @@ def modal_stack(field: FieldSample, h: PerturbationSpec | None = None):
 
 
 def project_onto_modes(field: FieldSample, spectrum: AngularSpectrum,
-                       data: np.ndarray | None = None) -> np.ndarray:
+                       data: np.ndarray | None = None,
+                       weights: np.ndarray | None = None) -> np.ndarray:
     """Per-mode radial profiles phi_k(r_i) by angular quadrature.
 
     Returns an array (K, n_r).  `data` defaults to the field values; pass
-    another array on the same grid to project e.g. h*u.
+    another array on the same grid to project it instead.  `weights`
+    defaults to the field's angular quadrature weights; pass w*g to project
+    g*data without forming it.
     """
     if len(field.angular_nodes[0]) <= 2 * spectrum.truncation:
         raise AliasingError(
@@ -368,24 +388,55 @@ def project_onto_modes(field: FieldSample, spectrum: AngularSpectrum,
         )
     if data is None:
         data = field.values
+    if weights is None:
+        weights = field.angular_weights
     psis = np.stack(
         [spectrum.psi_values(k, *field.angular_nodes) for k in range(1, spectrum.count + 1)]
     )
-    return (data @ (np.conj(psis).T * field.angular_weights[:, None])).T
+    return (data @ (np.conj(psis).T * weights[:, None])).T
 
 
 def perturbation_samples(h: PerturbationSpec, field: FieldSample,
                          spectrum: AngularSpectrum) -> np.ndarray:
-    """Forcing coefficients zeta_k(r_i) of h*u, shape (K, n_r)."""
+    """Forcing coefficients zeta_k(r_i) of h*u, shape (K, n_r); the angular
+    factor g is folded into the quadrature weights."""
     g = h.angular_factor(*field.angular_nodes)
-    hu = field.values * g[None, :]
-    zeta = project_onto_modes(field, spectrum, data=hu)
+    zeta = project_onto_modes(field, spectrum, weights=field.angular_weights * g)
     return zeta * h.radial_factor(field.r)[None, :]
+
+
+def sup_norm(spectrum: AngularSpectrum, profiles: dict) -> float:
+    """max over the product grid of |sum_k p_k psi_k| for profiles p_k
+    (mode index -> samples on a radial grid), psi_k on the basis grid.
+
+    With one nonzero profile the maximum factors as max|p_k| max|psi_k|;
+    with more, the nodal sum is formed.
+    """
+    nonzero = {k: p for k, p in profiles.items() if p.any()}
+    if not nonzero:
+        return 0.0
+    nodes = spectrum.basis.grid()[:-1]
+    if len(nonzero) == 1:
+        [(k, p)] = nonzero.items()
+        return float(np.abs(p).max() * np.abs(spectrum.psi_values(k, *nodes)).max())
+    shape = (len(next(iter(nonzero.values()))), len(nodes[0]))
+    return float(np.abs(_outer_sum(nonzero, lambda k: spectrum.psi_values(k, *nodes),
+                                   shape)).max())
+
+
+def _check_modes(spectrum: AngularSpectrum, boundary_values: dict) -> None:
+    for k in boundary_values:
+        if not 1 <= k <= spectrum.count:
+            raise ValueError(
+                f"boundary data for mode {k}, but the spectrum has modes "
+                f"1..{spectrum.count} (K = {spectrum.count})"
+            )
 
 
 def homogeneous_solutions(spectrum: AngularSpectrum, boundary_values: dict,
                           r: np.ndarray, side: str = "interior") -> dict:
     """Pure power-law profiles matching boundary data, zero forcing."""
+    _check_modes(spectrum, boundary_values)
     N = spectrum.potential.dimension
     out = {}
     zeros = _frozen(np.zeros_like(r, dtype=complex))
@@ -402,8 +453,11 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
 
     Starts from the homogeneous field matching the boundary data, then
     alternates forcing projection and radial solves until successive fields
-    agree in sup norm to PICARD_TOL.  Returns (FieldSample, info dict).
+    agree in sup norm to PICARD_TOL.  The sup norms are read from the modal
+    profiles (``sup_norm``), so each iteration builds one nodal array, the
+    values the forcing projection reads.  Returns (FieldSample, info dict).
     """
+    _check_modes(spectrum, boundary_values)
     N = spectrum.potential.dimension
     side = h.side
     K = spectrum.count
@@ -417,7 +471,7 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
         zeta = perturbation_samples(h, field, spectrum)
         # modes carrying only projection roundoff are treated as unforced
         zmax = np.abs(zeta).max()
-        sols = {
+        new = {
             k: solve_radial_mode(
                 exps[k],
                 zeta[k - 1] if np.abs(zeta[k - 1]).max() > 1e-13 * zmax else zero,
@@ -425,11 +479,11 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
             )
             for k in range(1, K + 1)
         }
-        new_field = synthesize_field(spectrum, sols)
-        resid = float(np.abs(new_field.values - field.values).max())
+        resid = sup_norm(spectrum, {k: new[k].phi - sols[k].phi for k in new})
         residuals.append(resid)
-        field = new_field
-        scale = max(float(np.abs(field.values).max()), 1e-300)
+        sols = new
+        field = synthesize_field(spectrum, sols)
+        scale = max(sup_norm(spectrum, {k: s.phi for k, s in sols.items()}), 1e-300)
         if resid < PICARD_TOL * scale:
             break
     info = {

@@ -188,6 +188,46 @@ class TestBlowup:
         assert out["profile"].m == 2
 
 
+class TestBlowupRows:
+    """blowup_profile sums the rows it reads from the modal profiles; the
+    rows of the nodal array are the oracle."""
+
+    @pytest.fixture(params=["interior", "exterior", "dipole"])
+    def case(self, request, ab_perturbed, ab_exterior_perturbed, dipole_spectrum,
+             radial_grid):
+        if request.param == "dipole":
+            sols = homogeneous_solutions(dipole_spectrum, {1: 1.0, 2: 0.3, 4: 0.2j},
+                                         radial_grid)
+            return (synthesize_field(dipole_spectrum, sols), None,
+                    sols[1].exponents.sigma_plus, np.geomspace(1e-6, 1e-3, 8))
+        field, h = ab_perturbed if request.param == "interior" else ab_exterior_perturbed
+        lams = (np.geomspace(1e-4, 1e-2, 8) if request.param == "interior"
+                else np.geomspace(1e2, 1e4, 8))
+        # a fresh field whose nodal arrays are not built yet
+        return synthesize_field(field.spectrum, field.modal), h, 0.3, lams
+
+    def test_rows_equal_the_nodal_rows(self, case):
+        field, h, gamma, lams = case
+        out = blowup_profile(field, gamma, lams, h)
+        assert field.__dict__["values"] is None
+        g = gamma if field.side == "interior" else -gamma
+        for p, lam in zip(out["profiles"], lams, strict=True):
+            i = grids.nearest_index(field.r, lam)
+            assert np.array_equal(p, field.r[i] ** (-g) * field.values[i])
+        assert np.array_equal(out["distances"],
+                              [np.abs(p - out["target"]).max() for p in out["profiles"]])
+
+    def test_sampled_field_reads_its_rows(self, ab_perturbed):
+        field, h = ab_perturbed
+        lams = np.geomspace(1e-4, 1e-2, 8)
+        modal_rows = blowup_profile(field, 0.3, lams, h)["profiles"]
+        bare = field.detached()
+        sampled = blowup_profile(bare, 0.3, lams, h,
+                                 profile=extract_coefficients(field, 0.3, 1.0, h))
+        for a, b in zip(sampled["profiles"], modal_rows, strict=True):
+            assert np.array_equal(a, b)
+
+
 class TestKelvin:
     def test_modal_involution(self, ab_perturbed):
         field, h = ab_perturbed

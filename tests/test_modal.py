@@ -333,10 +333,11 @@ class TestPicardWork:
         assert n > 1
         # the homogeneous start, then one solve per iteration
         assert solved == [1] * (n + 1)
-        # the values of the start and of every iterate, one product each
-        assert numpy.outer_calls == n + 1
+        # the values the forcing reads, one product each: those of the start
+        # and of every iterate but the last, whose sup norms are modal
+        assert numpy.outer_calls == n
         field.du_dr, field.angular_gradient
-        assert numpy.outer_calls == n + 3
+        assert numpy.outer_calls == n + 2
 
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     def test_skipping_changes_no_bit(self, angular, ab_spectrum, radial_grid, solved,
@@ -470,3 +471,125 @@ class TestLazyNodalArrays:
         with pytest.raises(GridMismatchError):
             FieldSample(dimension=2, r=field.r, angular_nodes=field.angular_nodes,
                         angular_weights=field.angular_weights, values=None)
+
+
+def _nodal_values(spectrum, sols):
+    """sum_k phi_k psi_k on the basis grid, every mode's product added."""
+    nodes = spectrum.basis.grid()[:-1]
+    return sum(np.outer(s.phi, spectrum.psi_values(k, *nodes)) for k, s in sols.items())
+
+
+def _nodal_picard(spectrum, h, boundary_values, r):
+    """The Picard loop on nodal arrays, kept as the oracle of the modal
+    stopping rule and of the forcing with g folded into the weights: h*u is
+    formed on the product grid and projected, and successive fields are
+    compared through their nodal values.  Returns (sols, values, residuals)."""
+    N, K = spectrum.potential.dimension, spectrum.count
+    *nodes, w = spectrum.basis.grid()
+    exps = {k: characteristic_exponents(N, spectrum.mu(k), k) for k in range(1, K + 1)}
+    bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
+    sols = homogeneous_solutions(spectrum, bvals, r, side=h.side)
+    values = _nodal_values(spectrum, sols)
+    psis = np.stack([spectrum.psi_values(k, *nodes) for k in range(1, K + 1)])
+    g = h.angular_factor(*nodes)
+    zero = np.zeros_like(r, dtype=complex)
+    residuals = []
+    for _ in range(modal.PICARD_MAX_ITER):
+        hu = values * g[None, :]
+        zeta = (hu @ (np.conj(psis).T * w[:, None])).T * h.radial_factor(r)[None, :]
+        zmax = np.abs(zeta).max()
+        sols = {
+            k: solve_radial_mode(
+                exps[k], zeta[k - 1] if np.abs(zeta[k - 1]).max() > 1e-13 * zmax else zero,
+                bvals[k], r, side=h.side)
+            for k in range(1, K + 1)
+        }
+        new_values = _nodal_values(spectrum, sols)
+        residuals.append(float(np.abs(new_values - values).max()))
+        values = new_values
+        if residuals[-1] < modal.PICARD_TOL * max(float(np.abs(values).max()), 1e-300):
+            break
+    return sols, values, residuals
+
+
+def _field(request, name):
+    """A solved or synthesized field by name, for the sup-norm oracle."""
+    N3 = {"N3 one mode": {2: 1.0}, "N3 three modes": {1: 1.0, 2: 0.3, 4: 0.2j}}
+    if name in N3:
+        spectrum = request.getfixturevalue("dipole_spectrum")
+        r = request.getfixturevalue("radial_grid")
+        return synthesize_field(spectrum, homogeneous_solutions(spectrum, N3[name], r))
+    side, angular = name.split()
+    r = request.getfixturevalue("radial_grid" if side == "interior" else "exterior_grid")
+    h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side=side,
+                         angular=None if angular == "constant" else {"cos": [1.0]})
+    return solve_perturbed_field(request.getfixturevalue("ab_spectrum"), h, {1: 1.0}, r)[0]
+
+
+class TestModalSupNorm:
+    """The Picard stopping rule, the Kelvin involution and the blow-up rows
+    read the modal profiles; the nodal formulas stay here as their oracle."""
+
+    @pytest.mark.parametrize("name", ["interior constant", "exterior constant",
+                                      "interior cos", "exterior cos",
+                                      "N3 one mode", "N3 three modes"])
+    def test_equals_the_nodal_max(self, request, name):
+        field = _field(request, name)
+        profiles = {k: s.phi for k, s in field.modal.items()}
+        got = modal.sup_norm(field.spectrum, profiles)
+        want = float(np.abs(field.values).max())
+        if sum(p.any() for p in profiles.values()) > 1:
+            # several modes: the nodal array itself is summed
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-15 * want
+
+    def test_zero_profiles(self, ab_spectrum, radial_grid):
+        zero = np.zeros_like(radial_grid, dtype=complex)
+        assert modal.sup_norm(ab_spectrum, {1: zero, 3: zero}) == 0.0
+
+    @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_loop_equals_the_nodal_loop(self, side, angular, ab_spectrum, radial_grid,
+                                        exterior_grid):
+        r = radial_grid if side == "interior" else exterior_grid
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular, side=side)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
+        sols, values, residuals = _nodal_picard(ab_spectrum, h, {1: 1.0}, r)
+        assert info["iterations"] == len(residuals) > 1
+        sup = float(np.abs(values).max())
+        assert_allclose(info["residuals"], residuals, rtol=0, atol=1e-15 * sup)
+        for k, sol in sols.items():
+            if angular is None:
+                assert np.array_equal(field.modal[k].phi, sol.phi)
+                assert np.array_equal(field.modal[k].dphi, sol.dphi)
+            else:
+                assert_allclose(field.modal[k].phi, sol.phi, rtol=0, atol=1e-14 * sup)
+        if angular is None:
+            assert np.array_equal(field.values, values)
+
+    def test_forcing_weights_equal_the_nodal_product(self, ab_perturbed):
+        # a constant g folds into the weights without changing a bit
+        field, h = ab_perturbed
+        data = field.values * h.angular_factor(*field.angular_nodes)[None, :]
+        nodal = project_onto_modes(field, field.spectrum, data=data)
+        want = nodal * h.radial_factor(field.r)[None, :]
+        assert np.array_equal(perturbation_samples(h, field, field.spectrum), want)
+
+
+class TestBoundaryModes:
+    """Boundary data must name modes of the spectrum."""
+
+    @pytest.mark.parametrize("mode", [12, 0])
+    def test_rejected_before_any_radial_solve(self, mode, ab_spectrum, radial_grid,
+                                              monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("radial solve before the modes were checked")
+
+        monkeypatch.setattr(modal, "solve_radial_mode", no_solve)
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
+        match = f"mode {mode}.*K = 8"
+        with pytest.raises(ValueError, match=match):
+            solve_perturbed_field(ab_spectrum, h, {1: 1.0, mode: 5.0}, radial_grid)
+        with pytest.raises(ValueError, match=match):
+            homogeneous_solutions(ab_spectrum, {1: 1.0, mode: 5.0}, radial_grid)

@@ -12,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 import emlab.angular
 import emlab.scenario
 from emlab.angular import AngularSpectrum
+from emlab.asymptotics import kelvin_transform
 from emlab.cli import main as cli_main
 from emlab.errors import ScenarioValidationError
 from emlab.inequalities import hardy_2d_constant_check, mu1_comparison
+from emlab.modal import FieldSample
 from emlab.scenario import (
     DEFAULT_CHECKS,
     SCHEMA_VERSION,
+    Pipeline,
     Scenario,
     TOLERANCES,
     parse_scenario,
@@ -371,6 +374,46 @@ class TestModalFirst:
         monkeypatch.setattr(AngularSpectrum, "psi_gradient", no_samples)
         report = run_scenario(parse_scenario(SCENARIOS / "dipole.json"))
         assert report["status"] == "pass"
+
+    @pytest.mark.parametrize("scenario", ["ab_basic.json", "exterior_kelvin.json"])
+    def test_picard_run_builds_one_values_array_per_iteration(self, scenario,
+                                                              monkeypatch):
+        built = []
+        for name in ("values", "du_dr", "angular_gradient"):
+            lazy = vars(FieldSample)[name]
+
+            def counting(field, attr, build=lazy.build):
+                out = build(field, attr)
+                if out is not None:
+                    built.append(attr)
+                return out
+
+            monkeypatch.setattr(lazy, "build", counting)
+        doc = json.loads((SCENARIOS / scenario).read_text())
+        doc["checks"] = {"frequency": True, "identities": True, "asymptotics": True,
+                         "kelvin": True}
+        report = run_scenario(scenario_from_dict(doc))
+        assert report["status"] == "pass"
+        assert {"kelvin_involution", "blowup_rate"} <= {c["name"] for c in report["checks"]}
+        n = report["solver"]["iterations"]
+        # the values each forcing projection reads, and nothing after the loop
+        assert n > 1 and built == ["values"] * n
+
+    @pytest.mark.parametrize("doc", [
+        json.loads((SCENARIOS / "exterior_kelvin.json").read_text()),
+        {**json.loads((SCENARIOS / "ab_basic.json").read_text()),
+         "perturbation": {"amplitude": 0.05, "epsilon": 0.5, "angular": {"cos": [1.0]}}},
+        {"dimension": 3, "potential": {"kind": "dipole", "strength": 1.0, "axis": [1, 0, 0]},
+         "boundary": {"values": {"1": 1.0, "2": 0.3, "4": [0, 0.2]}},
+         "truncation": 8, "grid": {"nodes": 2000}},
+    ], ids=["exterior", "interior cos", "dipole"])
+    def test_kelvin_involution_equals_the_nodal_form(self, doc):
+        pipe = Pipeline(scenario_from_dict(doc))
+        field = pipe.solution[0]
+        back = kelvin_transform(kelvin_transform(field))
+        nodal = float(np.abs(back.values - field.values).max()
+                      / max(np.abs(field.values).max(), 1e-300))
+        assert abs(pipe.kelvin[0] - nodal) <= 1e-15
 
     def test_3d_hardy_sweep_uses_the_pipeline_spectrum(self, monkeypatch):
         calls = []
