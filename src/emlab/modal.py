@@ -246,11 +246,11 @@ def _outer_sum(profiles: dict, samples, shape: tuple) -> np.ndarray:
     out = None
     for k, p in profiles.items():
         if p.any():
-            term = np.outer(p, samples(k))
+            # no name keeps a product alive while the next one is formed
             if out is None:
-                out = term
+                out = np.outer(p, samples(k))
             else:
-                out += term
+                out += np.outer(p, samples(k))
     return np.zeros(shape, dtype=complex) if out is None else out
 
 
@@ -405,23 +405,24 @@ def perturbation_samples(h: PerturbationSpec, field: FieldSample,
     return zeta * h.radial_factor(field.r)[None, :]
 
 
-def sup_norm(spectrum: AngularSpectrum, profiles: dict) -> float:
-    """max over the product grid of |sum_k p_k psi_k| for profiles p_k
-    (mode index -> samples on a radial grid), psi_k on the basis grid.
+def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
+    """max over the product grid of |u - v| (of |u| without v), for
+    synthesized fields on one grid.
 
-    With one nonzero profile the maximum factors as max|p_k| max|psi_k|;
-    with more, the nodal sum is formed.
+    When every nonzero profile of u and v lies in one mode k, the maximum
+    factors as max|phi_u - phi_v| max|psi_k| and no nodal array is built.
+    Otherwise it is read from the fields' nodal values, which are built once
+    and kept with the fields.
     """
-    nonzero = {k: p for k, p in profiles.items() if p.any()}
-    if not nonzero:
+    fields = (u,) if v is None else (u, v)
+    modes = {k for f in fields for k, s in f.modal.items() if s.phi.any()}
+    if len(modes) > 1:
+        return float(np.abs(u.values if v is None else u.values - v.values).max())
+    if not modes:
         return 0.0
-    nodes = spectrum.basis.grid()[:-1]
-    if len(nonzero) == 1:
-        [(k, p)] = nonzero.items()
-        return float(np.abs(p).max() * np.abs(spectrum.psi_values(k, *nodes)).max())
-    shape = (len(next(iter(nonzero.values()))), len(nodes[0]))
-    return float(np.abs(_outer_sum(nonzero, lambda k: spectrum.psi_values(k, *nodes),
-                                   shape)).max())
+    [k] = modes
+    p = u.modal[k].phi if v is None else u.modal[k].phi - v.modal[k].phi
+    return float(np.abs(p).max() * np.abs(u.spectrum.psi_values(k, *u.angular_nodes)).max())
 
 
 def _check_modes(spectrum: AngularSpectrum, boundary_values: dict) -> None:
@@ -453,9 +454,11 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
 
     Starts from the homogeneous field matching the boundary data, then
     alternates forcing projection and radial solves until successive fields
-    agree in sup norm to PICARD_TOL.  The sup norms are read from the modal
-    profiles (``sup_norm``), so each iteration builds one nodal array, the
-    values the forcing projection reads.  Returns (FieldSample, info dict).
+    agree in sup norm to PICARD_TOL.  When the field lives in one mode the
+    sup norms are read from its profiles (``sup_norm``), so each iteration
+    builds one nodal array, the values the forcing projection reads; with
+    several modes the next iterate's values are built for the residual and
+    reused by the next projection.  Returns (FieldSample, info dict).
     """
     _check_modes(spectrum, boundary_values)
     N = spectrum.potential.dimension
@@ -463,27 +466,25 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
     K = spectrum.count
     exps = {k: characteristic_exponents(N, spectrum.mu(k), k) for k in range(1, K + 1)}
     bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
-    sols = homogeneous_solutions(spectrum, bvals, r, side=side)
-    field = synthesize_field(spectrum, sols)
+    field = synthesize_field(spectrum, homogeneous_solutions(spectrum, bvals, r, side=side))
     zero = _frozen(np.zeros_like(r, dtype=complex))
     residuals = []
     for _ in range(PICARD_MAX_ITER):
         zeta = perturbation_samples(h, field, spectrum)
         # modes carrying only projection roundoff are treated as unforced
         zmax = np.abs(zeta).max()
-        new = {
+        new_field = synthesize_field(spectrum, {
             k: solve_radial_mode(
                 exps[k],
                 zeta[k - 1] if np.abs(zeta[k - 1]).max() > 1e-13 * zmax else zero,
                 bvals[k], r, side=side,
             )
             for k in range(1, K + 1)
-        }
-        resid = sup_norm(spectrum, {k: new[k].phi - sols[k].phi for k in new})
+        })
+        resid = sup_norm(new_field, field)
         residuals.append(resid)
-        sols = new
-        field = synthesize_field(spectrum, sols)
-        scale = max(sup_norm(spectrum, {k: s.phi for k, s in sols.items()}), 1e-300)
+        field = new_field
+        scale = max(sup_norm(field), 1e-300)
         if resid < PICARD_TOL * scale:
             break
     info = {

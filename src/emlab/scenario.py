@@ -377,10 +377,7 @@ class Pipeline:
         field = self.solution[0]
         v = kelvin_transform(field)
         back = kelvin_transform(v)
-        inv = (sup_norm(self.spectrum, {k: back.modal[k].phi - sol.phi
-                                        for k, sol in field.modal.items()})
-               / max(sup_norm(self.spectrum, {k: sol.phi for k, sol in field.modal.items()}),
-                     1e-300))
+        inv = sup_norm(back, field) / max(sup_norm(field), 1e-300)
         tr_u = self.trace
         # mirror the snapped radii so both traces use reciprocal grid nodes
         tr_v = frequency_trace(v, None, np.sort(1.0 / tr_u.r))

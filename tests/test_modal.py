@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -434,6 +437,18 @@ class TestLazyNodalArrays:
         for got, want in zip(field.angular_gradient, ang, strict=True):
             assert np.array_equal(got, want)
 
+    def test_several_modes_sum_with_one_product_alive(self, dipole_spectrum, radial_grid):
+        # the running sum and the product being added, never a third array
+        sols = homogeneous_solutions(dipole_spectrum, {1: 1.0, 2: 0.3, 4: 0.2j}, radial_grid)
+        field = synthesize_field(dipole_spectrum, sols)
+        tracemalloc.start()
+        try:
+            field.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * field.values.nbytes
+
     def test_built_once_and_kept(self, field):
         assert field.values is field.values
         assert field.du_dr is field.du_dr
@@ -535,18 +550,35 @@ class TestModalSupNorm:
                                       "N3 one mode", "N3 three modes"])
     def test_equals_the_nodal_max(self, request, name):
         field = _field(request, name)
-        profiles = {k: s.phi for k, s in field.modal.items()}
-        got = modal.sup_norm(field.spectrum, profiles)
+        several = sum(s.phi.any() for s in field.modal.values()) > 1
+        got = modal.sup_norm(field)
+        # one mode: read from the profile, no nodal array built
+        assert (field.__dict__["values"] is not None) == several
         want = float(np.abs(field.values).max())
-        if sum(p.any() for p in profiles.values()) > 1:
-            # several modes: the nodal array itself is summed
+        if several:
+            # several modes: the nodal array itself is read
             assert got == want
         else:
             assert abs(got - want) <= 1e-15 * want
 
+    @pytest.mark.parametrize("name", ["interior constant", "interior cos",
+                                      "N3 one mode", "N3 three modes"])
+    def test_distance_equals_the_nodal_max(self, request, name):
+        u = _field(request, name)
+        scaled = {k: replace(s, phi=(1 + 1e-3j) * s.phi) for k, s in u.modal.items()}
+        v = synthesize_field(u.spectrum, scaled)
+        got = modal.sup_norm(u, v)
+        want = float(np.abs(u.values - v.values).max())
+        if sum(s.phi.any() for s in u.modal.values()) > 1:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-15 * float(np.abs(u.values).max())
+
     def test_zero_profiles(self, ab_spectrum, radial_grid):
-        zero = np.zeros_like(radial_grid, dtype=complex)
-        assert modal.sup_norm(ab_spectrum, {1: zero, 3: zero}) == 0.0
+        field = synthesize_field(
+            ab_spectrum, homogeneous_solutions(ab_spectrum, {1: 0.0, 3: 0.0}, radial_grid))
+        assert modal.sup_norm(field) == 0.0 == modal.sup_norm(field, field)
+        assert field.__dict__["values"] is None
 
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     @pytest.mark.parametrize("side", ["interior", "exterior"])

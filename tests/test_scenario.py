@@ -375,8 +375,11 @@ class TestModalFirst:
         report = run_scenario(parse_scenario(SCENARIOS / "dipole.json"))
         assert report["status"] == "pass"
 
-    @pytest.mark.parametrize("scenario", ["ab_basic.json", "exterior_kelvin.json"])
-    def test_picard_run_builds_one_values_array_per_iteration(self, scenario,
+    @pytest.mark.parametrize("scenario,angular", [
+        ("ab_basic.json", None), ("exterior_kelvin.json", None),
+        ("ab_basic.json", {"cos": [1.0]}), ("exterior_kelvin.json", {"cos": [1.0]}),
+    ], ids=["interior", "exterior", "interior cos", "exterior cos"])
+    def test_picard_run_builds_one_values_array_per_iteration(self, scenario, angular,
                                                               monkeypatch):
         built = []
         for name in ("values", "du_dr", "angular_gradient"):
@@ -389,15 +392,36 @@ class TestModalFirst:
                 return out
 
             monkeypatch.setattr(lazy, "build", counting)
+        sums = []
+
+        def counting_sum(*args):
+            out = outer_sum(*args)
+            sums.append(out.shape)
+            return out
+
+        outer_sum = emlab.modal._outer_sum
+        monkeypatch.setattr(emlab.modal, "_outer_sum", counting_sum)
         doc = json.loads((SCENARIOS / scenario).read_text())
         doc["checks"] = {"frequency": True, "identities": True, "asymptotics": True,
                          "kelvin": True}
+        if angular is not None:
+            doc["perturbation"] = {**doc["perturbation"], "angular": angular}
         report = run_scenario(scenario_from_dict(doc))
-        assert report["status"] == "pass"
         assert {"kelvin_involution", "blowup_rate"} <= {c["name"] for c in report["checks"]}
         n = report["solver"]["iterations"]
-        # the values each forcing projection reads, and nothing after the loop
-        assert n > 1 and built == ["values"] * n
+        # every nodal sum but the blow-up rows (8 of them) is a lazy values array
+        nodal = [shape for shape in sums if shape[0] > 8]
+        assert n > 1 and len(nodal) == len(built)
+        if angular is None:
+            # one mode: the values each forcing projection reads, and nothing
+            # after the loop
+            assert report["status"] == "pass"
+            assert built == ["values"] * n
+        else:
+            # several modes: the start and every iterate, whose values the
+            # residual reads, and K(K(u)) for the involution, as in the
+            # nodal loop
+            assert built == ["values"] * (n + 2)
 
     @pytest.mark.parametrize("doc", [
         json.loads((SCENARIOS / "exterior_kelvin.json").read_text()),
