@@ -31,6 +31,11 @@ from .errors import (
 #: Picard stops once successive fields agree to this fraction of their sup norm
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
+#: bytes of one row block of a synthesized field's values when they are
+#: projected without being built whole.  numpy asks the kernel for huge pages
+#: for arrays of 4 MiB or more, and a block stays below that; smaller blocks
+#: cost more calls and, in glibc, let the heap be trimmed and faulted in again
+PROJECTION_BLOCK_BYTES = 3 << 20
 
 
 @dataclass(frozen=True)
@@ -305,13 +310,15 @@ class FieldSample:
         return self.du_dr is not None and self.angular_gradient is not None
 
     def values_at(self, rows) -> np.ndarray:
-        """``values[rows]``; a synthesized field sums just these rows from
-        its modal profiles, with the same products as the full array."""
+        """``values[rows]`` for an index list or a slice; a synthesized field
+        sums just these rows from its modal profiles, with the same products
+        as the full array."""
         if self.modal is None:
             return self.values[rows]
         nodes, spectrum = self.angular_nodes, self.spectrum
         return _outer_sum({k: sol.phi[rows] for k, sol in self.modal.items()},
-                          lambda k: spectrum.psi_values(k, *nodes), (len(rows), len(nodes[0])))
+                          lambda k: spectrum.psi_values(k, *nodes),
+                          (len(self.r[rows]), len(nodes[0])))
 
     def detached(self) -> "FieldSample":
         """Copy without modal attachment; forces quadrature-based analysis."""
@@ -379,21 +386,42 @@ def project_onto_modes(field: FieldSample, spectrum: AngularSpectrum,
     Returns an array (K, n_r).  `data` defaults to the field values; pass
     another array on the same grid to project it instead.  `weights`
     defaults to the field's angular quadrature weights; pass w*g to project
-    g*data without forming it.
+    g*data without forming it.  A synthesized field in one mode whose
+    values have not been built is summed and projected one block of rows at
+    a time (``PROJECTION_BLOCK_BYTES``), so no (n_r, n_nodes) array is
+    built; the sup norm of such a field is modal too (``sup_norm``).
     """
-    if len(field.angular_nodes[0]) <= 2 * spectrum.truncation:
+    n_nodes = len(field.angular_nodes[0])
+    if n_nodes <= 2 * spectrum.truncation:
         raise AliasingError(
-            f"{len(field.angular_nodes[0])} angular nodes cannot resolve "
-            f"truncation {spectrum.truncation}"
+            f"{n_nodes} angular nodes cannot resolve truncation {spectrum.truncation}"
         )
-    if data is None:
-        data = field.values
     if weights is None:
         weights = field.angular_weights
     psis = np.stack(
         [spectrum.psi_values(k, *field.angular_nodes) for k in range(1, spectrum.count + 1)]
     )
-    return (data @ (np.conj(psis).T * weights[:, None])).T
+    proj = np.conj(psis).T * weights[:, None]
+    if (data is None and field.modal is not None and field.__dict__["values"] is None
+            and len(_nonzero_modes(field)) == 1):
+        out = np.empty((len(field.r), spectrum.count), dtype=complex)
+        for rows in _row_blocks(len(field.r), n_nodes):
+            out[rows] = field.values_at(rows) @ proj
+        return out.T
+    if data is None:
+        data = field.values
+    return (data @ proj).T
+
+
+def _row_blocks(n_r: int, n_nodes: int) -> list:
+    """Slices of at least two rows, each about ``PROJECTION_BLOCK_BYTES`` of
+    complex samples.  OpenBLAS hands a one-row product to gemv instead of
+    gemm, which rounds differently from the same row of the whole array."""
+    step = max(2, PROJECTION_BLOCK_BYTES // (16 * n_nodes))
+    edges = [*range(0, n_r, step), n_r]
+    if len(edges) > 2 and edges[-1] - edges[-2] < 2:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def perturbation_samples(h: PerturbationSpec, field: FieldSample,
@@ -405,6 +433,10 @@ def perturbation_samples(h: PerturbationSpec, field: FieldSample,
     return zeta * h.radial_factor(field.r)[None, :]
 
 
+def _nonzero_modes(*fields: FieldSample) -> set:
+    return {k for f in fields for k, s in f.modal.items() if s.phi.any()}
+
+
 def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
     """max over the product grid of |u - v| (of |u| without v), for
     synthesized fields on one grid.
@@ -414,8 +446,7 @@ def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
     Otherwise it is read from the fields' nodal values, which are built once
     and kept with the fields.
     """
-    fields = (u,) if v is None else (u, v)
-    modes = {k for f in fields for k, s in f.modal.items() if s.phi.any()}
+    modes = _nonzero_modes(u) if v is None else _nonzero_modes(u, v)
     if len(modes) > 1:
         return float(np.abs(u.values if v is None else u.values - v.values).max())
     if not modes:
@@ -455,10 +486,11 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
     Starts from the homogeneous field matching the boundary data, then
     alternates forcing projection and radial solves until successive fields
     agree in sup norm to PICARD_TOL.  When the field lives in one mode the
-    sup norms are read from its profiles (``sup_norm``), so each iteration
-    builds one nodal array, the values the forcing projection reads; with
-    several modes the next iterate's values are built for the residual and
-    reused by the next projection.  Returns (FieldSample, info dict).
+    sup norms are read from its profiles (``sup_norm``) and the forcing
+    projection sums the values by row blocks, so no iteration builds a whole
+    nodal array; with several modes the next iterate's values are built for
+    the residual and reused by the next projection.  Returns (FieldSample,
+    info dict).
     """
     _check_modes(spectrum, boundary_values)
     N = spectrum.potential.dimension

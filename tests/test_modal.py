@@ -294,16 +294,19 @@ class TestPicard:
 
 
 class _CountingNumpy:
-    """numpy as seen from one module, counting the outer products formed."""
+    """numpy as seen from one module, counting the rows of the outer
+    products formed and keeping the largest."""
 
     def __init__(self):
-        self.outer_calls = 0
+        self.outer_rows = 0
+        self.largest = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def outer(self, a, b):
-        self.outer_calls += 1
+        self.outer_rows += len(a)
+        self.largest = max(self.largest, len(a))
         return np.outer(a, b)
 
 
@@ -336,11 +339,13 @@ class TestPicardWork:
         assert n > 1
         # the homogeneous start, then one solve per iteration
         assert solved == [1] * (n + 1)
-        # the values the forcing reads, one product each: those of the start
-        # and of every iterate but the last, whose sup norms are modal
-        assert numpy.outer_calls == n
+        # the values the forcing reads, each row once: those of the start and
+        # of every iterate but the last, whose sup norms are modal; summed by
+        # row blocks, never over the whole grid
+        assert numpy.outer_rows == n * len(r)
+        assert numpy.largest < len(r)
         field.du_dr, field.angular_gradient
-        assert numpy.outer_calls == n + 2
+        assert numpy.outer_rows == (n + 2) * len(r)
 
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     def test_skipping_changes_no_bit(self, angular, ab_spectrum, radial_grid, solved,
@@ -607,6 +612,65 @@ class TestModalSupNorm:
         nodal = project_onto_modes(field, field.spectrum, data=data)
         want = nodal * h.radial_factor(field.r)[None, :]
         assert np.array_equal(perturbation_samples(h, field, field.spectrum), want)
+
+
+class TestBlockedProjection:
+    """A one-mode field's forcing is projected by row blocks; the projection
+    of its whole values array stays here as the oracle."""
+
+    @staticmethod
+    def _both(field, spectrum):
+        """(blocked, whole) projections with the plain and a cos-weighted rule."""
+        weights = field.angular_weights * np.cos(field.angular_nodes[0])
+        for w in (None, weights):
+            fresh = synthesize_field(spectrum, field.modal)
+            blocked = project_onto_modes(fresh, spectrum, weights=w)
+            assert fresh.__dict__["values"] is None
+            yield blocked, project_onto_modes(fresh, spectrum, data=fresh.values, weights=w)
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_equals_the_whole_array_projection(self, side, ab_spectrum):
+        # 4 blocks of 756 rows and one row over, which joins the last block
+        r = grids.log_grid(*((1e-8, 1.0) if side == "interior" else (1.0, 1e8)), 3025)
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side=side)
+        field = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)[0]
+        blocks = modal._row_blocks(len(r), len(field.angular_nodes[0]))
+        assert [b.stop - b.start for b in blocks] == [756] * 3 + [757]
+        for blocked, whole in self._both(field, ab_spectrum):
+            assert np.array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("rows_per_block", [8, 2])
+    def test_small_blocks_cover_every_row(self, rows_per_block, ab_perturbed, monkeypatch):
+        # BLAS may split a small product over threads differently from the
+        # whole array, so only roundoff is allowed here
+        field = ab_perturbed[0]
+        n_nodes = len(field.angular_nodes[0])
+        monkeypatch.setattr(modal, "PROJECTION_BLOCK_BYTES", 16 * n_nodes * rows_per_block)
+        for blocked, whole in self._both(field, field.spectrum):
+            assert_allclose(blocked, whole, rtol=0, atol=1e-15 * np.abs(whole).max())
+
+    @pytest.mark.parametrize("n_r,n_nodes", [(3000, 260), (3001, 8192), (2, 70000),
+                                             (1, 260), (9000, 1156)])
+    def test_row_blocks(self, n_r, n_nodes):
+        blocks = modal._row_blocks(n_r, n_nodes)
+        edges = [b.start for b in blocks] + [blocks[-1].stop]
+        assert edges[0] == 0 and edges[-1] == n_r and edges == sorted(set(edges))
+        sizes = np.diff(edges)
+        # no one-row block unless the grid has one row; none near numpy's 4 MiB
+        assert sizes.min() >= min(2, n_r)
+        assert (sizes * 16 * n_nodes).max() <= max(2 * 16 * n_nodes,
+                                                   2 * modal.PROJECTION_BLOCK_BYTES)
+
+    def test_loop_builds_no_whole_array(self, ab_spectrum, radial_grid):
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
+        tracemalloc.start()
+        try:
+            field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info["iterations"] > 1 and field.__dict__["values"] is None
+        assert peak < 0.5 * len(radial_grid) * len(field.angular_nodes[0]) * 16
 
 
 class TestBoundaryModes:

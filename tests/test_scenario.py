@@ -379,8 +379,8 @@ class TestModalFirst:
         ("ab_basic.json", None), ("exterior_kelvin.json", None),
         ("ab_basic.json", {"cos": [1.0]}), ("exterior_kelvin.json", {"cos": [1.0]}),
     ], ids=["interior", "exterior", "interior cos", "exterior cos"])
-    def test_picard_run_builds_one_values_array_per_iteration(self, scenario, angular,
-                                                              monkeypatch):
+    def test_picard_run_builds_values_arrays_only_with_several_modes(self, scenario, angular,
+                                                                     monkeypatch):
         built = []
         for name in ("values", "du_dr", "angular_gradient"):
             lazy = vars(FieldSample)[name]
@@ -409,14 +409,17 @@ class TestModalFirst:
         report = run_scenario(scenario_from_dict(doc))
         assert {"kelvin_involution", "blowup_rate"} <= {c["name"] for c in report["checks"]}
         n = report["solver"]["iterations"]
-        # every nodal sum but the blow-up rows (8 of them) is a lazy values array
-        nodal = [shape for shape in sums if shape[0] > 8]
-        assert n > 1 and len(nodal) == len(built)
+        n_r = scenario_from_dict(doc).grid_nodes
+        # every nodal sum over the whole grid is a lazy values array
+        whole = [shape for shape in sums if shape[0] == n_r]
+        assert n > 1 and len(whole) == len(built)
         if angular is None:
-            # one mode: the values each forcing projection reads, and nothing
-            # after the loop
+            # one mode: each forcing projection sums the values by row blocks,
+            # every row once, and nothing is summed after the loop but the
+            # blow-up rows (8 of them)
             assert report["status"] == "pass"
-            assert built == ["values"] * n
+            assert built == []
+            assert sum(shape[0] for shape in sums if shape[0] != 8) == n * n_r
         else:
             # several modes: the start and every iterate, whose values the
             # residual reads, and K(K(u)) for the involution, as in the
