@@ -44,5 +44,5 @@ scaling = height_scaling_limit(tr, 0.3)
 print(f"\nH(r) ~ r^(2 gamma): log-log slope = {scaling['slope']:.8f}, "
       f"drift of r^-2gamma H = {scaling['drift']:.2e}")
 
-print(f"D = r H'/2 residual: {check_height_derivative(field, h):.2e}")
+print(f"D = r H'/2 residual: {check_height_derivative(tr):.2e}")
 print(f"Pohozaev residual at r = 0.3: {pohozaev_residual(field, h, 0.3):.2e}")

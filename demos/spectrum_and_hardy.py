@@ -34,7 +34,7 @@ print("  lambda_1 = mu_1 + ((N-2)/2)^2 =",
 print("\nBest 2-d magnetic Hardy constants")
 for alpha in (0.1, 0.3, 0.5, 1.2, 2.0):
     pot = build_potential({"kind": "aharonov_bohm", "alpha": alpha, "a0": 0.0})
-    out = hardy_2d_constant_check(pot)
+    out = hardy_2d_constant_check(angular_spectrum(pot, count=1))
     tag = " (integer circulation, inequality empty)" if out["degenerate"] else ""
     print(f"  alpha = {alpha}: mu1 = {out['mu1']:.12f}, "
           f"closed form = {out['closed_form']:.12f}{tag}")

@@ -31,6 +31,8 @@ DEFAULT_TRUNCATION_CIRCLE = 64
 DEFAULT_TRUNCATION_SPHERE = 32
 #: relative tolerance used to group numerically equal eigenvalues
 MULTIPLICITY_TOL = 1e-8
+#: largest eigenpair residual accepted, relative to the spectral radius
+EIGEN_RESIDUAL_TOL = 1e-8
 
 
 def _coeff_array(data) -> np.ndarray:
@@ -497,8 +499,8 @@ def _group_blocks(mu: np.ndarray):
     return blocks
 
 
-def eigendecompose(matrix: np.ndarray, count: int, basis, pot: AngularPotential,
-                   residual_tol: float = 1e-8) -> AngularSpectrum:
+def eigendecompose(matrix: np.ndarray, count: int, basis,
+                   pot: AngularPotential) -> AngularSpectrum:
     """Lowest `count` eigenpairs of the Hermitian Galerkin matrix."""
     n = matrix.shape[0]
     if count > n:
@@ -509,7 +511,7 @@ def eigendecompose(matrix: np.ndarray, count: int, basis, pot: AngularPotential,
         raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
     spectral_radius = max(np.abs(w).max(), 1.0)
     resid = np.abs(matrix @ v - v * w).max()
-    if resid > residual_tol * spectral_radius:
+    if resid > EIGEN_RESIDUAL_TOL * spectral_radius:
         raise NumericalFailureError(f"eigenpair residual {resid:.2e} exceeds tolerance")
     v = np.stack([_fix_phase(v[:, i]) for i in range(count)], axis=1)
     return AngularSpectrum(

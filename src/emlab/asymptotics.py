@@ -33,14 +33,18 @@ from .modal import (
 BLOCK_MATCH_TOL = 1e-4
 
 
-def classify_regularity(gamma: float, N: int) -> dict:
-    """Local regularity implied by the leading exponent gamma.
+def classify_regularity(gamma: float, N: int, side: str) -> dict:
+    """Local regularity at the origin implied by the frequency limit gamma.
 
     A nonzero solution with exponent gamma is C^{0,gamma} when 0 < gamma < 1,
     locally Lipschitz when gamma >= 1, bounded with a discontinuous profile
     when gamma = 0, and unbounded at the origin when gamma < 0.  Vanishing to
-    infinite order is excluded (strong unique continuation).
+    infinite order is excluded (strong unique continuation).  Outside the
+    ball the class is that of the Kelvin image at the origin, whose exponent
+    is gamma - (N - 2).
     """
+    if side == "exterior":
+        gamma -= N - 2
     if gamma < 0:
         label = "unbounded-at-origin"
     elif gamma == 0:
@@ -57,19 +61,18 @@ def classify_regularity(gamma: float, N: int) -> dict:
     }
 
 
-def match_block(spectrum: AngularSpectrum, gamma: float, N: int, side: str = "interior",
-                tol: float = BLOCK_MATCH_TOL):
-    """(k0, j0, m) of the eigenvalue block whose exponent equals gamma."""
+def match_block(spectrum: AngularSpectrum, gamma: float, N: int, side: str = "interior"):
+    """(k0, j0, m) of the block whose exponent is within BLOCK_MATCH_TOL of gamma."""
     for k in range(1, spectrum.count + 1):
         try:
             exp = characteristic_exponents(N, spectrum.mu(k), k)
         except IndefiniteFormError:
             continue
-        if abs(exp.limit_exponent(side) - gamma) <= tol:
+        if abs(exp.limit_exponent(side) - gamma) <= BLOCK_MATCH_TOL:
             j0, m = spectrum.block_of(k)
             return k, j0, m
     raise NoEigenvalueMatchError(
-        f"no eigenvalue block has exponent {gamma:.6f} within {tol:g}"
+        f"no eigenvalue block has exponent {gamma:.6f} within {BLOCK_MATCH_TOL:g}"
     )
 
 
@@ -141,7 +144,7 @@ def extract_coefficients(field: FieldSample, gamma: float, R: float,
         beta[i] = val
     return AsymptoticProfile(
         gamma=float(gamma), k0=k0, j0=j0, m=m, beta=beta, R=float(R),
-        side=side, regularity=classify_regularity(gamma, N),
+        side=side, regularity=classify_regularity(gamma, N, side),
     )
 
 
@@ -206,16 +209,13 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
         profile = extract_coefficients(field, gamma, R0, h)
     g = gamma if field.side == "interior" else -gamma
     target_rad = 0
-    target_ang = None
+    target_ang = [0] * (field.dimension - 1)
     for i in range(profile.m):
         k = profile.j0 + i
         psi = spectrum.psi_values(k, *field.angular_nodes)
         gpsi = spectrum.psi_gradient(k, *field.angular_nodes)
         target_rad = target_rad + profile.beta[i] * g * psi
-        if target_ang is None:
-            target_ang = [profile.beta[i] * g for g in gpsi]
-        else:
-            target_ang = [t + profile.beta[i] * g for t, g in zip(target_ang, gpsi)]
+        target_ang = [t + profile.beta[i] * d for t, d in zip(target_ang, gpsi)]
     dists = np.zeros(len(lams))
     for n, lam in enumerate(lams):
         i = grids.nearest_index(field.r, lam)

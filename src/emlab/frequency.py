@@ -43,26 +43,6 @@ def _energy_density(mu, phi, dphi, zeta, r):
     return g
 
 
-def _energy_scale(mu, H, r, N_dim) -> float:
-    """Magnitude reference for the energy integrand, used so that tails made
-    of pure roundoff (e.g. differentiated constants) are dropped as zero."""
-    return float(np.max(r ** (N_dim - 3) * H)) * max(1.0, float(np.abs(mu).max()))
-
-
-def _dense_trace(field: FieldSample, h: PerturbationSpec | None):
-    """(H, D, N) on the full radial grid."""
-    N_dim = field.dimension
-    r = field.r
-    phi, dphi, zeta = modal_stack(field, h)
-    mu = field.spectrum.eigenvalues
-    H = np.sum(np.abs(phi) ** 2, axis=0)
-    g = _energy_density(mu, phi, dphi, zeta, r)
-    f = r ** (N_dim - 1) * g
-    scale = max(float(np.abs(f).max()), _energy_scale(mu, H, r, N_dim))
-    D = grids.singular_integral(f, r, field.side, scale) / r ** (N_dim - 2)
-    return H, D, D / np.where(H > 0, H, np.nan)
-
-
 def _fit_window(field: FieldSample, radii: np.ndarray):
     """Dense-grid indices of the decade closest to the singular limit."""
     r = field.r
@@ -105,18 +85,20 @@ def _fit_frequency_limit(r_w: np.ndarray, n_w: np.ndarray, side: str):
 
 @dataclass(frozen=True)
 class FrequencyTrace:
-    """Frequency data at requested radii and on the fit window; the singular
-    limit is fitted on the window on first read of ``gamma_hat`` or
-    ``eps_hat``."""
+    """Frequency data at requested radii, on the fit window and, for H and D,
+    on the whole radial grid; the singular limit is fitted on the window on
+    first read of ``gamma_hat`` or ``eps_hat``."""
 
     r: np.ndarray
     H: np.ndarray
     D: np.ndarray
     N: np.ndarray
     side: str
+    grid_r: np.ndarray
+    grid_H: np.ndarray
+    grid_D: np.ndarray
     dense_r: np.ndarray
     dense_H: np.ndarray
-    dense_D: np.ndarray
     dense_N: np.ndarray
 
     def to_csv(self, path=None) -> str:
@@ -143,8 +125,8 @@ class FrequencyTrace:
         return self._limit[1]
 
     def fit_summary(self) -> dict:
-        drift = float(np.ptp(self.dense_N)) if len(self.dense_N) else float("nan")
-        return {"gamma_hat": self.gamma_hat, "eps_hat": self.eps_hat, "drift": drift}
+        return {"gamma_hat": self.gamma_hat, "eps_hat": self.eps_hat,
+                "drift": float(np.ptp(self.dense_N))}
 
 
 def frequency_trace(field: FieldSample, h: PerturbationSpec | None,
@@ -152,7 +134,18 @@ def frequency_trace(field: FieldSample, h: PerturbationSpec | None,
     """N(r) = D(r)/H(r) at the requested radii, with the window of the
     fitted limit."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    H, D, N = _dense_trace(field, h)
+    N_dim = field.dimension
+    r = field.r
+    phi, dphi, zeta = modal_stack(field, h)
+    mu = field.spectrum.eigenvalues
+    H = np.sum(np.abs(phi) ** 2, axis=0)
+    f = r ** (N_dim - 1) * _energy_density(mu, phi, dphi, zeta, r)
+    # a magnitude reference for the integrand, so that tails made of pure
+    # roundoff (e.g. differentiated constants) are dropped as zero
+    scale = max(float(np.abs(f).max()),
+                float(np.max(r ** (N_dim - 3) * H)) * max(1.0, float(np.abs(mu).max())))
+    D = grids.singular_integral(f, r, field.side, scale) / r ** (N_dim - 2)
+    N = D / np.where(H > 0, H, np.nan)
     idx = np.array([grids.nearest_index(field.r, v) for v in radii])
     if np.any(H[idx] <= 0):
         raise DegenerateSolutionError("H(r) vanishes at a requested radius")
@@ -161,17 +154,17 @@ def frequency_trace(field: FieldSample, h: PerturbationSpec | None,
         order = order[::-1]  # stored toward the singular limit
     idx = idx[order]
     win = _fit_window(field, radii)
-    bad = H[win] <= 0
-    if np.any(bad):
+    if np.any(H[win] <= 0):
         raise DegenerateSolutionError("H(r) vanishes inside the fit window")
     return FrequencyTrace(
-        r=field.r[idx], H=H[idx], D=D[idx], N=N[idx], side=field.side,
-        dense_r=field.r[win], dense_H=H[win], dense_D=D[win], dense_N=N[win],
+        r=r[idx], H=H[idx], D=D[idx], N=N[idx], side=field.side,
+        grid_r=r, grid_H=H, grid_D=D, dense_r=r[win], dense_H=H[win], dense_N=N[win],
     )
 
 
-def check_height_derivative(field: FieldSample, h: PerturbationSpec | None = None) -> float:
-    """Residual of the identity D(r) = r H'(r) / 2 over the resolved range.
+def check_height_derivative(trace: FrequencyTrace) -> float:
+    """Residual of the identity D(r) = r H'(r) / 2 over the resolved range,
+    read from the trace's H and D on the whole radial grid.
 
     For exterior samples the volume integral runs over the complement of the
     ball, so the identity carries the opposite sign: D(r) = -r H'(r) / 2.
@@ -179,10 +172,9 @@ def check_height_derivative(field: FieldSample, h: PerturbationSpec | None = Non
     dominated by the power-law closure of the volume integral, whose model
     bias would be measured instead of the identity.
     """
-    H, D, _ = _dense_trace(field, h)
-    r = field.r
+    H, D, r = trace.grid_H, trace.grid_D, trace.grid_r
     dH = grids.log_derivative(H, r)
-    if field.side == "interior":
+    if trace.side == "interior":
         mask = (r >= 100 * r[0]) & (r <= r[-1 - EDGE_EXCLUSION])
         sign = 1.0
     else:
@@ -210,7 +202,6 @@ def pohozaev_residual(field: FieldSample, h: PerturbationSpec | None, r: float) 
     """
     N_dim = field.dimension
     rg = field.r
-    exterior = field.side == "exterior"
     phi, dphi, zeta = modal_stack(field, h)
     mu = field.spectrum.eigenvalues
     i = grids.nearest_index(rg, r)
@@ -218,28 +209,22 @@ def pohozaev_residual(field: FieldSample, h: PerturbationSpec | None, r: float) 
     dens = np.sum(np.abs(dphi) ** 2, axis=0) + np.sum(
         mu[:, None] * np.abs(phi) ** 2, axis=0
     ) / rg**2
-    def closed_tail(f):
-        # non-power-law data (e.g. noisy samples) gets no tail closure; the
-        # identity defect it produces is the point of the residual
+    def volume_to(f):
         try:
-            return complex(grids.tail_integral(
-                rg, f, side="upper" if exterior else "lower",
-                scale=float(np.abs(f).max()))).real
+            return grids.singular_integral(f, rg, field.side, float(np.abs(f).max()))[i]
         except TailFitError:
-            return 0.0
-
-    def volume_to(f, i):
-        if exterior:
-            return closed_tail(f) + grids.complement_cumulative(f, rg)[i]
-        return closed_tail(f) + grids.cumulative_integral(f, rg)[i]
+            # a tail that is no clean power law (e.g. noisy samples) gets no
+            # closure: with an infinite scale it counts as negligible, and
+            # the identity defect left is the point of the residual
+            return grids.singular_integral(f, rg, field.side, np.inf)[i]
 
     f0 = rg ** (N_dim - 1) * dens
-    E0 = volume_to(f0, i)
+    E0 = volume_to(f0)
     e0 = f0[i]
     flux = ri**N_dim * float(np.sum(np.abs(dphi[:, i]) ** 2))
     fh = rg**N_dim * np.real(np.sum(zeta * np.conj(dphi), axis=0))
-    h_term = volume_to(fh, i) if np.abs(fh).max() > 0 else 0.0
-    sgn = -1.0 if exterior else 1.0
+    h_term = volume_to(fh) if np.abs(fh).max() > 0 else 0.0
+    sgn = -1.0 if field.side == "exterior" else 1.0
     t1 = -(N_dim - 2) / 2.0 * E0
     t2 = sgn * 0.5 * ri * e0
     defect = abs((t1 + t2) - (sgn * flux + h_term))

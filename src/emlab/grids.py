@@ -19,6 +19,8 @@ from .errors import TailFitError
 DEFAULT_RADIAL_NODES = 3000
 #: default ratio r_min / R for interior grids
 DEFAULT_RMIN_RATIO = 1e-8
+#: grid nodes next to the singular end that the power-law tail is fitted on
+TAIL_FIT_NODES = 30
 
 
 def log_grid(r_min: float, r_max: float, num: int = DEFAULT_RADIAL_NODES) -> np.ndarray:
@@ -104,19 +106,19 @@ def tail_integral(
     r: np.ndarray,
     f: np.ndarray,
     side: str = "lower",
-    n_fit: int = 30,
     scale: float | None = None,
 ) -> complex | float:
     """Estimate the missing tail of ``∫ f ds`` beyond the grid.
 
     side="lower": integral over (0, r[0]) from a power-law fit of the first
-    n_fit nodes.  side="upper": integral over (r[-1], +inf) from the last
-    n_fit nodes.  Complex integrands are handled componentwise.
+    TAIL_FIT_NODES nodes.  side="upper": integral over (r[-1], +inf) from
+    the last TAIL_FIT_NODES nodes.  Complex integrands are handled
+    componentwise.
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"unknown side {side!r}")
     lower = side == "lower"
-    sl = slice(0, n_fit) if lower else slice(-n_fit, None)
+    sl = slice(0, TAIL_FIT_NODES) if lower else slice(-TAIL_FIT_NODES, None)
     rw, fw = r[sl], f[sl]
     if scale is None:
         scale = float(np.max(np.abs(f))) if len(f) else 0.0

@@ -22,6 +22,7 @@ import numpy as np
 from . import grids
 from .angular import (
     AngularPotential,
+    AngularSpectrum,
     angular_basis,
     angular_spectrum,
     circulation,
@@ -34,6 +35,8 @@ TOL_QUAD = 1e-8
 
 #: nodes with |u| at or below this are excluded from pointwise gradient ratios
 ZERO_CUTOFF = 1e-10
+#: angular degree of the random and profile test functions
+TEST_DEGREE = 8
 
 
 def radial_bump(x: np.ndarray) -> np.ndarray:
@@ -89,21 +92,20 @@ class Product:
         )
 
 
-def _circle_nodes(degree: int = 8):
-    t, w = angular_basis(2, 2 * degree).grid()
+def _circle_nodes():
+    t, w = angular_basis(2, 2 * TEST_DEGREE).grid()
     return (t,), w
 
 
-def _sphere_nodes(degree: int = 8):
+def _sphere_nodes():
     # the (degree+1) x (degree+1) tensor rule integrates bilinear products
     # of harmonics up to the degree exactly
-    basis = angular_basis(3, degree)
+    basis = angular_basis(3, TEST_DEGREE)
     theta, phi, w = basis.grid()
     return basis, (theta, phi), w
 
 
-def _random_products(dimension: int, rng, r: np.ndarray, count: int,
-                     degree: int = 8) -> Product:
+def _random_products(dimension: int, rng, r: np.ndarray, count: int) -> Product:
     """``count`` random test functions sharing the radial bump, as one
     Product whose ``g`` and ``dg`` carry a leading axis over the functions.
 
@@ -115,12 +117,12 @@ def _random_products(dimension: int, rng, r: np.ndarray, count: int,
     w_r = radial_bump(r / support)
     dw_r = radial_bump_derivative(r / support) / support
     if dimension == 2:
-        nodes, weights = _circle_nodes(degree)
-        j = np.arange(-degree, degree + 1)
+        nodes, weights = _circle_nodes()
+        j = np.arange(-TEST_DEGREE, TEST_DEGREE + 1)
         values = np.exp(1j * np.outer(nodes[0], j))
         grads = (values * (1j * j),)
     elif dimension == 3:
-        basis, nodes, weights = _sphere_nodes(degree)
+        basis, nodes, weights = _sphere_nodes()
         values = basis.evaluate(*nodes)
         grads = basis.gradient(*nodes)
     else:
@@ -132,13 +134,13 @@ def _random_products(dimension: int, rng, r: np.ndarray, count: int,
                    dg=tuple(c @ d.T for d in grads))
 
 
-def random_test_function(dimension: int, rng, r: np.ndarray, degree: int = 8) -> Product:
-    """Radial bump times a random angular polynomial of the given degree.
+def random_test_function(dimension: int, rng, r: np.ndarray) -> Product:
+    """Radial bump times a random angular polynomial of degree TEST_DEGREE.
 
     Coefficients are drawn uniformly from the unit disk of the complex
     plane; on the sphere they weight the real harmonics up to the degree.
     """
-    p = _random_products(dimension, rng, r, 1, degree)
+    p = _random_products(dimension, rng, r, 1)
     return replace(p, g=p.g[0], dg=tuple(d[0] for d in p.dg))
 
 
@@ -261,8 +263,8 @@ def lambda1_from_mu1(N: int, mu1: float) -> float:
     return float(mu1 + ((N - 2) / 2.0) ** 2)
 
 
-def mu1_of(pot: AngularPotential, count: int = 1, truncation: int | None = None) -> float:
-    return angular_spectrum(pot, count=count, truncation=truncation).mu1()
+def mu1_of(pot: AngularPotential, truncation: int | None = None) -> float:
+    return angular_spectrum(pot, count=1, truncation=truncation).mu1()
 
 
 def hardy_boundary_margin(pot: AngularPotential, tf: Product | FieldSample, r: float,
@@ -332,17 +334,14 @@ def _product_diamagnetic_margin(pot: AngularPotential, p: Product) -> np.ndarray
     return np.where(ok, q_ext * defect, np.inf).min(axis=-1)
 
 
-def mu1_comparison(pot: AngularPotential, mu1_value: float | None = None,
-                   truncation: int | None = None) -> float:
-    """mu1(A, a) - mu1(0, a), nonnegative by the diamagnetic inequality.
-
-    ``mu1_value``, when given, is mu1(A, a) at ``truncation``, the truncation
-    both sides are then solved at."""
+def mu1_comparison(spectrum: AngularSpectrum) -> float:
+    """mu1(A, a) - mu1(0, a), nonnegative by the diamagnetic inequality:
+    the spectrum's mu1 against that of its potential without A, solved at
+    the spectrum's truncation."""
+    pot = spectrum.potential
     if pot.dimension != 2:
         raise UnsupportedConfigurationError("the magnetic comparison needs N = 2")
-    if mu1_value is None:
-        mu1_value = mu1_of(pot, truncation=truncation)
-    return mu1_value - mu1_of(pot.without_magnetic(), truncation=truncation)
+    return spectrum.mu1() - mu1_of(pot.without_magnetic(), truncation=spectrum.truncation)
 
 
 def _hardy_2d_closed_form(pot: AngularPotential) -> tuple[float, bool]:
@@ -359,19 +358,20 @@ def _hardy_2d_closed_form(pot: AngularPotential) -> tuple[float, bool]:
     return float(dist**2), bool(dist < 1e-9)
 
 
-def hardy_2d_constant_check(pot: AngularPotential, mu1_value: float | None = None,
-                            truncation: int | None = None) -> dict:
+def hardy_2d_constant_check(spectrum: AngularSpectrum) -> dict:
     """Best 2-d magnetic Hardy constant: the lowest eigenvalue of the
-    electric-free angular operator at ``truncation`` against its closed form.
+    electric-free angular operator at the spectrum's truncation against its
+    closed form.
 
-    When the electric part of ``pot`` is identically zero that operator is
-    the operator of ``pot`` itself, and ``mu1_value``, the mu1 of ``pot`` at
-    ``truncation``, is used if given."""
+    When the electric part of the spectrum's potential is identically zero
+    that operator is the spectrum's own, and its mu1 is used."""
+    pot = spectrum.potential
     closed, degenerate = _hardy_2d_closed_form(pot)
-    if mu1_value is not None and not np.any(pot.electric):
-        mu = mu1_value
+    if not np.any(pot.electric):
+        mu = spectrum.mu1()
     else:
-        mu = mu1_of(replace(pot, electric=np.zeros(1, dtype=complex)), truncation=truncation)
+        mu = mu1_of(replace(pot, electric=np.zeros(1, dtype=complex)),
+                    truncation=spectrum.truncation)
     return {
         "mu1": float(mu),
         "closed_form": closed,

@@ -344,7 +344,8 @@ def synthesize_field(spectrum: AngularSpectrum, solutions: dict) -> FieldSample:
     if not sols:
         raise ValueError("no modal solutions supplied")
     r = sols[0].r
-    if any(s.r.shape != r.shape or not np.allclose(s.r, r) for s in sols):
+    # the modes of a Picard iterate share one grid array and need no comparison
+    if any(s.r is not r and (s.r.shape != r.shape or not np.allclose(s.r, r)) for s in sols):
         raise GridMismatchError("modal solutions must share the radial grid")
     *nodes, w = spectrum.basis.grid()
     return FieldSample(

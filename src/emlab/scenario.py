@@ -435,8 +435,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
             k0, gamma = pipe.target
             report["k0"] = k0
             report["gamma_target"] = gamma
-            report["regularity"] = classify_regularity(gamma if interior else -gamma,
-                                                       scn.dimension)
+            report["regularity"] = classify_regularity(gamma, scn.dimension, scn.side)
 
         if "frequency" in names:
             trace = pipe.trace
@@ -451,7 +450,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
             add("h_scaling_drift", scaling["drift"])
 
         if "height_derivative" in names:
-            add("height_derivative", check_height_derivative(*pipe.solution[:2]))
+            add("height_derivative", check_height_derivative(pipe.trace))
         if "pohozaev" in names:
             r_mid = float(np.sqrt(scn.radii.min() * scn.radii.max()))
             add("pohozaev", pohozaev_residual(*pipe.solution[:2], r_mid))
@@ -494,10 +493,9 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
                 if out["status"] != "degenerate":
                     add(f"{name}_margin", out["min_margin"], key="margin", one_sided=True)
         if "mu1" in names and scn.dimension == 2:
-            add("mu1_comparison", mu1_comparison(pipe.potential, pipe.spectrum.mu1(),
-                                                 scn.truncation), one_sided=True)
+            add("mu1_comparison", mu1_comparison(pipe.spectrum), one_sided=True)
         if "hardy2d_constant" in names and scn.dimension == 2:
-            info = hardy_2d_constant_check(pipe.potential, pipe.spectrum.mu1(), scn.truncation)
+            info = hardy_2d_constant_check(pipe.spectrum)
             margins["hardy2d_constant"] = info
             if not info["degenerate"]:
                 add("hardy2d_agreement", info["agreement"])

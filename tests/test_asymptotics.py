@@ -44,7 +44,7 @@ class TestRegularity:
         ],
     )
     def test_labels(self, gamma, label):
-        out = classify_regularity(gamma, 2)
+        out = classify_regularity(gamma, 2, "interior")
         assert out["label"] == label
         assert out["exponent"] == gamma
         assert out["strong_unique_continuation"] is True

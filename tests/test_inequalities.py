@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emlab import grids
-from emlab.angular import build_potential
+from emlab.angular import angular_spectrum, build_potential
 from emlab.errors import UnsupportedConfigurationError
 from emlab.modal import FieldSample
 from emlab.inequalities import (
@@ -215,37 +215,37 @@ class TestDiamagnetic:
 
 class TestMu1Comparison:
     def test_ab_positive_gap(self, ab_pot):
-        assert mu1_comparison(ab_pot) == pytest.approx(0.09, abs=1e-9)
+        assert mu1_comparison(angular_spectrum(ab_pot, count=1)) == pytest.approx(0.09, abs=1e-9)
 
     def test_gradient_field_equality(self):
         pot = build_potential(
             {"kind": "fourier", "magnetic": {"cos": [0.5]}, "electric": 0.0}
         )
-        assert abs(mu1_comparison(pot)) < 1e-9
+        assert abs(mu1_comparison(angular_spectrum(pot, count=1))) < 1e-9
 
     def test_electric_only_identity(self):
         pot = build_potential(
             {"kind": "fourier", "magnetic": 0.0, "electric": {"mean": -0.1, "cos": [0.2]}}
         )
-        assert mu1_comparison(pot) == pytest.approx(0.0, abs=1e-12)
+        assert mu1_comparison(angular_spectrum(pot, count=1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_circle(self, sphere_pot):
         with pytest.raises(UnsupportedConfigurationError):
-            mu1_comparison(sphere_pot)
+            mu1_comparison(angular_spectrum(sphere_pot, count=1, truncation=4))
 
 
 class TestHardy2d:
     @pytest.mark.parametrize("alpha,expect", [(0.1, 0.01), (0.3, 0.09), (0.5, 0.25), (1.2, 0.04)])
     def test_closed_form_agreement(self, alpha, expect):
         pot = build_potential({"kind": "aharonov_bohm", "alpha": alpha, "a0": -0.2})
-        out = hardy_2d_constant_check(pot)
+        out = hardy_2d_constant_check(angular_spectrum(pot, count=1))
         assert not out["degenerate"]
         assert out["closed_form"] == pytest.approx(expect, abs=1e-12)
         assert out["agreement"] < 1e-9
 
     def test_integer_flux_degenerate(self):
         pot = build_potential({"kind": "aharonov_bohm", "alpha": 2.0, "a0": 0.0})
-        out = hardy_2d_constant_check(pot)
+        out = hardy_2d_constant_check(angular_spectrum(pot, count=1))
         assert out["degenerate"]
         assert out["closed_form"] == 0.0
         sweep = inequality_sweep(pot, "hardy2d", count=5, rng=5)

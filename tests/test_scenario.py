@@ -1,8 +1,11 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emlab.angular
+import emlab.frequency
 import emlab.scenario
 from emlab.angular import AngularSpectrum
 from emlab.asymptotics import kelvin_transform
@@ -136,6 +140,12 @@ class TestRun:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["kelvin_conjugacy"]["value"] < 1e-8
         assert by_name["kelvin_involution"]["pass"]
+
+    def test_exterior_regularity_agrees_with_the_profile(self):
+        # outside the ball both classify the Kelvin image at the origin
+        report = run_scenario(parse_scenario(SCENARIOS / "exterior_kelvin.json"))
+        assert report["regularity"] == report["profile"]["regularity"]
+        assert report["regularity"]["label"] == "holder"
 
     def test_verification_only_writes_no_trace(self, tmp_path):
         scn = parse_scenario(SCENARIOS / "verify_only.json")
@@ -357,6 +367,34 @@ class TestOnePipeline:
         assert [c["name"] for c in report["checks"]] == ["height_derivative", "pohozaev"]
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    @pytest.mark.parametrize("kelvin,passes", [(True, 2), (False, 1)],
+                             ids=["kelvin", "no kelvin"])
+    def test_one_height_and_energy_pass_per_field(self, side, kelvin, passes, monkeypatch):
+        # the frequency and identity blocks read one trace of u; the Kelvin
+        # block adds the trace of K(u)
+        calls = []
+        density = emlab.frequency._energy_density
+
+        def counting(*args):
+            calls.append(1)
+            return density(*args)
+
+        monkeypatch.setattr(emlab.frequency, "_energy_density", counting)
+        report = run_scenario(scenario_from_dict({
+            "dimension": 2,
+            "potential": {"kind": "aharonov_bohm", "alpha": 0.35, "a0": 0.0},
+            "perturbation": {"amplitude": 0.05, "epsilon": 0.7, "side": side},
+            "side": side,
+            "checks": dict.fromkeys(DEFAULT_CHECKS, True) | {"inequalities": False,
+                                                             "kelvin": kelvin},
+        }))
+        assert report["status"] == "pass"
+        names = {c["name"] for c in report["checks"]}
+        assert {"gamma_fit", "height_derivative", "pohozaev"} <= names
+        assert ("kelvin_conjugacy" in names) == kelvin
+        assert len(calls) == passes
+
     def test_verify_order_does_not_matter(self):
         scn = scenario_from_dict(minimal_doc(sweep_count=10))
         a = verify_suite(scn, names=["diamagnetic", "hardy"])
@@ -517,8 +555,9 @@ class TestModalFirst:
         )))
         pot = emlab.angular.build_potential(potential)
         value = {c["name"]: c["value"] for c in report["checks"]}["mu1_comparison"]
-        assert value == mu1_comparison(pot)
-        assert report["margins"]["hardy2d_constant"] == hardy_2d_constant_check(pot)
+        standalone = emlab.angular.angular_spectrum(pot, count=1)
+        assert value == mu1_comparison(standalone)
+        assert report["margins"]["hardy2d_constant"] == hardy_2d_constant_check(standalone)
 
 
 def run_cli(tmp_path, doc, command="run"):
@@ -667,6 +706,26 @@ def test_any_small_run_reports_a_status_or_is_rejected(doc):
     except ScenarioValidationError:
         return
     assert report["status"] in ("pass", "fail", "error")
+
+
+#: the subcommands the CLI property test runs a document through
+COMMANDS = ("run", "verify", "spectrum", "solve", "frequency", "asymptotics", "kelvin")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=small_runs() | JSON_VALUES, command=st.sampled_from(COMMANDS))
+def test_any_small_document_through_the_cli_exits_0_1_or_2(doc, command):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli_main(["--config", str(cfg), command])
+            except SystemExit as exc:  # parser.exit: a usage or validation error
+                code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestTolScale:
