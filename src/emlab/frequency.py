@@ -211,7 +211,7 @@ def pohozaev_residual(field: FieldSample, h: PerturbationSpec | None, r: float) 
     ) / rg**2
     def volume_to(f):
         try:
-            return grids.singular_integral(f, rg, field.side, float(np.abs(f).max()))[i]
+            return grids.singular_integral(f, rg, field.side)[i]
         except TailFitError:
             # a tail that is no clean power law (e.g. noisy samples) gets no
             # closure: with an infinite scale it counts as negligible, and

@@ -11,7 +11,6 @@ choice of end for every caller.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import TailFitError
 
@@ -30,55 +29,47 @@ def log_grid(r_min: float, r_max: float, num: int = DEFAULT_RADIAL_NODES) -> np.
     return np.geomspace(r_min, r_max, num)
 
 
+def _cumulative_simpson(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integral of g over [x[0], x[i]] for every i, along the last axis of g,
+    which may be complex: Simpson for unequal intervals (Cartwright, J. Math.
+    Sci. Math. Educ. 12(2), 2017) in the operation order of scipy's
+    ``cumulative_simpson(g, x=x, initial=0)``."""
+    if len(x) < 3:
+        raise ValueError(f"Simpson quadrature needs at least 3 nodes, got {len(x)}")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("Input x must be strictly increasing.")
+
+    def intervals(y, h):
+        # over the first interval of each node triple, by the parabola through all three
+        h21, h32 = h[:-1], h[1:]
+        h21_h31 = h21 / (h21 + h32)
+        h21_h32 = h21 / h32
+        cross = h21_h31 * h21_h32
+        return h21 / 6 * ((3 - h21_h31) * y[..., :-2]
+                          + (3 + cross + h21_h31) * y[..., 1:-1] + -cross * y[..., 2:])
+
+    forward = intervals(g, dx)
+    backward = intervals(g[..., ::-1], dx[::-1])[..., ::-1]
+    pieces = np.empty(g.shape[:-1] + dx.shape, dtype=np.result_type(g, dx))
+    pieces[..., :-1:2] = forward[..., ::2]
+    pieces[..., 1::2] = backward[..., ::2]
+    pieces[..., -1] = backward[..., -1]
+    out = np.zeros(g.shape, dtype=pieces.dtype)
+    out[..., 1:] = np.cumsum(pieces, axis=-1) + 0.0  # initial=0 turns -0.0 into 0.0
+    return out
+
+
 def cumulative_integral(f: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Cumulative integral of f over [r[0], r[i]], Simpson in log space.
-
-    f may be complex; r must be a log grid.  Returns an array of the same
-    length as r with value 0 at the first node.
-    """
-    x = np.log(r)
-    g = f * r  # ds = s dx
-    if np.iscomplexobj(g):
-        return cumulative_simpson(g.real, x=x, initial=0.0) + 1j * cumulative_simpson(
-            g.imag, x=x, initial=0.0
-        )
-    return cumulative_simpson(g, x=x, initial=0.0)
+    """Integral of f over [r[0], r[i]] for every i, Simpson in log space;
+    f may be complex, r must be increasing."""
+    return _cumulative_simpson(f * r, np.log(r))  # ds = s dx
 
 
-def complement_cumulative(f: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Integral of f over [r[i], r[-1]] for every i, Simpson in log space.
-
-    Accumulated starting from the top node, so the value near r[-1] carries
-    only the local quadrature error.  Computing cum[-1] - cum[i] instead
-    cancels catastrophically when the integrand decays fast.
-    """
-    x = np.log(r)
-    g = (f * r)[::-1]
-    xr = -x[::-1]
-    if np.iscomplexobj(g):
-        out = cumulative_simpson(g.real, x=xr, initial=0.0) + 1j * cumulative_simpson(
-            g.imag, x=xr, initial=0.0
-        )
-    else:
-        out = cumulative_simpson(g, x=xr, initial=0.0)
-    return out[::-1]
-
-
-def _fit_power(r: np.ndarray, f: np.ndarray) -> tuple[float, float]:
-    """Fit f ~ C r^p on a window of same-sign real data; returns (C, p)."""
-    slope, intercept = np.polyfit(np.log(r), np.log(np.abs(f)), 1)
-    sign = np.sign(f[np.argmax(np.abs(f))])
-    return sign * np.exp(intercept), slope
-
-
-def _tail_fit_real(
-    r: np.ndarray, f: np.ndarray, lower: bool, scale: float
-) -> float:
-    """Closed-form tail integral of a real sampled power law.
-
-    ``lower``: integral over (0, r[0]); otherwise over (r[-1], +inf).
-    ``scale``: magnitude of the full array, used to detect a negligible tail.
-    """
+def _tail_fit_real(r: np.ndarray, f: np.ndarray, lower: bool, scale: float) -> float:
+    """Integral of the real power law f ~ C r^p fitted on the window r over
+    (0, r[0]) if ``lower``, else over (r[-1], +inf); ``scale``, the magnitude
+    of the whole integrand, tells when a tail is negligible."""
     window = np.abs(f)
     if window.max() <= 1e-300:
         return 0.0
@@ -88,59 +79,44 @@ def _tail_fit_real(
         if window.max() <= 1e-9 * scale:
             return 0.0
         raise TailFitError("tail window is not sign-definite; cannot extrapolate")
-    coef, p = _fit_power(r, f)
+    p, intercept = np.polyfit(np.log(r), np.log(window), 1)
+    coef = np.sign(f[np.argmax(window)]) * np.exp(intercept)
     diverges = (p <= -1.0) if lower else (p >= -1.0)
     if diverges:
         if window.max() <= 1e-13 * scale:
             # roundoff-level residue with a meaningless fitted exponent
             return 0.0
-        raise TailFitError(
-            f"{'lower' if lower else 'upper'} tail exponent {p:.3f} does not converge"
-        )
+        raise TailFitError(f"{'lower' if lower else 'upper'} tail exponent {p:.3f} "
+                           "does not converge")
     if lower:
         return coef * r[0] ** (p + 1) / (p + 1)
     return -coef * r[-1] ** (p + 1) / (p + 1)
 
 
-def tail_integral(
-    r: np.ndarray,
-    f: np.ndarray,
-    side: str = "lower",
-    scale: float | None = None,
-) -> complex | float:
-    """Estimate the missing tail of ``∫ f ds`` beyond the grid.
-
-    side="lower": integral over (0, r[0]) from a power-law fit of the first
-    TAIL_FIT_NODES nodes.  side="upper": integral over (r[-1], +inf) from
-    the last TAIL_FIT_NODES nodes.  Complex integrands are handled
-    componentwise.
-    """
-    if side not in ("lower", "upper"):
-        raise ValueError(f"unknown side {side!r}")
-    lower = side == "lower"
-    sl = slice(0, TAIL_FIT_NODES) if lower else slice(-TAIL_FIT_NODES, None)
-    rw, fw = r[sl], f[sl]
-    if scale is None:
-        scale = float(np.max(np.abs(f))) if len(f) else 0.0
-    if np.iscomplexobj(f):
-        return _tail_fit_real(rw, fw.real, lower, scale) + 1j * _tail_fit_real(
-            rw, fw.imag, lower, scale
-        )
-    return _tail_fit_real(rw, fw, lower, scale)
-
-
 def singular_integral(f: np.ndarray, r: np.ndarray, side: str,
                       scale: float | None = None) -> np.ndarray:
-    """Integral of f between the singular end and each node, closed beyond
-    the grid by the power-law tail: over (0, r[i]] for side="interior",
-    over [r[i], +inf) for side="exterior".  ``scale`` is passed to
-    ``tail_integral``.
+    """Integral of f between the singular end and each node, Simpson in log
+    space: over (0, r[i]] for side="interior", over [r[i], +inf) for
+    side="exterior".  Beyond the grid a power law fitted on the TAIL_FIT_NODES
+    end nodes closes it, real and imaginary parts apart; ``scale`` (default
+    max|f|) sets when a tail that fits no power law is negligible.
+
+    The exterior sum starts from the top node, so the value near r[-1] carries
+    only the local error; cum[-1] - cum[i] cancels when f decays fast.
     """
-    if side == "interior":
-        return tail_integral(r, f, side="lower", scale=scale) + cumulative_integral(f, r)
-    if side == "exterior":
-        return complement_cumulative(f, r) + tail_integral(r, f, side="upper", scale=scale)
-    raise ValueError(f"unknown side {side!r}")
+    if side not in ("interior", "exterior"):
+        raise ValueError(f"unknown side {side!r}")
+    lower = side == "interior"
+    window = slice(0, TAIL_FIT_NODES) if lower else slice(-TAIL_FIT_NODES, None)
+    rw, fw = r[window], f[window]
+    if scale is None:
+        scale = float(np.abs(f).max())
+    tail = _tail_fit_real(rw, fw.real, lower, scale)
+    if np.iscomplexobj(f):
+        tail = tail + 1j * _tail_fit_real(rw, fw.imag, lower, scale)
+    if lower:
+        return tail + cumulative_integral(f, r)
+    return _cumulative_simpson((f * r)[::-1], -np.log(r)[::-1])[::-1] + tail
 
 
 def log_derivative(f: np.ndarray, r: np.ndarray) -> np.ndarray:

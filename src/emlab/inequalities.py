@@ -201,7 +201,7 @@ def _ball_integral(r: np.ndarray, f: np.ndarray, radius: float) -> float:
     """int_0^radius f ds: quadrature to the grid node nearest the radius,
     closed below r[0] by the power-law tail."""
     i = grids.nearest_index(r, min(radius, r[-1]))
-    return float(grids.singular_integral(f, r, "interior", float(np.abs(f).max()))[i])
+    return float(grids.singular_integral(f, r, "interior")[i])
 
 
 def _check_support(tf: Product | FieldSample, r: float) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -109,7 +109,6 @@ class Scenario:
     checks: dict
     sweep_count: int
     seed: int
-    raw: dict = dc_field(repr=False, default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -184,6 +183,15 @@ def _radial_bounds(side: str, R: float, rmin_ratio: float, span: float):
     return (R * rmin_ratio, R) if side == "interior" else (R, R * span)
 
 
+def _asymptotics_radii(side: str, R: float):
+    """``(second, blowup)``: the second radius the profile is extracted at and
+    the blow-up scales of a perturbed field, R/2 and 1e-4 R..1e-2 R inside,
+    2R and 1e2 R..1e4 R outside."""
+    if side == "interior":
+        return R / 2, np.geomspace(1e-4 * R, 1e-2 * R, 8)
+    return 2 * R, np.geomspace(1e2 * R, 1e4 * R, 8)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a scenario document and fill defaults."""
     _validate(isinstance(doc, dict), "scenario must be a JSON object")
@@ -207,12 +215,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     pert = doc.get("perturbation")
     side = doc.get("side", "interior")
     _validate(side in ("interior", "exterior"), f"unknown side {side!r}")
+    amplitude = 0j
     if pert is not None:
         _object(pert, "perturbation")
         eps = _number(pert.get("epsilon", 0.5), "perturbation.epsilon")
         _validate(np.isfinite(eps) and eps > 0,
                   "perturbation decay offset epsilon must be > 0 (|x|^(-2 +- eps))")
-        _number(pert.get("amplitude", 0.0), "perturbation.amplitude", _as_complex)
+        amplitude = _number(pert.get("amplitude", 0.0), "perturbation.amplitude", _as_complex)
         pert = dict(pert)
         pert.setdefault("side", side)
         _validate(pert["side"] == side, "perturbation side must match the scenario side")
@@ -276,6 +285,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _validate(name in DEFAULT_CHECKS,
                   f"unknown check toggle {name!r}; valid: {sorted(DEFAULT_CHECKS)}")
         checks[name] = bool(toggle)
+    if checks["asymptotics"]:
+        second, blowup = _asymptotics_radii(side, R)
+        read = np.append(second, blowup if amplitude != 0 else [])
+        outside = read[(read < lo) | (read > hi)]
+        _validate(outside.size == 0,
+                  f"the asymptotics check reads radii {', '.join(f'{v:g}' for v in outside)}"
+                  f" outside the radial grid [{lo:g}, {hi:g}]")
 
     sweep_count = _number(doc.get("sweep_count", 50), "sweep_count", int)
     _validate(sweep_count >= 1, "sweep_count must be >= 1")
@@ -297,7 +313,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         checks=checks,
         sweep_count=sweep_count,
         seed=seed,
-        raw=doc,
     )
 
 
@@ -404,7 +419,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
     t0 = time.perf_counter()
     validate_options(tol_scale, seed, out_dir)
     if seed is not None:
-        scn = scenario_from_dict({**scn.raw, "seed": int(seed)})
+        scn = replace(scn, seed=int(seed))
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -459,7 +474,8 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
             field, h, _ = pipe.solution
             k0, gamma = pipe.target
             p1 = pipe.profile(R)
-            p2 = pipe.profile(R / 2 if interior else 2 * R)
+            second, blowup = _asymptotics_radii(scn.side, R)
+            p2 = pipe.profile(second)
             report["profile"] = p1.to_json()
             add("beta_r_independence", float(np.abs(p1.beta - p2.beta).max()))
             if h is None and len(scn.boundary_values) == 1:
@@ -467,9 +483,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
                 add("beta_unit", abs(beta - scn.boundary_values[k0]
                                      * R ** (-gamma if interior else gamma)))
             if h is not None:
-                lams = (np.geomspace(1e-4 * R, 1e-2 * R, 8) if interior
-                        else np.geomspace(1e2 * R, 1e4 * R, 8))
-                blow = blowup_profile(field, gamma, lams, h, profile=p1)
+                blow = blowup_profile(field, gamma, blowup, h, profile=p1)
                 report["blowup_rate"] = blow["rate"]
                 if np.isfinite(blow["rate"]):
                     add("blowup_rate", (blow["rate"] - h.epsilon) / h.epsilon)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,12 @@ class TestVerifySuite:
         with pytest.raises(ScenarioValidationError, match="hardy"):
             verify_suite(scn, names=["nonsense"])
 
+    def test_seed_keeps_the_other_fields(self):
+        scn = replace(parse_scenario(SCENARIOS / "verify_only.json"), sweep_count=3)
+        report = verify_suite(scn, names=["hardy"], seed=scn.seed)
+        assert report["margins"]["hardy"]["count"] == 3
+        assert report["scenario"]["sweep_count"] == 3
+
 
 #: the subcommands that report one pipeline stage
 FIELD_COMMANDS = ("spectrum", "solve", "frequency", "asymptotics", "kelvin")
@@ -272,6 +279,35 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["scenario"]["seed"] == 7
+
+    @pytest.mark.parametrize("shipped, over, named", [
+        ("ab_basic.json", {"grid": {"rmin_ratio": 1e-3}, "radii": [0.01, 0.1, 0.5]},
+         "radii 0.0001, "),
+        ("exterior_kelvin.json", {"grid": {"exterior_span": 50}, "radii": [1.1, 1.3, 1.8]},
+         "radii 100, "),
+        ("ab_basic.json", {"perturbation": None, "grid": {"rmin_ratio": 0.6},
+                           "radii": [0.7, 0.9]}, "radii 0.5 "),
+    ], ids=["blowup_inside", "blowup_outside", "second_radius"])
+    def test_asymptotics_radii_off_the_grid_are_usage_errors(self, tmp_path, capsys,
+                                                             shipped, over, named):
+        doc = {**json.loads((SCENARIOS / shipped).read_text()), **over,
+               "checks": {**dict.fromkeys(DEFAULT_CHECKS, False), "asymptotics": True}}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(cfg), "run"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("emlab: ") and "Traceback" not in err
+        assert named in err and "grid [" in err
+
+    def test_unperturbed_asymptotics_reads_no_blowup_radii(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps(minimal_doc(
+            grid={"rmin_ratio": 1e-3, "nodes": 400}, radii=[0.01, 0.1, 0.5],
+            checks={**dict.fromkeys(DEFAULT_CHECKS, False), "asymptotics": True})))
+        assert cli_main(["--config", str(cfg), "run"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
     def test_all_zero_boundary_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "zero.json"
@@ -560,14 +596,30 @@ class TestModalFirst:
         assert report["margins"]["hardy2d_constant"] == hardy_2d_constant_check(standalone)
 
 
+def source_env() -> dict:
+    """The environment of a fresh interpreter that imports emlab from src."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def run_cli(tmp_path, doc, command="run"):
     """``emlab --config <doc> <command>`` in a fresh interpreter."""
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(doc))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-m", "emlab.cli", "--config", str(cfg), command],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=source_env(), timeout=120)
+
+
+def test_shipped_runs_import_no_scipy_integrate():
+    # radial quadrature is emlab's own (grids._cumulative_simpson)
+    code = ("import sys, emlab\n"
+            f"for path in {sorted(str(p) for p in SCENARIOS.glob('*.json'))!r}:\n"
+            "    emlab.run_scenario(emlab.parse_scenario(path))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=source_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
@@ -730,8 +782,8 @@ def test_any_small_document_through_the_cli_exits_0_1_or_2(doc, command):
 
 class TestTolScale:
     def test_every_tolerance_scales(self):
-        scn = parse_scenario(SCENARIOS / "ab_basic.json")
-        scn = scenario_from_dict({**scn.raw, "sweep_count": 5,
+        doc = json.loads((SCENARIOS / "ab_basic.json").read_text())
+        scn = scenario_from_dict({**doc, "sweep_count": 5,
                                   "checks": dict.fromkeys(DEFAULT_CHECKS, True)})
         report = run_scenario(scn, tol_scale=2.0)
         rows = {c["name"]: c["tolerance"] for c in report["checks"]}
