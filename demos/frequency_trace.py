@@ -31,7 +31,7 @@ print(f"Picard iteration: converged = {info['converged']} "
 print("  residuals:", ["%.1e" % v for v in info["residuals"]])
 
 radii = np.geomspace(1e-5, 0.5, 10)
-tr = frequency_trace(field, h, radii)
+tr = frequency_trace(field, radii)  # D(r) reads h from the field
 print("\n        r            N(r)")
 for ri, ni in zip(tr.r, tr.N):
     print(f"  {ri:12.4e}  {ni:.12f}")
@@ -45,4 +45,4 @@ print(f"\nH(r) ~ r^(2 gamma): log-log slope = {scaling['slope']:.8f}, "
       f"drift of r^-2gamma H = {scaling['drift']:.2e}")
 
 print(f"D = r H'/2 residual: {check_height_derivative(tr):.2e}")
-print(f"Pohozaev residual at r = 0.3: {pohozaev_residual(field, h, 0.3):.2e}")
+print(f"Pohozaev residual at r = 0.3: {pohozaev_residual(field, 0.3):.2e}")

@@ -24,14 +24,15 @@ r = grids.log_grid(1.0, 1e8, 3000)
 field, info = solve_perturbed_field(spectrum, h, {1: 1.0}, r)
 print("exterior Picard solve converged:", info["converged"])
 
-tr = frequency_trace(field, h, np.geomspace(2.0, 1e5, 12))
+tr = frequency_trace(field, np.geomspace(2.0, 1e5, 12))
 print(f"decay exponent fit: gamma_tilde = {tr.gamma_hat:.10f} (exact 0.3)")
 
 for R in (1.0, 2.0, 4.0):
-    prof = extract_coefficients(field, 0.3, R, h)
+    prof = extract_coefficients(field, 0.3, R)
     print(f"  R = {R}: beta_tilde = {prof.beta}")
 
-v = kelvin_transform(field)
+v = kelvin_transform(field)  # carries h with its side flipped to "interior"
+print("Kelvin image perturbation side:", v.perturbation.side)
 back = kelvin_transform(v)
 inv = np.abs(back.values - field.values).max() / np.abs(field.values).max()
 print(f"\ndouble Kelvin transform defect: {inv:.2e}")
@@ -39,8 +40,8 @@ print(f"\ndouble Kelvin transform defect: {inv:.2e}")
 # compare N at reciprocal radii; reuse the snapped grid radii of the
 # exterior trace so both traces sample identical points.  Both traces are
 # stored toward their singular limit, so rows pair up directly.
-tr_u = frequency_trace(field, None, np.geomspace(2.0, 1e4, 8))
-tr_v = frequency_trace(v, None, np.sort(1.0 / tr_u.r))
+tr_u = frequency_trace(field, np.geomspace(2.0, 1e4, 8))
+tr_v = frequency_trace(v, np.sort(1.0 / tr_u.r))
 print("\n     r          N_u(r)        N_v(1/r) + (N-2)")
 for ru, nu, nv in zip(tr_u.r, tr_u.N, tr_v.N):
     print(f"  {ru:10.3e}  {nu:.10f}  {nv:.10f}")

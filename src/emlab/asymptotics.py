@@ -23,7 +23,6 @@ from .errors import (
 from .modal import (
     FieldSample,
     ModalSolution,
-    PerturbationSpec,
     characteristic_exponents,
     modal_stack,
     synthesize_field,
@@ -108,8 +107,7 @@ class AsymptoticProfile:
         }
 
 
-def extract_coefficients(field: FieldSample, gamma: float, R: float,
-                         h: PerturbationSpec | None = None) -> AsymptoticProfile:
+def extract_coefficients(field: FieldSample, gamma: float, R: float) -> AsymptoticProfile:
     """Coefficients beta_i on the eigenspace matched by gamma.
 
     With g = gamma inside, g = -gamma outside and d = 2 g + N - 2,
@@ -130,7 +128,7 @@ def extract_coefficients(field: FieldSample, gamma: float, R: float,
     r = field.r
     iR = grids.nearest_index(r, R)
     R = r[iR]
-    phi, _, zeta = modal_stack(field, h)
+    phi, _, zeta = modal_stack(field)
     # outside, the integral from infinity to R is minus the one over [R, inf)
     orient = 1.0 if side == "interior" else -1.0
     beta = np.zeros(m, dtype=complex)
@@ -158,7 +156,6 @@ def _rate_fit(side: str, lams: np.ndarray, dists: np.ndarray, floor: float) -> f
 
 
 def blowup_profile(field: FieldSample, gamma: float, lams,
-                   h: PerturbationSpec | None = None,
                    profile: AsymptoticProfile | None = None) -> dict:
     """Rescaled angular slices against the limiting eigenspace combination.
 
@@ -170,7 +167,7 @@ def blowup_profile(field: FieldSample, gamma: float, lams,
     spectrum = field.spectrum
     if profile is None:
         R0 = field.r[-1] if field.side == "interior" else field.r[0]
-        profile = extract_coefficients(field, gamma, R0, h)
+        profile = extract_coefficients(field, gamma, R0)
     target = profile.angular_values(spectrum, *field.angular_nodes)
     g = gamma if field.side == "interior" else -gamma
     rows = [grids.nearest_index(field.r, lam) for lam in lams]
@@ -193,7 +190,6 @@ def blowup_profile(field: FieldSample, gamma: float, lams,
 
 
 def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
-                            h: PerturbationSpec | None = None,
                             profile: AsymptoticProfile | None = None) -> dict:
     """Rescaled gradients against beta-weighted (exponent psi theta + grad psi).
 
@@ -206,7 +202,7 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
     spectrum = field.spectrum
     if profile is None:
         R0 = field.r[-1] if field.side == "interior" else field.r[0]
-        profile = extract_coefficients(field, gamma, R0, h)
+        profile = extract_coefficients(field, gamma, R0)
     g = gamma if field.side == "interior" else -gamma
     target_rad = 0
     target_ang = [0] * (field.dimension - 1)
@@ -236,8 +232,10 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
 def kelvin_transform(field: FieldSample) -> FieldSample:
     """v(x) = |x|^{2-N} u(x/|x|^2) on the inverted radial grid.
 
-    Exchanges interior and exterior samples; applied twice it is the
-    identity.  Modal data is transformed exactly:
+    Exchanges interior and exterior samples and the side of the field's
+    perturbation, since |y|^-4 h(y/|y|^2) = c|y|^(-2 -+ eps) g for
+    h = c|x|^(-2 +- eps) g; applied twice it is the identity.  Modal data is
+    transformed exactly:
 
         phi_v(t) = t^{2-N} phi_u(1/t),
         zeta_v(t) = t^{-2-N} zeta_u(1/t).
@@ -246,6 +244,7 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
     r = field.r
     t = 1.0 / r[::-1]
     new_side = "exterior" if field.side == "interior" else "interior"
+    h = None if field.perturbation is None else replace(field.perturbation, side=new_side)
     if field.modal is not None and field.spectrum is not None:
         new_sols = {
             k: ModalSolution(
@@ -257,7 +256,7 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
             )
             for k, sol in field.modal.items()
         }
-        return synthesize_field(field.spectrum, new_sols)
+        return synthesize_field(field.spectrum, new_sols, h)
     factor = (t ** (2 - N))[:, None]
     values = factor * field.values[::-1]
     du_dr = None
@@ -268,4 +267,4 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
     if field.angular_gradient is not None:
         ang = tuple(factor * comp[::-1] for comp in field.angular_gradient)
     return replace(field, r=t, values=values, du_dr=du_dr,
-                   angular_gradient=ang, modal=None, side=new_side)
+                   angular_gradient=ang, modal=None, side=new_side, perturbation=h)

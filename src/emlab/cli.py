@@ -85,7 +85,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             _emit(pipe.spectrum.to_json(), args.out, "spectrum.json")
         elif args.command == "solve":
-            field, _, info = pipe.solution
+            field, info = pipe.solution
             doc = {
                 "converged": info["converged"],
                 "iterations": info["iterations"],

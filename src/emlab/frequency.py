@@ -29,7 +29,7 @@ from scipy.optimize import curve_fit
 
 from . import grids
 from .errors import DegenerateSolutionError, NumericalFailureError, TailFitError
-from .modal import FieldSample, PerturbationSpec, modal_stack
+from .modal import FieldSample, modal_stack
 
 #: nodes next to each grid edge excluded from fits and residual scans
 EDGE_EXCLUSION = 5
@@ -129,14 +129,13 @@ class FrequencyTrace:
                 "drift": float(np.ptp(self.dense_N))}
 
 
-def frequency_trace(field: FieldSample, h: PerturbationSpec | None,
-                    radii) -> FrequencyTrace:
+def frequency_trace(field: FieldSample, radii) -> FrequencyTrace:
     """N(r) = D(r)/H(r) at the requested radii, with the window of the
     fitted limit."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     N_dim = field.dimension
     r = field.r
-    phi, dphi, zeta = modal_stack(field, h)
+    phi, dphi, zeta = modal_stack(field)
     mu = field.spectrum.eigenvalues
     H = np.sum(np.abs(phi) ** 2, axis=0)
     f = r ** (N_dim - 1) * _energy_density(mu, phi, dphi, zeta, r)
@@ -184,7 +183,7 @@ def check_height_derivative(trace: FrequencyTrace) -> float:
     return float(resid[mask].max())
 
 
-def pohozaev_residual(field: FieldSample, h: PerturbationSpec | None, r: float) -> float:
+def pohozaev_residual(field: FieldSample, r: float) -> float:
     """Normalized defect of the Pohozaev identity at radius r.
 
     In modal form the identity reads
@@ -202,7 +201,7 @@ def pohozaev_residual(field: FieldSample, h: PerturbationSpec | None, r: float) 
     """
     N_dim = field.dimension
     rg = field.r
-    phi, dphi, zeta = modal_stack(field, h)
+    phi, dphi, zeta = modal_stack(field)
     mu = field.spectrum.eigenvalues
     i = grids.nearest_index(rg, r)
     ri = rg[i]

@@ -23,9 +23,11 @@ from .errors import (
     AliasingError,
     DegenerateIndicialError,
     DegenerateSolutionError,
+    EmlabError,
     ForcingTooSingularError,
     GridMismatchError,
     IndefiniteFormError,
+    NumericalFailureError,
 )
 
 #: Picard stops once successive fields agree to this fraction of their sup norm
@@ -76,7 +78,8 @@ class PerturbationSpec:
     side="interior" uses the exponent -2 + eps (h vanishes relative to the
     inverse square scale at 0); side="exterior" uses -2 - eps (decay at
     infinity).  The angular factor g is a real trig polynomial on the circle;
-    on the sphere only a constant factor is supported.
+    on the sphere only a constant factor is supported.  Every value is
+    checked here; each error message starts with the entry it names.
     """
 
     amplitude: complex = 0.0
@@ -85,12 +88,19 @@ class PerturbationSpec:
     side: str = "interior"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("perturbation exponent offset eps must be > 0")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if self.side not in ("interior", "exterior"):
-            raise ValueError(f"unknown side {self.side!r}")
+            raise ValueError(f"side must be 'interior' or 'exterior', got {self.side!r}")
         if self.angular is not None and not isinstance(self.angular, np.ndarray):
-            object.__setattr__(self, "angular", _coeff_array(self.angular))
+            try:
+                object.__setattr__(self, "angular", _coeff_array(self.angular))
+            except (TypeError, ValueError, OverflowError, EmlabError) as exc:
+                raise ValueError(f"angular: {exc}") from None
+        if self.angular is not None and not np.isfinite(self.angular).all():
+            raise ValueError("angular coefficients must be finite")
 
     @property
     def radial_exponent(self) -> float:
@@ -105,19 +115,6 @@ class PerturbationSpec:
         if len(nodes) != 1:
             raise GridMismatchError("trig angular factors are circle-only")
         return _eval_trig(self.angular, nodes[0])
-
-
-def perturbation_from_descriptor(desc: dict) -> PerturbationSpec:
-    amp = desc.get("amplitude", 0.0)
-    if isinstance(amp, (list, tuple)):
-        amp = complex(amp[0], amp[1])
-    angular = desc.get("angular")
-    return PerturbationSpec(
-        amplitude=complex(amp),
-        epsilon=float(desc.get("epsilon", 0.5)),
-        angular=None if angular is None else _coeff_array(angular),
-        side=desc.get("side", "interior"),
-    )
 
 
 @dataclass(frozen=True)
@@ -295,6 +292,7 @@ class FieldSample:
     modal: dict | None = None  # mode index -> ModalSolution
     spectrum: AngularSpectrum | None = None
     side: str = "interior"
+    perturbation: PerturbationSpec | None = None  # the h of L u = h u solved; None: h = 0
 
     def __post_init__(self):
         values = self.__dict__["values"]
@@ -337,9 +335,10 @@ class FieldSample:
         )
 
 
-def synthesize_field(spectrum: AngularSpectrum, solutions: dict) -> FieldSample:
-    """u(r, theta) = sum_k phi_k(r) psi_k(theta) on the shared product grid;
-    the nodal arrays are summed when first read."""
+def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
+                     perturbation: PerturbationSpec | None = None) -> FieldSample:
+    """u(r, theta) = sum_k phi_k(r) psi_k(theta) on the shared product grid,
+    solving L u = h u for h = ``perturbation``; nodal arrays are summed later."""
     sols = list(solutions.values())
     if not sols:
         raise ValueError("no modal solutions supplied")
@@ -352,15 +351,16 @@ def synthesize_field(spectrum: AngularSpectrum, solutions: dict) -> FieldSample:
         dimension=spectrum.potential.dimension,
         r=r, angular_nodes=tuple(nodes), angular_weights=w, values=None,
         modal=dict(solutions), spectrum=spectrum, side=sols[0].side,
+        perturbation=perturbation,
     )
 
 
-def modal_stack(field: FieldSample, h: PerturbationSpec | None = None):
+def modal_stack(field: FieldSample):
     """(phi, dphi, zeta) arrays of shape (K, n_r), K = spectrum.count.
 
     A synthesized field returns its attached profiles.  Sampled data is
     projected onto the modes: derivatives from the du_dr samples or, without
-    them, by log-grid finite differences; forcings from ``h`` (zero without).
+    them, by log-grid finite differences; forcings from its perturbation.
     """
     spectrum = field.spectrum
     if spectrum is None:
@@ -371,20 +371,19 @@ def modal_stack(field: FieldSample, h: PerturbationSpec | None = None):
         for k, sol in field.modal.items():
             phi[k - 1], dphi[k - 1], zeta[k - 1] = sol.phi, sol.dphi, sol.zeta
         return phi, dphi, zeta
-    phi = project_onto_modes(field, spectrum)
+    phi = project_onto_modes(field)
     dphi = (grids.log_derivative(phi.T, field.r).T if field.du_dr is None
-            else project_onto_modes(field, spectrum, data=field.du_dr))
-    zeta = (np.zeros(shape, dtype=complex) if h is None
-            else perturbation_samples(h, field, spectrum))
+            else project_onto_modes(field, data=field.du_dr))
+    zeta = (np.zeros(shape, dtype=complex) if field.perturbation is None
+            else perturbation_samples(field))
     return phi, dphi, zeta
 
 
-def project_onto_modes(field: FieldSample, spectrum: AngularSpectrum,
-                       data: np.ndarray | None = None,
+def project_onto_modes(field: FieldSample, data: np.ndarray | None = None,
                        weights: np.ndarray | None = None) -> np.ndarray:
     """Per-mode radial profiles phi_k(r_i) by angular quadrature.
 
-    Returns an array (K, n_r).  `data` defaults to the field values; pass
+    Returns an array (K, n_r) over the field's spectrum.  `data` defaults to the field values; pass
     another array on the same grid to project it instead.  `weights`
     defaults to the field's angular quadrature weights; pass w*g to project
     g*data without forming it.  A synthesized field in one mode whose
@@ -392,6 +391,7 @@ def project_onto_modes(field: FieldSample, spectrum: AngularSpectrum,
     a time (``PROJECTION_BLOCK_BYTES``), so no (n_r, n_nodes) array is
     built; the sup norm of such a field is modal too (``sup_norm``).
     """
+    spectrum = field.spectrum
     n_nodes = len(field.angular_nodes[0])
     if n_nodes <= 2 * spectrum.truncation:
         raise AliasingError(
@@ -425,12 +425,12 @@ def _row_blocks(n_r: int, n_nodes: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def perturbation_samples(h: PerturbationSpec, field: FieldSample,
-                         spectrum: AngularSpectrum) -> np.ndarray:
-    """Forcing coefficients zeta_k(r_i) of h*u, shape (K, n_r); the angular
-    factor g is folded into the quadrature weights."""
+def perturbation_samples(field: FieldSample) -> np.ndarray:
+    """Forcing coefficients zeta_k(r_i) of h*u, h the field's perturbation,
+    shape (K, n_r); the angular factor g is folded into the weights."""
+    h = field.perturbation
     g = h.angular_factor(*field.angular_nodes)
-    zeta = project_onto_modes(field, spectrum, weights=field.angular_weights * g)
+    zeta = project_onto_modes(field, weights=field.angular_weights * g)
     return zeta * h.radial_factor(field.r)[None, :]
 
 
@@ -490,8 +490,9 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
     sup norms are read from its profiles (``sup_norm``) and the forcing
     projection sums the values by row blocks, so no iteration builds a whole
     nodal array; with several modes the next iterate's values are built for
-    the residual and reused by the next projection.  Returns (FieldSample,
-    info dict).
+    the residual and reused by the next projection.  Returns (FieldSample
+    carrying h, info dict); a forcing that overflows raises
+    NumericalFailureError.
     """
     _check_modes(spectrum, boundary_values)
     N = spectrum.potential.dimension
@@ -499,11 +500,14 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
     K = spectrum.count
     exps = {k: characteristic_exponents(N, spectrum.mu(k), k) for k in range(1, K + 1)}
     bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
-    field = synthesize_field(spectrum, homogeneous_solutions(spectrum, bvals, r, side=side))
+    field = synthesize_field(spectrum, homogeneous_solutions(spectrum, bvals, r, side=side), h)
     zero = _frozen(np.zeros_like(r, dtype=complex))
     residuals = []
     for _ in range(PICARD_MAX_ITER):
-        zeta = perturbation_samples(h, field, spectrum)
+        with np.errstate(all="ignore"):
+            zeta = perturbation_samples(field)
+        if not np.isfinite(zeta).all():
+            raise NumericalFailureError(f"the forcing of amplitude {h.amplitude:g} overflows")
         # modes carrying only projection roundoff are treated as unforced
         zmax = np.abs(zeta).max()
         new_field = synthesize_field(spectrum, {
@@ -513,7 +517,7 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
                 bvals[k], r, side=side,
             )
             for k in range(1, K + 1)
-        })
+        }, h)
         resid = sup_norm(new_field, field)
         residuals.append(resid)
         field = new_field

@@ -41,9 +41,9 @@ from .frequency import (
 )
 from .inequalities import hardy_2d_constant_check, inequality_sweep, mu1_comparison
 from .modal import (
+    PerturbationSpec,
     characteristic_exponents,
     homogeneous_solutions,
-    perturbation_from_descriptor,
     solve_perturbed_field,
     sup_norm,
     synthesize_field,
@@ -163,6 +163,17 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _perturbation(desc: dict) -> PerturbationSpec:
+    """The spec of a perturbation entry; its errors name the entry."""
+    amplitude = _number(desc.get("amplitude", 0.0), "perturbation.amplitude", _as_complex)
+    epsilon = _number(desc.get("epsilon", 0.5), "perturbation.epsilon")
+    try:
+        return PerturbationSpec(amplitude=amplitude, epsilon=epsilon,
+                                angular=desc.get("angular"), side=desc.get("side", "interior"))
+    except ValueError as exc:
+        raise ScenarioValidationError(f"perturbation.{exc}") from None
+
+
 def validate_options(tol_scale: float = 1.0, seed: int | None = None,
                      out_dir=None) -> None:
     """Reject run options that fit no scenario: a ``tol_scale`` that is not
@@ -215,20 +226,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     pert = doc.get("perturbation")
     side = doc.get("side", "interior")
     _validate(side in ("interior", "exterior"), f"unknown side {side!r}")
-    amplitude = 0j
     if pert is not None:
-        _object(pert, "perturbation")
-        eps = _number(pert.get("epsilon", 0.5), "perturbation.epsilon")
-        _validate(np.isfinite(eps) and eps > 0,
-                  "perturbation decay offset epsilon must be > 0 (|x|^(-2 +- eps))")
-        amplitude = _number(pert.get("amplitude", 0.0), "perturbation.amplitude", _as_complex)
-        pert = dict(pert)
-        pert.setdefault("side", side)
-        _validate(pert["side"] == side, "perturbation side must match the scenario side")
-        try:
-            perturbation_from_descriptor(pert)
-        except (TypeError, ValueError, EmlabError) as exc:
-            raise ScenarioValidationError(f"perturbation.angular: {exc}") from None
+        pert = {"side": side, **_object(pert, "perturbation")}
+    amplitude = 0 if pert is None else _perturbation(pert).amplitude
+    _validate(pert is None or pert["side"] == side, "perturbation.side must be the scenario side")
 
     boundary = _object(doc.get("boundary", {}), "boundary")
     R = _number(boundary.get("radius", 1.0), "boundary radius")
@@ -317,13 +318,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def parse_scenario(path) -> Scenario:
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ScenarioValidationError(f"{path}: unreadable scenario: {exc}") from None
     return scenario_from_dict(doc)
 
 
@@ -354,19 +356,17 @@ class Pipeline:
 
     @cached_property
     def solution(self):
-        """``(field, h, info)`` on the scenario's radial grid; ``h`` is None
-        and ``info`` trivial when there is no nonzero perturbation."""
+        """``(field, info)`` on the scenario's radial grid; the field carries
+        its perturbation, and ``info`` is trivial without a nonzero one."""
         scn = self.scn
         r = grids.log_grid(*_radial_bounds(scn.side, scn.boundary_radius, scn.rmin_ratio,
                                            scn.exterior_span), scn.grid_nodes)
-        if scn.perturbation is not None and _as_complex(
-                scn.perturbation.get("amplitude", 0.0)) != 0:
-            h = perturbation_from_descriptor(scn.perturbation)
-            field, info = solve_perturbed_field(self.spectrum, h, scn.boundary_values, r)
-            return field, h, info
+        h = None if scn.perturbation is None else _perturbation(scn.perturbation)
+        if h is not None and h.amplitude != 0:
+            return solve_perturbed_field(self.spectrum, h, scn.boundary_values, r)
         sols = homogeneous_solutions(self.spectrum, scn.boundary_values, r, side=scn.side)
         info = {"iterations": 0, "residuals": [], "converged": True}
-        return synthesize_field(self.spectrum, sols), None, info
+        return synthesize_field(self.spectrum, sols), info
 
     @cached_property
     def target(self) -> tuple[int, float]:
@@ -378,12 +378,10 @@ class Pipeline:
 
     @cached_property
     def trace(self):
-        field, h, _ = self.solution
-        return frequency_trace(field, h, self.scn.radii)
+        return frequency_trace(self.solution[0], self.scn.radii)
 
     def profile(self, R: float):
-        field, h, _ = self.solution
-        return extract_coefficients(field, self.target[1], R, h)
+        return extract_coefficients(self.solution[0], self.target[1], R)
 
     @cached_property
     def kelvin(self) -> tuple[float, float]:
@@ -395,7 +393,7 @@ class Pipeline:
         inv = sup_norm(back, field) / max(sup_norm(field), 1e-300)
         tr_u = self.trace
         # mirror the snapped radii so both traces use reciprocal grid nodes
-        tr_v = frequency_trace(v, None, np.sort(1.0 / tr_u.r))
+        tr_v = frequency_trace(v, np.sort(1.0 / tr_u.r))
         outer, inner = (tr_v, tr_u) if self.scn.side == "exterior" else (tr_u, tr_v)
         shift = self.scn.dimension - 2
         return inv, float(np.abs(np.sort(outer.N) - (np.sort(inner.N) - shift)).max())
@@ -441,7 +439,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
             report["spectrum"] = pipe.spectrum.to_json()
 
         if "solve" in names:
-            info = pipe.solution[2]
+            info = pipe.solution[1]
             report["solver"] = {"iterations": info["iterations"],
                                 "converged": info["converged"]}
             # a 0/1 flag: Picard's own tolerance is modal.PICARD_TOL
@@ -455,7 +453,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
         if "frequency" in names:
             trace = pipe.trace
             report["frequency"] = trace.fit_summary()
-            gamma, h = pipe.target[1], pipe.solution[1]
+            gamma, h = pipe.target[1], pipe.solution[0].perturbation
             add("gamma_fit", trace.gamma_hat - gamma)
             if h is not None and np.isfinite(trace.eps_hat):
                 add("eps_rate", (trace.eps_hat - h.epsilon) / h.epsilon)
@@ -468,10 +466,10 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
             add("height_derivative", check_height_derivative(pipe.trace))
         if "pohozaev" in names:
             r_mid = float(np.sqrt(scn.radii.min() * scn.radii.max()))
-            add("pohozaev", pohozaev_residual(*pipe.solution[:2], r_mid))
+            add("pohozaev", pohozaev_residual(pipe.solution[0], r_mid))
 
         if "asymptotics" in names:
-            field, h, _ = pipe.solution
+            h = pipe.solution[0].perturbation
             k0, gamma = pipe.target
             p1 = pipe.profile(R)
             second, blowup = _asymptotics_radii(scn.side, R)
@@ -483,7 +481,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
                 add("beta_unit", abs(beta - scn.boundary_values[k0]
                                      * R ** (-gamma if interior else gamma)))
             if h is not None:
-                blow = blowup_profile(field, gamma, blowup, h, profile=p1)
+                blow = blowup_profile(pipe.solution[0], gamma, blowup, profile=p1)
                 report["blowup_rate"] = blow["rate"]
                 if np.isfinite(blow["rate"]):
                     add("blowup_rate", (blow["rate"] - h.epsilon) / h.epsilon)

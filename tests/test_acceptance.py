@@ -94,7 +94,7 @@ def test_ac03_frequency_constancy(ab_spectrum, radial_grid, dense_grid,
         sols = homogeneous_solutions(sp, {k0: 1.0}, grid)
         field = synthesize_field(sp, sols)
         gamma = sols[k0].exponents.sigma_plus
-        tr = frequency_trace(field, None, RADII)
+        tr = frequency_trace(field, RADII)
         worst = max(worst, float(np.abs(tr.N - gamma).max()))
     _report("AC03 frequency constancy on homogeneous modes", worst <= 1e-10,
             f"max |N(r) - gamma| {worst:.2e}, tol 1e-10, 4 potential/mode cases")
@@ -103,7 +103,7 @@ def test_ac03_frequency_constancy(ab_spectrum, radial_grid, dense_grid,
 def test_ac04_perturbed_limit_and_rate(ab_perturbed, eps10_perturbed):
     worst_g, worst_e = 0.0, 0.0
     for field, h in (ab_perturbed, eps10_perturbed):
-        tr = frequency_trace(field, h, RADII)
+        tr = frequency_trace(field, RADII)
         worst_g = max(worst_g, abs(tr.gamma_hat - 0.3))
         worst_e = max(worst_e, abs(tr.eps_hat - h.epsilon) / h.epsilon)
     ok = worst_g <= 1e-5 and worst_e <= 0.1
@@ -113,9 +113,9 @@ def test_ac04_perturbed_limit_and_rate(ab_perturbed, eps10_perturbed):
 
 
 def test_ac05_beta_radius_independence(ab_spectrum, radial_grid, ab_perturbed):
-    field, h = ab_perturbed
-    p1 = extract_coefficients(field, 0.3, 1.0, h)
-    p2 = extract_coefficients(field, 0.3, 0.5, h)
+    field = ab_perturbed[0]
+    p1 = extract_coefficients(field, 0.3, 1.0)
+    p2 = extract_coefficients(field, 0.3, 0.5)
     drift = float(np.abs(p1.beta - p2.beta).max())
     sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
     hom = synthesize_field(ab_spectrum, sols)
@@ -129,8 +129,8 @@ def test_ac05_beta_radius_independence(ab_spectrum, radial_grid, ab_perturbed):
 def test_ac06_blowup_profiles(ab_perturbed):
     field, h = ab_perturbed
     lams = np.geomspace(1e-6, 1e-2, 12)
-    rate_u = blowup_profile(field, 0.3, lams, h)["rate"]
-    rate_g = gradient_blowup_profile(field, 0.3, lams, h)["rate"]
+    rate_u = blowup_profile(field, 0.3, lams)["rate"]
+    rate_g = gradient_blowup_profile(field, 0.3, lams)["rate"]
     du = abs(rate_u - h.epsilon) / h.epsilon
     dg = abs(rate_g - h.epsilon) / h.epsilon
     ok = du <= 0.1 and dg <= 0.1
@@ -142,18 +142,17 @@ def test_ac07_identities(ab_spectrum, dipole_spectrum, radial_grid,
                          ab_perturbed, ab_exterior_perturbed, rng):
     fields = []
     sols = homogeneous_solutions(ab_spectrum, {1: 1.0, 2: 0.5}, radial_grid)
-    fields.append((synthesize_field(ab_spectrum, sols), None, 0.3))
+    fields.append((synthesize_field(ab_spectrum, sols), 0.3))
     dsols = homogeneous_solutions(dipole_spectrum, {2: 1.0}, radial_grid)
-    fields.append((synthesize_field(dipole_spectrum, dsols), None, 0.3))
-    fields.append((*ab_perturbed, 0.3))
-    fields.append((*ab_exterior_perturbed, 140.0))
+    fields.append((synthesize_field(dipole_spectrum, dsols), 0.3))
+    fields.append((ab_perturbed[0], 0.3))
+    fields.append((ab_exterior_perturbed[0], 140.0))
     worst_h, worst_p = 0.0, 0.0
-    for field, h, r_poh in fields:
+    for field, r_poh in fields:
         radii = RADII if field.side == "interior" else np.geomspace(2.0, 1e5, 20)
-        worst_h = max(worst_h, check_height_derivative(frequency_trace(field, h, radii)))
-        worst_p = max(worst_p, pohozaev_residual(field, h, r_poh))
-    field, h = ab_perturbed
-    noisy = pohozaev_residual(field.corrupted(0.01, rng), h, 0.3)
+        worst_h = max(worst_h, check_height_derivative(frequency_trace(field, radii)))
+        worst_p = max(worst_p, pohozaev_residual(field, r_poh))
+    noisy = pohozaev_residual(ab_perturbed[0].corrupted(0.01, rng), 0.3)
     ok = worst_h <= 1e-6 and worst_p <= 1e-6 and noisy > 1e-2
     _report("AC07 derivative and Pohozaev identities", ok,
             f"D=rH'/2 residual {worst_h:.2e}, Pohozaev {worst_p:.2e} (tol 1e-6); "
@@ -164,8 +163,8 @@ def test_ac08_height_scaling(ab_spectrum, radial_grid, ab_perturbed):
     sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
     hom = synthesize_field(ab_spectrum, sols)
     worst_slope, worst_drift = 0.0, 0.0
-    for field, h in ((hom, None), ab_perturbed):
-        tr = frequency_trace(field, h, RADII)
+    for field in (hom, ab_perturbed[0]):
+        tr = frequency_trace(field, RADII)
         out = height_scaling_limit(tr, 0.3)
         worst_slope = max(worst_slope, out["slope_defect"])
         worst_drift = max(worst_drift, out["drift"])
@@ -189,8 +188,8 @@ def test_ac09_kelvin_conjugacy(ab_exterior_perturbed, dipole_spectrum, exterior_
         inv = float(np.abs(back.values - field.values).max()
                     / np.abs(field.values).max())
         worst_i = max(worst_i, inv)
-        tr_u = frequency_trace(field, None, np.geomspace(2.0, 1e4, 20))
-        tr_v = frequency_trace(v, None, np.sort(1.0 / tr_u.r))
+        tr_u = frequency_trace(field, np.geomspace(2.0, 1e4, 20))
+        tr_v = frequency_trace(v, np.sort(1.0 / tr_u.r))
         conj = float(np.abs(np.sort(tr_v.N) - (np.sort(tr_u.N) - shift)).max())
         worst_c = max(worst_c, conj)
     ok = worst_c <= 1e-8 and worst_i <= 1e-12
@@ -200,12 +199,12 @@ def test_ac09_kelvin_conjugacy(ab_exterior_perturbed, dipole_spectrum, exterior_
 
 
 def test_ac10_exterior_limit(ab_exterior_perturbed):
-    field, h = ab_exterior_perturbed
-    tr = frequency_trace(field, h, np.geomspace(2.0, 1e5, 20))
+    field = ab_exterior_perturbed[0]
+    tr = frequency_trace(field, np.geomspace(2.0, 1e5, 20))
     gamma_t = 0.3  # (N-2)/2 + sqrt(((N-2)/2)^2 + mu_1) for N = 2
     dg = abs(tr.gamma_hat - gamma_t)
-    p1 = extract_coefficients(field, gamma_t, 1.0, h)
-    p2 = extract_coefficients(field, gamma_t, 2.0, h)
+    p1 = extract_coefficients(field, gamma_t, 1.0)
+    p2 = extract_coefficients(field, gamma_t, 2.0)
     drift = float(np.abs(p1.beta - p2.beta).max())
     ok = dg <= 1e-5 and drift <= 1e-8
     _report("AC10 decay exponent and coefficients at infinity", ok,

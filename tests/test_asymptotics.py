@@ -85,15 +85,15 @@ class TestInteriorCoefficients:
         assert_allclose(prof.beta, [0.6, 0.8j], atol=1e-10)
 
     def test_radius_independence_perturbed(self, ab_perturbed):
-        field, h = ab_perturbed
-        p1 = extract_coefficients(field, 0.3, 1.0, h)
-        p2 = extract_coefficients(field, 0.3, 0.5, h)
+        field = ab_perturbed[0]
+        p1 = extract_coefficients(field, 0.3, 1.0)
+        p2 = extract_coefficients(field, 0.3, 0.5)
         assert np.abs(p1.beta - p2.beta).max() < 1e-8
 
     def test_quadrature_path_matches_modal(self, ab_perturbed):
-        field, h = ab_perturbed
-        p1 = extract_coefficients(field, 0.3, 0.9, h)
-        p2 = extract_coefficients(field.detached(), 0.3, 0.9, h)
+        field = ab_perturbed[0]
+        p1 = extract_coefficients(field, 0.3, 0.9)
+        p2 = extract_coefficients(field.detached(), 0.3, 0.9)
         assert np.abs(p1.beta - p2.beta).max() < 1e-10
 
     def test_degenerate_exponent(self, ab_single):
@@ -113,8 +113,8 @@ class TestInteriorCoefficients:
         assert_allclose(np.abs(p_rot.beta), np.abs(p.beta), atol=1e-10)
 
     def test_to_json(self, ab_perturbed):
-        field, h = ab_perturbed
-        prof = extract_coefficients(field, 0.3, 1.0, h)
+        field = ab_perturbed[0]
+        prof = extract_coefficients(field, 0.3, 1.0)
         doc = prof.to_json()
         assert set(doc) == {"gamma", "k0", "block", "beta", "R", "side", "regularity"}
         assert doc["block"] == [1, 1]
@@ -133,22 +133,22 @@ class TestExteriorCoefficients:
         assert prof.side == "exterior"
 
     def test_radius_independence_perturbed(self, ab_exterior_perturbed):
-        field, h = ab_exterior_perturbed
-        p1 = extract_coefficients(field, 0.3, 1.0, h)
-        p2 = extract_coefficients(field, 0.3, 2.0, h)
+        field = ab_exterior_perturbed[0]
+        p1 = extract_coefficients(field, 0.3, 1.0)
+        p2 = extract_coefficients(field, 0.3, 2.0)
         assert np.abs(p1.beta - p2.beta).max() < 1e-8
 
     def test_matches_the_exterior_formula(self, ab_exterior_perturbed):
         # beta = R^gamma phi(R) + int_R^inf zeta/(2 gamma - N + 2)
         #        (s^{gamma+1} - R^{2 gamma-N+2} s^{-gamma+N-1}) ds
-        field, h = ab_exterior_perturbed
+        field = ab_exterior_perturbed[0]
         gamma, N, r, sol = 0.3, 2, field.r, field.modal[1]
         denom = 2 * gamma - N + 2
         for R in (1.0, 2.0, 50.0):
             i = grids.nearest_index(r, R)
             w = sol.zeta / denom * (r ** (gamma + 1) - r[i] ** denom * r ** (-gamma + N - 1))
             want = r[i] ** gamma * sol.phi[i] + grids.singular_integral(w, r, "exterior")[i]
-            got = extract_coefficients(field, gamma, R, h).beta[0]
+            got = extract_coefficients(field, gamma, R).beta[0]
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -158,24 +158,24 @@ class TestBlowup:
         assert out["distances"].max() < 1e-10
 
     def test_perturbed_rate(self, ab_perturbed):
-        field, h = ab_perturbed
-        out = blowup_profile(field, 0.3, np.geomspace(1e-6, 1e-2, 12), h)
+        field = ab_perturbed[0]
+        out = blowup_profile(field, 0.3, np.geomspace(1e-6, 1e-2, 12))
         assert np.all(np.diff(out["distances"]) > 0)
         assert out["rate"] == pytest.approx(0.5, rel=0.1)
 
     def test_gradient_rate(self, ab_perturbed):
-        field, h = ab_perturbed
-        out = gradient_blowup_profile(field, 0.3, np.geomspace(1e-6, 1e-2, 12), h)
+        field = ab_perturbed[0]
+        out = gradient_blowup_profile(field, 0.3, np.geomspace(1e-6, 1e-2, 12))
         assert out["rate"] == pytest.approx(0.5, rel=0.1)
 
     def test_gradient_requires_samples(self, ab_perturbed, rng):
-        field, h = ab_perturbed
+        field = ab_perturbed[0]
         with pytest.raises(ValueError):
-            gradient_blowup_profile(field.corrupted(0.01, rng), 0.3, [1e-3], h)
+            gradient_blowup_profile(field.corrupted(0.01, rng), 0.3, [1e-3])
 
     def test_exterior_rate(self, ab_exterior_perturbed):
-        field, h = ab_exterior_perturbed
-        out = blowup_profile(field, 0.3, np.geomspace(1e2, 1e6, 12), h)
+        field = ab_exterior_perturbed[0]
+        out = blowup_profile(field, 0.3, np.geomspace(1e2, 1e6, 12))
         assert out["rate"] == pytest.approx(0.5, rel=0.1)
 
     def test_sphere_homogeneous(self, dipole_spectrum, radial_grid):
@@ -197,17 +197,17 @@ class TestBlowupRows:
         if request.param == "dipole":
             sols = homogeneous_solutions(dipole_spectrum, {1: 1.0, 2: 0.3, 4: 0.2j},
                                          radial_grid)
-            return (synthesize_field(dipole_spectrum, sols), None,
+            return (synthesize_field(dipole_spectrum, sols),
                     sols[1].exponents.sigma_plus, np.geomspace(1e-6, 1e-3, 8))
         field, h = ab_perturbed if request.param == "interior" else ab_exterior_perturbed
         lams = (np.geomspace(1e-4, 1e-2, 8) if request.param == "interior"
                 else np.geomspace(1e2, 1e4, 8))
         # a fresh field whose nodal arrays are not built yet
-        return synthesize_field(field.spectrum, field.modal), h, 0.3, lams
+        return synthesize_field(field.spectrum, field.modal, h), 0.3, lams
 
     def test_rows_equal_the_nodal_rows(self, case):
-        field, h, gamma, lams = case
-        out = blowup_profile(field, gamma, lams, h)
+        field, gamma, lams = case
+        out = blowup_profile(field, gamma, lams)
         assert field.__dict__["values"] is None
         g = gamma if field.side == "interior" else -gamma
         for p, lam in zip(out["profiles"], lams, strict=True):
@@ -217,19 +217,19 @@ class TestBlowupRows:
                               [np.abs(p - out["target"]).max() for p in out["profiles"]])
 
     def test_sampled_field_reads_its_rows(self, ab_perturbed):
-        field, h = ab_perturbed
+        field = ab_perturbed[0]
         lams = np.geomspace(1e-4, 1e-2, 8)
-        modal_rows = blowup_profile(field, 0.3, lams, h)["profiles"]
+        modal_rows = blowup_profile(field, 0.3, lams)["profiles"]
         bare = field.detached()
-        sampled = blowup_profile(bare, 0.3, lams, h,
-                                 profile=extract_coefficients(field, 0.3, 1.0, h))
+        sampled = blowup_profile(bare, 0.3, lams,
+                                 profile=extract_coefficients(field, 0.3, 1.0))
         for a, b in zip(sampled["profiles"], modal_rows, strict=True):
             assert np.array_equal(a, b)
 
 
 class TestKelvin:
     def test_modal_involution(self, ab_perturbed):
-        field, h = ab_perturbed
+        field = ab_perturbed[0]
         v = kelvin_transform(field)
         assert v.side == "exterior"
         back = kelvin_transform(v)
@@ -245,9 +245,31 @@ class TestKelvin:
         assert np.abs(back.values - field.values).max() < 1e-12
         assert np.abs(back.angular_gradient[0] - field.angular_gradient[0]).max() < 1e-12
 
+    @pytest.mark.parametrize("nodal", [False, True], ids=["modal", "nodal"])
+    def test_image_carries_the_flipped_perturbation(self, ab_perturbed, nodal):
+        field, h = ab_perturbed
+        v = kelvin_transform(field.detached() if nodal else field)
+        assert (v.modal is None) == nodal
+        assert v.perturbation == replace(h, side="exterior")
+        assert kelvin_transform(v).perturbation == h
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_nodal_image_solves_the_flipped_problem(self, side, ab_perturbed,
+                                                     ab_exterior_perturbed):
+        # D and beta of a sampled image read the forcing of its carried
+        # perturbation; with h = 0 instead, D is 12.5% off here
+        field = (ab_perturbed if side == "interior" else ab_exterior_perturbed)[0]
+        modal, nodal = kelvin_transform(field), kelvin_transform(field.detached())
+        radii = (np.geomspace(2.0, 1e5, 20) if modal.side == "exterior"
+                 else np.geomspace(1e-5, 0.5, 20))
+        D_modal, D_nodal = (frequency_trace(v, radii).D for v in (modal, nodal))
+        assert np.abs(D_nodal - D_modal).max() <= 1e-12 * np.abs(D_modal).max()
+        b_modal, b_nodal = (extract_coefficients(v, 0.3, 1.0).beta for v in (modal, nodal))
+        assert np.abs(b_nodal - b_modal).max() <= 1e-12 * np.abs(b_modal).max()
+
     def test_pointwise_rule_2d(self, ab_perturbed):
         # N = 2: v(t, theta) = u(1/t, theta)
-        field, h = ab_perturbed
+        field = ab_perturbed[0]
         v = kelvin_transform(field)
         assert_allclose(v.r, 1.0 / field.r[::-1], rtol=1e-14)
         assert np.abs(v.values - field.values[::-1]).max() < 1e-13
@@ -262,11 +284,11 @@ class TestKelvin:
 
     def test_frequency_conjugacy_2d(self, ab_exterior_perturbed):
         # N_v(s) = N_u(1/s) - N + 2 at matching radii
-        field, h = ab_exterior_perturbed
+        field = ab_exterior_perturbed[0]
         radii = np.geomspace(1e-5, 0.5, 20)
         v = kelvin_transform(field)
-        tr_v = frequency_trace(v, None, radii)
-        tr_u = frequency_trace(field, None, np.sort(1.0 / radii))
+        tr_v = frequency_trace(v, radii)
+        tr_u = frequency_trace(field, np.sort(1.0 / radii))
         assert np.abs(np.sort(tr_v.N) - np.sort(tr_u.N)).max() < 1e-8
 
     def test_frequency_conjugacy_3d(self, dipole_spectrum, exterior_grid):
@@ -276,14 +298,14 @@ class TestKelvin:
         field = synthesize_field(dipole_spectrum, sols)
         radii = np.geomspace(1e-5, 0.5, 10)
         v = kelvin_transform(field)
-        tr_v = frequency_trace(v, None, radii)
-        tr_u = frequency_trace(field, None, np.sort(1.0 / radii))
+        tr_v = frequency_trace(v, radii)
+        tr_u = frequency_trace(field, np.sort(1.0 / radii))
         assert np.abs(np.sort(tr_v.N) - (np.sort(tr_u.N) - 1.0)).max() < 1e-8
 
     def test_exterior_coefficients_via_kelvin(self, ab_perturbed):
         # interior coefficients of u equal exterior coefficients of its image
-        field, h = ab_perturbed
-        p_int = extract_coefficients(field, 0.3, 1.0, h)
+        field = ab_perturbed[0]
+        p_int = extract_coefficients(field, 0.3, 1.0)
         v = kelvin_transform(field)
         p_ext = extract_coefficients(v, 0.3, 1.0)
         assert np.abs(p_int.beta - p_ext.beta).max() < 1e-8

@@ -12,6 +12,7 @@ from emlab.errors import (
     ForcingTooSingularError,
     GridMismatchError,
     IndefiniteFormError,
+    NumericalFailureError,
 )
 from emlab.modal import (
     FieldSample,
@@ -174,7 +175,7 @@ class TestSynthesisProjection:
     def test_single_mode_roundtrip(self, ab_spectrum, radial_grid):
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
         field = synthesize_field(ab_spectrum, sols)
-        prof = project_onto_modes(field, ab_spectrum)
+        prof = project_onto_modes(field)
         assert_allclose(prof[0], sols[1].phi, atol=1e-12)
         assert np.abs(prof[1:]).max() < 1e-12
 
@@ -183,7 +184,7 @@ class TestSynthesisProjection:
             ab_spectrum, {1: 1.0, 2: 0.5, 3: 0.25j}, radial_grid
         )
         field = synthesize_field(ab_spectrum, sols)
-        prof = project_onto_modes(field, ab_spectrum)
+        prof = project_onto_modes(field)
         for k, sol in sols.items():
             assert_allclose(prof[k - 1], sol.phi, atol=1e-10)
 
@@ -192,7 +193,7 @@ class TestSynthesisProjection:
         field = synthesize_field(free_circle_spectrum, sols)
         # replace values by a constant; only the constant mode should survive
         const = field.values * 0 + 1.0
-        prof = project_onto_modes(field, free_circle_spectrum, data=const)
+        prof = project_onto_modes(field, data=const)
         assert np.abs(prof[0] - prof[0][0]).max() < 1e-12
         assert np.abs(prof[0][0]) == pytest.approx(np.sqrt(2 * np.pi), abs=1e-12)
 
@@ -206,7 +207,7 @@ class TestSynthesisProjection:
     def test_sphere_roundtrip(self, dipole_spectrum, radial_grid):
         sols = homogeneous_solutions(dipole_spectrum, {1: 1.0, 2: 0.3}, radial_grid)
         field = synthesize_field(dipole_spectrum, sols)
-        prof = project_onto_modes(field, dipole_spectrum)
+        prof = project_onto_modes(field)
         for k, sol in sols.items():
             assert_allclose(prof[k - 1], sol.phi, atol=1e-10)
 
@@ -221,24 +222,24 @@ class TestSynthesisProjection:
 class TestPerturbation:
     def test_zero_perturbation(self, ab_spectrum, radial_grid):
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
-        field = synthesize_field(ab_spectrum, sols)
-        z = perturbation_samples(PerturbationSpec(amplitude=0.0), field, ab_spectrum)
+        field = synthesize_field(ab_spectrum, sols, PerturbationSpec(amplitude=0.0))
+        z = perturbation_samples(field)
         assert np.abs(z).max() == 0.0
 
     def test_constant_factor_hits_single_mode(self, ab_spectrum, radial_grid):
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
-        field = synthesize_field(ab_spectrum, sols)
         h = PerturbationSpec(amplitude=1.0, epsilon=0.5)
-        z = perturbation_samples(h, field, ab_spectrum)
+        field = synthesize_field(ab_spectrum, sols, h)
+        z = perturbation_samples(field)
         expect = radial_grid ** (-1.5) * sols[1].phi
         assert_allclose(z[0], expect, rtol=1e-10)
         assert np.abs(z[1:]).max() < 1e-10 * np.abs(z[0]).max()
 
     def test_cos_factor_mixes_adjacent_fourier_modes(self, ab_spectrum, radial_grid):
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
-        field = synthesize_field(ab_spectrum, sols)
         h = PerturbationSpec(amplitude=1.0, epsilon=0.5, angular={"cos": [1.0]})
-        z = perturbation_samples(h, field, ab_spectrum)
+        field = synthesize_field(ab_spectrum, sols, h)
+        z = perturbation_samples(field)
         # modes 2 and 3 are the j = -1 and j = +1 neighbours of the ground mode
         scale = np.abs(z).max()
         assert np.abs(z[1]).max() > 1e-3 * scale
@@ -266,7 +267,7 @@ class TestPicard:
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular={"cos": [1.0]})
         field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
         assert info["converged"]
-        z = perturbation_samples(h, field, ab_spectrum)
+        z = perturbation_samples(field)
         sol1 = solve_radial_mode(field.modal[1].exponents, z[0], 1.0, radial_grid)
         assert_allclose(sol1.phi, field.modal[1].phi, atol=1e-10)
 
@@ -291,6 +292,32 @@ class TestPicard:
         assert info["converged"]
         slope = grids.fitted_slope(exterior_grid[-200:], np.abs(field.modal[1].phi[-200:]))
         assert slope == pytest.approx(-0.3, abs=1e-3)
+
+    def test_overflowing_forcing_raises_without_warnings(self, ab_spectrum, radial_grid):
+        # RuntimeWarnings are errors under this suite's settings
+        h = PerturbationSpec(amplitude=1e300, epsilon=0.5)
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
+
+
+class TestPerturbationSpec:
+    """The spec is the one validator of a perturbation; each message starts
+    with the entry it names."""
+
+    @pytest.mark.parametrize("entries,entry", [
+        ({"amplitude": np.nan}, "amplitude"),
+        ({"amplitude": complex(0, np.inf)}, "amplitude"),
+        ({"epsilon": 0.0}, "epsilon"),
+        ({"epsilon": np.inf}, "epsilon"),
+        ({"epsilon": np.nan}, "epsilon"),
+        ({"side": "outside"}, "side"),
+        ({"angular": "x"}, "angular"),
+        ({"angular": [1.0, 2.0]}, "angular"),
+        ({"angular": {"cos": [np.nan]}}, "angular"),
+    ])
+    def test_rejects_naming_the_entry(self, entries, entry):
+        with pytest.raises(ValueError, match=f"^{entry}"):
+            PerturbationSpec(**entries)
 
 
 class _CountingNumpy:
@@ -376,6 +403,18 @@ class TestPicardWork:
 
 
 class TestFieldSample:
+    def test_solved_field_carries_its_perturbation(self, ab_perturbed, ab_spectrum,
+                                                   radial_grid):
+        field, h = ab_perturbed
+        assert field.perturbation is h
+        sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
+        assert synthesize_field(ab_spectrum, sols).perturbation is None
+
+    def test_detached_and_corrupted_keep_the_perturbation(self, ab_perturbed, rng):
+        field, h = ab_perturbed
+        assert field.detached().perturbation is h
+        assert field.corrupted(0.01, rng).perturbation is h
+
     def test_corrupted_drops_modal(self, ab_spectrum, radial_grid, rng):
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
         field = synthesize_field(ab_spectrum, sols)
@@ -609,9 +648,9 @@ class TestModalSupNorm:
         # a constant g folds into the weights without changing a bit
         field, h = ab_perturbed
         data = field.values * h.angular_factor(*field.angular_nodes)[None, :]
-        nodal = project_onto_modes(field, field.spectrum, data=data)
+        nodal = project_onto_modes(field, data=data)
         want = nodal * h.radial_factor(field.r)[None, :]
-        assert np.array_equal(perturbation_samples(h, field, field.spectrum), want)
+        assert np.array_equal(perturbation_samples(field), want)
 
 
 class TestBlockedProjection:
@@ -624,9 +663,9 @@ class TestBlockedProjection:
         weights = field.angular_weights * np.cos(field.angular_nodes[0])
         for w in (None, weights):
             fresh = synthesize_field(spectrum, field.modal)
-            blocked = project_onto_modes(fresh, spectrum, weights=w)
+            blocked = project_onto_modes(fresh, weights=w)
             assert fresh.__dict__["values"] is None
-            yield blocked, project_onto_modes(fresh, spectrum, data=fresh.values, weights=w)
+            yield blocked, project_onto_modes(fresh, data=fresh.values, weights=w)
 
     @pytest.mark.parametrize("side", ["interior", "exterior"])
     def test_equals_the_whole_array_projection(self, side, ab_spectrum):

@@ -21,7 +21,7 @@ from emlab.asymptotics import kelvin_transform
 from emlab.cli import main as cli_main
 from emlab.errors import ScenarioValidationError
 from emlab.inequalities import hardy_2d_constant_check, mu1_comparison
-from emlab.modal import FieldSample
+from emlab.modal import FieldSample, PerturbationSpec
 from emlab.scenario import (
     DEFAULT_CHECKS,
     SCHEMA_VERSION,
@@ -61,6 +61,23 @@ class TestParsing:
     def test_zero_epsilon_rejected(self):
         with pytest.raises(ScenarioValidationError, match="epsilon"):
             scenario_from_dict(minimal_doc(perturbation={"amplitude": 0.05, "epsilon": 0.0}))
+
+    @pytest.mark.parametrize("entry,value", [
+        ("amplitude", float("nan")), ("amplitude", [0, float("inf")]), ("amplitude", "x"),
+        ("epsilon", float("inf")), ("epsilon", -1.0), ("side", "x"), ("angular", [1, 2]),
+    ])
+    def test_perturbation_errors_name_the_entry(self, entry, value):
+        with pytest.raises(ScenarioValidationError, match=rf"^perturbation\.{entry}"):
+            scenario_from_dict(minimal_doc(perturbation={"amplitude": 0.05, entry: value}))
+
+    def test_pipeline_field_carries_the_scenario_perturbation(self):
+        doc = json.loads((SCENARIOS / "ab_basic.json").read_text())
+        field, info = Pipeline(scenario_from_dict(doc)).solution
+        assert field.perturbation == PerturbationSpec(amplitude=0.05, epsilon=0.5)
+        assert info["iterations"] > 1
+        doc["perturbation"]["amplitude"] = 0
+        field, info = Pipeline(scenario_from_dict(doc)).solution
+        assert field.perturbation is None and info["iterations"] == 0
 
     def test_dipole_dimension_mismatch(self):
         with pytest.raises(ScenarioValidationError, match="dimension 3"):
@@ -652,10 +669,12 @@ def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
     {"radii": []},
     {"potential": {"kind": "fourier", "magnetic": "x"}},
     {"dimension": 3, "potential": {"kind": "dipole", "axis": "x"}},
+    {"perturbation": {"amplitude": float("nan"), "epsilon": 0.5}},
+    {"perturbation": {"amplitude": float("inf"), "epsilon": 0.5}},
 ], ids=["sweep_count", "eigen_count", "alpha", "nodes", "seed", "radii",
         "default_radii_inside", "default_radii_outside", "boundary", "grid", "checks",
         "boundary_values", "perturbation_angular", "empty_radii", "fourier_magnetic",
-        "dipole_axis"])
+        "dipole_axis", "amplitude_nan", "amplitude_infinity"])
 def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
     proc = run_cli(tmp_path, minimal_doc(**over))
     assert proc.returncode == 2, proc.stderr
@@ -683,6 +702,28 @@ def test_overflowing_fourier_potential_warns_nothing(tmp_path):
     report = json.loads(proc.stdout)
     assert report["status"] == "error"
     assert report["error"]["type"] == "NumericalFailureError"
+
+
+def test_overflowing_perturbation_amplitude_warns_nothing(tmp_path):
+    proc = run_cli(tmp_path, minimal_doc(perturbation={"amplitude": 1e300, "epsilon": 0.5}))
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "NumericalFailureError"
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_unreadable_scenario_file_exits_2_with_a_message(tmp_path, content):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "emlab.cli", "--config", str(cfg), "run"],
+                          capture_output=True, text=True, env=source_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"emlab: {cfg}: ")
 
 
 SHIPPED = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
