@@ -377,18 +377,15 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
 
         j l delta_{jl} + (j + l) ahat_{j-l} + (alpha^2)hat_{j-l} - ahat^{el}_{j-l}
 
-    with fhat_m the e^{imt} expansion coefficient.  With constant alpha the
-    spectrum is the multiset {(alpha - j)^2 - a0 : j in Z}.  N = 3: the real
-    symmetric dipole matrix of ``_dipole_matrix``.
+    with fhat_m the e^{imt} expansion coefficient, on the band |j - l| <=
+    max(2 deg A, deg a); constant alpha and a give the diagonal (alpha + j)^2 - a0.
+    N = 3: the real symmetric dipole matrix of ``_dipole_matrix``.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     basis = angular_basis(pot.dimension, truncation)
     if pot.dimension == 2:
-        js = basis.indices
-        alpha_c = pot.magnetic
-        alpha_sq = np.convolve(alpha_c, alpha_c)
-        elec = pot.electric
+        alpha_sq = np.convolve(pot.magnetic, pot.magnetic)
 
         def coeff(c, m):
             d = (len(c) - 1) // 2
@@ -397,15 +394,21 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
             out[mask] = c[m[mask] + d]
             return out
 
-        J, L = np.meshgrid(js, js, indexing="ij")
-        M = np.zeros((basis.size, basis.size), dtype=complex)
+        n, width = basis.size, max(2 * pot.magnetic_degree, pot.electric_degree)
+        rows = np.repeat(np.arange(n), 2 * width + 1)
+        cols = rows + np.tile(np.arange(-width, width + 1), n)
+        keep = (cols >= 0) & (cols < n)
+        rows, cols = rows[keep], cols[keep]
+        J, L = basis.indices[rows], basis.indices[cols]
         diff = J - L
         # huge coefficients overflow here; the finiteness check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            M += np.where(J == L, (J * L).astype(complex), 0.0)
-            M += (J + L) * coeff(alpha_c, diff)
-            M += coeff(alpha_sq, diff)
-            M -= coeff(elec, diff)
+            band = np.where(J == L, (J * L).astype(complex), 0.0)
+            band += (J + L) * coeff(pot.magnetic, diff)
+            band += coeff(alpha_sq, diff)
+            band -= coeff(pot.electric, diff)
+        M = np.zeros((n, n), dtype=complex)
+        M[rows, cols] = band
     else:
         M = _dipole_matrix(pot, basis)
     if not np.all(np.isfinite(M)):
@@ -501,14 +504,23 @@ def _group_blocks(mu: np.ndarray):
 
 def eigendecompose(matrix: np.ndarray, count: int, basis,
                    pot: AngularPotential) -> AngularSpectrum:
-    """Lowest `count` eigenpairs of the Hermitian Galerkin matrix."""
+    """Lowest `count` eigenpairs of the Hermitian Galerkin matrix; a diagonal
+    one is sorted stably, so equal eigenvalues keep their basis order."""
     n = matrix.shape[0]
     if count > n:
         raise AliasingError(f"requested {count} eigenpairs from a {n}x{n} matrix")
-    try:
-        w, v = eigh(matrix, subset_by_index=(0, count - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
+    diagonal = matrix.diagonal()
+    if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
+        order = np.argsort(diagonal.real, kind="stable")[:count]
+        w = diagonal.real[order]
+        v = np.zeros((n, count), dtype=matrix.dtype)
+        v[order, np.arange(count)] = 1.0
+    else:
+        try:
+            # assemble_angular_matrix has already rejected non-finite entries
+            w, v = eigh(matrix, subset_by_index=(0, count - 1), check_finite=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
     spectral_radius = max(np.abs(w).max(), 1.0)
     resid = np.abs(matrix @ v - v * w).max()
     if resid > EIGEN_RESIDUAL_TOL * spectral_radius:

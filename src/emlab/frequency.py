@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import grids
 from .errors import DegenerateSolutionError, NumericalFailureError, TailFitError
@@ -61,6 +60,7 @@ def _fit_window(field: FieldSample, radii: np.ndarray):
 def _fit_frequency_limit(r_w: np.ndarray, n_w: np.ndarray, side: str):
     """(gamma, eps) of the least-squares fit of N(r) = gamma + C r^(+-eps)
     on the fit window."""
+    from scipy.optimize import curve_fit  # loaded by the first fit only
     near = 0 if side == "interior" else -1
     gamma0 = float(n_w[near])
     if np.ptp(n_w) < 1e-11:
@@ -137,14 +137,16 @@ def frequency_trace(field: FieldSample, radii) -> FrequencyTrace:
     r = field.r
     phi, dphi, zeta = modal_stack(field)
     mu = field.spectrum.eigenvalues
-    H = np.sum(np.abs(phi) ** 2, axis=0)
-    f = r ** (N_dim - 1) * _energy_density(mu, phi, dphi, zeta, r)
-    # a magnitude reference for the integrand, so that tails made of pure
-    # roundoff (e.g. differentiated constants) are dropped as zero
-    scale = max(float(np.abs(f).max()),
-                float(np.max(r ** (N_dim - 3) * H)) * max(1.0, float(np.abs(mu).max())))
-    D = grids.singular_integral(f, r, field.side, scale) / r ** (N_dim - 2)
-    N = D / np.where(H > 0, H, np.nan)
+    # a diverged solve overflows here; the finiteness check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = np.sum(np.abs(phi) ** 2, axis=0)
+        f = r ** (N_dim - 1) * _energy_density(mu, phi, dphi, zeta, r)
+        # a magnitude reference for the integrand, so that tails made of pure
+        # roundoff (e.g. differentiated constants) are dropped as zero
+        scale = max(float(np.abs(f).max()),
+                    float(np.max(r ** (N_dim - 3) * H)) * max(1.0, float(np.abs(mu).max())))
+        D = grids.singular_integral(f, r, field.side, scale) / r ** (N_dim - 2)
+        N = D / np.where(H > 0, H, np.nan)
     idx = np.array([grids.nearest_index(field.r, v) for v in radii])
     if np.any(H[idx] <= 0):
         raise DegenerateSolutionError("H(r) vanishes at a requested radius")
@@ -153,6 +155,8 @@ def frequency_trace(field: FieldSample, radii) -> FrequencyTrace:
         order = order[::-1]  # stored toward the singular limit
     idx = idx[order]
     win = _fit_window(field, radii)
+    if not np.all(np.isfinite(H[win]) & np.isfinite(D[win]) & np.isfinite(N[win])):
+        raise NumericalFailureError("H, D or N is not finite on the fit window")
     if np.any(H[win] <= 0):
         raise DegenerateSolutionError("H(r) vanishes inside the fit window")
     return FrequencyTrace(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import emlab.angular
@@ -171,6 +172,118 @@ class TestDipoleClosedForm:
         monkeypatch.setattr(SphereBasis, "gradient", no_table)
         pot = build_potential({"kind": "dipole", "strength": 0.8, "axis": [0, 1, 1]})
         assert angular_spectrum(pot, count=4, truncation=12).count == 4
+
+
+def dense_circle_matrix(pot, truncation):
+    """The N = 2 Galerkin matrix assembled over the whole index grid, every
+    entry by the formula of ``assemble_angular_matrix``: the oracle of the
+    banded assembly."""
+    js = CircleBasis(truncation).indices
+
+    def coeff(c, m):
+        d = (len(c) - 1) // 2
+        out = np.zeros_like(m, dtype=complex)
+        mask = np.abs(m) <= d
+        out[mask] = c[m[mask] + d]
+        return out
+
+    J, L = np.meshgrid(js, js, indexing="ij")
+    M = np.zeros((len(js), len(js)), dtype=complex)
+    diff = J - L
+    M += np.where(J == L, (J * L).astype(complex), 0.0)
+    M += (J + L) * coeff(pot.magnetic, diff)
+    M += coeff(np.convolve(pot.magnetic, pot.magnetic), diff)
+    M -= coeff(pot.electric, diff)
+    return 0.5 * (M + M.conj().T)
+
+
+def assert_bitwise_equal(a, b):
+    """Equal arrays, signbits of zeros included."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+FLUXES = (0.0, 0.15, 0.25, 0.3, 0.35, 0.45, 0.5, 1.0, -0.7, -0.5, 1.5)
+CIRCLE_POTENTIALS = {
+    **{f"ab({alpha},{a0})": {"kind": "aharonov_bohm", "alpha": alpha, "a0": a0}
+       for alpha in FLUXES for a0 in (0.0, 0.1, -0.3)},
+    "fourier_1": {"kind": "fourier", "magnetic": {"mean": 0.3, "cos": [0.2]},
+                  "electric": {"sin": [0.1]}},
+    "fourier_2": {"kind": "fourier", "magnetic": {"mean": -0.4, "sin": [0.1, 0.05]},
+                  "electric": 0.2},
+    "fourier_3": {"kind": "fourier", "magnetic": 0.25,
+                  "electric": {"mean": 0.1, "cos": [0.3, 0.0, -0.2], "sin": [0.0, 0.1]}},
+    "fourier_3_2": {"kind": "fourier", "magnetic": {"cos": [0.1, 0.0, 0.2]},
+                    "electric": {"cos": [0.1, 0.3]}},
+}
+
+
+class TestBandedAssembly:
+    @pytest.mark.parametrize("truncation", [4, 16, 64])
+    @pytest.mark.parametrize("name", CIRCLE_POTENTIALS)
+    def test_equals_the_dense_assembly(self, name, truncation):
+        pot = build_potential(CIRCLE_POTENTIALS[name])
+        M, _ = assemble_angular_matrix(pot, truncation)
+        assert_bitwise_equal(M, dense_circle_matrix(pot, truncation))
+
+    def test_band_wider_than_the_matrix(self):
+        pot = build_potential(CIRCLE_POTENTIALS["fourier_3_2"])
+        M, _ = assemble_angular_matrix(pot, 1)
+        assert_bitwise_equal(M, dense_circle_matrix(pot, 1))
+
+
+def eigh_spectrum(matrix, count):
+    """Lowest eigenpairs by the dense solver, phase-fixed like the library's."""
+    w, v = scipy.linalg.eigh(matrix, subset_by_index=(0, count - 1))
+    return w, np.stack([emlab.angular._fix_phase(v[:, i]) for i in range(count)], axis=1)
+
+
+class TestDiagonalSpectrum:
+    @pytest.mark.parametrize("truncation", [4, 16, 64])
+    @pytest.mark.parametrize("name", [n for n in CIRCLE_POTENTIALS if n.startswith("ab")])
+    def test_equals_the_dense_solver(self, name, truncation):
+        pot = build_potential(CIRCLE_POTENTIALS[name])
+        M, basis = assemble_angular_matrix(pot, truncation)
+        for count in (min(8, basis.size), basis.size):
+            sp = emlab.angular.eigendecompose(M, count, basis, pot)
+            w, v = eigh_spectrum(M, count)
+            assert_bitwise_equal(sp.eigenvalues, w)
+            for j0, m in sp.blocks:
+                if j0 + m - 1 == count and count < basis.size:
+                    continue  # the subset may cut this block
+                cols = slice(j0 - 1, j0 - 1 + m)
+                if m == 1:
+                    assert_bitwise_equal(sp.eigenvectors[:, cols], v[:, cols])
+                else:
+                    # a degenerate block: only its eigenspace is defined
+                    P = sp.eigenvectors[:, cols] @ sp.eigenvectors[:, cols].conj().T
+                    Q = v[:, cols] @ v[:, cols].conj().T
+                    assert np.abs(P - Q).max() <= 1e-14
+
+    def test_integer_flux_pairs_follow_the_basis_order(self):
+        sp = angular_spectrum(ab(1.0), count=5, truncation=8)
+        peaks = [int(sp.basis.indices[np.argmax(np.abs(v))]) for v in sp.eigenvectors.T]
+        # mu = (j + 1)^2: each pair (-1 - k, -1 + k) in basis order
+        assert peaks == [-1, -2, 0, -3, 1]
+
+    @pytest.mark.parametrize("desc,calls", [
+        ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.1}, 0),
+        ({"kind": "aharonov_bohm", "alpha": 0.0}, 0),
+        ({"kind": "fourier", "magnetic": 0.4, "electric": -0.2}, 0),
+        ({"kind": "fourier", "magnetic": {"mean": 0.3, "cos": [0.2]}}, 1),
+        ({"kind": "dipole", "strength": 0.8, "axis": [0, 1, 1]}, 1),
+    ], ids=["ab", "ab_integer", "fourier_constant", "fourier", "dipole"])
+    def test_eigh_calls(self, monkeypatch, desc, calls):
+        seen = []
+        eigh = emlab.angular.eigh
+
+        def counting(*args, **kwargs):
+            seen.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(emlab.angular, "eigh", counting)
+        angular_spectrum(build_potential(desc), count=4, truncation=8)
+        assert len(seen) == calls
 
 
 class TestSpectrum:

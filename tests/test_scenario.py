@@ -639,6 +639,27 @@ def test_shipped_runs_import_no_scipy_integrate():
     assert proc.stdout.strip() == "[]"
 
 
+def test_scipy_optimize_loads_with_the_first_limit_fit():
+    # curve_fit is imported by the fit of N's limit, so runs without a
+    # frequency block never load scipy.optimize; ab_basic, which fits, does
+    verify_only, ab_basic = str(SCENARIOS / "verify_only.json"), str(SCENARIOS / "ab_basic.json")
+    code = ("import contextlib, io, sys, emlab\n"
+            "from emlab.cli import main\n"
+            "seen = ['scipy.optimize' in sys.modules]\n"
+            f"emlab.run_scenario(emlab.parse_scenario({verify_only!r}))\n"
+            "seen.append('scipy.optimize' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['--config', {ab_basic!r}, 'spectrum'])\n"
+            "seen.append('scipy.optimize' in sys.modules)\n"
+            f"emlab.run_scenario(emlab.parse_scenario({ab_basic!r}))\n"
+            "seen.append('scipy.optimize' in sys.modules)\n"
+            "print(seen)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=source_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False, True]"
+
+
 def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
     spectra = []
     for axis in ([1e308, 1e308, 0], [1, 1, 0]):
@@ -712,6 +733,18 @@ def test_overflowing_perturbation_amplitude_warns_nothing(tmp_path):
     report = json.loads(proc.stdout)
     assert report["status"] == "error"
     assert report["error"]["type"] == "NumericalFailureError"
+
+
+def test_diverging_picard_run_ends_in_an_error_report(tmp_path):
+    # the forcing stays finite, but 50 Picard iterates leave H and D to overflow
+    proc = run_cli(tmp_path, {"potential": {"kind": "aharonov_bohm", "alpha": 0.3},
+                              "perturbation": {"amplitude": 1e5, "epsilon": 0.5}})
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "NumericalFailureError"
+    assert report["solver"]["converged"] is False
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
