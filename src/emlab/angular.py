@@ -208,10 +208,14 @@ class _Tabulated:
     once, on first use, and then kept read-only.  Other nodes are evaluated
     fresh on every call."""
 
+    def _kept(self, name: str, build):
+        """build(), made once per basis on first use and then kept."""
+        if name not in self._tables:
+            self._tables[name] = build()
+        return self._tables[name]
+
     def grid(self):
-        if "grid" not in self._tables:
-            self._tables["grid"] = _frozen(self._make_grid())
-        return self._tables["grid"]
+        return self._kept("grid", lambda: _frozen(self._make_grid()))
 
     def on_grid(self, nodes) -> bool:
         grid = self.grid()[:-1]
@@ -221,9 +225,7 @@ class _Tabulated:
     def _tabulated(self, name: str, compute, nodes):
         if not self.on_grid(nodes):
             return compute(*nodes)
-        if name not in self._tables:
-            self._tables[name] = _frozen(compute(*nodes))
-        return self._tables[name]
+        return self._kept(name, lambda: _frozen(compute(*nodes)))
 
 
 class CircleBasis(_Tabulated):
@@ -237,7 +239,7 @@ class CircleBasis(_Tabulated):
         self._tables = {}
 
     def _make_grid(self):
-        n = 4 * (self.truncation + 1)
+        n = angular_node_count(2, self.truncation)
         t = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         w = np.full(n, 2 * np.pi / n)
         return t, w
@@ -313,6 +315,119 @@ class SphereBasis(_Tabulated):
         """Tangential gradient components (d/dtheta, (1/sin theta) d/dphi)."""
         return self._tabulated("gradient", self._gradient, (theta, phi))
 
+    def couplings(self):
+        """The coordinate functions x, y, z in this basis:
+        ``(rows, cols, coefficients, component, starts)`` such that the matrix
+        of lam . theta has the entry lam[component] * coefficient at (row,
+        col), every nonzero entry listed once, sorted by row; row i's entries
+        begin at ``starts[i]``, and every row has one.
+
+        Each couples degree l to degree l + 1 only (Edmonds 1957, ch. 4-5).
+        S_lm is a multiple of P_l^|m|(cos theta) times cos(m phi) (m > 0), 1
+        (m = 0) or sin(|m| phi) (m < 0).  z = cos(theta) keeps m; x and y,
+        sin(theta) times cos(phi) and sin(phi), move |m| = mu to mu + 1
+        through
+
+            sin(theta) p_l^mu = sqrt((l+mu+1)(l+mu+2) / ((2l+1)(2l+3))) p_{l+1}^{mu+1}
+                              - sqrt((l-mu-1)(l-mu) / ((2l-1)(2l+1))) p_{l-1}^{mu+1}
+
+        for the normalized p_l^mu without the Condon-Shortley phase; the
+        couplings from mu + 1 down to mu are the transposed entries.
+        """
+        return self._kept("couplings", self._couplings)
+
+    def _couplings(self):
+        T = self.truncation
+        l, m = np.array(self.indices[: T * T]).T  # the lower degree of each pair
+
+        def pos(l, m):
+            return l * (l + 1) + m
+
+        d = (2 * l + 1) * (2 * l + 3)
+        rows, cols = [pos(l, m)], [pos(l + 1, m)]
+        coef, comp = [np.sqrt(((l + 1) ** 2 - m**2) / d)], [np.full(len(l), 2)]
+        l, m, d = l[m >= 0], m[m >= 0], d[m >= 0]
+        # 1/sqrt(2) from the m = 0 normalization, 1/2 from the product of cosines or sines
+        f = np.where(m == 0, np.sqrt(0.5), 0.5)
+        up = f * np.sqrt((l + m + 1) * (l + m + 2) / d)
+        down = -f * np.sqrt((l - m) * (l - m + 1) / d)
+        # source (degree ls, order +-m) -- target (degree lt, order +-(m + 1))
+        for ls, lt, c in ((l, l + 1, up), (l + 1, l, down)):
+            for s, t, axis, sign, sine in ((1, 1, 0, 1, False), (-1, -1, 0, 1, True),
+                                           (1, -1, 1, 1, False), (-1, 1, 1, -1, True)):
+                k = (m < lt) & (m > 0) if sine else m < lt
+                rows.append(pos(ls, s * m)[k])
+                cols.append(pos(lt, t * (m + 1))[k])
+                coef.append(sign * c[k])
+                comp.append(np.full(k.sum(), axis))
+        # each pair of degrees is listed once; the transposed entries follow
+        i, j = np.concatenate(rows + cols), np.concatenate(cols + rows)
+        coef, comp = np.tile(np.concatenate(coef), 2), np.tile(np.concatenate(comp), 2)
+        order = np.argsort(i, kind="stable")
+        i = i[order]
+        starts = np.searchsorted(i, np.arange(self.size))
+        return _frozen((i, j[order], coef[order], comp[order], starts))
+
+    def reflection_blocks(self, kind: str):
+        """This basis split into the subspaces that a dipole with its axis
+        in the xz-plane leaves invariant, for an axis of ``kind``:
+
+        - "z", along z: m is conserved, so one block per m, the cos-type
+          m = 0..T first, then the sin-type m = -1..-T;
+        - "x", along x: the reflections y -> -y, which keeps the cos-type
+          functions (m >= 0) and negates the sin-type ones (m < 0), and
+          z -> -z, which multiplies S_lm by (-1)^(l + m), give four blocks;
+        - "xz", any other axis: y -> -y alone, cos-type then sin-type.
+
+        Returns ``(rows, least, inside, offsets)``: each block's basis
+        positions (in basis order) and least l(l+1), and the couplings of
+        ``couplings()`` that stay inside one block, as ``(local row, local
+        col, coefficient, component)`` sorted by block, block b's from
+        ``offsets[b]`` to ``offsets[b + 1]``.
+        """
+        return self._kept(("blocks", kind), lambda: self._reflection_blocks(kind))
+
+    def _reflection_blocks(self, kind: str):
+        l, m = np.array(self.indices).T
+        sine = m < 0
+        if kind == "z":
+            block = np.where(sine, self.truncation - m, m)
+        elif kind == "x":
+            block = 2 * sine + (l + m) % 2
+        else:
+            block = sine.astype(int)
+        members = np.argsort(block, kind="stable")
+        sizes = np.bincount(block)
+        starts = np.cumsum(sizes) - sizes
+        local = np.empty_like(block)
+        local[members] = np.arange(self.size) - starts[block[members]]
+        rows = np.split(members, starts[1:])
+        least = self.laplace_eigs[[r[0] for r in rows]]
+        i, j, coef, comp, _ = self.couplings()
+        keep = np.flatnonzero(block[i] == block[j])
+        keep = keep[np.argsort(block[i[keep]], kind="stable")]
+        inside = (local[i[keep]], local[j[keep]], coef[keep], comp[keep])
+        offsets = np.searchsorted(block[i[keep]], np.arange(len(sizes) + 1))
+        return rows, least, inside, offsets
+
+    def turn_pairs(self):
+        """``(p, q, m)``: the positions of S_{l,m} and S_{l,-m} for every
+        m > 0, the pairs that a rotation about z by an angle t mixes by the
+        2 x 2 rotation through m t."""
+        def build():
+            l, m = np.array(self.indices).T
+            p = np.flatnonzero(m > 0)
+            return _frozen((p, p - 2 * m[p], m[p]))
+
+        return self._kept("turn_pairs", build)
+
+
+def angular_node_count(dimension: int, truncation: int) -> int:
+    """Nodes of the quadrature grid of ``angular_basis(dimension,
+    truncation)``, known without building it: 4(T + 1) on the circle,
+    (2T + 2)^2 on the sphere."""
+    return 4 * (truncation + 1) if dimension == 2 else (2 * truncation + 2) ** 2
+
 
 @lru_cache(maxsize=8)
 def angular_basis(dimension: int, truncation: int):
@@ -326,51 +441,121 @@ def angular_basis(dimension: int, truncation: int):
 
 def _dipole_matrix(pot: AngularPotential, basis: SphereBasis) -> np.ndarray:
     """Real symmetric Galerkin matrix diag(l(l+1)) - lam (n_x X + n_y Y + n_z Z)
-    of the dipole a = lam (n . theta) in the real harmonics of ``SphereBasis``.
-
-    X, Y, Z are the matrices of the coordinate functions, known in closed
-    form (Edmonds 1957, ch. 4-5); each couples degree l to degree l + 1
-    only.  S_lm is a multiple of P_l^|m|(cos theta) times cos(m phi) (m > 0),
-    1 (m = 0) or sin(|m| phi) (m < 0).  z = cos(theta) keeps m; x and y,
-    sin(theta) times cos(phi) and sin(phi), move |m| = mu to mu + 1 through
-
-        sin(theta) p_l^mu = sqrt((l+mu+1)(l+mu+2) / ((2l+1)(2l+3))) p_{l+1}^{mu+1}
-                          - sqrt((l-mu-1)(l-mu) / ((2l-1)(2l+1))) p_{l-1}^{mu+1}
-
-    for the normalized p_l^mu without the Condon-Shortley phase; the
-    couplings from mu + 1 down to mu are the transposed entries.
-    """
-    T = basis.truncation
-    lam_x, lam_y, lam_z = pot.dipole_strength * pot.dipole_axis
-    l, m = np.array(basis.indices[: T * T]).T  # the lower degree of each pair
-
-    def pos(l, m):
-        return l * (l + 1) + m
-
-    d = (2 * l + 1) * (2 * l + 3)
-    rows, cols, vals = [pos(l, m)], [pos(l + 1, m)], [lam_z * np.sqrt(((l + 1) ** 2 - m**2) / d)]
-    l, m, d = l[m >= 0], m[m >= 0], d[m >= 0]
-    # 1/sqrt(2) from the m = 0 normalization, 1/2 from the product of cosines or sines
-    f = np.where(m == 0, np.sqrt(0.5), 0.5)
-    up = f * np.sqrt((l + m + 1) * (l + m + 2) / d)
-    down = -f * np.sqrt((l - m) * (l - m + 1) / d)
-    # source (degree ls, order +-m) -- target (degree lt, order +-(m + 1))
-    for ls, lt, c in ((l, l + 1, up), (l + 1, l, down)):
-        for s, t, lam, sine in ((1, 1, lam_x, False), (-1, -1, lam_x, True),
-                                (1, -1, lam_y, False), (-1, 1, -lam_y, True)):
-            k = (m < lt) & (m > 0) if sine else m < lt
-            rows.append(pos(ls, s * m)[k])
-            cols.append(pos(lt, t * (m + 1))[k])
-            vals.append(lam * c[k])
-    i, j, v = (np.concatenate(a) for a in (rows, cols, vals))
+    of the dipole a = lam (n . theta) in the real harmonics of ``SphereBasis``,
+    from the closed-form couplings of ``SphereBasis.couplings``; the dense
+    oracle of ``_reflection_blocks``."""
+    i, j, coef, comp, _ = basis.couplings()
     M = np.diag(basis.laplace_eigs)
-    M[i, j] = -v
-    M[j, i] = -v
+    M[i, j] = -(pot.dipole_strength * pot.dipole_axis)[comp] * coef
     return M
 
 
+def _dipole_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) -> np.ndarray:
+    """M v for the dipole's Galerkin matrix M of ``_dipole_matrix``, from its
+    couplings, without forming M."""
+    _, j, coef, comp, starts = basis.couplings()
+    entries = (pot.dipole_strength * pot.dipole_axis)[comp] * coef
+    return basis.laplace_eigs[:, None] * v - np.add.reduceat(entries[:, None] * v[j], starts)
+
+
+@dataclass(frozen=True)
+class _ReflectionBlocks:
+    """The dipole's Galerkin matrix, in a frame turned about z by ``angle``,
+    as its diagonal blocks (``SphereBasis.reflection_blocks``): ``rows``
+    places them in the basis, ``bounds`` holds a lower bound on each one's
+    spectrum, and ``matrix(b)`` builds block b from its diagonal and its
+    entries (``local`` rows and columns, ``values``, from ``offsets[b]``
+    to ``offsets[b + 1]``)."""
+
+    angle: float
+    rows: list
+    bounds: np.ndarray
+    diagonal: np.ndarray
+    local: tuple
+    values: np.ndarray
+    offsets: np.ndarray
+
+    def matrix(self, b: int) -> np.ndarray:
+        entries = slice(self.offsets[b], self.offsets[b + 1])
+        A = np.diag(self.diagonal[self.rows[b]])
+        A[self.local[0][entries], self.local[1][entries]] = -self.values[entries]
+        return A
+
+
+def _reflection_blocks(pot: AngularPotential, basis: SphereBasis) -> _ReflectionBlocks:
+    """The blocks of the dipole's Galerkin matrix, filled from the couplings
+    of its axis n turned about z by -angle, angle = atan2(n_y, n_x), onto
+    n' = (rho, 0, n_z) in the xz-plane.
+
+    The reflection y -> -y fixes n', and so does z -> -z when n_z = 0; when
+    rho = 0, every rotation about z does.  By Weyl's inequality a block's
+    eigenvalues are at least its least l(l+1) minus |lam|, because
+    multiplication by n . theta has norm at most 1.
+    """
+    nx, ny, nz = pot.dipole_axis
+    rho = np.hypot(nx, ny)
+    kind = "z" if rho == 0 else "x" if nz == 0 else "xz"
+    rows, least, (li, lj, coef, comp), offsets = basis.reflection_blocks(kind)
+    # a non-finite strength makes inf * 0 here; the finiteness check reports it
+    with np.errstate(invalid="ignore"):
+        values = (pot.dipole_strength * np.array([rho, 0.0, nz]))[comp] * coef
+    _require_finite(values)
+    # every rotation about z fixes the z axis, so that one is not turned
+    angle = float(np.arctan2(ny, nx)) if rho else 0.0
+    return _ReflectionBlocks(angle=angle, rows=rows, bounds=least - abs(pot.dipole_strength),
+                             diagonal=basis.laplace_eigs, local=(li, lj), values=values,
+                             offsets=offsets)
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NumericalFailureError("assembled matrix has non-finite entries")
+
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2, after the finiteness check and the check that M is
+    Hermitian up to roundoff.  A diagonal M may be given by its diagonal,
+    which is its own transpose."""
+    _require_finite(M)
+    herm = np.abs(M - M.conj().T).max()
+    scale = max(np.abs(M).max(), 1.0)
+    if herm > 1e-12 * scale:
+        raise NumericalFailureError(f"assembled matrix not Hermitian: defect {herm:.2e}")
+    return 0.5 * (M + M.conj().T)
+
+
+def _circle_band(pot: AngularPotential, basis: CircleBasis):
+    """``(rows, cols, entries)`` of the N = 2 Galerkin matrix on its band
+    |j - l| <= max(2 deg A, deg a), in row order; see
+    ``assemble_angular_matrix``."""
+    alpha_sq = np.convolve(pot.magnetic, pot.magnetic)
+
+    def coeff(c, m):
+        d = (len(c) - 1) // 2
+        out = np.zeros_like(m, dtype=complex)
+        mask = np.abs(m) <= d
+        out[mask] = c[m[mask] + d]
+        return out
+
+    n, width = basis.size, max(2 * pot.magnetic_degree, pot.electric_degree)
+    rows = np.repeat(np.arange(n), 2 * width + 1)
+    cols = rows + np.tile(np.arange(-width, width + 1), n)
+    keep = (cols >= 0) & (cols < n)
+    rows, cols = rows[keep], cols[keep]
+    J, L = basis.indices[rows], basis.indices[cols]
+    diff = J - L
+    # huge coefficients overflow here; the finiteness check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = np.where(J == L, (J * L).astype(complex), 0.0)
+        band += (J + L) * coeff(pot.magnetic, diff)
+        band += coeff(alpha_sq, diff)
+        band -= coeff(pot.electric, diff)
+    return rows, cols, band
+
+
 def assemble_angular_matrix(pot: AngularPotential, truncation: int):
-    """Galerkin matrix of the angular sesquilinear form; returns (M, basis).
+    """Dense Galerkin matrix of the angular sesquilinear form; returns
+    (M, basis).
 
     N = 2 convention: the operator acts as (-i d/dt + alpha)^2 - a, so the
     entry for basis pair (row j, column l) is
@@ -385,39 +570,12 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         raise ValueError("truncation must be >= 1")
     basis = angular_basis(pot.dimension, truncation)
     if pot.dimension == 2:
-        alpha_sq = np.convolve(pot.magnetic, pot.magnetic)
-
-        def coeff(c, m):
-            d = (len(c) - 1) // 2
-            out = np.zeros_like(m, dtype=complex)
-            mask = np.abs(m) <= d
-            out[mask] = c[m[mask] + d]
-            return out
-
-        n, width = basis.size, max(2 * pot.magnetic_degree, pot.electric_degree)
-        rows = np.repeat(np.arange(n), 2 * width + 1)
-        cols = rows + np.tile(np.arange(-width, width + 1), n)
-        keep = (cols >= 0) & (cols < n)
-        rows, cols = rows[keep], cols[keep]
-        J, L = basis.indices[rows], basis.indices[cols]
-        diff = J - L
-        # huge coefficients overflow here; the finiteness check below reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            band = np.where(J == L, (J * L).astype(complex), 0.0)
-            band += (J + L) * coeff(pot.magnetic, diff)
-            band += coeff(alpha_sq, diff)
-            band -= coeff(pot.electric, diff)
-        M = np.zeros((n, n), dtype=complex)
+        rows, cols, band = _circle_band(pot, basis)
+        M = np.zeros((basis.size, basis.size), dtype=complex)
         M[rows, cols] = band
     else:
         M = _dipole_matrix(pot, basis)
-    if not np.all(np.isfinite(M)):
-        raise NumericalFailureError("assembled matrix has non-finite entries")
-    herm = np.abs(M - M.conj().T).max()
-    scale = max(np.abs(M).max(), 1.0)
-    if herm > 1e-12 * scale:
-        raise NumericalFailureError(f"assembled matrix not Hermitian: defect {herm:.2e}")
-    return 0.5 * (M + M.conj().T), basis
+    return _hermitian_part(M), basis
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -502,30 +660,81 @@ def _group_blocks(mu: np.ndarray):
     return blocks
 
 
-def eigendecompose(matrix: np.ndarray, count: int, basis,
-                   pot: AngularPotential) -> AngularSpectrum:
-    """Lowest `count` eigenpairs of the Hermitian Galerkin matrix; a diagonal
-    one is sorted stably, so equal eigenvalues keep their basis order."""
-    n = matrix.shape[0]
+def _eigh(matrix: np.ndarray, count: int):
+    try:
+        # assembly has already rejected non-finite entries
+        return eigh(matrix, subset_by_index=(0, count - 1), check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
+
+
+def _block_eigenpairs(blocks: _ReflectionBlocks, count: int, basis: SphereBasis):
+    """Lowest ``count`` eigenpairs of the blocks, in the basis of the
+    unturned frame.
+
+    Blocks are solved in the order of their lower bounds, and a block whose
+    bound lies above the count-th eigenvalue found so far is skipped.  The
+    eigenvalues are merged by a stable sort in block order, and the partners
+    of a multiplicity block are ordered by their block, cos-type first, so
+    that mode labels do not depend on roundoff.
+    """
+    solved, kth = {}, np.inf
+    for b in np.argsort(blocks.bounds, kind="stable"):
+        if blocks.bounds[b] > kth:
+            break
+        solved[b] = _eigh(blocks.matrix(b), min(count, len(blocks.rows[b])))
+        found = np.concatenate([w for w, _ in solved.values()])
+        if len(found) >= count:
+            kth = np.partition(found, count - 1)[count - 1]
+    done = sorted(solved)
+    w = np.concatenate([solved[b][0] for b in done])
+    block = np.repeat(done, [len(solved[b][0]) for b in done])
+    col = np.concatenate([np.arange(len(solved[b][0])) for b in done])
+    order = np.argsort(w, kind="stable")
+    group = np.concatenate([np.full(m, g) for g, (_, m) in enumerate(_group_blocks(w[order]))])
+    order = order[np.lexsort((block[order], group))][:count]
+    v = np.zeros((basis.size, count))
+    for b in done:
+        k = np.flatnonzero(block[order] == b)
+        v[blocks.rows[b][:, None], k] = solved[b][1][:, col[order[k]]]
+    if blocks.angle != 0:
+        # coefficients (x, y) of S_{l,m}, S_{l,-m} in the turned frame are
+        # (x cos(m t) - y sin(m t), x sin(m t) + y cos(m t)) in the unturned one
+        p, q, m = basis.turn_pairs()
+        c, s = np.cos(m * blocks.angle)[:, None], np.sin(m * blocks.angle)[:, None]
+        x, y = v[p], v[q]
+        v[p] = x * c - y * s
+        v[q] = x * s + y * c
+    return w[order], v
+
+
+def eigendecompose(matrix, count: int, basis, pot: AngularPotential) -> AngularSpectrum:
+    """Lowest `count` eigenpairs of the Hermitian Galerkin matrix, given
+    either densely (solved by ``eigh``), or by its diagonal (sorted stably,
+    so equal eigenvalues keep their basis order, with unit eigenvectors), or,
+    for the dipole, by its ``_ReflectionBlocks``, whose eigenpairs are
+    checked against the unturned matrix."""
+    n = basis.size
     if count > n:
         raise AliasingError(f"requested {count} eigenpairs from a {n}x{n} matrix")
-    diagonal = matrix.diagonal()
-    if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
-        order = np.argsort(diagonal.real, kind="stable")[:count]
-        w = diagonal.real[order]
+    diagonal = isinstance(matrix, np.ndarray) and matrix.ndim == 1
+    if diagonal:
+        order = np.argsort(matrix.real, kind="stable")[:count]
+        w = matrix.real[order]
         v = np.zeros((n, count), dtype=matrix.dtype)
         v[order, np.arange(count)] = 1.0
+        resid = 0.0  # unit vectors are exact eigenvectors of a diagonal matrix
+    elif isinstance(matrix, _ReflectionBlocks):
+        w, v = _block_eigenpairs(matrix, count, basis)
+        resid = np.abs(_dipole_product(pot, basis, v) - v * w).max()
     else:
-        try:
-            # assemble_angular_matrix has already rejected non-finite entries
-            w, v = eigh(matrix, subset_by_index=(0, count - 1), check_finite=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
+        w, v = _eigh(matrix, count)
+        resid = np.abs(matrix @ v - v * w).max()
     spectral_radius = max(np.abs(w).max(), 1.0)
-    resid = np.abs(matrix @ v - v * w).max()
     if resid > EIGEN_RESIDUAL_TOL * spectral_radius:
         raise NumericalFailureError(f"eigenpair residual {resid:.2e} exceeds tolerance")
-    v = np.stack([_fix_phase(v[:, i]) for i in range(count)], axis=1)
+    if not diagonal:  # a unit vector's phase is already fixed
+        v = np.stack([_fix_phase(v[:, i]) for i in range(count)], axis=1)
     return AngularSpectrum(
         potential=pot,
         basis=basis,
@@ -538,7 +747,9 @@ def eigendecompose(matrix: np.ndarray, count: int, basis,
 
 def angular_spectrum(pot: AngularPotential, count: int = 16,
                      truncation: int | None = None) -> AngularSpectrum:
-    """Assemble and diagonalize in one call with default truncations."""
+    """Assemble and diagonalize in one call with default truncations, each
+    matrix in its cheapest form: a constant circle potential by its
+    diagonal, the dipole by its reflection blocks, anything else densely."""
     if truncation is None:
         truncation = DEFAULT_TRUNCATION_CIRCLE if pot.dimension == 2 else DEFAULT_TRUNCATION_SPHERE
     degree_needed = pot.magnetic_degree + pot.electric_degree
@@ -546,6 +757,11 @@ def angular_spectrum(pot: AngularPotential, count: int = 16,
         raise AliasingError(
             f"truncation {truncation} cannot resolve potential degree {degree_needed}"
         )
+    basis = angular_basis(pot.dimension, truncation)
+    if pot.dimension == 3:
+        return eigendecompose(_reflection_blocks(pot, basis), count, basis, pot)
+    if degree_needed == 0:
+        return eigendecompose(_hermitian_part(_circle_band(pot, basis)[2]), count, basis, pot)
     M, basis = assemble_angular_matrix(pot, truncation)
     return eigendecompose(M, count, basis, pot)
 

@@ -192,7 +192,12 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
             boundary_radius=float(R), c1=0j, side=side,
         )
     _check_forcing_decay(zeta, r, exp, side)
-    return _variation_of_parameters(exp, zeta, boundary_value, r, side)
+    # a huge forcing overflows the integrals; reported below, not warned about
+    with np.errstate(all="ignore"):
+        sol = _variation_of_parameters(exp, zeta, boundary_value, r, side)
+    if not (np.isfinite(sol.phi).all() and np.isfinite(sol.dphi).all()):
+        raise NumericalFailureError(f"the radial profile of mode {exp.k} overflows")
+    return sol
 
 
 def _variation_of_parameters(exp: ModalExponents, zeta: np.ndarray,

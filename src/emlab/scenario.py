@@ -23,6 +23,7 @@ from . import __version__, grids
 from .angular import (
     DEFAULT_TRUNCATION_CIRCLE,
     DEFAULT_TRUNCATION_SPHERE,
+    angular_node_count,
     angular_spectrum,
     build_potential,
 )
@@ -90,6 +91,11 @@ TOGGLE_BLOCKS = {
 #: the blocks ``verify`` may name, in the order the pipeline runs them
 VERIFY_CHECKS = ("height_derivative", "pohozaev", "hardy", "diamagnetic",
                  "hardy2d", "mu1")
+
+#: bytes of one nodal array of a field, n_r x n_nodes complex samples on its
+#: radial x angular grid, that a scenario may ask for; the 9000 x 34^2 grid
+#: of a T = 16 dipole run takes 159 MiB
+NODAL_ARRAY_BUDGET = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -237,11 +243,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     eigen_count = _number(doc.get("eigen_count", 8), "eigen_count", int)
     _validate(eigen_count >= 1, "eigen_count must be >= 1")
     truncation = doc.get("truncation")
+    T = DEFAULT_TRUNCATION_CIRCLE if dimension == 2 else DEFAULT_TRUNCATION_SPHERE
     if truncation is not None:
-        truncation = _number(truncation, "truncation", int)
+        truncation = T = _number(truncation, "truncation", int)
         _validate(truncation >= 1, "truncation must be >= 1")
     else:  # an explicit basis is checked at run time, after the aliasing guard
-        T = DEFAULT_TRUNCATION_CIRCLE if dimension == 2 else DEFAULT_TRUNCATION_SPHERE
         size = 2 * T + 1 if dimension == 2 else (T + 1) ** 2
         _validate(eigen_count <= size, f"eigen_count {eigen_count} exceeds the {size} "
                                        f"functions of the default angular basis")
@@ -263,6 +269,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _validate(0 < rmin_ratio < 1, "rmin_ratio must lie in (0, 1)")
     span = _number(grid.get("exterior_span", 1e8), "grid.exterior_span")
     _validate(1 < span < np.inf, "exterior_span must be finite and exceed 1")
+    n_angular = angular_node_count(dimension, T)
+    nodal = nodes * n_angular * 16
+    _validate(nodal <= NODAL_ARRAY_BUDGET,
+              f"a nodal array on {nodes} radial x {n_angular} angular nodes (truncation {T}) "
+              f"takes {nodal / 2**20:.0f} MiB, over the budget of "
+              f"{NODAL_ARRAY_BUDGET >> 20} MiB")
 
     radii = doc.get("radii")
     if radii is None:

@@ -151,17 +151,19 @@ class TestDipoleClosedForm:
         assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_sphere_spectrum_is_real(self, monkeypatch):
-        matrices = []
+        # the spectrum is solved from the real blocks of the reflections
+        forms = []
         eig = emlab.angular.eigendecompose
 
         def keeping(matrix, *args, **kwargs):
-            matrices.append(matrix)
+            forms.append(matrix)
             return eig(matrix, *args, **kwargs)
 
         monkeypatch.setattr(emlab.angular, "eigendecompose", keeping)
         pot = build_potential({"kind": "dipole", "strength": 0.8, "axis": [1, 2, 2]})
         spectrum = angular_spectrum(pot, count=4, truncation=8)
-        assert [m.dtype for m in matrices] == [np.float64]
+        assert [type(m) for m in forms] == [emlab.angular._ReflectionBlocks]
+        assert forms[0].matrix(0).dtype == np.float64
         assert spectrum.eigenvectors.dtype == np.float64
 
     def test_reads_no_basis_table(self, monkeypatch):
@@ -172,6 +174,88 @@ class TestDipoleClosedForm:
         monkeypatch.setattr(SphereBasis, "gradient", no_table)
         pot = build_potential({"kind": "dipole", "strength": 0.8, "axis": [0, 1, 1]})
         assert angular_spectrum(pot, count=4, truncation=12).count == 4
+
+
+class TestReflectionBlocks:
+    """The dipole spectrum from its reflection blocks against the dense
+    ``eigh`` of ``assemble_angular_matrix``, the oracle."""
+
+    AXES = {"z": [0, 0, 1], "-z": [0, 0, -1], "x": [1, 0, 0], "-x": [-1, 0, 0],
+            "y": [0, 1, 0], "xy": [1, 1, 0], "xyz": [1, 1, 1],
+            **{f"random{seed}": list(np.random.default_rng(seed).normal(size=3))
+               for seed in (3, 11)}}
+
+    @pytest.mark.parametrize("strength", [0.0, -0.7, 1.2])
+    @pytest.mark.parametrize("axis", AXES)
+    def test_equals_the_dense_solver(self, axis, strength):
+        pot = build_potential({"kind": "dipole", "strength": strength, "axis": self.AXES[axis]})
+        for truncation in range(1, 17):
+            M, basis = assemble_angular_matrix(pot, truncation)
+            blocks = emlab.angular._reflection_blocks(pot, basis)
+            # up to count = n, so that no block the spectrum needs is skipped
+            for count in sorted({1, min(8, basis.size), basis.size}):
+                sp = emlab.angular.eigendecompose(blocks, count, basis, pot)
+                dense = emlab.angular.eigendecompose(M, count, basis, pot)
+                radius = np.abs(dense.eigenvalues).max()
+                assert np.abs(sp.eigenvalues - dense.eigenvalues).max() <= 1e-12 * radius
+                assert sp.blocks == dense.blocks
+                w = dense.eigenvalues
+                for j0, m in dense.blocks:
+                    if j0 + m - 1 == count and count < basis.size:
+                        continue  # the subset may cut this block
+                    cols = slice(j0 - 1, j0 - 1 + m)
+                    P = sp.eigenvectors[:, cols] @ sp.eigenvectors[:, cols].T
+                    Q = dense.eigenvectors[:, cols] @ dense.eigenvectors[:, cols].T
+                    # Davis-Kahan: roundoff of both solvers over the gap to
+                    # the neighbouring eigenvalues
+                    below = w[j0 - 1] - w[j0 - 2] if j0 > 1 else np.inf
+                    above = w[j0 + m - 1] - w[j0 + m - 2] if j0 + m - 1 < count else np.inf
+                    gap = min(abs(below), abs(above))
+                    assert np.abs(P - Q).max() <= 1e-10 + 1e-13 * max(radius, 1) / gap
+            if truncation > 1:  # T = 1 cannot resolve a dipole
+                spectrum = angular_spectrum(pot, 8, truncation)
+                direct = emlab.angular.eigendecompose(blocks, 8, basis, pot)
+                assert np.array_equal(spectrum.eigenvalues, direct.eigenvalues)
+                assert np.array_equal(spectrum.eigenvectors, direct.eigenvectors)
+
+    @pytest.mark.parametrize("strength", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("axis", ["z", "x", "xyz"])
+    def test_non_finite_strength_rejected(self, axis, strength):
+        pot = build_potential({"kind": "dipole", "strength": strength, "axis": self.AXES[axis]})
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            angular_spectrum(pot, count=4, truncation=8)
+
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    def test_partners_in_block_order(self, axis):
+        # along z and x the frame is not turned: of each degenerate pair the
+        # cos-type partner (m >= 0) comes first, the sin-type one second
+        pot = build_potential({"kind": "dipole", "strength": 0.9, "axis": self.AXES[axis]})
+        sp = angular_spectrum(pot, count=16, truncation=12)
+        sine = np.array([m < 0 for _, m in sp.basis.indices])
+        pairs = [(j0, m) for j0, m in sp.blocks if m == 2]
+        assert len(pairs) >= 4
+        for j0, _ in pairs:
+            first, second = sp.eigenvectors[:, j0 - 1], sp.eigenvectors[:, j0]
+            assert not first[sine].any() and not second[~sine].any()
+
+    def test_forms_no_dense_matrix(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense dipole matrix built")
+
+        monkeypatch.setattr(emlab.angular, "_dipole_matrix", dense)
+        pot = build_potential({"kind": "dipole", "strength": 1.0, "axis": [1, 1, 1]})
+        assert angular_spectrum(pot, count=8, truncation=16).count == 8
+
+    def test_residual_is_checked_in_the_unturned_frame(self, monkeypatch):
+        # turning the eigenvectors the wrong way gives eigenpairs of another
+        # axis, which the residual against the scenario's axis rejects
+        basis = SphereBasis(8)
+        p, q, m = basis.turn_pairs()
+        monkeypatch.setattr(basis, "turn_pairs", lambda: (p, q, -m))
+        monkeypatch.setattr(emlab.angular, "angular_basis", lambda *args: basis)
+        pot = build_potential({"kind": "dipole", "strength": 1.0, "axis": [1, 1, 1]})
+        with pytest.raises(NumericalFailureError, match="residual"):
+            angular_spectrum(pot, count=4, truncation=8)
 
 
 def dense_circle_matrix(pot, truncation):
@@ -245,7 +329,7 @@ class TestDiagonalSpectrum:
         pot = build_potential(CIRCLE_POTENTIALS[name])
         M, basis = assemble_angular_matrix(pot, truncation)
         for count in (min(8, basis.size), basis.size):
-            sp = emlab.angular.eigendecompose(M, count, basis, pot)
+            sp = angular_spectrum(pot, count, truncation)
             w, v = eigh_spectrum(M, count)
             assert_bitwise_equal(sp.eigenvalues, w)
             for j0, m in sp.blocks:
@@ -260,30 +344,59 @@ class TestDiagonalSpectrum:
                     Q = v[:, cols] @ v[:, cols].conj().T
                     assert np.abs(P - Q).max() <= 1e-14
 
+    @pytest.mark.parametrize("desc", [
+        {"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.1},
+        {"kind": "fourier", "magnetic": 0.4, "electric": -0.2},
+    ], ids=["ab", "fourier_constant"])
+    def test_constant_potentials_build_no_matrix(self, monkeypatch, desc):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(emlab.angular, "assemble_angular_matrix", dense)
+        monkeypatch.setattr(emlab.angular, "_fix_phase", dense)
+        assert angular_spectrum(build_potential(desc), count=8).count == 8
+
+    def test_non_hermitian_diagonal_rejected(self):
+        pot = emlab.angular.AngularPotential(
+            dimension=2, kind="fourier", magnetic=np.array([0.3 + 0j]),
+            electric=np.array([1e-6j]))
+        with pytest.raises(NumericalFailureError, match="not Hermitian"):
+            angular_spectrum(pot, count=4)
+
+    def test_overflowing_diagonal_rejected(self):
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            angular_spectrum(ab(1e200), count=4)
+
     def test_integer_flux_pairs_follow_the_basis_order(self):
         sp = angular_spectrum(ab(1.0), count=5, truncation=8)
         peaks = [int(sp.basis.indices[np.argmax(np.abs(v))]) for v in sp.eigenvectors.T]
         # mu = (j + 1)^2: each pair (-1 - k, -1 + k) in basis order
         assert peaks == [-1, -2, 0, -3, 1]
 
-    @pytest.mark.parametrize("desc,calls", [
-        ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.1}, 0),
-        ({"kind": "aharonov_bohm", "alpha": 0.0}, 0),
-        ({"kind": "fourier", "magnetic": 0.4, "electric": -0.2}, 0),
-        ({"kind": "fourier", "magnetic": {"mean": 0.3, "cos": [0.2]}}, 1),
-        ({"kind": "dipole", "strength": 0.8, "axis": [0, 1, 1]}, 1),
-    ], ids=["ab", "ab_integer", "fourier_constant", "fourier", "dipole"])
-    def test_eigh_calls(self, monkeypatch, desc, calls):
+    @pytest.mark.parametrize("desc,sizes", [
+        ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.1}, []),
+        ({"kind": "aharonov_bohm", "alpha": 0.0}, []),
+        ({"kind": "fourier", "magnetic": 0.4, "electric": -0.2}, []),
+        ({"kind": "fourier", "magnetic": {"mean": 0.3, "cos": [0.2]}}, [17]),
+        # the 81 functions of T = 8: cos-type and sin-type blocks
+        ({"kind": "dipole", "strength": 0.8, "axis": [0, 1, 1]}, [45, 36]),
+        # m = 0, 1, -1; the lowest 4 are found before m = +-2 is needed
+        ({"kind": "dipole", "strength": 0.8, "axis": [0, 0, 1]}, [9, 8, 8]),
+        # three of the four blocks of the two reflections
+        ({"kind": "dipole", "strength": 0.8, "axis": [0, -2, 0]}, [25, 20, 20]),
+    ], ids=["ab", "ab_integer", "fourier_constant", "fourier", "dipole", "dipole_z",
+            "dipole_y"])
+    def test_eigh_calls(self, monkeypatch, desc, sizes):
         seen = []
         eigh = emlab.angular.eigh
 
-        def counting(*args, **kwargs):
-            seen.append(1)
-            return eigh(*args, **kwargs)
+        def counting(matrix, *args, **kwargs):
+            seen.append(len(matrix))
+            return eigh(matrix, *args, **kwargs)
 
         monkeypatch.setattr(emlab.angular, "eigh", counting)
         angular_spectrum(build_potential(desc), count=4, truncation=8)
-        assert len(seen) == calls
+        assert seen == sizes
 
 
 class TestSpectrum:
@@ -459,6 +572,12 @@ class TestTables:
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert spectrum.psi_values(k, *nodes) is spectrum.psi_values(k, *nodes)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_node_count_is_the_grid_size(self, dimension):
+        for truncation in (1, 2, 7, 16):
+            grid = angular_basis(dimension, truncation).grid()
+            assert emlab.angular.angular_node_count(dimension, truncation) == len(grid[0])
 
     def test_cached_tables_are_read_only(self):
         basis = angular_basis(3, 8)

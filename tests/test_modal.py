@@ -299,6 +299,14 @@ class TestPicard:
         with pytest.raises(NumericalFailureError, match="overflows"):
             solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
 
+    def test_overflowing_radial_solve_raises_without_warnings(self, ab_spectrum,
+                                                              exterior_grid):
+        # a finite forcing whose integrals overflow out at 1e8 R
+        exp = characteristic_exponents(2, ab_spectrum.mu(1), 1)
+        zeta = 1e307 * exterior_grid ** -2.0
+        with pytest.raises(NumericalFailureError, match="radial profile of mode 1 overflows"):
+            solve_radial_mode(exp, zeta, 1.0, exterior_grid, side="exterior")
+
 
 class TestPerturbationSpec:
     """The spec is the one validator of a perturbation; each message starts

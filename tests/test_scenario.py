@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -111,6 +112,29 @@ class TestParsing:
     def test_all_zero_boundary_rejected(self):
         with pytest.raises(ScenarioValidationError, match="nonzero"):
             scenario_from_dict(minimal_doc(boundary={"values": {"1": 0.0}}))
+
+    def test_nodal_budget_edge(self):
+        # 2-d, T = 63: 256 angular nodes of 16 B, 4 KiB per radial node
+        nodes = emlab.scenario.NODAL_ARRAY_BUDGET // 4096
+        scenario_from_dict(minimal_doc(truncation=63, grid={"nodes": nodes}))
+        with pytest.raises(ScenarioValidationError, match="over the budget"):
+            scenario_from_dict(minimal_doc(truncation=63, grid={"nodes": nodes + 1}))
+
+    @pytest.mark.parametrize("doc", [
+        minimal_doc(grid={"nodes": 10**9}),
+        minimal_doc(truncation=10**9),
+        {"potential": {"kind": "dipole"}, "grid": {"nodes": 9000}},
+        {"potential": {"kind": "dipole"}, "truncation": 10**6},
+    ], ids=["radial", "circle", "sphere_default", "sphere"])
+    def test_nodal_budget_is_checked_without_allocating(self, doc):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioValidationError, match="over the budget"):
+                scenario_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_hash_is_stable(self):
         a = scenario_from_dict(minimal_doc())
@@ -745,6 +769,18 @@ def test_diverging_picard_run_ends_in_an_error_report(tmp_path):
     assert report["status"] == "error"
     assert report["error"]["type"] == "NumericalFailureError"
     assert report["solver"]["converged"] is False
+
+
+def test_overflowing_exterior_run_writes_nothing_to_stderr(tmp_path):
+    # the forcing is finite, but its radial integrals overflow out to 1e8 R
+    proc = run_cli(tmp_path, {
+        "potential": {"kind": "aharonov_bohm", "alpha": 0.3}, "side": "exterior",
+        "perturbation": {"amplitude": 1e10, "epsilon": 0.5, "side": "exterior"}})
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "NumericalFailureError"
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
