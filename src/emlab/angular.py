@@ -482,6 +482,30 @@ class _ReflectionBlocks:
         return A
 
 
+def _turned_axis(pot: AngularPotential) -> tuple[float, float, str]:
+    """``(rho, n_z, kind)``: the dipole axis turned about z onto (rho, 0, n_z)
+    in the xz-plane, and the kind of ``SphereBasis.reflection_blocks`` it
+    leaves invariant."""
+    nx, ny, nz = pot.dipole_axis
+    rho = np.hypot(nx, ny)
+    return rho, nz, "z" if rho == 0 else "x" if nz == 0 else "xz"
+
+
+def dense_matrix_bytes(pot: AngularPotential, truncation: int) -> int:
+    """Bytes of the largest dense matrix ``angular_spectrum`` builds for the
+    potential at the truncation, known without building it: none for a
+    constant circle potential, solved on its diagonal; the (2T + 1)^2
+    complex Galerkin matrix for any other circle potential; the largest real
+    reflection block for the dipole.  That block holds the m = 0 harmonics
+    for an axis along z, the cos-type ones of even l + m for an axis in the
+    xy-plane, and all cos-type ones for any other axis."""
+    T = truncation
+    if pot.dimension == 2:
+        return 0 if pot.magnetic_degree + pot.electric_degree == 0 else 16 * (2 * T + 1) ** 2
+    size = {"z": T + 1, "x": T + 1 + T * T // 4, "xz": (T + 1) * (T + 2) // 2}
+    return 8 * size[_turned_axis(pot)[2]] ** 2
+
+
 def _reflection_blocks(pot: AngularPotential, basis: SphereBasis) -> _ReflectionBlocks:
     """The blocks of the dipole's Galerkin matrix, filled from the couplings
     of its axis n turned about z by -angle, angle = atan2(n_y, n_x), onto
@@ -492,16 +516,14 @@ def _reflection_blocks(pot: AngularPotential, basis: SphereBasis) -> _Reflection
     eigenvalues are at least its least l(l+1) minus |lam|, because
     multiplication by n . theta has norm at most 1.
     """
-    nx, ny, nz = pot.dipole_axis
-    rho = np.hypot(nx, ny)
-    kind = "z" if rho == 0 else "x" if nz == 0 else "xz"
+    rho, nz, kind = _turned_axis(pot)
     rows, least, (li, lj, coef, comp), offsets = basis.reflection_blocks(kind)
     # a non-finite strength makes inf * 0 here; the finiteness check reports it
     with np.errstate(invalid="ignore"):
         values = (pot.dipole_strength * np.array([rho, 0.0, nz]))[comp] * coef
     _require_finite(values)
     # every rotation about z fixes the z axis, so that one is not turned
-    angle = float(np.arctan2(ny, nx)) if rho else 0.0
+    angle = float(np.arctan2(pot.dipole_axis[1], pot.dipole_axis[0])) if rho else 0.0
     return _ReflectionBlocks(angle=angle, rows=rows, bounds=least - abs(pot.dipole_strength),
                              diagonal=basis.laplace_eigs, local=(li, lj), values=values,
                              offsets=offsets)

@@ -16,6 +16,7 @@ companion.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,12 +67,13 @@ def radial_bump_derivative(x: np.ndarray) -> np.ndarray:
 class Product:
     """u = w(r) g(theta) with a real radial factor: w and w' on the radial
     grid, g and its tangential gradient components on the angular nodes.
+    ``g`` and ``dg`` may carry a leading axis over several functions that
+    share w; every form then returns one value per function.
 
-    The forms below reduce a product through angular scalars and one radial
-    quadrature.  Any other test function is a sampled ``FieldSample``,
-    reduced by nodal quadrature, the oracle for the separated path.  A sweep
-    holds its functions in one Product whose ``g`` and ``dg`` carry a
-    leading axis (``_random_products``); the public forms take one function.
+    The forms reduce a product in separated form, from angular scalars and
+    the two radial moments below, each integrated once per product.  Any
+    other test function is a sampled ``FieldSample``, reduced by nodal
+    quadrature, the oracle for the separated path.
     """
 
     dimension: int
@@ -90,6 +92,23 @@ class Product:
             du_dr=np.outer(self.dw, self.g),
             angular_gradient=tuple(np.outer(self.w, d) for d in self.dg),
         )
+
+    @cached_property
+    def angular_mass(self) -> np.ndarray:
+        """M = int |g|^2 over the unit sphere."""
+        return (np.abs(self.g) ** 2) @ self.angular_weights
+
+    @cached_property
+    def energy_moment(self) -> np.ndarray:
+        """A(s) = int_0^s t^{N-1} w'(t)^2 dt at each grid radius s."""
+        f = self.r ** (self.dimension - 1) * self.dw**2
+        return grids.singular_integral(f, self.r, "interior")
+
+    @cached_property
+    def mass_moment(self) -> np.ndarray:
+        """B(s) = int_0^s t^{N-3} w(t)^2 dt at each grid radius s."""
+        f = self.r ** (self.dimension - 3) * self.w**2
+        return grids.singular_integral(f, self.r, "interior")
 
 
 def _circle_nodes():
@@ -178,30 +197,26 @@ def _check_dimension(pot: AngularPotential, tf: Product | FieldSample) -> None:
 
 def _covariant_angular(pot: AngularPotential, nodes: tuple, u: np.ndarray, grad: tuple):
     """Angular part grad_S u + i A u on the nodes, as component arrays;
-    ``u`` and ``grad`` may carry a leading radial axis."""
+    ``u`` and ``grad`` may carry leading axes."""
     if len(nodes) == 1:
         return (grad[0] + 1j * pot.alpha(nodes[0]) * u,)
     return grad
 
 
-def _electric_values(pot: AngularPotential, nodes: tuple) -> np.ndarray:
-    if len(nodes) == 1:
-        return pot.electric_circle(nodes[0])
-    return pot.electric_sphere(*nodes)
-
-
-def _sphere_mass(tf: Product | FieldSample) -> np.ndarray:
+def _sphere_mass(tf: FieldSample) -> np.ndarray:
     """int over the unit sphere of |u(s, .)|^2, at each grid radius s."""
-    if isinstance(tf, Product):
-        return tf.w**2 * ((np.abs(tf.g) ** 2) @ tf.angular_weights)
     return (np.abs(tf.values) ** 2) @ tf.angular_weights
+
+
+def _ball_node(r: np.ndarray, radius: float) -> int:
+    """The grid node nearest the radius, where int_0^radius is read."""
+    return grids.nearest_index(r, min(radius, r[-1]))
 
 
 def _ball_integral(r: np.ndarray, f: np.ndarray, radius: float) -> float:
     """int_0^radius f ds: quadrature to the grid node nearest the radius,
     closed below r[0] by the power-law tail."""
-    i = grids.nearest_index(r, min(radius, r[-1]))
-    return float(grids.singular_integral(f, r, "interior")[i])
+    return float(grids.singular_integral(f, r, "interior")[_ball_node(r, radius)])
 
 
 def _check_support(tf: Product | FieldSample, r: float) -> None:
@@ -216,45 +231,46 @@ def _check_support(tf: Product | FieldSample, r: float) -> None:
         raise ValueError(f"test function is not supported in the ball of radius {r}")
 
 
-def _angular_energy(pot: AngularPotential, nodes: tuple, weights: np.ndarray,
+def _angular_energy(pot: AngularPotential, tf: Product | FieldSample,
                     u: np.ndarray, grad: tuple) -> np.ndarray:
-    """int over the unit sphere of |grad_S u + i A u|^2 - a |u|^2; ``u``
-    and ``grad`` may carry a leading radial axis."""
+    """int over the unit sphere of |grad_S u + i A u|^2 - a |u|^2 for u
+    and grad on the angular nodes of ``tf``, with any leading axes."""
+    nodes, weights = tf.angular_nodes, tf.angular_weights
+    a = pot.electric_circle(nodes[0]) if len(nodes) == 1 else pot.electric_sphere(*nodes)
     cov = _covariant_angular(pot, nodes, u, grad)
-    energy = sum(np.abs(c) ** 2 for c in cov) @ weights
-    energy -= (_electric_values(pot, nodes) * np.abs(u) ** 2) @ weights
-    return energy
-
-
-def _radial_energy_density(pot: AngularPotential, tf: Product | FieldSample) -> np.ndarray:
-    """e(s) with Q = int s^{N-1} e(s) ds."""
-    _check_dimension(pot, tf)
-    w = tf.angular_weights
-    if isinstance(tf, Product):
-        energy = _angular_energy(pot, tf.angular_nodes, w, tf.g, tf.dg)
-        return tf.dw**2 * ((np.abs(tf.g) ** 2) @ w) + tf.w**2 * energy / tf.r**2
-    energy = _angular_energy(pot, tf.angular_nodes, w, tf.values, tf.angular_gradient)
-    return (np.abs(tf.du_dr) ** 2) @ w + energy / tf.r**2
+    return sum(np.abs(c) ** 2 for c in cov) @ weights - (a * np.abs(u) ** 2) @ weights
 
 
 def quadratic_form(pot: AngularPotential, tf: Product | FieldSample,
-                   r: float | None = None) -> float:
-    """Q(u) over the ball of radius r by polar quadrature."""
+                   r: float | None = None) -> float | np.ndarray:
+    """Q(u) over the ball of radius r by polar quadrature: A M + B E for a
+    product, with E its angular energy, and the integral of
+    s^{N-1} (int |du/dr|^2 + energy / s^2) for samples."""
     if r is None:
         r = float(tf.r[-1])
+    _check_dimension(pot, tf)
     _check_support(tf, r)
-    f = tf.r ** (tf.dimension - 1) * _radial_energy_density(pot, tf)
-    return _ball_integral(tf.r, f, r)
+    if isinstance(tf, Product):
+        i = _ball_node(tf.r, r)
+        energy = _angular_energy(pot, tf, tf.g, tf.dg)
+        return float(tf.energy_moment[i]) * tf.angular_mass + float(tf.mass_moment[i]) * energy
+    energy = _angular_energy(pot, tf, tf.values, tf.angular_gradient)
+    density = (np.abs(tf.du_dr) ** 2) @ tf.angular_weights + energy / tf.r**2
+    return _ball_integral(tf.r, tf.r ** (tf.dimension - 1) * density, r)
 
 
-def singular_mass(tf: Product | FieldSample, r: float) -> float:
-    """int over B_r of |u|^2 / |x|^2."""
+def singular_mass(tf: Product | FieldSample, r: float) -> float | np.ndarray:
+    """int over B_r of |u|^2 / |x|^2: B M for a product."""
+    if isinstance(tf, Product):
+        return float(tf.mass_moment[_ball_node(tf.r, r)]) * tf.angular_mass
     return _ball_integral(tf.r, tf.r ** (tf.dimension - 3) * _sphere_mass(tf), r)
 
 
-def boundary_mass(tf: Product | FieldSample, r: float) -> float:
+def boundary_mass(tf: Product | FieldSample, r: float) -> float | np.ndarray:
     """int over the sphere of radius r of |u|^2 dS, nearest grid node."""
     i = grids.nearest_index(tf.r, r)
+    if isinstance(tf, Product):
+        return tf.r[i] ** (tf.dimension - 1) * tf.w[i] ** 2 * tf.angular_mass
     return float(tf.r[i] ** (tf.dimension - 1) * _sphere_mass(tf)[i])
 
 
@@ -268,7 +284,7 @@ def mu1_of(pot: AngularPotential, truncation: int | None = None) -> float:
 
 
 def hardy_boundary_margin(pot: AngularPotential, tf: Product | FieldSample, r: float,
-                          mu1_value: float | None = None) -> float:
+                          mu1_value: float | None = None) -> float | np.ndarray:
     """LHS minus RHS of the Hardy inequality with boundary terms.
 
         Q over B_r + (N-2)/(2r) int_{dB_r} |u|^2 dS
@@ -278,11 +294,10 @@ def hardy_boundary_margin(pot: AngularPotential, tf: Product | FieldSample, r: f
     if mu1_value is None:
         mu1_value = mu1_of(pot)
     lhs = quadratic_form(pot, tf, r) + (N - 2) / (2 * r) * boundary_mass(tf, r)
-    rhs = lambda1_from_mu1(N, mu1_value) * singular_mass(tf, r)
-    return float(lhs - rhs)
+    return lhs - lambda1_from_mu1(N, mu1_value) * singular_mass(tf, r)
 
 
-def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> float:
+def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> float | np.ndarray:
     """min over nodes of |grad u + i A u/|x||^2 - |grad |u||^2.
 
     The modulus gradient is Re(conj(u) grad u)/|u|; nodes where |u| is at
@@ -293,7 +308,26 @@ def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> floa
     """
     _check_dimension(pot, tf)
     if isinstance(tf, Product):
-        return float(_product_diamagnetic_margin(pot, tf))
+        cov = _covariant_angular(pot, tf.angular_nodes, tf.g, tf.dg)
+        ag = np.abs(tf.g)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mod = sum((np.real(np.conj(tf.g) * d) / ag) ** 2 for d in tf.dg)
+            need = ZERO_CUTOFF / ag  # |w| above this keeps |u| above the cutoff
+        defect = sum(np.abs(c) ** 2 for c in cov) - mod
+        # the extreme radial factor w^2/r^2 among the radii each node admits:
+        # sorted by decreasing |w|, node j admits a prefix of length n[j]
+        aw = np.abs(tf.w)
+        order = np.argsort(-aw, kind="stable")
+        q = (tf.w**2 / tf.r**2)[order]
+        n = np.searchsorted(-aw[order], -need, side="left")
+        ok = n > 0
+        if not np.all(np.any(ok, axis=-1)):
+            raise ValueError("test function vanishes everywhere above the cutoff")
+        last = np.maximum(n - 1, 0)
+        # q >= 0, so q D is least at the least q where D >= 0, the greatest where not
+        q_ext = np.where(defect >= 0, np.minimum.accumulate(q)[last],
+                         np.maximum.accumulate(q)[last])
+        return np.where(ok, q_ext * defect, np.inf).min(axis=-1)
     cov = _covariant_angular(pot, tf.angular_nodes, tf.values, tf.angular_gradient)
     u = tf.values
     m = np.abs(u)
@@ -307,31 +341,6 @@ def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> floa
         dm_ang = [np.real(np.conj(u) * g) / m for g in tf.angular_gradient]
     mod = dm_r**2 + sum(d**2 for d in dm_ang) / r2
     return float((mag - mod)[mask].min())
-
-
-def _product_diamagnetic_margin(pot: AngularPotential, p: Product) -> np.ndarray:
-    """The margin of a product, or of each product of a batch whose ``g``
-    and ``dg`` carry a leading axis."""
-    cov = _covariant_angular(pot, p.angular_nodes, p.g, p.dg)
-    ag = np.abs(p.g)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mod = sum((np.real(np.conj(p.g) * d) / ag) ** 2 for d in p.dg)
-        need = ZERO_CUTOFF / ag  # |w| above this keeps |u| above the cutoff
-    defect = sum(np.abs(c) ** 2 for c in cov) - mod
-    # the extreme radial factor w^2/r^2 among the radii each node admits:
-    # sorted by decreasing |w|, node j admits a prefix of length n[j]
-    aw = np.abs(p.w)
-    order = np.argsort(-aw, kind="stable")
-    q = (p.w**2 / p.r**2)[order]
-    n = np.searchsorted(-aw[order], -need, side="left")
-    ok = n > 0
-    if not np.all(np.any(ok, axis=-1)):
-        raise ValueError("test function vanishes everywhere above the cutoff")
-    last = np.maximum(n - 1, 0)
-    # q >= 0, so q D is least at the least q where D >= 0, the greatest where not
-    q_ext = np.where(defect >= 0, np.minimum.accumulate(q)[last],
-                     np.maximum.accumulate(q)[last])
-    return np.where(ok, q_ext * defect, np.inf).min(axis=-1)
 
 
 def mu1_comparison(spectrum: AngularSpectrum) -> float:
@@ -380,57 +389,31 @@ def hardy_2d_constant_check(spectrum: AngularSpectrum) -> dict:
     }
 
 
-def _sweep_margins(pot: AngularPotential, check: str, batch: Product,
-                   mu1_value: float | None, hardy_const: float) -> np.ndarray:
-    """The margin of each product of a batch (``_random_products``).
-
-    The functions share the bump w, so the forms reduce to the radial
-    moments A = int s^{N-1} w'^2 and B = int s^{N-3} w^2, two quadratures
-    for the whole batch, times the angular scalars M = int |g|^2 and the
-    angular energy E of each function: Q = A M + B E, and the singular mass
-    is B M.
-    """
-    _check_dimension(pot, batch)
-    if check == "diamagnetic":
-        return _product_diamagnetic_margin(pot, batch)
-    N, r, w = batch.dimension, batch.r, batch.w
-    radius = float(r[-1])
-    _check_support(batch, radius)
-    mass = (np.abs(batch.g) ** 2) @ batch.angular_weights
-    energy = _angular_energy(pot, batch.angular_nodes, batch.angular_weights,
-                             batch.g, batch.dg)
-    a = _ball_integral(r, r ** (N - 1) * batch.dw**2, radius)
-    b = _ball_integral(r, r ** (N - 3) * w**2, radius)
-    q = a * mass + b * energy
-    singular = b * mass
-    if check == "hardy2d":
-        return q - hardy_const * singular
-    i = grids.nearest_index(r, radius)
-    boundary = r[i] ** (N - 1) * w[i] ** 2 * mass
-    return q + (N - 2) / (2 * radius) * boundary - lambda1_from_mu1(N, mu1_value) * singular
-
-
 def inequality_sweep(pot: AngularPotential, check: str, count: int = 50,
                      rng=None, r: np.ndarray | None = None,
                      tol: float = TOL_QUAD, mu1_value: float | None = None) -> dict:
     """Margin sweep over random test functions; report {name, count,
-    min_margin, status}.  The Hardy sweep uses ``mu1_value`` when given,
-    as ``hardy_boundary_margin`` does, and computes mu1 otherwise."""
+    min_margin, status}.  The functions are drawn as one batch and reduced
+    by the public forms; the Hardy sweep passes ``mu1_value`` on to
+    ``hardy_boundary_margin``."""
     if check not in ("hardy", "diamagnetic", "hardy2d"):
         raise ValueError(f"unknown inequality check {check!r}")
     rng = np.random.default_rng(rng)
     if r is None:
         r = grids.log_grid(1e-6, 1.0, 2400)
-    hardy_const = float("nan")
-    if check == "hardy" and mu1_value is None:
-        mu1_value = mu1_of(pot)
     if check == "hardy2d":
         hardy_const, degenerate = _hardy_2d_closed_form(pot)
         if degenerate:
             return {"name": check, "count": 0, "min_margin": 0.0,
                     "status": "degenerate"}
-    batch = _random_products(pot.dimension, rng, r, count)
-    min_margin = float(_sweep_margins(pot, check, batch, mu1_value, hardy_const).min())
+    batch, radius = _random_products(pot.dimension, rng, r, count), float(r[-1])
+    if check == "hardy":
+        margins = hardy_boundary_margin(pot, batch, radius, mu1_value)
+    elif check == "hardy2d":
+        margins = quadratic_form(pot, batch, radius) - hardy_const * singular_mass(batch, radius)
+    else:
+        margins = diamagnetic_margin(pot, batch)
+    min_margin = float(margins.min())
     return {
         "name": check,
         "count": int(count),

@@ -26,6 +26,7 @@ from .angular import (
     angular_node_count,
     angular_spectrum,
     build_potential,
+    dense_matrix_bytes,
 )
 from .asymptotics import (
     blowup_profile,
@@ -94,7 +95,8 @@ VERIFY_CHECKS = ("height_derivative", "pohozaev", "hardy", "diamagnetic",
 
 #: bytes of one nodal array of a field, n_r x n_nodes complex samples on its
 #: radial x angular grid, that a scenario may ask for; the 9000 x 34^2 grid
-#: of a T = 16 dipole run takes 159 MiB
+#: of a T = 16 dipole run takes 159 MiB.  The largest dense matrix of the
+#: angular spectrum is held to the same budget.
 NODAL_ARRAY_BUDGET = 256 << 20
 
 
@@ -155,11 +157,28 @@ def _validate(cond: bool, message: str) -> None:
 
 
 def _number(value, what: str, kind=float):
-    """``kind(value)``, or a validation error naming the entry."""
+    """``kind(value)``, or a validation error naming the entry; an integer
+    entry takes no fractional part."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, IndexError, OverflowError):
         raise ScenarioValidationError(f"{what} must be a number, got {value!r}") from None
+    _validate(kind is not int or not isinstance(value, float) or value.is_integer(),
+              f"{what} must be an integer, got {value!r}")
+    return number
+
+
+def _reject_booleans(doc: dict) -> None:
+    """A JSON boolean is a check toggle and nothing else: no number, list
+    or string entry takes one."""
+    stack = [(v, k) for k, v in doc.items() if k != "checks"]
+    while stack:
+        value, what = stack.pop()
+        _validate(not isinstance(value, bool), f"{what} must not be a boolean")
+        if isinstance(value, dict):
+            stack += [(v, f"{what}.{k}") for k, v in value.items()]
+        elif isinstance(value, list):
+            stack += [(v, f"{what}[{i}]") for i, v in enumerate(value)]
 
 
 def _object(value, what: str) -> dict:
@@ -212,6 +231,7 @@ def _asymptotics_radii(side: str, R: float):
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a scenario document and fill defaults."""
     _validate(isinstance(doc, dict), "scenario must be a JSON object")
+    _reject_booleans(doc)
     pot_desc = doc.get("potential")
     _validate(isinstance(pot_desc, dict), "scenario needs a potential descriptor")
     dimension = _number(doc.get("dimension", 3 if pot_desc.get("kind") == "dipole" else 2),
@@ -225,7 +245,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             _validate(np.isfinite(_number(pot_desc[key], f"potential.{key}")),
                       f"potential.{key} must be finite")
     try:
-        build_potential(pot_desc)
+        pot = build_potential(pot_desc)
     except (TypeError, ValueError, OverflowError, EmlabError) as exc:
         raise ScenarioValidationError(f"potential: {exc}") from None
 
@@ -234,6 +254,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _validate(side in ("interior", "exterior"), f"unknown side {side!r}")
     if pert is not None:
         pert = {"side": side, **_object(pert, "perturbation")}
+        _validate(dimension == 2 or pert.get("angular") is None,
+                  "perturbation.angular: trig angular factors are circle-only")
     amplitude = 0 if pert is None else _perturbation(pert).amplitude
     _validate(pert is None or pert["side"] == side, "perturbation.side must be the scenario side")
 
@@ -275,6 +297,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
               f"a nodal array on {nodes} radial x {n_angular} angular nodes (truncation {T}) "
               f"takes {nodal / 2**20:.0f} MiB, over the budget of "
               f"{NODAL_ARRAY_BUDGET >> 20} MiB")
+    dense = dense_matrix_bytes(pot, T)
+    _validate(dense <= NODAL_ARRAY_BUDGET,
+              f"the largest dense matrix of the angular spectrum at truncation {T} "
+              f"takes {dense / 2**20:.0f} MiB, over the budget of "
+              f"{NODAL_ARRAY_BUDGET >> 20} MiB")
 
     radii = doc.get("radii")
     if radii is None:
@@ -297,7 +324,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for name, toggle in _object(doc.get("checks", {}), "checks").items():
         _validate(name in DEFAULT_CHECKS,
                   f"unknown check toggle {name!r}; valid: {sorted(DEFAULT_CHECKS)}")
-        checks[name] = bool(toggle)
+        _validate(isinstance(toggle, bool), f"checks.{name} must be true or false, "
+                                            f"got {toggle!r}")
+        checks[name] = toggle
     if checks["asymptotics"]:
         second, blowup = _asymptotics_radii(side, R)
         read = np.append(second, blowup if amplitude != 0 else [])

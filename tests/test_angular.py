@@ -14,6 +14,7 @@ from emlab.angular import (
     build_potential,
     circulation,
     closed_form_ab_spectrum,
+    dense_matrix_bytes,
 )
 from emlab.errors import (
     AliasingError,
@@ -314,6 +315,28 @@ class TestBandedAssembly:
         pot = build_potential(CIRCLE_POTENTIALS["fourier_3_2"])
         M, _ = assemble_angular_matrix(pot, 1)
         assert_bitwise_equal(M, dense_circle_matrix(pot, 1))
+
+
+class TestDenseMatrixBytes:
+    """The estimate the scenario budget reads, against the largest dense
+    matrix the spectrum builds."""
+
+    @pytest.mark.parametrize("axis", TestReflectionBlocks.AXES)
+    def test_dipole_is_its_largest_reflection_block(self, axis):
+        pot = build_potential({"kind": "dipole", "strength": 0.7,
+                               "axis": TestReflectionBlocks.AXES[axis]})
+        for truncation in range(1, 13):
+            blocks = emlab.angular._reflection_blocks(pot, angular_basis(3, truncation))
+            largest = max(blocks.matrix(b).nbytes for b in range(len(blocks.rows)))
+            assert dense_matrix_bytes(pot, truncation) == largest
+
+    def test_circle_is_the_galerkin_matrix_unless_constant(self):
+        for desc in CIRCLE_POTENTIALS.values():
+            pot = build_potential(desc)
+            for truncation in (4, 16):
+                M, _ = assemble_angular_matrix(pot, truncation)
+                constant = pot.magnetic_degree + pot.electric_degree == 0
+                assert dense_matrix_bytes(pot, truncation) == (0 if constant else M.nbytes)
 
 
 def eigh_spectrum(matrix, count):

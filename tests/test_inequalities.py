@@ -10,7 +10,6 @@ from emlab.inequalities import (
     Product,
     _hardy_2d_closed_form,
     _random_products,
-    _sweep_margins,
     boundary_mass,
     diamagnetic_margin,
     hardy_2d_constant_check,
@@ -327,6 +326,26 @@ class TestSeparatedForm:
         assert abs(diamagnetic_margin(pot, tf) - diamagnetic_margin(pot, oracle)) \
             <= 1e-12 * grad_scale
 
+    @pytest.mark.parametrize("desc,angular", [
+        (FOURIER, lambda t: (np.exp(2j * t) + 0.5, (2j * np.exp(2j * t),))),
+        (DIPOLE, lambda th, ph: (np.cos(th) + 0.5j, (-np.sin(th), np.zeros_like(ph)))),
+    ], ids=["circle", "sphere"])
+    def test_constant_phase_radial_factor_is_sampled(self, desc, angular):
+        # e^{i theta0} w(r) g(theta) differs from w(r) g(theta) by a constant
+        # phase only, so every form agrees with the real product's
+        pot = build_potential(desc)
+        phase = np.exp(0.7j)
+        real = profile_test_function(pot.dimension, GRID, radial_bump, radial_bump_derivative,
+                                     angular=angular)
+        tf = profile_test_function(pot.dimension, GRID, lambda r: phase * radial_bump(r),
+                                   lambda r: phase * radial_bump_derivative(r), angular=angular)
+        assert isinstance(real, Product) and isinstance(tf, FieldSample)
+        for form in (lambda t: quadratic_form(pot, t), lambda t: singular_mass(t, 1.0),
+                     lambda t: singular_mass(t, 0.4), lambda t: boundary_mass(t, 0.4)):
+            assert form(tf) == pytest.approx(form(real), rel=1e-12, abs=0)
+        assert abs(diamagnetic_margin(pot, tf) - diamagnetic_margin(pot, real)) \
+            <= 1e-12 * _grad_scale(tf)
+
     def test_samples_are_the_outer_product(self, rng):
         tf = random_test_function(2, rng, GRID)
         assert np.array_equal(tf.samples().values, np.outer(tf.w, tf.g))
@@ -356,7 +375,8 @@ SWEEP_IDS = ["ab", "fourier_electric", "dipole", "ab_explicit_grid"]
 
 
 def _oracle_margin(pot, check, tf, r, mu1):
-    """The margin of one product by the per-Product forms."""
+    """The margin of a product, or of each product of a batch, by the
+    public forms."""
     if check == "hardy":
         return hardy_boundary_margin(pot, tf, r, mu1_value=mu1)
     if check == "hardy2d":
@@ -370,9 +390,9 @@ def _grad_scale(field) -> float:
 
 
 class TestBatchedSweep:
-    """A sweep reduces all its test functions together; each margin is the
-    one the per-Product forms give, and the draw is that of successive
-    ``random_test_function`` calls."""
+    """A sweep reduces all its test functions together through the public
+    forms; each margin is the one those forms give the single product, and
+    the draw is that of successive ``random_test_function`` calls."""
 
     @pytest.mark.parametrize("desc,r", SWEEP_CASES, ids=SWEEP_IDS)
     def test_each_margin_equals_the_per_product_forms(self, desc, r):
@@ -381,9 +401,8 @@ class TestBatchedSweep:
         # the sharp Hardy constant is a 2-d statement
         checks = ("hardy", "diamagnetic") + (("hardy2d",) if pot.dimension == 2 else ())
         for check in checks:
-            const = _hardy_2d_closed_form(pot)[0] if check == "hardy2d" else float("nan")
             batch = _random_products(pot.dimension, np.random.default_rng(11), r, 6)
-            got = _sweep_margins(pot, check, batch, mu1, const)
+            got = _oracle_margin(pot, check, batch, R, mu1)
             singles = np.random.default_rng(11)
             tfs = [random_test_function(pot.dimension, singles, r) for _ in range(6)]
             for margin, tf in zip(got, tfs):

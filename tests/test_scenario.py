@@ -136,6 +136,70 @@ class TestParsing:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("doc", [
+        minimal_doc(potential={"kind": "fourier", "magnetic": {"mean": 0.3, "cos": [0.1]}},
+                    truncation=4000, grid={"nodes": 100}),
+        {"potential": {"kind": "dipole", "axis": [1, 1, 1]}, "truncation": 200,
+         "grid": {"nodes": 100}},
+        {"potential": {"kind": "dipole", "axis": [1, 0, 0]}, "truncation": 200,
+         "grid": {"nodes": 100}},
+    ], ids=["circle", "dipole_xyz", "dipole_x"])
+    def test_galerkin_budget_is_checked_without_allocating(self, doc):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioValidationError, match="dense matrix .* over the budget"):
+                scenario_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_constant_circle_potential_builds_no_galerkin_matrix(self):
+        # solved on its diagonal: only the nodal budget bounds its truncation
+        scenario_from_dict(minimal_doc(truncation=4000, grid={"nodes": 100}))
+
+    @pytest.mark.parametrize("toggle", ["false", 0, 1.0, None, [True]])
+    def test_check_toggles_are_json_booleans(self, toggle):
+        with pytest.raises(ScenarioValidationError, match=r"^checks\.frequency must be true or"):
+            scenario_from_dict(minimal_doc(checks={"frequency": toggle}))
+
+    @pytest.mark.parametrize("over,named", [
+        ({"eigen_count": 2.7}, "eigen_count"), ({"truncation": 12.5}, "truncation"),
+        ({"grid": {"nodes": 300.9}}, "grid.nodes"), ({"sweep_count": 3.5}, "sweep_count"),
+        ({"seed": 1.5}, "seed"),
+    ], ids=["eigen_count", "truncation", "grid_nodes", "sweep_count", "seed"])
+    def test_integer_entries_take_no_fraction(self, over, named):
+        with pytest.raises(ScenarioValidationError, match=rf"^{named} must be an integer"):
+            scenario_from_dict(minimal_doc(**over))
+
+    def test_integral_numbers_count_as_integers(self):
+        scn = scenario_from_dict(minimal_doc(eigen_count=4.0, grid={"nodes": 300.0}))
+        assert (scn.eigen_count, scn.grid_nodes) == (4, 300)
+        assert isinstance(scn.eigen_count, int) and isinstance(scn.grid_nodes, int)
+
+    @pytest.mark.parametrize("over,named", [
+        ({"seed": True}, "seed"), ({"radii": [0.5, True]}, r"radii\[1\]"),
+        ({"eigen_count": True}, "eigen_count"),
+        ({"boundary": {"values": {"1": [True, 0]}}}, r"boundary\.values\.1\[0\]"),
+        ({"perturbation": {"amplitude": 0.05, "epsilon": True}}, r"perturbation\.epsilon"),
+        ({"potential": {"kind": "aharonov_bohm", "alpha": True}}, r"potential\.alpha"),
+        ({"dimension": 3, "potential": {"kind": "dipole", "axis": [True, 0, 0]}},
+         r"potential\.axis\[0\]"),
+    ], ids=["seed", "radius", "eigen_count", "boundary_value", "epsilon", "alpha", "axis"])
+    def test_booleans_are_not_numbers(self, over, named):
+        with pytest.raises(ScenarioValidationError, match=rf"^{named} must not be a boolean"):
+            scenario_from_dict(minimal_doc(**over))
+
+    def test_angular_factor_on_a_sphere_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"dimension": 3, "potential": {"kind": "dipole"},
+                                   "perturbation": {"amplitude": 0.05,
+                                                    "angular": {"cos": [1.0]}}}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(cfg), "run"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("emlab: perturbation.angular")
+
     def test_hash_is_stable(self):
         a = scenario_from_dict(minimal_doc())
         b = scenario_from_dict(minimal_doc())
@@ -841,9 +905,9 @@ def test_any_document_parses_or_is_rejected(doc):
     scenario_hash(scn)
 
 
-#: entries that set the size of a run; nothing bounds them before allocation
-#: yet, so the run test draws them small instead of mutating them
-SIZES = {("grid", "nodes"): st.integers(100, 200), ("truncation",): st.integers(1, 8),
+#: entries that set the size of a run, drawn in ranges that keep the run test
+#: quick instead of mutated; the budgets bound them before allocation
+SIZES = {("grid", "nodes"): st.integers(100, 200), ("truncation",): st.integers(1, 24),
          ("eigen_count",): st.integers(1, 8), ("sweep_count",): st.integers(1, 3)}
 RUN_PATHS = [p for p in PATHS if p not in SIZES and p != ("grid",)]
 
