@@ -429,6 +429,19 @@ def angular_node_count(dimension: int, truncation: int) -> int:
     return 4 * (truncation + 1) if dimension == 2 else (2 * truncation + 2) ** 2
 
 
+def basis_table_bytes(dimension: int, truncation: int) -> int:
+    """Bytes of the tables that ``angular_basis(dimension, truncation)``
+    keeps on its grid once a field is sampled there, known without building
+    them: the values and the tangential derivative, complex, on the circle;
+    the values and two gradient components, real, on the sphere.  Each
+    table has a row per grid node and a column per basis function."""
+    if dimension == 2:
+        tables, size, itemsize = 2, 2 * truncation + 1, 16
+    else:
+        tables, size, itemsize = 3, (truncation + 1) ** 2, 8
+    return tables * angular_node_count(dimension, truncation) * size * itemsize
+
+
 @lru_cache(maxsize=8)
 def angular_basis(dimension: int, truncation: int):
     """The basis of a truncation, shared so that its tables are built once."""

@@ -16,7 +16,7 @@ companion.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from . import grids
 from .angular import (
     AngularPotential,
     AngularSpectrum,
+    _frozen,
     angular_basis,
+    angular_node_count,
     angular_spectrum,
     circulation,
 )
@@ -71,9 +73,11 @@ class Product:
     share w; every form then returns one value per function.
 
     The forms reduce a product in separated form, from angular scalars and
-    the two radial moments below, each integrated once per product.  Any
-    other test function is a sampled ``FieldSample``, reduced by nodal
-    quadrature, the oracle for the separated path.
+    the two radial moments below, each integrated once per product; the
+    products of a sweep read the moments of the shared bump, integrated once
+    per dimension and grid.  Any other test function is a sampled
+    ``FieldSample``, reduced by nodal quadrature, the oracle for the
+    separated path.
     """
 
     dimension: int
@@ -101,27 +105,114 @@ class Product:
     @cached_property
     def energy_moment(self) -> np.ndarray:
         """A(s) = int_0^s t^{N-1} w'(t)^2 dt at each grid radius s."""
-        f = self.r ** (self.dimension - 1) * self.dw**2
-        return grids.singular_integral(f, self.r, "interior")
+        return _energy_moment(self.dimension, self.r, self.dw)
 
     @cached_property
     def mass_moment(self) -> np.ndarray:
         """B(s) = int_0^s t^{N-3} w(t)^2 dt at each grid radius s."""
-        f = self.r ** (self.dimension - 3) * self.w**2
-        return grids.singular_integral(f, self.r, "interior")
+        return _mass_moment(self.dimension, self.r, self.w)
+
+
+def _energy_moment(dimension: int, r: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    return grids.singular_integral(r ** (dimension - 1) * dw**2, r, "interior")
+
+
+def _mass_moment(dimension: int, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return grids.singular_integral(r ** (dimension - 3) * w**2, r, "interior")
+
+
+@cache
+def _sweep_grid() -> np.ndarray:
+    """The default radial grid of a sweep, built once and kept read-only."""
+    return _frozen(grids.log_grid(1e-6, 1.0, 2400))
+
+
+@dataclass(frozen=True)
+class _Bump:
+    """The radial bump supported on a grid, w and w', with the moments of
+    ``Product`` integrated on first read; every array is read-only."""
+
+    dimension: int
+    r: np.ndarray
+    w: np.ndarray
+    dw: np.ndarray
+
+    @cached_property
+    def energy_moment(self) -> np.ndarray:
+        return _frozen(_energy_moment(self.dimension, self.r, self.dw))
+
+    @cached_property
+    def mass_moment(self) -> np.ndarray:
+        return _frozen(_mass_moment(self.dimension, self.r, self.w))
+
+
+@lru_cache(maxsize=8)
+def _shared_bump(dimension: int, grid: bytes) -> _Bump:
+    """The bump of the float64 grid whose bytes are ``grid``, shared by
+    every sweep of the dimension on that grid."""
+    r = np.frombuffer(grid)
+    support = float(r[-1])
+    return _Bump(dimension, r, _frozen(radial_bump(r / support)),
+                 _frozen(radial_bump_derivative(r / support) / support))
+
+
+@dataclass(frozen=True)
+class _OnBump(Product):
+    """Products whose radial factor is a shared bump: they read its moments,
+    integrated once per dimension and grid."""
+
+    bump: _Bump
+
+    @property
+    def energy_moment(self) -> np.ndarray:
+        return self.bump.energy_moment
+
+    @property
+    def mass_moment(self) -> np.ndarray:
+        return self.bump.mass_moment
+
+
+def _test_truncation(dimension: int) -> int:
+    """The truncation of the basis whose grid holds the test nodes."""
+    return 2 * TEST_DEGREE if dimension == 2 else TEST_DEGREE
 
 
 def _circle_nodes():
-    t, w = angular_basis(2, 2 * TEST_DEGREE).grid()
+    t, w = angular_basis(2, _test_truncation(2)).grid()
     return (t,), w
 
 
 def _sphere_nodes():
     # the (degree+1) x (degree+1) tensor rule integrates bilinear products
     # of harmonics up to the degree exactly
-    basis = angular_basis(3, TEST_DEGREE)
+    basis = angular_basis(3, _test_truncation(3))
     theta, phi, w = basis.grid()
     return basis, (theta, phi), w
+
+
+@cache
+def _test_table(dimension: int) -> tuple:
+    """``(nodes, weights, values, gradients)``: the angular nodes of the test
+    functions and the values and tangential gradients there of the functions
+    their coefficients weight, e^{ijt} for |j| <= TEST_DEGREE on the circle
+    and the real harmonics of the basis on the sphere; built once per
+    dimension and kept read-only."""
+    if dimension == 2:
+        nodes, weights = _circle_nodes()
+        j = np.arange(-TEST_DEGREE, TEST_DEGREE + 1)
+        values = np.exp(1j * np.outer(nodes[0], j))
+        return nodes, weights, _frozen(values), _frozen((values * (1j * j),))
+    if dimension == 3:
+        basis, nodes, weights = _sphere_nodes()
+        return nodes, weights, basis.evaluate(*nodes), basis.gradient(*nodes)
+    raise UnsupportedConfigurationError(f"no test functions for N = {dimension}")
+
+
+def sweep_batch_bytes(dimension: int, count: int) -> int:
+    """Bytes of the angular arrays of a batch of ``count`` random test
+    functions, known without drawing it: g and its N - 1 gradient
+    components, complex, on the test nodes of each function."""
+    return count * angular_node_count(dimension, _test_truncation(dimension)) * 16 * dimension
 
 
 def _random_products(dimension: int, rng, r: np.ndarray, count: int) -> Product:
@@ -130,27 +221,16 @@ def _random_products(dimension: int, rng, r: np.ndarray, count: int) -> Product:
 
     The coefficients are drawn function after function, each its moduli and
     then its angles, so the batch is the same draw as ``count`` successive
-    calls of ``random_test_function``.
+    calls of ``random_test_function``.  The bump, its moments and the
+    angular tables are the shared read-only ones of the dimension and grid.
     """
-    support = float(r[-1])
-    w_r = radial_bump(r / support)
-    dw_r = radial_bump_derivative(r / support) / support
-    if dimension == 2:
-        nodes, weights = _circle_nodes()
-        j = np.arange(-TEST_DEGREE, TEST_DEGREE + 1)
-        values = np.exp(1j * np.outer(nodes[0], j))
-        grads = (values * (1j * j),)
-    elif dimension == 3:
-        basis, nodes, weights = _sphere_nodes()
-        values = basis.evaluate(*nodes)
-        grads = basis.gradient(*nodes)
-    else:
-        raise UnsupportedConfigurationError(f"no test functions for N = {dimension}")
+    nodes, weights, values, grads = _test_table(dimension)
+    bump = _shared_bump(dimension, np.asarray(r, dtype=float).tobytes())
     u = rng.uniform(0, 1, (count, 2, values.shape[1]))
     c = np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
-    return Product(dimension=dimension, r=r, angular_nodes=nodes,
-                   angular_weights=weights, w=w_r, dw=dw_r, g=c @ values.T,
-                   dg=tuple(c @ d.T for d in grads))
+    return _OnBump(dimension=dimension, r=r, angular_nodes=nodes, angular_weights=weights,
+                   w=bump.w, dw=bump.dw, g=c @ values.T, dg=tuple(c @ d.T for d in grads),
+                   bump=bump)
 
 
 def random_test_function(dimension: int, rng, r: np.ndarray) -> Product:
@@ -398,9 +478,11 @@ def inequality_sweep(pot: AngularPotential, check: str, count: int = 50,
     ``hardy_boundary_margin``."""
     if check not in ("hardy", "diamagnetic", "hardy2d"):
         raise ValueError(f"unknown inequality check {check!r}")
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
     rng = np.random.default_rng(rng)
     if r is None:
-        r = grids.log_grid(1e-6, 1.0, 2400)
+        r = _sweep_grid()
     if check == "hardy2d":
         hardy_const, degenerate = _hardy_2d_closed_form(pot)
         if degenerate:

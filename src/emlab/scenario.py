@@ -25,6 +25,7 @@ from .angular import (
     DEFAULT_TRUNCATION_SPHERE,
     angular_node_count,
     angular_spectrum,
+    basis_table_bytes,
     build_potential,
     dense_matrix_bytes,
 )
@@ -41,7 +42,12 @@ from .frequency import (
     height_scaling_limit,
     pohozaev_residual,
 )
-from .inequalities import hardy_2d_constant_check, inequality_sweep, mu1_comparison
+from .inequalities import (
+    hardy_2d_constant_check,
+    inequality_sweep,
+    mu1_comparison,
+    sweep_batch_bytes,
+)
 from .modal import (
     PerturbationSpec,
     characteristic_exponents,
@@ -96,7 +102,8 @@ VERIFY_CHECKS = ("height_derivative", "pohozaev", "hardy", "diamagnetic",
 #: bytes of one nodal array of a field, n_r x n_nodes complex samples on its
 #: radial x angular grid, that a scenario may ask for; the 9000 x 34^2 grid
 #: of a T = 16 dipole run takes 159 MiB.  The largest dense matrix of the
-#: angular spectrum is held to the same budget.
+#: angular spectrum, the tables of a sphere basis and the angular arrays of
+#: a sweep's batch are held to the same budget.
 NODAL_ARRAY_BUDGET = 256 << 20
 
 
@@ -302,6 +309,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
               f"the largest dense matrix of the angular spectrum at truncation {T} "
               f"takes {dense / 2**20:.0f} MiB, over the budget of "
               f"{NODAL_ARRAY_BUDGET >> 20} MiB")
+    if dimension == 3:  # the tables of a circle basis are not bounded yet
+        tables = basis_table_bytes(dimension, T)
+        _validate(tables <= NODAL_ARRAY_BUDGET,
+                  f"the angular basis tables at truncation {T} take "
+                  f"{tables / 2**20:.0f} MiB, over the budget of "
+                  f"{NODAL_ARRAY_BUDGET >> 20} MiB")
 
     radii = doc.get("radii")
     if radii is None:
@@ -337,6 +350,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     sweep_count = _number(doc.get("sweep_count", 50), "sweep_count", int)
     _validate(sweep_count >= 1, "sweep_count must be >= 1")
+    batch = sweep_batch_bytes(dimension, sweep_count)
+    _validate(batch <= NODAL_ARRAY_BUDGET,
+              f"a sweep of {sweep_count} test functions takes {batch / 2**20:.0f} MiB, "
+              f"over the budget of {NODAL_ARRAY_BUDGET >> 20} MiB")
     seed = _number(doc.get("seed", 42), "seed", int)
     _validate(seed >= 0, "seed must be >= 0")
     return Scenario(

@@ -11,6 +11,7 @@ from emlab.angular import (
     angular_basis,
     angular_spectrum,
     assemble_angular_matrix,
+    basis_table_bytes,
     build_potential,
     circulation,
     closed_form_ab_spectrum,
@@ -315,6 +316,22 @@ class TestBandedAssembly:
         pot = build_potential(CIRCLE_POTENTIALS["fourier_3_2"])
         M, _ = assemble_angular_matrix(pot, 1)
         assert_bitwise_equal(M, dense_circle_matrix(pot, 1))
+
+
+class TestBasisTableBytes:
+    """The estimate the scenario budget reads, against the tables a basis
+    keeps once a field is sampled on its grid."""
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_is_the_kept_tables(self, dimension):
+        for truncation in range(1, 7):
+            basis = (CircleBasis if dimension == 2 else SphereBasis)(truncation)
+            nodes = basis.grid()[:-1]
+            if dimension == 2:
+                tables = (basis.evaluate(*nodes), basis.tangential_derivative(*nodes))
+            else:
+                tables = (basis.evaluate(*nodes), *basis.gradient(*nodes))
+            assert basis_table_bytes(dimension, truncation) == sum(t.nbytes for t in tables)
 
 
 class TestDenseMatrixBytes:

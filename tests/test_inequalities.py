@@ -10,6 +10,9 @@ from emlab.inequalities import (
     Product,
     _hardy_2d_closed_form,
     _random_products,
+    _shared_bump,
+    _sweep_grid,
+    _test_table,
     boundary_mass,
     diamagnetic_margin,
     hardy_2d_constant_check,
@@ -467,7 +470,9 @@ class TestBatchedSweep:
 
 
 class TestSweepWork:
-    """A sweep integrates the shared bump twice, whatever its count."""
+    """The first sweep on a grid integrates the shared bump twice, whatever
+    its count; later sweeps of the dimension on that grid read the kept
+    moments, and a diamagnetic sweep reads none."""
 
     @pytest.fixture
     def quadratures(self, monkeypatch):
@@ -479,7 +484,9 @@ class TestSweepWork:
 
         integral = grids.singular_integral
         monkeypatch.setattr(grids, "singular_integral", counting)
-        return calls
+        _shared_bump.cache_clear()
+        yield calls
+        _shared_bump.cache_clear()
 
     @pytest.mark.parametrize("count", [1, 50])
     @pytest.mark.parametrize("desc,check", [
@@ -493,8 +500,103 @@ class TestSweepWork:
         assert out["count"] == count
         assert len(quadratures) == 2
 
+    @pytest.mark.parametrize("desc,check", [
+        ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0}, "hardy2d"),
+        (DIPOLE, "hardy"),
+    ], ids=["ab_hardy2d", "dipole_hardy"])
+    def test_later_sweeps_on_the_grid_integrate_nothing(self, quadratures, desc, check):
+        pot = build_potential(desc)
+        inequality_sweep(pot, "hardy", count=5, rng=0, mu1_value=0.0)
+        assert len(quadratures) == 2
+        out = inequality_sweep(pot, check, count=17, rng=3, mu1_value=0.0)
+        assert out["count"] == 17
+        inequality_sweep(pot, "diamagnetic", count=9, rng=4)
+        assert len(quadratures) == 2
+
     @pytest.mark.parametrize("desc", [{"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0},
                                       DIPOLE], ids=["ab", "dipole"])
     def test_diamagnetic_sweep_integrates_nothing(self, quadratures, desc):
         inequality_sweep(build_potential(desc), "diamagnetic", count=50, rng=0)
         assert quadratures == []
+
+
+def _uncached_moments(dimension, r, w, dw):
+    """The two radial moments by the quadrature a product integrates itself."""
+    return (grids.singular_integral(r ** (dimension - 1) * dw**2, r, "interior"),
+            grids.singular_integral(r ** (dimension - 3) * w**2, r, "interior"))
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSweepInvariants:
+    """The bump, its moments, the default grid and the angular tables of a
+    sweep are built once, kept read-only and equal bit for bit to what each
+    sweep used to build; the uncached quadrature is the oracle."""
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_moments_are_the_uncached_quadrature(self, dimension):
+        batch = _random_products(dimension, np.random.default_rng(0), GRID, 3)
+        assert _same_bits(batch.w, radial_bump(GRID / GRID[-1]))
+        assert _same_bits(batch.dw, radial_bump_derivative(GRID / GRID[-1]) / GRID[-1])
+        energy, mass = _uncached_moments(dimension, GRID, batch.w, batch.dw)
+        assert _same_bits(batch.energy_moment, energy)
+        assert _same_bits(batch.mass_moment, mass)
+        # a plain product of the same arrays integrates its own
+        fields = {k: getattr(batch, k) for k in ("dimension", "r", "angular_nodes",
+                                                 "angular_weights", "w", "dw", "g", "dg")}
+        plain = Product(**fields)
+        assert _same_bits(plain.energy_moment, energy) and _same_bits(plain.mass_moment, mass)
+
+    def test_a_grid_with_the_same_ends_and_length_gets_its_own_moments(self):
+        other = GRID.copy()
+        other[1:-1] *= 1 + 1e-3 * np.sin(np.arange(1, len(GRID) - 1))
+        assert np.all(np.diff(other) > 0)
+        assert (other[0], other[-1], len(other)) == (GRID[0], GRID[-1], len(GRID))
+        base = _random_products(2, np.random.default_rng(0), GRID, 2)
+        moved = _random_products(2, np.random.default_rng(0), other, 2)
+        energy, mass = _uncached_moments(2, other, moved.w, moved.dw)
+        assert _same_bits(moved.energy_moment, energy) and _same_bits(moved.mass_moment, mass)
+        assert not np.array_equal(moved.mass_moment, base.mass_moment)
+        assert not np.array_equal(moved.w, base.w)
+
+    def test_shared_arrays_are_read_only(self):
+        grid = _sweep_grid()
+        assert _same_bits(grid, grids.log_grid(1e-6, 1.0, 2400)) and _sweep_grid() is grid
+        shared = [grid]
+        for dimension in (2, 3):
+            batch = _random_products(dimension, np.random.default_rng(0), grid, 2)
+            nodes, weights, values, grads = _test_table(dimension)
+            shared += [batch.r, batch.w, batch.dw, batch.energy_moment, batch.mass_moment,
+                       *nodes, weights, values, *grads]
+        for a in shared:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_the_bump_cache_is_bounded(self):
+        maxsize = _shared_bump.cache_info().maxsize
+        assert maxsize == 8
+        for n in range(100, 100 + 2 * maxsize):
+            r = grids.log_grid(1e-6, 1.0, n)
+            _random_products(2, np.random.default_rng(0), r, 1).mass_moment
+            assert _shared_bump.cache_info().currsize <= maxsize
+
+    def test_sweeps_agree_with_a_cleared_cache(self, ab_pot):
+        first = inequality_sweep(ab_pot, "hardy", count=8, rng=2, mu1_value=0.09)
+        _shared_bump.cache_clear()
+        again = inequality_sweep(ab_pot, "hardy", count=8, rng=2, mu1_value=0.09)
+        assert first == again
+
+
+class TestSweepCount:
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True],
+                             ids=["zero", "negative", "fraction", "boolean"])
+    def test_bad_count_is_named(self, ab_pot, count):
+        with pytest.raises(ValueError, match="count"):
+            inequality_sweep(ab_pot, "hardy", count=count, rng=0, mu1_value=0.09)
+
+    def test_numpy_integer_count(self, ab_pot):
+        out = inequality_sweep(ab_pot, "diamagnetic", count=np.int64(3), rng=0)
+        assert out["count"] == 3

@@ -154,6 +154,54 @@ class TestParsing:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("doc", [
+        {"potential": {"kind": "dipole", "axis": [0, 0, 1]}, "truncation": 200,
+         "grid": {"nodes": 100}},
+        {"potential": {"kind": "dipole", "axis": [1, 0, 0]}, "truncation": 60,
+         "grid": {"nodes": 100}},
+    ], ids=["dipole_z", "dipole_x"])
+    def test_basis_table_budget_is_checked_without_allocating(self, doc):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioValidationError,
+                               match="angular basis tables .* over the budget"):
+                scenario_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_basis_table_budget_edge(self):
+        # three real tables of (2T + 2)^2 x (T + 1)^2 entries: T = 39 fits
+        doc = {"potential": {"kind": "dipole", "axis": [0, 0, 1]}, "grid": {"nodes": 100}}
+        scenario_from_dict({**doc, "truncation": 39})
+        with pytest.raises(ScenarioValidationError, match="angular basis tables"):
+            scenario_from_dict({**doc, "truncation": 40})
+
+    @pytest.mark.parametrize("doc", [
+        minimal_doc(sweep_count=10**8),
+        {"potential": {"kind": "dipole"}, "sweep_count": 10**8},
+    ], ids=["circle", "sphere"])
+    def test_sweep_budget_is_checked_without_allocating(self, doc):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioValidationError, match="sweep of .* over the budget"):
+                scenario_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("doc,per_function", [
+        (minimal_doc(), 68 * 16 * 2),  # g and one derivative on 68 circle nodes
+        ({"potential": {"kind": "dipole"}}, 324 * 16 * 3),  # g and two on 18^2 nodes
+    ], ids=["circle", "sphere"])
+    def test_sweep_budget_edge(self, doc, per_function):
+        count = emlab.scenario.NODAL_ARRAY_BUDGET // per_function
+        assert scenario_from_dict({**doc, "sweep_count": count}).sweep_count == count
+        with pytest.raises(ScenarioValidationError, match="sweep of"):
+            scenario_from_dict({**doc, "sweep_count": count + 1})
+
     def test_constant_circle_potential_builds_no_galerkin_matrix(self):
         # solved on its diagonal: only the nodal budget bounds its truncation
         scenario_from_dict(minimal_doc(truncation=4000, grid={"nodes": 100}))
