@@ -128,14 +128,17 @@ def extract_coefficients(field: FieldSample, gamma: float, R: float) -> Asymptot
     r = field.r
     iR = grids.nearest_index(r, R)
     R = r[iR]
-    phi, _, zeta = modal_stack(field)
+    ks, phi, _, zeta = modal_stack(field)
+    row = {k: n for n, k in enumerate(ks)}
     # outside, the integral from infinity to R is minus the one over [R, inf)
     orient = 1.0 if side == "interior" else -1.0
-    beta = np.zeros(m, dtype=complex)
+    beta = np.zeros(m, dtype=complex)  # a mode the field does not carry: zero
     for i in range(m):
-        k = j0 + i
-        z = zeta[k - 1]
-        val = R ** (-g) * phi[k - 1, iR]
+        n = row.get(j0 + i)
+        if n is None:
+            continue
+        z = zeta[n]
+        val = R ** (-g) * phi[n, iR]
         if np.abs(z).max() > 0:
             w = orient * z / d * (r ** (1 - g) - r ** (g + N - 1) / R**d)
             val = val + grids.singular_integral(w, r, side)[iR]

@@ -42,6 +42,15 @@ def _energy_density(mu, phi, dphi, zeta, r):
     return g
 
 
+def _mode_sum(ks: np.ndarray, K: int, terms: np.ndarray) -> float:
+    """Sum over all K modes of the terms of the modes ``ks``, the others
+    zero.  numpy sums a vector pairwise, so where the zeros sit decides how
+    the terms are grouped, and with them the rounding."""
+    full = np.zeros(K)
+    full[ks - 1] = terms
+    return float(np.sum(full))
+
+
 def _fit_window(field: FieldSample, radii: np.ndarray):
     """Dense-grid indices of the decade closest to the singular limit."""
     r = field.r
@@ -135,12 +144,12 @@ def frequency_trace(field: FieldSample, radii) -> FrequencyTrace:
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     N_dim = field.dimension
     r = field.r
-    phi, dphi, zeta = modal_stack(field)
+    ks, phi, dphi, zeta = modal_stack(field)
     mu = field.spectrum.eigenvalues
     # a diverged solve overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         H = np.sum(np.abs(phi) ** 2, axis=0)
-        f = r ** (N_dim - 1) * _energy_density(mu, phi, dphi, zeta, r)
+        f = r ** (N_dim - 1) * _energy_density(mu[ks - 1], phi, dphi, zeta, r)
         # a magnitude reference for the integrand, so that tails made of pure
         # roundoff (e.g. differentiated constants) are dropped as zero
         scale = max(float(np.abs(f).max()),
@@ -205,8 +214,8 @@ def pohozaev_residual(field: FieldSample, r: float) -> float:
     """
     N_dim = field.dimension
     rg = field.r
-    phi, dphi, zeta = modal_stack(field)
-    mu = field.spectrum.eigenvalues
+    ks, phi, dphi, zeta = modal_stack(field)
+    mu = field.spectrum.eigenvalues[ks - 1]
     i = grids.nearest_index(rg, r)
     ri = rg[i]
     dens = np.sum(np.abs(dphi) ** 2, axis=0) + np.sum(
@@ -224,14 +233,15 @@ def pohozaev_residual(field: FieldSample, r: float) -> float:
     f0 = rg ** (N_dim - 1) * dens
     E0 = volume_to(f0)
     e0 = f0[i]
-    flux = ri**N_dim * float(np.sum(np.abs(dphi[:, i]) ** 2))
+    K = field.spectrum.count
+    flux = ri**N_dim * _mode_sum(ks, K, np.abs(dphi[:, i]) ** 2)
     fh = rg**N_dim * np.real(np.sum(zeta * np.conj(dphi), axis=0))
     h_term = volume_to(fh) if np.abs(fh).max() > 0 else 0.0
     sgn = -1.0 if field.side == "exterior" else 1.0
     t1 = -(N_dim - 2) / 2.0 * E0
     t2 = sgn * 0.5 * ri * e0
     defect = abs((t1 + t2) - (sgn * flux + h_term))
-    H_i = float(np.sum(np.abs(phi[:, i]) ** 2))
+    H_i = _mode_sum(ks, K, np.abs(phi[:, i]) ** 2)
     # floor keeps the trivial 0 = 0 case from dividing roundoff by roundoff
     scale = abs(t1) + abs(t2) + abs(flux) + abs(h_term) + 1e-10 * ri ** (N_dim - 1) * H_i
     if scale == 0:

@@ -377,6 +377,17 @@ def hardy_boundary_margin(pot: AngularPotential, tf: Product | FieldSample, r: f
     return lhs - lambda1_from_mu1(N, mu1_value) * singular_mass(tf, r)
 
 
+def _sorted_search(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(a, keys, side="left")`` for keys of any shape,
+    searched in increasing order and scattered back: each search then starts
+    from where the last one ended."""
+    flat = keys.ravel()
+    order = np.argsort(flat)
+    n = np.empty(flat.shape, dtype=np.intp)
+    n[order] = np.searchsorted(a, flat[order], side="left")
+    return n.reshape(keys.shape)
+
+
 def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> float | np.ndarray:
     """min over nodes of |grad u + i A u/|x||^2 - |grad |u||^2.
 
@@ -399,7 +410,7 @@ def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> floa
         aw = np.abs(tf.w)
         order = np.argsort(-aw, kind="stable")
         q = (tf.w**2 / tf.r**2)[order]
-        n = np.searchsorted(-aw[order], -need, side="left")
+        n = _sorted_search(-aw[order], -need)
         ok = n > 0
         if not np.all(np.any(ok, axis=-1)):
             raise ValueError("test function vanishes everywhere above the cutoff")

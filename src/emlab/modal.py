@@ -134,8 +134,6 @@ class ModalSolution:
 def _check_forcing_decay(zeta: np.ndarray, r: np.ndarray, exp: ModalExponents,
                          side: str) -> None:
     mag = np.abs(zeta)
-    if mag.max() == 0:
-        return
     n = min(60, len(r) // 4)
     sl = slice(0, n) if side == "interior" else slice(-n, None)
     window = mag[sl]
@@ -174,6 +172,9 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
 
     A mode without data (zero boundary value, zero forcing) has the zero
     profile; it is returned as one read-only zero array without integrating.
+    A mode with a boundary value and no forcing has the power law
+    phi = c1 r^a of its matched branch a (``_power_profile``), whose
+    integrals are exact zeros, and is not integrated either.
     """
     if side not in ("interior", "exterior"):
         raise ValueError(f"unknown side {side!r}")
@@ -184,17 +185,20 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
     zeta = np.asarray(zeta, dtype=complex)
     if zeta.shape != r.shape:
         raise GridMismatchError("zeta samples must live on the radial grid")
-    if boundary_value == 0 and not zeta.any():
+    forced = zeta.any()
+    if boundary_value == 0 and not forced:
         zero = _frozen(np.zeros_like(zeta))
         R = r[-1] if side == "interior" else r[0]
         return ModalSolution(
             exponents=exp, r=r, phi=zero, dphi=zero, zeta=zeta,
             boundary_radius=float(R), c1=0j, side=side,
         )
-    _check_forcing_decay(zeta, r, exp, side)
+    if forced:
+        _check_forcing_decay(zeta, r, exp, side)
     # a huge forcing overflows the integrals; reported below, not warned about
     with np.errstate(all="ignore"):
-        sol = _variation_of_parameters(exp, zeta, boundary_value, r, side)
+        solve = _variation_of_parameters if forced else _power_profile
+        sol = solve(exp, zeta, boundary_value, r, side)
     if not (np.isfinite(sol.phi).all() and np.isfinite(sol.dphi).all()):
         raise NumericalFailureError(f"the radial profile of mode {exp.k} overflows")
     return sol
@@ -218,6 +222,27 @@ def _variation_of_parameters(exp: ModalExponents, zeta: np.ndarray,
     c1 = boundary_value * R ** (-a) - R ** (b - a) * I_b[iR]
     phi = r**a * (c1 + I_a) + r**b * I_b
     dphi = a * r ** (a - 1) * (c1 + I_a) + b * r ** (b - 1) * I_b
+    return ModalSolution(
+        exponents=exp, r=r, phi=phi, dphi=dphi, zeta=zeta,
+        boundary_radius=float(R), c1=complex(c1), side=side,
+    )
+
+
+def _power_profile(exp: ModalExponents, zeta: np.ndarray, boundary_value: complex,
+                   r: np.ndarray, side: str) -> ModalSolution:
+    """``_variation_of_parameters`` for a zero ``zeta``, bit for bit: its
+    integrals I_a and I_b are then exact zeros, so phi = r^a c1 and
+    dphi = a r^(a-1) c1 in the body's operation order.  The zeros the body
+    adds are added here as scalars, since they fix the sign of a zero part:
+    I_a to c1, r^b I_b = 0 + 0j to phi, and b r^(b-1) I_b, whose real part
+    is a zero with the sign of b, to dphi."""
+    sp, sm = exp.sigma_plus, exp.sigma_minus
+    a, b = (sp, sm) if side == "interior" else (sm, sp)
+    R = r[-1] if side == "interior" else r[0]
+    c1 = boundary_value * R ** (-a) - R ** (b - a) * 0j
+    c = c1 + 0j
+    phi = r**a * c + 0j
+    dphi = a * r ** (a - 1) * c + complex(np.copysign(0.0, b), 0.0)
     return ModalSolution(
         exponents=exp, r=r, phi=phi, dphi=dphi, zeta=zeta,
         boundary_radius=float(R), c1=complex(c1), side=side,
@@ -361,27 +386,32 @@ def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
 
 
 def modal_stack(field: FieldSample):
-    """(phi, dphi, zeta) arrays of shape (K, n_r), K = spectrum.count.
+    """(ks, phi, dphi, zeta): the mode numbers ``ks`` a field carries, in
+    mode order, and their profiles as arrays of shape (len(ks), n_r).
 
-    A synthesized field returns its attached profiles.  Sampled data is
-    projected onto the modes: derivatives from the du_dr samples or, without
-    them, by log-grid finite differences; forcings from its perturbation.
+    A synthesized field carries the modes whose attached phi, dphi or zeta
+    is nonzero; a mode it does not carry is zero throughout, so a sum over
+    the rows along axis 0 equals the one over all K = spectrum.count modes
+    bit for bit.  Sampled data carries all K modes, projected onto them:
+    derivatives from the du_dr samples or, without them, by log-grid finite
+    differences; forcings from its perturbation.
     """
     spectrum = field.spectrum
     if spectrum is None:
         raise DegenerateSolutionError("field carries no angular spectrum")
-    shape = (spectrum.count, len(field.r))
     if field.modal is not None:
-        phi, dphi, zeta = (np.zeros(shape, dtype=complex) for _ in range(3))
-        for k, sol in field.modal.items():
-            phi[k - 1], dphi[k - 1], zeta[k - 1] = sol.phi, sol.dphi, sol.zeta
-        return phi, dphi, zeta
+        ks = np.array(sorted(k for k, s in field.modal.items()
+                             if s.phi.any() or s.dphi.any() or s.zeta.any()), dtype=int)
+        shape = (len(ks), len(field.r))
+        return ks, *(np.array([getattr(field.modal[k], name) for k in ks],
+                              dtype=complex).reshape(shape)
+                     for name in ("phi", "dphi", "zeta"))
     phi = project_onto_modes(field)
     dphi = (grids.log_derivative(phi.T, field.r).T if field.du_dr is None
             else project_onto_modes(field, data=field.du_dr))
-    zeta = (np.zeros(shape, dtype=complex) if field.perturbation is None
+    zeta = (np.zeros(phi.shape, dtype=complex) if field.perturbation is None
             else perturbation_samples(field))
-    return phi, dphi, zeta
+    return np.arange(1, spectrum.count + 1), phi, dphi, zeta
 
 
 def project_onto_modes(field: FieldSample, data: np.ndarray | None = None,

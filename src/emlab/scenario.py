@@ -309,12 +309,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
               f"the largest dense matrix of the angular spectrum at truncation {T} "
               f"takes {dense / 2**20:.0f} MiB, over the budget of "
               f"{NODAL_ARRAY_BUDGET >> 20} MiB")
-    if dimension == 3:  # the tables of a circle basis are not bounded yet
-        tables = basis_table_bytes(dimension, T)
-        _validate(tables <= NODAL_ARRAY_BUDGET,
-                  f"the angular basis tables at truncation {T} take "
-                  f"{tables / 2**20:.0f} MiB, over the budget of "
-                  f"{NODAL_ARRAY_BUDGET >> 20} MiB")
+    tables = basis_table_bytes(dimension, T)
+    _validate(tables <= NODAL_ARRAY_BUDGET,
+              f"the angular basis tables at truncation {T} take "
+              f"{tables / 2**20:.0f} MiB, over the budget of "
+              f"{NODAL_ARRAY_BUDGET >> 20} MiB")
 
     radii = doc.get("radii")
     if radii is None:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emlab import grids
-from emlab.errors import DegenerateSolutionError
+from emlab import asymptotics, frequency, grids
+from emlab.asymptotics import extract_coefficients, kelvin_transform
+from emlab.errors import DegenerateSolutionError, EmlabError
 from emlab.frequency import (
     FrequencyTrace,
     check_height_derivative,
@@ -12,8 +13,11 @@ from emlab.frequency import (
     pohozaev_residual,
 )
 from emlab.modal import (
+    PerturbationSpec,
     characteristic_exponents,
     homogeneous_solutions,
+    modal_stack,
+    solve_perturbed_field,
     synthesize_field,
 )
 
@@ -262,3 +266,95 @@ class TestDriftCorrection:
         out = monotone_drift_correction(tr)
         assert out["monotone"]
         assert np.isfinite(out["C2"])
+
+
+def _padded_stack(field):
+    """The K-row stack of a synthesized field, each mode at row k - 1 and
+    the modes it does not carry as zero rows: the oracle of ``modal_stack``."""
+    K, n_r = field.spectrum.count, len(field.r)
+    phi, dphi, zeta = (np.zeros((K, n_r), dtype=complex) for _ in range(3))
+    for k, sol in field.modal.items():
+        phi[k - 1], dphi[k - 1], zeta[k - 1] = sol.phi, sol.dphi, sol.zeta
+    return np.arange(1, K + 1), phi, dphi, zeta
+
+
+def _homogeneous(sp, r):
+    return synthesize_field(sp, homogeneous_solutions(sp, {3: 1.0, 5: 0.3 - 0.7j}, r))
+
+
+def _picard(angular, mode):
+    def solve(sp, r):
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular)
+        return solve_perturbed_field(sp, h, {mode: 1.0}, r)[0]
+    return solve
+
+
+CARRIED = {"homogeneous": _homogeneous, "constant_g": _picard(None, 2),
+           "cos": _picard({"cos": [1.0]}, 1)}
+
+
+class TestCarriedModes:
+    """The analysis reads only the modes a synthesized field carries, and
+    gives what the zero-padded stack over all K modes gives, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["field", "kelvin_image"])
+    def kelvin(self, request):
+        return request.param
+
+    @pytest.fixture(scope="class", params=sorted(CARRIED))
+    def field(self, request, kelvin, ab_spectrum, radial_grid):
+        field = CARRIED[request.param](ab_spectrum, radial_grid)
+        return kelvin_transform(field) if kelvin else field
+
+    def _both(self, field, monkeypatch, analysis):
+        """The analysis on the carried modes and on the padded stack; an
+        error stands for its type and message."""
+        def outcome():
+            try:
+                return analysis(field)
+            except EmlabError as exc:
+                return type(exc), str(exc)
+
+        fast = outcome()
+        with monkeypatch.context() as m:
+            for module in (frequency, asymptotics):
+                m.setattr(module, "modal_stack", _padded_stack)
+            slow = outcome()
+        return fast, slow
+
+    def test_carries_the_nonzero_profiles(self, field):
+        ks, phi, dphi, zeta = modal_stack(field)
+        nonzero = [k for k, s in sorted(field.modal.items()) if s.phi.any()]
+        assert ks.tolist() == nonzero and len(ks) < field.spectrum.count
+        assert phi.shape == dphi.shape == zeta.shape == (len(ks), len(field.r))
+
+    def test_frequency_trace(self, field, monkeypatch):
+        radii = RADII if field.side == "interior" else np.sort(1.0 / RADII)
+        fast, slow = self._both(field, monkeypatch, lambda f: frequency_trace(f, radii))
+        for name in ("H", "D", "N", "grid_H", "grid_D", "dense_N"):
+            assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+        assert np.array([fast.gamma_hat, fast.eps_hat]).tobytes() == \
+            np.array([slow.gamma_hat, slow.eps_hat]).tobytes()
+
+    @pytest.mark.parametrize("r", [1e-3, 0.1])
+    def test_pohozaev_residual(self, field, monkeypatch, r):
+        r = r if field.side == "interior" else 1.0 / r
+        fast, slow = self._both(field, monkeypatch, lambda f: pohozaev_residual(f, r))
+        assert np.array([fast]).tobytes() == np.array([slow]).tobytes()
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 5])
+    def test_extract_coefficients(self, field, monkeypatch, mode):
+        # a mode the field does not carry contributes a zero coefficient; the
+        # exponent of another mode than the field's may leave the integral
+        # divergent, which both stacks then report alike
+        exp = characteristic_exponents(2, field.spectrum.mu(mode), mode)
+        gamma = exp.limit_exponent(field.side)
+        own = mode == min(k for k, s in field.modal.items() if s.phi.any())
+        for R in ((1.0, 0.1) if field.side == "interior" else (1.0, 10.0)):
+            fast, slow = self._both(field, monkeypatch,
+                                    lambda f: extract_coefficients(f, gamma, R))
+            if isinstance(slow, tuple):
+                assert not own and fast == slow
+                continue
+            assert fast.beta.tobytes() == slow.beta.tobytes()
+            assert (fast.k0, fast.j0, fast.m, fast.R) == (slow.k0, slow.j0, slow.m, slow.R)

@@ -7,10 +7,12 @@ from emlab.errors import UnsupportedConfigurationError
 from emlab.modal import FieldSample
 from emlab.inequalities import (
     TOL_QUAD,
+    ZERO_CUTOFF,
     Product,
     _hardy_2d_closed_form,
     _random_products,
     _shared_bump,
+    _sorted_search,
     _sweep_grid,
     _test_table,
     boundary_mass,
@@ -211,6 +213,24 @@ class TestDiamagnetic:
     def test_sweep_sphere(self, sphere_pot):
         out = inequality_sweep(sphere_pot, "diamagnetic", count=50, rng=4)
         assert out["status"] == "pass"
+
+    @pytest.mark.parametrize("dimension,count", [(2, 50), (3, 20)])
+    def test_sorted_search_equals_the_unsorted_one(self, dimension, count):
+        # the keys of a sweep batch (-cutoff / |g|), with ties and the -inf
+        # key of a node where g vanishes, against the prefix of sorted -|w|
+        tf = _random_products(dimension, np.random.default_rng(7), _sweep_grid(), count)
+        with np.errstate(divide="ignore"):
+            keys = -ZERO_CUTOFF / np.abs(tf.g)
+        keys[0, :5] = keys[1, :5]
+        keys[-1, 3] = keys[0, 0]
+        keys[1, 2] = keys[2, 7] = -np.inf
+        aw = np.abs(tf.w)
+        a = -aw[np.argsort(-aw, kind="stable")]
+        keys[2, :4] = a[[0, 1, 1, -1]]  # on the searched values themselves
+        n = _sorted_search(a, keys)
+        assert n.dtype == np.intp and n.shape == keys.shape
+        assert np.array_equal(n, np.searchsorted(a, keys, side="left"))
+        assert np.array_equal(_sorted_search(a, keys[0]), np.searchsorted(a, keys[0]))
 
 
 class TestMu1Comparison:

@@ -171,6 +171,49 @@ class TestZeroData:
             solve_radial_mode(exp, zeros, 0.0, radial_grid, side="outside")
 
 
+class TestPowerProfile:
+    """A mode with a boundary value and no forcing is the power law c1 r^a,
+    bit for bit the variation-of-parameters body it skips."""
+
+    @pytest.mark.parametrize("value", [1.0, -2.5, 0.3 - 0.7j, complex(-0.0, 2.0)],
+                             ids=["one", "negative", "complex", "negative_zero"])
+    @pytest.mark.parametrize("N,mu", [(2, 0.09), (3, 2.0), (3, -0.1)])
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_equals_the_general_body(self, side, N, mu, value, radial_grid, exterior_grid,
+                                     monkeypatch):
+        r = radial_grid if side == "interior" else exterior_grid
+        exp = characteristic_exponents(N, mu, 1)
+        zeta = np.zeros_like(r, dtype=complex)
+        slow = modal._variation_of_parameters(exp, zeta, value, r, side)
+
+        def refuse(*args):
+            raise AssertionError("the power law ran the general body")
+
+        monkeypatch.setattr(modal, "_variation_of_parameters", refuse)
+        fast = solve_radial_mode(exp, zeta, value, r, side=side)
+        assert np.array_equal(fast.phi, slow.phi)
+        assert np.array_equal(fast.dphi, slow.dphi)
+        assert fast.c1 == slow.c1
+        # the signs of zero parts too
+        for got, want in ((fast.phi, slow.phi), (fast.dphi, slow.dphi)):
+            assert got.tobytes() == want.tobytes()
+        assert np.array([fast.c1]).tobytes() == np.array([slow.c1]).tobytes()
+        assert fast.zeta is zeta
+        assert (fast.exponents, fast.boundary_radius, fast.side) == \
+            (slow.exponents, slow.boundary_radius, slow.side)
+
+    def test_keeps_the_checks(self, radial_grid):
+        # TestRadialSolve checks the exponents and the grid with this data
+        exp = characteristic_exponents(2, 0.09, 1)
+        with pytest.raises(ValueError):
+            solve_radial_mode(exp, np.zeros_like(radial_grid, dtype=complex), 1.0,
+                              radial_grid, side="outside")
+        # c1 = b R^-0.3 overflows at R = 1e-4 for b near the float limit
+        r = grids.log_grid(1e-8, 1e-4, 300)
+        with pytest.raises(NumericalFailureError, match="radial profile of mode 1 overflows"):
+            solve_radial_mode(exp, np.zeros_like(r, dtype=complex), 1e308, r)
+
+
 class TestSynthesisProjection:
     def test_single_mode_roundtrip(self, ab_spectrum, radial_grid):
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
@@ -346,8 +389,8 @@ class _CountingNumpy:
 
 
 class TestPicardWork:
-    """Only modes carrying data are integrated and summed, and skipping the
-    others changes no bit of the solution."""
+    """Only modes carrying a forcing are integrated, only modes carrying data
+    are summed, and skipping the others changes no bit of the solution."""
 
     @pytest.fixture
     def solved(self, monkeypatch):
@@ -372,8 +415,8 @@ class TestPicardWork:
         field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
         n = info["iterations"]
         assert n > 1
-        # the homogeneous start, then one solve per iteration
-        assert solved == [1] * (n + 1)
+        # one solve per iteration; the homogeneous start is a power law
+        assert solved == [1] * n
         # the values the forcing reads, each row once: those of the start and
         # of every iterate but the last, whose sup norms are modal; summed by
         # row blocks, never over the whole grid
@@ -391,7 +434,7 @@ class TestPicardWork:
 
         def general_only(exp, zeta, boundary_value, r, side="interior"):
             zeta = np.asarray(zeta, dtype=complex)
-            if boundary_value != 0 or zeta.any():
+            if zeta.any():
                 carrying.append(exp.k)
             return modal._variation_of_parameters(exp, zeta, boundary_value, r, side)
 
@@ -403,7 +446,7 @@ class TestPicardWork:
             assert np.array_equal(field.modal[k].phi, sol.phi)
             assert np.array_equal(field.modal[k].dphi, sol.dphi)
         assert np.array_equal(field.values, _modal_sums(oracle)[0])
-        # the general body ran exactly for the solves that carried data
+        # the general body ran exactly for the solves that carried a forcing
         assert fast_calls == carrying
         if angular is not None:
             # cos t couples each mode to its Fourier neighbours

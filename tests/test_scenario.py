@@ -159,7 +159,8 @@ class TestParsing:
          "grid": {"nodes": 100}},
         {"potential": {"kind": "dipole", "axis": [1, 0, 0]}, "truncation": 60,
          "grid": {"nodes": 100}},
-    ], ids=["dipole_z", "dipole_x"])
+        minimal_doc(truncation=4000, grid={"nodes": 100}),
+    ], ids=["dipole_z", "dipole_x", "constant_circle"])
     def test_basis_table_budget_is_checked_without_allocating(self, doc):
         tracemalloc.start()
         try:
@@ -203,8 +204,11 @@ class TestParsing:
             scenario_from_dict({**doc, "sweep_count": count + 1})
 
     def test_constant_circle_potential_builds_no_galerkin_matrix(self):
-        # solved on its diagonal: only the nodal budget bounds its truncation
-        scenario_from_dict(minimal_doc(truncation=4000, grid={"nodes": 100}))
+        # solved on its diagonal: only its basis tables bound its truncation,
+        # two complex tables of 4(T + 1) x (2T + 1) entries: T = 1023 fits
+        scenario_from_dict(minimal_doc(truncation=1023, grid={"nodes": 100}))
+        with pytest.raises(ScenarioValidationError, match="angular basis tables"):
+            scenario_from_dict(minimal_doc(truncation=1024, grid={"nodes": 100}))
 
     @pytest.mark.parametrize("toggle", ["false", 0, 1.0, None, [True]])
     def test_check_toggles_are_json_booleans(self, toggle):
@@ -828,10 +832,11 @@ def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
     {"dimension": 3, "potential": {"kind": "dipole", "axis": "x"}},
     {"perturbation": {"amplitude": float("nan"), "epsilon": 0.5}},
     {"perturbation": {"amplitude": float("inf"), "epsilon": 0.5}},
+    {"truncation": 4000, "grid": {"nodes": 100}},
 ], ids=["sweep_count", "eigen_count", "alpha", "nodes", "seed", "radii",
         "default_radii_inside", "default_radii_outside", "boundary", "grid", "checks",
         "boundary_values", "perturbation_angular", "empty_radii", "fourier_magnetic",
-        "dipole_axis", "amplitude_nan", "amplitude_infinity"])
+        "dipole_axis", "amplitude_nan", "amplitude_infinity", "circle_basis_tables"])
 def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
     proc = run_cli(tmp_path, minimal_doc(**over))
     assert proc.returncode == 2, proc.stderr
