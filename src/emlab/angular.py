@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import roots_legendre, sph_harm_y
 
 from .errors import (
@@ -368,47 +368,107 @@ class SphereBasis(_Tabulated):
         starts = np.searchsorted(i, np.arange(self.size))
         return _frozen((i, j[order], coef[order], comp[order], starts))
 
-    def reflection_blocks(self, kind: str):
-        """This basis split into the subspaces that a dipole with its axis
-        in the xz-plane leaves invariant, for an axis of ``kind``:
+    def reflection_blocks(self):
+        """This basis split into the subspaces that a dipole along z leaves
+        invariant: it conserves m, so there is one tridiagonal block per
+        order m = 0..T, on the cos-type S_lm, l = m..T, and the sin-type
+        S_l,-m carry the same block.
 
-        - "z", along z: m is conserved, so one block per m, the cos-type
-          m = 0..T first, then the sin-type m = -1..-T;
-        - "x", along x: the reflections y -> -y, which keeps the cos-type
-          functions (m >= 0) and negates the sin-type ones (m < 0), and
-          z -> -z, which multiplies S_lm by (-1)^(l + m), give four blocks;
-        - "xz", any other axis: y -> -y alone, cos-type then sin-type.
-
-        Returns ``(rows, least, inside, offsets)``: each block's basis
-        positions (in basis order) and least l(l+1), and the couplings of
-        ``couplings()`` that stay inside one block, as ``(local row, local
-        col, coefficient, component)`` sorted by block, block b's from
-        ``offsets[b]`` to ``offsets[b + 1]``.
+        Returns ``(rows, least, coupling, offsets)``: each block's cos-type
+        positions (S_l,-m sits 2m before S_lm) and least l(l+1), and the
+        z couplings of ``couplings()`` between S_lm and S_l+1,m, by order
+        and then degree, block m's from ``offsets[m]`` to ``offsets[m + 1]``.
         """
-        return self._kept(("blocks", kind), lambda: self._reflection_blocks(kind))
+        return self._kept("blocks", self._reflection_blocks)
 
-    def _reflection_blocks(self, kind: str):
+    def _reflection_blocks(self):
+        T = self.truncation
         l, m = np.array(self.indices).T
-        sine = m < 0
-        if kind == "z":
-            block = np.where(sine, self.truncation - m, m)
-        elif kind == "x":
-            block = 2 * sine + (l + m) % 2
-        else:
-            block = sine.astype(int)
-        members = np.argsort(block, kind="stable")
-        sizes = np.bincount(block)
-        starts = np.cumsum(sizes) - sizes
-        local = np.empty_like(block)
-        local[members] = np.arange(self.size) - starts[block[members]]
-        rows = np.split(members, starts[1:])
-        least = self.laplace_eigs[[r[0] for r in rows]]
         i, j, coef, comp, _ = self.couplings()
-        keep = np.flatnonzero(block[i] == block[j])
-        keep = keep[np.argsort(block[i[keep]], kind="stable")]
-        inside = (local[i[keep]], local[j[keep]], coef[keep], comp[keep])
-        offsets = np.searchsorted(block[i[keep]], np.arange(len(sizes) + 1))
-        return rows, least, inside, offsets
+        up = np.flatnonzero((comp == 2) & (j > i) & (m[i] >= 0))
+        up = up[np.lexsort((l[i[up]], m[i[up]]))]
+        rows = _frozen(tuple(np.flatnonzero(m == order) for order in range(T + 1)))
+        offsets = np.concatenate([[0], np.cumsum(np.arange(T, -1, -1))])
+        return rows, self.laplace_eigs[[r[0] for r in rows]], _frozen(coef[up]), offsets
+
+    def turn(self, v: np.ndarray, beta: float, phi: float) -> np.ndarray:
+        """The coefficients (one column each) of the functions of ``v``
+        rotated by R_z(phi) R_y(beta), which takes the z axis to (sin beta
+        cos phi, sin beta sin phi, cos beta): degree by degree, R_y by
+        ``y_turns()``, then R_z by the 2 x 2 rotations of ``turn_pairs()``.
+        R_y keeps the cos-type and the sin-type coefficients apart."""
+        out = v.copy()  # degree 0 is left as it is
+        padded = np.vstack([v, np.zeros((1, v.shape[1]))])
+        for index, Q, k in self.y_turns():
+            x = Q.transpose(0, 2, 1) @ padded[index]
+            c, s, h = np.cos(k * beta)[..., None], np.sin(k * beta)[..., None], k.shape[1]
+            xa, xb = x[:, :h], x[:, h:2 * h]
+            x[:, :h], x[:, h:2 * h] = c * xa + s * xb, c * xb - s * xa
+            inside = index < self.size
+            out[index[inside]] = (Q @ x)[inside]
+        if phi:
+            # coefficients (x, y) of S_{l,m}, S_{l,-m} in the turned frame are
+            # (x cos(m t) - y sin(m t), x sin(m t) + y cos(m t)) in the unturned one
+            p, q, m = self.turn_pairs()
+            c, s = np.cos(m * phi)[:, None], np.sin(m * phi)[:, None]
+            xp, xq = out[p], out[q]
+            out[p] = xp * c - xq * s
+            out[q] = xp * s + xq * c
+        return out
+
+    def y_turns(self):
+        """Rotations about y in closed form, for the cos-type harmonics and
+        for the sin-type ones: ``(index, Q, k)`` each.
+
+        Per degree l >= 1, a rotation by beta about y maps the coefficients
+        of C_m = S_lm and of S_m = S_l,-m by exp(beta K), whose generator K
+        keeps the two kinds apart (it commutes with y -> -y) and has
+
+            K C_m = c_m C_m+1 - c_m-1 C_m-1,   K S_m = c_m S_m+1 - c_m-1 S_m-1,
+            c_m = sqrt((l - m)(l + m + 1)) / 2,
+
+        with S_0 = 0 and a factor sqrt(2) on the couplings of C_0 and C_1,
+        from the ladder operators of the complex harmonics (Edmonds 1957,
+        ch. 2 and 4).  Each of its blocks, the cos-type S_l0..S_ll and the
+        sin-type S_l,-l..S_l,-1, has the eigenvalues i k for distinct
+        integers k, so K = Q J Q^T with Q orthogonal and J the sum of the
+        2 x 2 blocks [[0, k], [-k, 0]] on coordinate pairs (j, j + h), h =
+        ``k.shape[1]``, and 0 on the rest (the last coordinate holds the
+        kernel of K, if it has one): exp(beta K) turns each pair by k beta.
+        Row d = l - 1 of ``index`` holds the basis positions of degree l's
+        block, padded with ``size``, ``Q[d]`` its Q and ``k[d]`` its k,
+        padded with zeros.
+        """
+        return self._kept("y_turns", self._y_turns)
+
+    def _y_turns(self):
+        T = self.truncation
+        stacks = []
+        for width in (T + 1, T):  # cos-type, then sin-type
+            index = np.full((T, width), self.size)
+            Qs, ks = np.zeros((T, width, width)), np.zeros((T, width // 2))
+            for d, l in enumerate(range(1, T + 1)):
+                c = 0.5 * np.sqrt((l - np.arange(l)) * (l + np.arange(l) + 1.0))
+                c[0] *= np.sqrt(2.0)
+                # K's entries just above its diagonal: the coefficient -c_m
+                # of C_m in K C_m+1, and c_m of S_m+1 in K S_m, as S_m+1 sits
+                # just before S_m
+                above = -c if width > T else c[:0:-1]
+                n = len(above) + 1
+                # -i K = D S D^-1 for the real S with the same entries next
+                # to its diagonal on both sides, and D = diag(i^j)
+                k, S = eigh_tridiagonal(np.zeros(n), above)
+                W = np.array([1, 1j, -1, -1j])[np.arange(n) % 4, None] * S
+                k = np.rint(k)
+                up, p = k > 0, np.count_nonzero(k > 0)
+                index[d, :n] = l * l + (l if width > T else 0) + np.arange(n)
+                Qs[d, :n, :p] = np.sqrt(2.0) * W[:, up].real
+                Qs[d, :n, width // 2:width // 2 + p] = np.sqrt(2.0) * W[:, up].imag
+                ks[d, :p] = k[up]
+                for i in np.flatnonzero(k == 0):  # real up to its phase
+                    Qs[d, :n, -1] = _fix_phase(W[:, i]).real
+            stacks.append(_frozen((index, Qs, ks)))
+        return stacks
 
     def turn_pairs(self):
         """``(p, q, m)``: the positions of S_{l,m} and S_{l,-m} for every
@@ -452,20 +512,10 @@ def angular_basis(dimension: int, truncation: int):
     raise UnsupportedConfigurationError(f"dimension {dimension} not supported")
 
 
-def _dipole_matrix(pot: AngularPotential, basis: SphereBasis) -> np.ndarray:
-    """Real symmetric Galerkin matrix diag(l(l+1)) - lam (n_x X + n_y Y + n_z Z)
-    of the dipole a = lam (n . theta) in the real harmonics of ``SphereBasis``,
-    from the closed-form couplings of ``SphereBasis.couplings``; the dense
-    oracle of ``_reflection_blocks``."""
-    i, j, coef, comp, _ = basis.couplings()
-    M = np.diag(basis.laplace_eigs)
-    M[i, j] = -(pot.dipole_strength * pot.dipole_axis)[comp] * coef
-    return M
-
-
 def _dipole_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) -> np.ndarray:
-    """M v for the dipole's Galerkin matrix M of ``_dipole_matrix``, from its
-    couplings, without forming M."""
+    """M v for the dipole's Galerkin matrix M = diag(l(l+1)) - lam (n_x X +
+    n_y Y + n_z Z) in the real harmonics of ``SphereBasis``, from the
+    closed-form couplings of ``SphereBasis.couplings``, without forming M."""
     _, j, coef, comp, starts = basis.couplings()
     entries = (pot.dipole_strength * pot.dipole_axis)[comp] * coef
     return basis.laplace_eigs[:, None] * v - np.add.reduceat(entries[:, None] * v[j], starts)
@@ -473,73 +523,64 @@ def _dipole_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) ->
 
 @dataclass(frozen=True)
 class _ReflectionBlocks:
-    """The dipole's Galerkin matrix, in a frame turned about z by ``angle``,
-    as its diagonal blocks (``SphereBasis.reflection_blocks``): ``rows``
-    places them in the basis, ``bounds`` holds a lower bound on each one's
-    spectrum, and ``matrix(b)`` builds block b from its diagonal and its
-    entries (``local`` rows and columns, ``values``, from ``offsets[b]``
-    to ``offsets[b + 1]``)."""
+    """The dipole's Galerkin matrix in the frame where its axis is z, as the
+    tridiagonal blocks of ``SphereBasis.reflection_blocks``, one per order
+    m, each carried by the cos-type and the sin-type harmonics of order m:
+    ``rows`` places block m on the cos-type ones, ``bounds`` holds a lower
+    bound on each one's spectrum, and ``matrix(m)`` builds block m from its
+    diagonal and its couplings (``values``, from ``offsets[m]`` to
+    ``offsets[m + 1]``).  ``SphereBasis.turn`` by ``beta`` and ``phi``
+    carries the eigenvectors to the scenario's axis."""
 
-    angle: float
-    rows: list
+    beta: float
+    phi: float
+    rows: tuple
     bounds: np.ndarray
     diagonal: np.ndarray
-    local: tuple
     values: np.ndarray
     offsets: np.ndarray
 
     def matrix(self, b: int) -> np.ndarray:
-        entries = slice(self.offsets[b], self.offsets[b + 1])
         A = np.diag(self.diagonal[self.rows[b]])
-        A[self.local[0][entries], self.local[1][entries]] = -self.values[entries]
+        k = np.arange(len(A) - 1)
+        A[k, k + 1] = A[k + 1, k] = -self.values[self.offsets[b]:self.offsets[b + 1]]
         return A
-
-
-def _turned_axis(pot: AngularPotential) -> tuple[float, float, str]:
-    """``(rho, n_z, kind)``: the dipole axis turned about z onto (rho, 0, n_z)
-    in the xz-plane, and the kind of ``SphereBasis.reflection_blocks`` it
-    leaves invariant."""
-    nx, ny, nz = pot.dipole_axis
-    rho = np.hypot(nx, ny)
-    return rho, nz, "z" if rho == 0 else "x" if nz == 0 else "xz"
 
 
 def dense_matrix_bytes(pot: AngularPotential, truncation: int) -> int:
     """Bytes of the largest dense matrix ``angular_spectrum`` builds for the
     potential at the truncation, known without building it: none for a
     constant circle potential, solved on its diagonal; the (2T + 1)^2
-    complex Galerkin matrix for any other circle potential; the largest real
-    reflection block for the dipole.  That block holds the m = 0 harmonics
-    for an axis along z, the cos-type ones of even l + m for an axis in the
-    xy-plane, and all cos-type ones for any other axis."""
+    complex Galerkin matrix for any other circle potential; for the dipole,
+    the real (T + 1)^2 of its m = 0 block, which is also the size of the
+    largest kept block of ``SphereBasis.y_turns``, degree T's cos-type one."""
     T = truncation
     if pot.dimension == 2:
         return 0 if pot.magnetic_degree + pot.electric_degree == 0 else 16 * (2 * T + 1) ** 2
-    size = {"z": T + 1, "x": T + 1 + T * T // 4, "xz": (T + 1) * (T + 2) // 2}
-    return 8 * size[_turned_axis(pot)[2]] ** 2
+    return 8 * (T + 1) ** 2
 
 
 def _reflection_blocks(pot: AngularPotential, basis: SphereBasis) -> _ReflectionBlocks:
-    """The blocks of the dipole's Galerkin matrix, filled from the couplings
-    of its axis n turned about z by -angle, angle = atan2(n_y, n_x), onto
-    n' = (rho, 0, n_z) in the xz-plane.
+    """The blocks of the dipole's Galerkin matrix in the frame where its
+    axis n = (sin beta cos phi, sin beta sin phi, cos beta) is z, where the
+    matrix is the one of the z axis: the degree-T space is invariant under
+    rotations, so the spectrum depends on lam alone.  Along -z the frame is
+    not turned, and the strength changes sign instead.
 
-    The reflection y -> -y fixes n', and so does z -> -z when n_z = 0; when
-    rho = 0, every rotation about z does.  By Weyl's inequality a block's
-    eigenvalues are at least its least l(l+1) minus |lam|, because
-    multiplication by n . theta has norm at most 1.
+    By Weyl's inequality a block's eigenvalues are at least its least
+    l(l+1) minus |lam|, because multiplication by n . theta has norm at
+    most 1.
     """
-    rho, nz, kind = _turned_axis(pot)
-    rows, least, (li, lj, coef, comp), offsets = basis.reflection_blocks(kind)
-    # a non-finite strength makes inf * 0 here; the finiteness check reports it
-    with np.errstate(invalid="ignore"):
-        values = (pot.dipole_strength * np.array([rho, 0.0, nz]))[comp] * coef
+    nx, ny, nz = pot.dipole_axis
+    rho = np.hypot(nx, ny)
+    rows, least, coef, offsets = basis.reflection_blocks()
+    values = (pot.dipole_strength * (1.0 if rho else nz)) * coef
     _require_finite(values)
     # every rotation about z fixes the z axis, so that one is not turned
-    angle = float(np.arctan2(pot.dipole_axis[1], pot.dipole_axis[0])) if rho else 0.0
-    return _ReflectionBlocks(angle=angle, rows=rows, bounds=least - abs(pot.dipole_strength),
-                             diagonal=basis.laplace_eigs, local=(li, lj), values=values,
-                             offsets=offsets)
+    beta, phi = (float(np.arctan2(rho, nz)), float(np.arctan2(ny, nx))) if rho else (0.0, 0.0)
+    return _ReflectionBlocks(beta=beta, phi=phi, rows=rows,
+                             bounds=least - abs(pot.dipole_strength),
+                             diagonal=basis.laplace_eigs, values=values, offsets=offsets)
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -589,27 +630,26 @@ def _circle_band(pot: AngularPotential, basis: CircleBasis):
 
 
 def assemble_angular_matrix(pot: AngularPotential, truncation: int):
-    """Dense Galerkin matrix of the angular sesquilinear form; returns
-    (M, basis).
+    """Dense Galerkin matrix of the angular sesquilinear form on the circle;
+    returns (M, basis).
 
-    N = 2 convention: the operator acts as (-i d/dt + alpha)^2 - a, so the
-    entry for basis pair (row j, column l) is
+    The operator acts as (-i d/dt + alpha)^2 - a, so the entry for basis
+    pair (row j, column l) is
 
         j l delta_{jl} + (j + l) ahat_{j-l} + (alpha^2)hat_{j-l} - ahat^{el}_{j-l}
 
     with fhat_m the e^{imt} expansion coefficient, on the band |j - l| <=
     max(2 deg A, deg a); constant alpha and a give the diagonal (alpha + j)^2 - a0.
-    N = 3: the real symmetric dipole matrix of ``_dipole_matrix``.
+    The dipole on the sphere is solved by its blocks (``_reflection_blocks``).
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    basis = angular_basis(pot.dimension, truncation)
-    if pot.dimension == 2:
-        rows, cols, band = _circle_band(pot, basis)
-        M = np.zeros((basis.size, basis.size), dtype=complex)
-        M[rows, cols] = band
-    else:
-        M = _dipole_matrix(pot, basis)
+    if pot.dimension != 2:
+        raise UnsupportedConfigurationError("the dense Galerkin matrix is built for N = 2 only")
+    basis = angular_basis(2, truncation)
+    rows, cols, band = _circle_band(pot, basis)
+    M = np.zeros((basis.size, basis.size), dtype=complex)
+    M[rows, cols] = band
     return _hermitian_part(M), basis
 
 
@@ -705,41 +745,41 @@ def _eigh(matrix: np.ndarray, count: int):
 
 def _block_eigenpairs(blocks: _ReflectionBlocks, count: int, basis: SphereBasis):
     """Lowest ``count`` eigenpairs of the blocks, in the basis of the
-    unturned frame.
+    scenario's frame.
 
-    Blocks are solved in the order of their lower bounds, and a block whose
-    bound lies above the count-th eigenvalue found so far is skipped.  The
-    eigenvalues are merged by a stable sort in block order, and the partners
-    of a multiplicity block are ordered by their block, cos-type first, so
-    that mode labels do not depend on roundoff.
+    Blocks are solved in the order of their lower bounds, which is the
+    order of m, each once for the cos-type and the sin-type harmonics, and
+    a block whose bound lies above the count-th eigenvalue found so far is
+    skipped.  The eigenvalues are merged by a stable sort, the cos-type
+    blocks m = 0, 1, ... before the sin-type ones, and the partners of a
+    multiplicity block are ordered in that block order, cos-type first, so
+    that mode labels do not depend on roundoff.  ``SphereBasis.turn``, which
+    keeps the two kinds apart, then carries them to the scenario's axis.
     """
-    solved, kth = {}, np.inf
-    for b in np.argsort(blocks.bounds, kind="stable"):
+    solved, found, kth = [], [], np.inf
+    for b in range(len(blocks.rows)):
         if blocks.bounds[b] > kth:
             break
-        solved[b] = _eigh(blocks.matrix(b), min(count, len(blocks.rows[b])))
-        found = np.concatenate([w for w, _ in solved.values()])
-        if len(found) >= count:
-            kth = np.partition(found, count - 1)[count - 1]
-    done = sorted(solved)
-    w = np.concatenate([solved[b][0] for b in done])
-    block = np.repeat(done, [len(solved[b][0]) for b in done])
-    col = np.concatenate([np.arange(len(solved[b][0])) for b in done])
+        w, v = _eigh(blocks.matrix(b), min(count, len(blocks.rows[b])))
+        solved.append((b, w, v))
+        found += [w] if b == 0 else [w, w]
+        if sum(map(len, found)) >= count:
+            kth = np.partition(np.concatenate(found), count - 1)[count - 1]
+    # S_l,-m sits 2m before S_lm
+    parts = [(blocks.rows[b], w, v) for b, w, v in solved]
+    parts += [(blocks.rows[b] - 2 * b, w, v) for b, w, v in solved if b]
+    w = np.concatenate([p[1] for p in parts])
+    part = np.repeat(np.arange(len(parts)), [len(p[1]) for p in parts])
+    col = np.concatenate([np.arange(len(p[1])) for p in parts])
     order = np.argsort(w, kind="stable")
     group = np.concatenate([np.full(m, g) for g, (_, m) in enumerate(_group_blocks(w[order]))])
-    order = order[np.lexsort((block[order], group))][:count]
+    order = order[np.lexsort((part[order], group))][:count]
     v = np.zeros((basis.size, count))
-    for b in done:
-        k = np.flatnonzero(block[order] == b)
-        v[blocks.rows[b][:, None], k] = solved[b][1][:, col[order[k]]]
-    if blocks.angle != 0:
-        # coefficients (x, y) of S_{l,m}, S_{l,-m} in the turned frame are
-        # (x cos(m t) - y sin(m t), x sin(m t) + y cos(m t)) in the unturned one
-        p, q, m = basis.turn_pairs()
-        c, s = np.cos(m * blocks.angle)[:, None], np.sin(m * blocks.angle)[:, None]
-        x, y = v[p], v[q]
-        v[p] = x * c - y * s
-        v[q] = x * s + y * c
+    for i, (rows, _, vectors) in enumerate(parts):
+        k = np.flatnonzero(part[order] == i)
+        v[rows[:, None], k] = vectors[:, col[order[k]]]
+    if blocks.beta:
+        v = basis.turn(v, blocks.beta, blocks.phi)
     return w[order], v
 
 
@@ -748,7 +788,7 @@ def eigendecompose(matrix, count: int, basis, pot: AngularPotential) -> AngularS
     either densely (solved by ``eigh``), or by its diagonal (sorted stably,
     so equal eigenvalues keep their basis order, with unit eigenvectors), or,
     for the dipole, by its ``_ReflectionBlocks``, whose eigenpairs are
-    checked against the unturned matrix."""
+    checked against the matrix of the scenario's axis."""
     n = basis.size
     if count > n:
         raise AliasingError(f"requested {count} eigenpairs from a {n}x{n} matrix")
@@ -784,7 +824,8 @@ def angular_spectrum(pot: AngularPotential, count: int = 16,
                      truncation: int | None = None) -> AngularSpectrum:
     """Assemble and diagonalize in one call with default truncations, each
     matrix in its cheapest form: a constant circle potential by its
-    diagonal, the dipole by its reflection blocks, anything else densely."""
+    diagonal, the dipole by its blocks of order m in the frame of its axis,
+    anything else densely."""
     if truncation is None:
         truncation = DEFAULT_TRUNCATION_CIRCLE if pot.dimension == 2 else DEFAULT_TRUNCATION_SPHERE
     degree_needed = pot.magnetic_degree + pot.electric_degree

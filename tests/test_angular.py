@@ -10,7 +10,6 @@ from emlab.angular import (
     SphereBasis,
     angular_basis,
     angular_spectrum,
-    assemble_angular_matrix,
     basis_table_bytes,
     build_potential,
     circulation,
@@ -23,6 +22,7 @@ from emlab.errors import (
     NumericalFailureError,
     UnsupportedConfigurationError,
 )
+from oracles import _dipole_matrix, assemble_angular_matrix
 
 
 def ab(alpha, a0=0.0):
@@ -241,12 +241,29 @@ class TestReflectionBlocks:
             assert not first[sine].any() and not second[~sine].any()
 
     def test_forms_no_dense_matrix(self, monkeypatch):
-        def dense(*args, **kwargs):
-            raise AssertionError("dense dipole matrix built")
+        # every eigensolve, of a block or of a generator of y-rotations on a
+        # fresh basis, sees at most the (T + 1) x (T + 1) of the m = 0 block
+        sizes = []
 
-        monkeypatch.setattr(emlab.angular, "_dipole_matrix", dense)
-        pot = build_potential({"kind": "dipole", "strength": 1.0, "axis": [1, 1, 1]})
-        assert angular_spectrum(pot, count=8, truncation=16).count == 8
+        def recording(solve):
+            def solver(matrix, *args, **kwargs):
+                sizes.append(len(matrix))
+                return solve(matrix, *args, **kwargs)
+            return solver
+
+        monkeypatch.setattr(emlab.angular, "eigh", recording(emlab.angular.eigh))
+        monkeypatch.setattr(emlab.angular, "eigh_tridiagonal",
+                            recording(emlab.angular.eigh_tridiagonal))
+        monkeypatch.setattr(emlab.angular, "angular_basis", lambda _, T: SphereBasis(T))
+        assert not hasattr(emlab.angular, "_dipole_matrix")
+        for axis in self.AXES.values():
+            pot = build_potential({"kind": "dipole", "strength": 1.0, "axis": axis})
+            with pytest.raises(UnsupportedConfigurationError):
+                emlab.angular.assemble_angular_matrix(pot, 6)
+            for truncation, count in ((16, 8), (12, 169), (2, 9)):
+                sizes.clear()
+                assert angular_spectrum(pot, count=count, truncation=truncation).count == count
+                assert sizes and max(sizes) <= truncation + 1
 
     def test_residual_is_checked_in_the_unturned_frame(self, monkeypatch):
         # turning the eigenvectors the wrong way gives eigenpairs of another
@@ -258,6 +275,66 @@ class TestReflectionBlocks:
         pot = build_potential({"kind": "dipole", "strength": 1.0, "axis": [1, 1, 1]})
         with pytest.raises(NumericalFailureError, match="residual"):
             angular_spectrum(pot, count=4, truncation=8)
+
+
+def frame_matrix(blocks, size):
+    """The dipole's matrix in the frame of its axis, from its blocks, each
+    placed on its cos-type and its sin-type harmonics."""
+    M = np.zeros((size, size))
+    for b, rows in enumerate(blocks.rows):
+        for r in (rows, rows - 2 * b):
+            M[np.ix_(r, r)] = blocks.matrix(b)
+    return M
+
+
+class TestTurn:
+    """``SphereBasis.turn``, which carries the spectrum from the frame of the
+    dipole's axis to the scenario's, against the dense matrix of the oracle."""
+
+    @pytest.mark.parametrize("truncation", [1, 2, 5, 16])
+    def test_y_turn_is_orthogonal_per_degree_and_keeps_the_kinds(self, truncation):
+        basis = SphereBasis(truncation)
+        l, m = np.array(basis.indices).T
+        same = l[:, None] == l[None, :]
+        cos = m >= 0
+        for beta in (0.3, np.pi / 2, 2.5, np.pi):
+            U = basis.turn(np.eye(basis.size), beta, 0.0)
+            assert not U[~same].any()
+            # the cos-type coefficients go to cos-type ones, exactly
+            assert not U[np.ix_(~cos, cos)].any() and not U[np.ix_(cos, ~cos)].any()
+            assert np.abs(U.T @ U - np.eye(basis.size)).max() <= 1e-14
+
+    @pytest.mark.parametrize("axis", TestReflectionBlocks.AXES)
+    def test_turned_frame_matrix_is_the_axis_matrix(self, axis):
+        pot = build_potential({"kind": "dipole", "strength": -1.3,
+                               "axis": TestReflectionBlocks.AXES[axis]})
+        for truncation in range(1, 17):
+            basis = angular_basis(3, truncation)
+            blocks = emlab.angular._reflection_blocks(pot, basis)
+            I = np.eye(basis.size)
+            U = basis.turn(I, blocks.beta, blocks.phi) if blocks.beta else I
+            oracle = _dipole_matrix(pot, basis)
+            turned = U @ frame_matrix(blocks, basis.size) @ U.T
+            assert np.abs(turned - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("axis", ["x", "xy", "xyz", "random3"])
+    def test_default_truncation_equals_the_dense_solver(self, axis):
+        pot = build_potential({"kind": "dipole", "strength": 1.1,
+                               "axis": TestReflectionBlocks.AXES[axis]})
+        count = 16
+        sp = angular_spectrum(pot, count)
+        assert sp.truncation == 32
+        M, basis = assemble_angular_matrix(pot, 32)
+        w, v = eigh_spectrum(M, count + 1)
+        radius = np.abs(w).max()
+        assert np.abs(sp.eigenvalues - w[:count]).max() <= 1e-12 * radius
+        for j0, m in sp.blocks:
+            cols = slice(j0 - 1, j0 - 1 + m)
+            P = sp.eigenvectors[:, cols] @ sp.eigenvectors[:, cols].T
+            Q = v[:, cols] @ v[:, cols].T
+            below = w[j0 - 1] - w[j0 - 2] if j0 > 1 else np.inf
+            gap = min(abs(below), abs(w[j0 + m - 1] - w[j0 + m - 2]))
+            assert np.abs(P - Q).max() <= 1e-10 + 1e-13 * radius / gap
 
 
 def dense_circle_matrix(pot, truncation):
@@ -418,12 +495,12 @@ class TestDiagonalSpectrum:
         ({"kind": "aharonov_bohm", "alpha": 0.0}, []),
         ({"kind": "fourier", "magnetic": 0.4, "electric": -0.2}, []),
         ({"kind": "fourier", "magnetic": {"mean": 0.3, "cos": [0.2]}}, [17]),
-        # the 81 functions of T = 8: cos-type and sin-type blocks
-        ({"kind": "dipole", "strength": 0.8, "axis": [0, 1, 1]}, [45, 36]),
-        # m = 0, 1, -1; the lowest 4 are found before m = +-2 is needed
-        ({"kind": "dipole", "strength": 0.8, "axis": [0, 0, 1]}, [9, 8, 8]),
-        # three of the four blocks of the two reflections
-        ({"kind": "dipole", "strength": 0.8, "axis": [0, -2, 0]}, [25, 20, 20]),
+        # in the frame of the axis, whatever it is: the blocks m = 0 and
+        # m = 1, the latter once for m = +-1; the lowest 4 are found before
+        # m = 2 is needed
+        ({"kind": "dipole", "strength": 0.8, "axis": [0, 1, 1]}, [9, 8]),
+        ({"kind": "dipole", "strength": 0.8, "axis": [0, 0, 1]}, [9, 8]),
+        ({"kind": "dipole", "strength": 0.8, "axis": [0, -2, 0]}, [9, 8]),
     ], ids=["ab", "ab_integer", "fourier_constant", "fourier", "dipole", "dipole_z",
             "dipole_y"])
     def test_eigh_calls(self, monkeypatch, desc, sizes):
