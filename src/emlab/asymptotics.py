@@ -199,8 +199,6 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
     Interior target radial factor is +gamma, exterior -gamma, matching the
     differentiated leading power.
     """
-    if not field.has_gradient:
-        raise ValueError("field carries no gradient samples")
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     spectrum = field.spectrum
     if profile is None:
@@ -235,39 +233,26 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
 def kelvin_transform(field: FieldSample) -> FieldSample:
     """v(x) = |x|^{2-N} u(x/|x|^2) on the inverted radial grid.
 
-    Exchanges interior and exterior samples and the side of the field's
+    Exchanges interior and exterior fields and the side of the field's
     perturbation, since |y|^-4 h(y/|y|^2) = c|y|^(-2 -+ eps) g for
-    h = c|x|^(-2 +- eps) g; applied twice it is the identity.  Modal data is
-    transformed exactly:
+    h = c|x|^(-2 +- eps) g; applied twice it is the identity.  The profiles
+    are transformed exactly:
 
         phi_v(t) = t^{2-N} phi_u(1/t),
         zeta_v(t) = t^{-2-N} zeta_u(1/t).
     """
     N = field.dimension
-    r = field.r
-    t = 1.0 / r[::-1]
+    t = 1.0 / field.r[::-1]
     new_side = "exterior" if field.side == "interior" else "interior"
     h = None if field.perturbation is None else replace(field.perturbation, side=new_side)
-    if field.modal is not None and field.spectrum is not None:
-        new_sols = {
-            k: ModalSolution(
-                exponents=sol.exponents, r=t,
-                phi=t ** (2 - N) * sol.phi[::-1],
-                dphi=(2 - N) * t ** (1 - N) * sol.phi[::-1] - t ** (-N) * sol.dphi[::-1],
-                zeta=t ** (-2 - N) * sol.zeta[::-1],
-                boundary_radius=1.0 / sol.boundary_radius, c1=sol.c1, side=new_side,
-            )
-            for k, sol in field.modal.items()
-        }
-        return synthesize_field(field.spectrum, new_sols, h)
-    factor = (t ** (2 - N))[:, None]
-    values = factor * field.values[::-1]
-    du_dr = None
-    if field.du_dr is not None:
-        du_dr = ((2 - N) * t ** (1 - N))[:, None] * field.values[::-1] \
-            - (t ** (-N))[:, None] * field.du_dr[::-1]
-    ang = None
-    if field.angular_gradient is not None:
-        ang = tuple(factor * comp[::-1] for comp in field.angular_gradient)
-    return replace(field, r=t, values=values, du_dr=du_dr,
-                   angular_gradient=ang, modal=None, side=new_side, perturbation=h)
+    new_sols = {
+        k: ModalSolution(
+            exponents=sol.exponents, r=t,
+            phi=t ** (2 - N) * sol.phi[::-1],
+            dphi=(2 - N) * t ** (1 - N) * sol.phi[::-1] - t ** (-N) * sol.dphi[::-1],
+            zeta=t ** (-2 - N) * sol.zeta[::-1],
+            boundary_radius=1.0 / sol.boundary_radius, c1=sol.c1, side=new_side,
+        )
+        for k, sol in field.modal.items()
+    }
+    return synthesize_field(field.spectrum, new_sols, h)

@@ -74,7 +74,7 @@ def main(argv=None) -> int:
                                       seed=args.seed)
             else:
                 names = None
-                if args.check:
+                if args.check is not None:
                     names = [n.strip() for n in args.check.split(",") if n.strip()]
                 report = verify_suite(scn, names=names, out_dir=args.out,
                                       tol_scale=args.tol_scale, seed=args.seed)
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
                 "converged": info["converged"],
                 "iterations": info["iterations"],
                 "residuals": [float(v) for v in info["residuals"]],
-                "modes": sorted(field.modal) if field.modal else [],
+                "modes": sorted(field.modal),
             }
             _emit(doc, args.out, "solve.json")
             return 0 if info["converged"] else 1

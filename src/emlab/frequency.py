@@ -1,4 +1,4 @@
-"""Almgren frequency analysis of sampled fields.
+"""Almgren frequency analysis of fields.
 
 For a field u on a punctured ball the three quantities
 

@@ -4,13 +4,12 @@ The quadratic form of the operator,
 
     Q(u) = int [ |grad u + i A(x/|x|) u / |x||^2 - a(x/|x|) |u|^2/|x|^2 ] dx,
 
-is evaluated in polar form: for product test functions w(r) g(theta)
-through angular scalars and one radial quadrature, for general sampled
-fields by nodal quadrature.  The classical comparison statements are checked
-as nonnegative margins: positivity of Q, the Hardy inequality with boundary
-terms, the sharp 2-d magnetic Hardy constant, the diamagnetic inequality,
-and the eigenvalue comparison between a magnetic operator and its field-free
-companion.
+is evaluated in polar form, for product test functions w(r) g(theta)
+through angular scalars and one radial quadrature.  The classical
+comparison statements are checked as nonnegative margins: positivity of Q,
+the Hardy inequality with boundary terms, the sharp 2-d magnetic Hardy
+constant, the diamagnetic inequality, and the eigenvalue comparison between
+a magnetic operator and its field-free companion.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .angular import (
     circulation,
 )
 from .errors import UnsupportedConfigurationError
-from .modal import FieldSample
 
 #: quadrature tolerance for inequality margins
 TOL_QUAD = 1e-8
@@ -75,9 +73,7 @@ class Product:
     The forms reduce a product in separated form, from angular scalars and
     the two radial moments below, each integrated once per product; the
     products of a sweep read the moments of the shared bump, integrated once
-    per dimension and grid.  Any other test function is a sampled
-    ``FieldSample``, reduced by nodal quadrature, the oracle for the
-    separated path.
+    per dimension and grid.
     """
 
     dimension: int
@@ -88,14 +84,6 @@ class Product:
     dw: np.ndarray
     g: np.ndarray
     dg: tuple
-
-    def samples(self) -> FieldSample:
-        return FieldSample(
-            dimension=self.dimension, r=self.r, angular_nodes=self.angular_nodes,
-            angular_weights=self.angular_weights, values=np.outer(self.w, self.g),
-            du_dr=np.outer(self.dw, self.g),
-            angular_gradient=tuple(np.outer(self.w, d) for d in self.dg),
-        )
 
     @cached_property
     def angular_mass(self) -> np.ndarray:
@@ -244,12 +232,11 @@ def random_test_function(dimension: int, rng, r: np.ndarray) -> Product:
 
 
 def profile_test_function(dimension: int, r: np.ndarray, radial, radial_derivative,
-                          angular=None) -> Product | FieldSample:
+                          angular=None) -> Product:
     """Explicit product test function w(r) g(theta) from callables.
 
     ``angular`` maps the angular nodes to (g, grad components); None means
-    the constant profile g = 1.  A complex radial factor gives a sampled
-    test function.
+    the constant profile g = 1.  The radial factor must be real.
     """
     if dimension == 2:
         nodes, weights = _circle_nodes()
@@ -258,19 +245,18 @@ def profile_test_function(dimension: int, r: np.ndarray, radial, radial_derivati
     n_nodes = len(nodes[0])
     w_r = np.asarray(radial(r))
     dw_r = np.asarray(radial_derivative(r))
+    if np.iscomplexobj(w_r) or np.iscomplexobj(dw_r):
+        raise ValueError("the radial factor of a test function must be real")
     if angular is None:
         g = np.ones(n_nodes, dtype=complex)
         dg = tuple(np.zeros(n_nodes, dtype=complex) for _ in range(dimension - 1))
     else:
         g, dg = angular(*nodes)
-    product = Product(dimension=dimension, r=r, angular_nodes=nodes,
-                      angular_weights=weights, w=w_r, dw=dw_r, g=g, dg=tuple(dg))
-    if np.iscomplexobj(w_r) or np.iscomplexobj(dw_r):
-        return product.samples()
-    return product
+    return Product(dimension=dimension, r=r, angular_nodes=nodes,
+                   angular_weights=weights, w=w_r, dw=dw_r, g=g, dg=tuple(dg))
 
 
-def _check_dimension(pot: AngularPotential, tf: Product | FieldSample) -> None:
+def _check_dimension(pot: AngularPotential, tf: Product) -> None:
     if pot.dimension != tf.dimension:
         raise UnsupportedConfigurationError("potential and samples disagree on N")
 
@@ -283,35 +269,23 @@ def _covariant_angular(pot: AngularPotential, nodes: tuple, u: np.ndarray, grad:
     return grad
 
 
-def _sphere_mass(tf: FieldSample) -> np.ndarray:
-    """int over the unit sphere of |u(s, .)|^2, at each grid radius s."""
-    return (np.abs(tf.values) ** 2) @ tf.angular_weights
-
-
 def _ball_node(r: np.ndarray, radius: float) -> int:
     """The grid node nearest the radius, where int_0^radius is read."""
     return grids.nearest_index(r, min(radius, r[-1]))
 
 
-def _ball_integral(r: np.ndarray, f: np.ndarray, radius: float) -> float:
-    """int_0^radius f ds: quadrature to the grid node nearest the radius,
-    closed below r[0] by the power-law tail."""
-    return float(grids.singular_integral(f, r, "interior")[_ball_node(r, radius)])
-
-
-def _check_support(tf: Product | FieldSample, r: float) -> None:
+def _check_support(tf: Product, r: float) -> None:
     beyond = tf.r > r * (1 + 1e-12)
     if not np.any(beyond):
         return
     # sup over the angles of |u(s, .)|, at each grid radius s
-    sup = (np.abs(tf.w) * np.abs(tf.g).max() if isinstance(tf, Product)
-           else np.abs(tf.values).max(axis=1))
+    sup = np.abs(tf.w) * np.abs(tf.g).max()
     mx = float(sup.max())
     if mx and float(sup[beyond].max()) > 1e-12 * mx:
         raise ValueError(f"test function is not supported in the ball of radius {r}")
 
 
-def _angular_energy(pot: AngularPotential, tf: Product | FieldSample,
+def _angular_energy(pot: AngularPotential, tf: Product,
                     u: np.ndarray, grad: tuple) -> np.ndarray:
     """int over the unit sphere of |grad_S u + i A u|^2 - a |u|^2 for u
     and grad on the angular nodes of ``tf``, with any leading axes."""
@@ -321,37 +295,28 @@ def _angular_energy(pot: AngularPotential, tf: Product | FieldSample,
     return sum(np.abs(c) ** 2 for c in cov) @ weights - (a * np.abs(u) ** 2) @ weights
 
 
-def quadratic_form(pot: AngularPotential, tf: Product | FieldSample,
+def quadratic_form(pot: AngularPotential, tf: Product,
                    r: float | None = None) -> float | np.ndarray:
-    """Q(u) over the ball of radius r by polar quadrature: A M + B E for a
-    product, with E its angular energy, and the integral of
-    s^{N-1} (int |du/dr|^2 + energy / s^2) for samples."""
+    """Q(u) over the ball of radius r by polar quadrature: A M + B E, with
+    E the angular energy of the product."""
     if r is None:
         r = float(tf.r[-1])
     _check_dimension(pot, tf)
     _check_support(tf, r)
-    if isinstance(tf, Product):
-        i = _ball_node(tf.r, r)
-        energy = _angular_energy(pot, tf, tf.g, tf.dg)
-        return float(tf.energy_moment[i]) * tf.angular_mass + float(tf.mass_moment[i]) * energy
-    energy = _angular_energy(pot, tf, tf.values, tf.angular_gradient)
-    density = (np.abs(tf.du_dr) ** 2) @ tf.angular_weights + energy / tf.r**2
-    return _ball_integral(tf.r, tf.r ** (tf.dimension - 1) * density, r)
+    i = _ball_node(tf.r, r)
+    energy = _angular_energy(pot, tf, tf.g, tf.dg)
+    return float(tf.energy_moment[i]) * tf.angular_mass + float(tf.mass_moment[i]) * energy
 
 
-def singular_mass(tf: Product | FieldSample, r: float) -> float | np.ndarray:
-    """int over B_r of |u|^2 / |x|^2: B M for a product."""
-    if isinstance(tf, Product):
-        return float(tf.mass_moment[_ball_node(tf.r, r)]) * tf.angular_mass
-    return _ball_integral(tf.r, tf.r ** (tf.dimension - 3) * _sphere_mass(tf), r)
+def singular_mass(tf: Product, r: float) -> float | np.ndarray:
+    """int over B_r of |u|^2 / |x|^2: B M."""
+    return float(tf.mass_moment[_ball_node(tf.r, r)]) * tf.angular_mass
 
 
-def boundary_mass(tf: Product | FieldSample, r: float) -> float | np.ndarray:
+def boundary_mass(tf: Product, r: float) -> float | np.ndarray:
     """int over the sphere of radius r of |u|^2 dS, nearest grid node."""
     i = grids.nearest_index(tf.r, r)
-    if isinstance(tf, Product):
-        return tf.r[i] ** (tf.dimension - 1) * tf.w[i] ** 2 * tf.angular_mass
-    return float(tf.r[i] ** (tf.dimension - 1) * _sphere_mass(tf)[i])
+    return tf.r[i] ** (tf.dimension - 1) * tf.w[i] ** 2 * tf.angular_mass
 
 
 def lambda1_from_mu1(N: int, mu1: float) -> float:
@@ -363,7 +328,7 @@ def mu1_of(pot: AngularPotential, truncation: int | None = None) -> float:
     return angular_spectrum(pot, count=1, truncation=truncation).mu1()
 
 
-def hardy_boundary_margin(pot: AngularPotential, tf: Product | FieldSample, r: float,
+def hardy_boundary_margin(pot: AngularPotential, tf: Product, r: float,
                           mu1_value: float | None = None) -> float | np.ndarray:
     """LHS minus RHS of the Hardy inequality with boundary terms.
 
@@ -388,7 +353,7 @@ def _sorted_search(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return n.reshape(keys.shape)
 
 
-def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> float | np.ndarray:
+def diamagnetic_margin(pot: AngularPotential, tf: Product) -> float | np.ndarray:
     """min over nodes of |grad u + i A u/|x||^2 - |grad |u||^2.
 
     The modulus gradient is Re(conj(u) grad u)/|u|; nodes where |u| is at
@@ -398,40 +363,26 @@ def diamagnetic_margin(pot: AngularPotential, tf: Product | FieldSample) -> floa
     D = sum_j |cov_j g|^2 - (Re(conj(g) d_j g)/|g|)^2.
     """
     _check_dimension(pot, tf)
-    if isinstance(tf, Product):
-        cov = _covariant_angular(pot, tf.angular_nodes, tf.g, tf.dg)
-        ag = np.abs(tf.g)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mod = sum((np.real(np.conj(tf.g) * d) / ag) ** 2 for d in tf.dg)
-            need = ZERO_CUTOFF / ag  # |w| above this keeps |u| above the cutoff
-        defect = sum(np.abs(c) ** 2 for c in cov) - mod
-        # the extreme radial factor w^2/r^2 among the radii each node admits:
-        # sorted by decreasing |w|, node j admits a prefix of length n[j]
-        aw = np.abs(tf.w)
-        order = np.argsort(-aw, kind="stable")
-        q = (tf.w**2 / tf.r**2)[order]
-        n = _sorted_search(-aw[order], -need)
-        ok = n > 0
-        if not np.all(np.any(ok, axis=-1)):
-            raise ValueError("test function vanishes everywhere above the cutoff")
-        last = np.maximum(n - 1, 0)
-        # q >= 0, so q D is least at the least q where D >= 0, the greatest where not
-        q_ext = np.where(defect >= 0, np.minimum.accumulate(q)[last],
-                         np.maximum.accumulate(q)[last])
-        return np.where(ok, q_ext * defect, np.inf).min(axis=-1)
-    cov = _covariant_angular(pot, tf.angular_nodes, tf.values, tf.angular_gradient)
-    u = tf.values
-    m = np.abs(u)
-    mask = m > ZERO_CUTOFF
-    if not np.any(mask):
-        raise ValueError("test function vanishes everywhere above the cutoff")
-    r2 = tf.r[:, None] ** 2
-    mag = np.abs(tf.du_dr) ** 2 + sum(np.abs(c) ** 2 for c in cov) / r2
+    cov = _covariant_angular(pot, tf.angular_nodes, tf.g, tf.dg)
+    ag = np.abs(tf.g)
     with np.errstate(invalid="ignore", divide="ignore"):
-        dm_r = np.real(np.conj(u) * tf.du_dr) / m
-        dm_ang = [np.real(np.conj(u) * g) / m for g in tf.angular_gradient]
-    mod = dm_r**2 + sum(d**2 for d in dm_ang) / r2
-    return float((mag - mod)[mask].min())
+        mod = sum((np.real(np.conj(tf.g) * d) / ag) ** 2 for d in tf.dg)
+        need = ZERO_CUTOFF / ag  # |w| above this keeps |u| above the cutoff
+    defect = sum(np.abs(c) ** 2 for c in cov) - mod
+    # the extreme radial factor w^2/r^2 among the radii each node admits:
+    # sorted by decreasing |w|, node j admits a prefix of length n[j]
+    aw = np.abs(tf.w)
+    order = np.argsort(-aw, kind="stable")
+    q = (tf.w**2 / tf.r**2)[order]
+    n = _sorted_search(-aw[order], -need)
+    ok = n > 0
+    if not np.all(np.any(ok, axis=-1)):
+        raise ValueError("test function vanishes everywhere above the cutoff")
+    last = np.maximum(n - 1, 0)
+    # q >= 0, so q D is least at the least q where D >= 0, the greatest where not
+    q_ext = np.where(defect >= 0, np.minimum.accumulate(q)[last],
+                     np.maximum.accumulate(q)[last])
+    return np.where(ok, q_ext * defect, np.inf).min(axis=-1)
 
 
 def mu1_comparison(spectrum: AngularSpectrum) -> float:

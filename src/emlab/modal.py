@@ -13,7 +13,8 @@ origin (interior) or decaying at infinity (exterior).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .angular import AngularSpectrum, _coeff_array, _eval_trig, _frozen
 from .errors import (
     AliasingError,
     DegenerateIndicialError,
-    DegenerateSolutionError,
     EmlabError,
     ForcingTooSingularError,
     GridMismatchError,
@@ -33,9 +33,9 @@ from .errors import (
 #: Picard stops once successive fields agree to this fraction of their sup norm
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
-#: bytes of one row block of a synthesized field's values when they are
-#: projected without being built whole.  numpy asks the kernel for huge pages
-#: for arrays of 4 MiB or more, and a block stays below that; smaller blocks
+#: bytes of one row block of a field's values when they are projected
+#: without being built whole.  numpy asks the kernel for huge pages for
+#: arrays of 4 MiB or more, and a block stays below that; smaller blocks
 #: cost more calls and, in glibc, let the heap be trimmed and faulted in again
 PROJECTION_BLOCK_BYTES = 3 << 20
 
@@ -249,28 +249,6 @@ def _power_profile(exp: ModalExponents, zeta: np.ndarray, boundary_value: comple
     )
 
 
-class _Lazy:
-    """A field of a frozen dataclass kept as given, or, when given None,
-    built by ``build(obj, name)`` on first read and then kept."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the dataclass default
-        d = obj.__dict__
-        if d[self.name] is None:
-            d[self.name] = self.build(obj, self.name)
-        return d[self.name]
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 def _outer_sum(profiles: dict, samples, shape: tuple) -> np.ndarray:
     """sum_k outer(p_k, samples(k)) in mode order over the nonzero profiles:
     the first product is the result, the later ones are added to it in
@@ -286,83 +264,57 @@ def _outer_sum(profiles: dict, samples, shape: tuple) -> np.ndarray:
     return np.zeros(shape, dtype=complex) if out is None else out
 
 
-def _modal_sum(field: FieldSample, name: str):
-    """One nodal array of a synthesized field: sum_k phi_k psi_k for
-    ``values``, phi_k' psi_k for ``du_dr``, phi_k grad psi_k per component
-    for ``angular_gradient``.  A mode whose profile is zero adds nothing and
-    is skipped.  None for a field without modal profiles."""
-    if field.modal is None:
-        return None
-    nodes, spectrum = field.angular_nodes, field.spectrum
-    shape = (len(field.r), len(nodes[0]))
-    if name == "angular_gradient":
-        phi = {k: sol.phi for k, sol in field.modal.items()}
-        return tuple(_outer_sum(phi, lambda k, c=c: spectrum.psi_gradient(k, *nodes)[c], shape)
-                     for c in range(field.dimension - 1))
-    profiles = {k: sol.phi if name == "values" else sol.dphi
-                for k, sol in field.modal.items()}
-    return _outer_sum(profiles, lambda k: spectrum.psi_values(k, *nodes), shape)
-
-
 @dataclass(frozen=True)
 class FieldSample:
-    """Complex samples of a field on a log-radial x angular product grid.
+    """A field on a log-radial x angular product grid, held as its modal
+    profiles, u = sum_k phi_k psi_k.
 
-    A synthesized field is its modal profiles, u = sum_k phi_k psi_k; its
-    nodal arrays are built from them only when read.
+    Its nodal arrays are summed from the profiles on first read and kept;
+    a mode whose profile is zero adds nothing and is skipped.
     """
 
     dimension: int
     r: np.ndarray
     angular_nodes: tuple
     angular_weights: np.ndarray
-    values: np.ndarray | None = _Lazy(_modal_sum)  # (n_r, n_nodes)
-    du_dr: np.ndarray | None = _Lazy(_modal_sum)
-    angular_gradient: tuple | None = _Lazy(_modal_sum)  # per-component (n_r, n_nodes)
-    modal: dict | None = None  # mode index -> ModalSolution
-    spectrum: AngularSpectrum | None = None
+    modal: dict  # mode index -> ModalSolution
+    spectrum: AngularSpectrum
     side: str = "interior"
     perturbation: PerturbationSpec | None = None  # the h of L u = h u solved; None: h = 0
 
     def __post_init__(self):
-        values = self.__dict__["values"]
-        if values is None and self.modal is None:
-            raise GridMismatchError("a field needs values or modal profiles")
-        if values is not None and values.shape != (len(self.r), len(self.angular_nodes[0])):
-            raise GridMismatchError("value array shape does not match the grid")
         if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
             raise GridMismatchError("radial grid must be positive and increasing")
 
-    @property
-    def has_gradient(self) -> bool:
-        return self.du_dr is not None and self.angular_gradient is not None
+    def _sum(self, profile: str, samples, rows=slice(None)) -> np.ndarray:
+        """sum_k outer(p_k[rows], samples(k)) for the profile p = phi or dphi."""
+        return _outer_sum({k: getattr(sol, profile)[rows] for k, sol in self.modal.items()},
+                          samples, (len(self.r[rows]), len(self.angular_nodes[0])))
+
+    def _psi(self, k: int) -> np.ndarray:
+        return self.spectrum.psi_values(k, *self.angular_nodes)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """sum_k phi_k psi_k, shape (n_r, n_nodes)."""
+        return self._sum("phi", self._psi)
+
+    @cached_property
+    def du_dr(self) -> np.ndarray:
+        """sum_k phi_k' psi_k, shape (n_r, n_nodes)."""
+        return self._sum("dphi", self._psi)
+
+    @cached_property
+    def angular_gradient(self) -> tuple:
+        """sum_k phi_k grad psi_k, one (n_r, n_nodes) array per component."""
+        nodes, spectrum = self.angular_nodes, self.spectrum
+        return tuple(self._sum("phi", lambda k, c=c: spectrum.psi_gradient(k, *nodes)[c])
+                     for c in range(self.dimension - 1))
 
     def values_at(self, rows) -> np.ndarray:
-        """``values[rows]`` for an index list or a slice; a synthesized field
-        sums just these rows from its modal profiles, with the same products
-        as the full array."""
-        if self.modal is None:
-            return self.values[rows]
-        nodes, spectrum = self.angular_nodes, self.spectrum
-        return _outer_sum({k: sol.phi[rows] for k, sol in self.modal.items()},
-                          lambda k: spectrum.psi_values(k, *nodes),
-                          (len(self.r[rows]), len(nodes[0])))
-
-    def detached(self) -> "FieldSample":
-        """Copy without modal attachment; forces quadrature-based analysis."""
-        return replace(self, modal=None)
-
-    def corrupted(self, noise: float, rng=None) -> "FieldSample":
-        """Multiplicative noise on the samples; drops modal and gradient data."""
-        rng = np.random.default_rng(rng)
-        factor = 1.0 + noise * rng.standard_normal(self.values.shape)
-        return replace(
-            self,
-            values=self.values * factor,
-            du_dr=None,
-            angular_gradient=None,
-            modal=None,
-        )
+        """``values[rows]`` for an index list or a slice, summed for just
+        these rows with the same products as the full array."""
+        return self._sum("phi", self._psi, rows)
 
 
 def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
@@ -379,9 +331,8 @@ def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
     *nodes, w = spectrum.basis.grid()
     return FieldSample(
         dimension=spectrum.potential.dimension,
-        r=r, angular_nodes=tuple(nodes), angular_weights=w, values=None,
-        modal=dict(solutions), spectrum=spectrum, side=sols[0].side,
-        perturbation=perturbation,
+        r=r, angular_nodes=tuple(nodes), angular_weights=w, modal=dict(solutions),
+        spectrum=spectrum, side=sols[0].side, perturbation=perturbation,
     )
 
 
@@ -389,42 +340,26 @@ def modal_stack(field: FieldSample):
     """(ks, phi, dphi, zeta): the mode numbers ``ks`` a field carries, in
     mode order, and their profiles as arrays of shape (len(ks), n_r).
 
-    A synthesized field carries the modes whose attached phi, dphi or zeta
-    is nonzero; a mode it does not carry is zero throughout, so a sum over
-    the rows along axis 0 equals the one over all K = spectrum.count modes
-    bit for bit.  Sampled data carries all K modes, projected onto them:
-    derivatives from the du_dr samples or, without them, by log-grid finite
-    differences; forcings from its perturbation.
+    A field carries the modes whose phi, dphi or zeta is nonzero; a mode it
+    does not carry is zero throughout, so a sum over the rows along axis 0
+    equals the one over all K = spectrum.count modes bit for bit.
     """
-    spectrum = field.spectrum
-    if spectrum is None:
-        raise DegenerateSolutionError("field carries no angular spectrum")
-    if field.modal is not None:
-        ks = np.array(sorted(k for k, s in field.modal.items()
-                             if s.phi.any() or s.dphi.any() or s.zeta.any()), dtype=int)
-        shape = (len(ks), len(field.r))
-        return ks, *(np.array([getattr(field.modal[k], name) for k in ks],
-                              dtype=complex).reshape(shape)
-                     for name in ("phi", "dphi", "zeta"))
-    phi = project_onto_modes(field)
-    dphi = (grids.log_derivative(phi.T, field.r).T if field.du_dr is None
-            else project_onto_modes(field, data=field.du_dr))
-    zeta = (np.zeros(phi.shape, dtype=complex) if field.perturbation is None
-            else perturbation_samples(field))
-    return np.arange(1, spectrum.count + 1), phi, dphi, zeta
+    ks = np.array(sorted(k for k, s in field.modal.items()
+                         if s.phi.any() or s.dphi.any() or s.zeta.any()), dtype=int)
+    shape = (len(ks), len(field.r))
+    return ks, *(np.array([getattr(field.modal[k], name) for k in ks],
+                          dtype=complex).reshape(shape)
+                 for name in ("phi", "dphi", "zeta"))
 
 
-def project_onto_modes(field: FieldSample, data: np.ndarray | None = None,
-                       weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-mode radial profiles phi_k(r_i) by angular quadrature.
-
-    Returns an array (K, n_r) over the field's spectrum.  `data` defaults to the field values; pass
-    another array on the same grid to project it instead.  `weights`
+def project_onto_modes(field: FieldSample, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-mode radial profiles phi_k(r_i) of the field's values by angular
+    quadrature, an array (K, n_r) over the field's spectrum.  `weights`
     defaults to the field's angular quadrature weights; pass w*g to project
-    g*data without forming it.  A synthesized field in one mode whose
-    values have not been built is summed and projected one block of rows at
-    a time (``PROJECTION_BLOCK_BYTES``), so no (n_r, n_nodes) array is
-    built; the sup norm of such a field is modal too (``sup_norm``).
+    g*u without forming it.  A field in one mode whose values have not been
+    built is summed and projected one block of rows at a time
+    (``PROJECTION_BLOCK_BYTES``), so no (n_r, n_nodes) array is built; the
+    sup norm of such a field is modal too (``sup_norm``).
     """
     spectrum = field.spectrum
     n_nodes = len(field.angular_nodes[0])
@@ -438,15 +373,12 @@ def project_onto_modes(field: FieldSample, data: np.ndarray | None = None,
         [spectrum.psi_values(k, *field.angular_nodes) for k in range(1, spectrum.count + 1)]
     )
     proj = np.conj(psis).T * weights[:, None]
-    if (data is None and field.modal is not None and field.__dict__["values"] is None
-            and len(_nonzero_modes(field)) == 1):
+    if "values" not in vars(field) and len(_nonzero_modes(field)) == 1:
         out = np.empty((len(field.r), spectrum.count), dtype=complex)
         for rows in _row_blocks(len(field.r), n_nodes):
             out[rows] = field.values_at(rows) @ proj
         return out.T
-    if data is None:
-        data = field.values
-    return (data @ proj).T
+    return (field.values @ proj).T
 
 
 def _row_blocks(n_r: int, n_nodes: int) -> list:
@@ -474,8 +406,8 @@ def _nonzero_modes(*fields: FieldSample) -> set:
 
 
 def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
-    """max over the product grid of |u - v| (of |u| without v), for
-    synthesized fields on one grid.
+    """max over the product grid of |u - v| (of |u| without v), for fields
+    on one grid.
 
     When every nonzero profile of u and v lies in one mode k, the maximum
     factors as max|phi_u - phi_v| max|psi_k| and no nodal array is built.

@@ -601,6 +601,8 @@ def verify_suite(scn: Scenario, names=None, out_dir=None,
     """Run only the named verification checks (default: all of them), in
     pipeline order whatever order they are named in."""
     names = set(VERIFY_CHECKS if names is None else names)
+    if not names:
+        raise ScenarioValidationError(f"no check named; valid: {list(VERIFY_CHECKS)}")
     unknown = sorted(names - set(VERIFY_CHECKS))
     if unknown:
         raise ScenarioValidationError(

@@ -1,11 +1,19 @@
 """Slow paths of emlab, kept as the oracles of the fast paths that replaced
-them.  Each was moved here from the library unchanged, so that the tests
-hold the new path to the old one."""
+them.  Each was moved here from the library with its arithmetic unchanged,
+so that the tests hold the new path to the old one.  The library holds a field as its modal
+profiles only; sampled fields (``Sampled``) live here, with the nodal Kelvin
+transform and the nodal quadrature of the forms of ``emlab.inequalities``."""
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 import emlab.angular
-from emlab.angular import AngularPotential, SphereBasis, angular_basis
+import emlab.inequalities as ineq
+from emlab import grids
+from emlab.angular import AngularPotential, AngularSpectrum, SphereBasis, angular_basis
+from emlab.inequalities import Product
+from emlab.modal import FieldSample, ModalExponents, ModalSolution, synthesize_field
 
 
 def _dipole_matrix(pot: AngularPotential, basis: SphereBasis) -> np.ndarray:
@@ -30,3 +38,123 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         raise ValueError("truncation must be >= 1")
     basis = angular_basis(pot.dimension, truncation)
     return emlab.angular._hermitian_part(_dipole_matrix(pot, basis)), basis
+
+
+@dataclass(frozen=True)
+class Sampled:
+    """Complex samples of a field on a log-radial x angular product grid:
+    the values and, when known, the radial and tangential derivatives."""
+
+    dimension: int
+    r: np.ndarray
+    angular_nodes: tuple
+    angular_weights: np.ndarray
+    values: np.ndarray  # (n_r, n_nodes)
+    du_dr: np.ndarray | None = None
+    angular_gradient: tuple | None = None  # per-component (n_r, n_nodes)
+    side: str = "interior"
+
+
+def samples_of(field: FieldSample) -> Sampled:
+    """The nodal arrays of a modal field, shared with it."""
+    return Sampled(field.dimension, field.r, field.angular_nodes, field.angular_weights,
+                   field.values, field.du_dr, field.angular_gradient, field.side)
+
+
+def corrupted(samples: Sampled, noise: float, rng=None) -> Sampled:
+    """Multiplicative noise on the values; drops the derivative samples."""
+    factor = 1.0 + noise * np.random.default_rng(rng).standard_normal(samples.values.shape)
+    return replace(samples, values=samples.values * factor, du_dr=None,
+                   angular_gradient=None)
+
+
+def project(spectrum: AngularSpectrum, nodes: tuple, data: np.ndarray,
+            weights: np.ndarray) -> np.ndarray:
+    """(K, n_r) profiles of nodal data on the modes of the spectrum, by the
+    angular quadrature of ``modal.project_onto_modes`` with these weights."""
+    psis = np.stack([spectrum.psi_values(k, *nodes) for k in range(1, spectrum.count + 1)])
+    return (data @ (np.conj(psis).T * weights[:, None])).T
+
+
+def from_samples(samples: Sampled, spectrum: AngularSpectrum, perturbation=None) -> FieldSample:
+    """A modal field over all K = spectrum.count modes, projected from the
+    samples by angular quadrature: phi_k from the values, phi_k' from the
+    du_dr samples or, without them, by log-grid finite differences, and
+    zeta_k of h u, h = ``perturbation``, with its angular factor folded into
+    the weights as ``modal.perturbation_samples`` does.  The projected
+    profiles solve no radial equation, so their exponents are NaN."""
+    nodes, w, r = samples.angular_nodes, samples.angular_weights, samples.r
+    phi = project(spectrum, nodes, samples.values, w)
+    dphi = (grids.log_derivative(phi.T, r).T if samples.du_dr is None
+            else project(spectrum, nodes, samples.du_dr, w))
+    zeta = np.zeros(phi.shape, dtype=complex) if perturbation is None else (
+        project(spectrum, nodes, samples.values, w * perturbation.angular_factor(*nodes))
+        * perturbation.radial_factor(r)[None, :])
+    R = r[-1] if samples.side == "interior" else r[0]
+    return synthesize_field(spectrum, {k: ModalSolution(
+        ModalExponents(k, spectrum.mu(k), np.nan, np.nan), r, phi[k - 1], dphi[k - 1],
+        zeta[k - 1], float(R), complex(np.nan), samples.side,
+    ) for k in range(1, spectrum.count + 1)}, perturbation)
+
+
+def kelvin_transform(samples: Sampled) -> Sampled:
+    """v(x) = |x|^{2-N} u(x/|x|^2) on the inverted radial grid, sample by
+    sample; the oracle of ``asymptotics.kelvin_transform``."""
+    N, u, du = samples.dimension, samples.values[::-1], samples.du_dr
+    t = 1.0 / samples.r[::-1]
+    factor = (t ** (2 - N))[:, None]
+    if du is not None:
+        du = ((2 - N) * t ** (1 - N))[:, None] * u - (t ** (-N))[:, None] * du[::-1]
+    ang = samples.angular_gradient
+    if ang is not None:
+        ang = tuple(factor * comp[::-1] for comp in ang)
+    side = "exterior" if samples.side == "interior" else "interior"
+    return replace(samples, r=t, values=factor * u, du_dr=du, angular_gradient=ang, side=side)
+
+
+def product_samples(tf: Product) -> Sampled:
+    """The samples w(r) g(theta) of a product test function."""
+    return Sampled(tf.dimension, tf.r, tf.angular_nodes, tf.angular_weights,
+                   np.outer(tf.w, tf.g), np.outer(tf.dw, tf.g),
+                   tuple(np.outer(tf.w, d) for d in tf.dg))
+
+
+def _ball_integral(s: Sampled, f: np.ndarray, radius: float) -> float:
+    """int_0^radius f ds, to the grid node nearest the radius."""
+    return float(grids.singular_integral(f, s.r, "interior")[ineq._ball_node(s.r, radius)])
+
+
+def _sphere_mass(s: Sampled) -> np.ndarray:
+    """int over the unit sphere of |u(s, .)|^2, at each grid radius s."""
+    return (np.abs(s.values) ** 2) @ s.angular_weights
+
+
+def quadratic_form(pot: AngularPotential, s: Sampled, r: float | None = None) -> float:
+    """Q(u) over B_r, the whole grid by default:
+    int_0^r s^{N-1} (int |du/dr|^2 + angular energy / s^2)."""
+    energy = ineq._angular_energy(pot, s, s.values, s.angular_gradient)
+    density = (np.abs(s.du_dr) ** 2) @ s.angular_weights + energy / s.r**2
+    return _ball_integral(s, s.r ** (s.dimension - 1) * density, s.r[-1] if r is None else r)
+
+
+def singular_mass(s: Sampled, r: float) -> float:
+    """int over B_r of |u|^2 / |x|^2."""
+    return _ball_integral(s, s.r ** (s.dimension - 3) * _sphere_mass(s), r)
+
+
+def boundary_mass(s: Sampled, r: float) -> float:
+    """int over the sphere of radius r of |u|^2 dS, nearest grid node."""
+    i = grids.nearest_index(s.r, r)
+    return float(s.r[i] ** (s.dimension - 1) * _sphere_mass(s)[i])
+
+
+def diamagnetic_margin(pot: AngularPotential, s: Sampled) -> float:
+    """min over the nodes where |u| > ZERO_CUTOFF of
+    |grad u + i A u/|x||^2 - |grad |u||^2."""
+    cov = ineq._covariant_angular(pot, s.angular_nodes, s.values, s.angular_gradient)
+    u, m, r2 = s.values, np.abs(s.values), s.r[:, None] ** 2
+    mag = np.abs(s.du_dr) ** 2 + sum(np.abs(c) ** 2 for c in cov) / r2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mod = (np.real(np.conj(u) * s.du_dr) / m) ** 2 + sum(
+            (np.real(np.conj(u) * g) / m) ** 2 for g in s.angular_gradient) / r2
+    return float((mag - mod)[m > ineq.ZERO_CUTOFF].min())

@@ -20,6 +20,7 @@ from emlab.modal import (
     solve_perturbed_field,
     synthesize_field,
 )
+from oracles import Sampled, corrupted, from_samples, samples_of
 
 RADII = np.geomspace(1e-5, 0.5, 20)
 
@@ -37,15 +38,11 @@ def ab_two_mode(ab_spectrum, radial_grid):
 
 
 def constant_field(spectrum, r, value=1.0):
-    """u identically equal to value, sampled without modal attachment."""
-    from emlab.modal import FieldSample
-
+    """u identically equal to value, projected from its samples."""
     t, w = spectrum.basis.grid()
     values = np.full((len(r), len(t)), complex(value))
-    return FieldSample(
-        dimension=2, r=r, angular_nodes=(t,), angular_weights=w,
-        values=values, spectrum=spectrum,
-    )
+    return from_samples(Sampled(dimension=2, r=r, angular_nodes=(t,), angular_weights=w,
+                                values=values), spectrum)
 
 
 def grid_radius(field, r):
@@ -181,8 +178,8 @@ class TestPohozaev:
         assert pohozaev_residual(field, 0.3) < 1e-8
 
     def test_noise_sensitivity(self, ab_perturbed, rng):
-        field = ab_perturbed[0]
-        bad = field.corrupted(0.01, rng)
+        field, h = ab_perturbed
+        bad = from_samples(corrupted(samples_of(field), 0.01, rng), field.spectrum, h)
         assert pohozaev_residual(bad, 0.3) > 1e-2
 
 

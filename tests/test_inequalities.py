@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,8 @@ from emlab.inequalities import (
     singular_mass,
     profile_test_function,
 )
+import oracles
+from oracles import product_samples
 
 GRID = grids.log_grid(1e-6, 1.0, 2400)
 
@@ -279,7 +283,7 @@ class TestHardy2d:
 def gradient_defect(tf: Product) -> float:
     """Sup-norm disagreement between du_dr samples and a finite difference
     of the values, relative to the gradient scale."""
-    field = tf.samples()
+    field = product_samples(tf)
     fd = grids.log_derivative(field.values, field.r)
     scale = float(np.abs(field.du_dr).max())
     if scale == 0:
@@ -295,7 +299,7 @@ class TestTestFunctions:
 
     def test_support_vanishing(self, rng):
         tf = random_test_function(2, rng, GRID)
-        assert abs(tf.samples().values[-1]).max() == 0.0
+        assert abs(product_samples(tf).values[-1]).max() == 0.0
 
     def test_rayleigh_quotient_above_lambda1(self, rng):
         # N = 3, A = 0: Q / int |u|^2/|x|^2 >= 1/4
@@ -330,6 +334,14 @@ def _separated_cases():
     return cases
 
 
+def _form_pairs(pot, tf, samples):
+    """(separated, nodal) values of Q, the singular mass at two radii and the
+    boundary mass, for a product and its samples."""
+    return [(quadratic_form(pot, tf), oracles.quadratic_form(pot, samples)),
+            *((singular_mass(tf, r), oracles.singular_mass(samples, r)) for r in (1.0, 0.4)),
+            (boundary_mass(tf, 0.4), oracles.boundary_mass(samples, 0.4))]
+
+
 class TestSeparatedForm:
     """A product test function reduced in separated form agrees with the
     nodal quadrature of its samples, the oracle."""
@@ -338,15 +350,14 @@ class TestSeparatedForm:
     def test_against_sampled_path(self, desc, tf):
         pot = build_potential(desc)
         assert isinstance(tf, Product)
-        oracle = tf.samples()
+        oracle = product_samples(tf)
         assert not isinstance(oracle, Product)
-        for form in (lambda t: quadratic_form(pot, t), lambda t: singular_mass(t, 1.0),
-                     lambda t: singular_mass(t, 0.4), lambda t: boundary_mass(t, 0.4)):
-            assert form(tf) == pytest.approx(form(oracle), rel=1e-12, abs=0)
+        for got, want in _form_pairs(pot, tf, oracle):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
         grad_scale = float((np.abs(oracle.du_dr) ** 2
                             + sum(np.abs(g) ** 2 for g in oracle.angular_gradient)
                             / oracle.r[:, None] ** 2).max())
-        assert abs(diamagnetic_margin(pot, tf) - diamagnetic_margin(pot, oracle)) \
+        assert abs(diamagnetic_margin(pot, tf) - oracles.diamagnetic_margin(pot, oracle)) \
             <= 1e-12 * grad_scale
 
     @pytest.mark.parametrize("desc,angular", [
@@ -356,22 +367,24 @@ class TestSeparatedForm:
     def test_constant_phase_radial_factor_is_sampled(self, desc, angular):
         # e^{i theta0} w(r) g(theta) differs from w(r) g(theta) by a constant
         # phase only, so every form agrees with the real product's
+        # a product takes a real radial factor only; the oracle samples the other
         pot = build_potential(desc)
         phase = np.exp(0.7j)
         real = profile_test_function(pot.dimension, GRID, radial_bump, radial_bump_derivative,
                                      angular=angular)
-        tf = profile_test_function(pot.dimension, GRID, lambda r: phase * radial_bump(r),
-                                   lambda r: phase * radial_bump_derivative(r), angular=angular)
-        assert isinstance(real, Product) and isinstance(tf, FieldSample)
-        for form in (lambda t: quadratic_form(pot, t), lambda t: singular_mass(t, 1.0),
-                     lambda t: singular_mass(t, 0.4), lambda t: boundary_mass(t, 0.4)):
-            assert form(tf) == pytest.approx(form(real), rel=1e-12, abs=0)
-        assert abs(diamagnetic_margin(pot, tf) - diamagnetic_margin(pot, real)) \
+        with pytest.raises(ValueError, match="must be real"):
+            profile_test_function(pot.dimension, GRID, lambda r: phase * radial_bump(r),
+                                  lambda r: phase * radial_bump_derivative(r), angular=angular)
+        tf = product_samples(replace(real, w=phase * real.w, dw=phase * real.dw))
+        assert isinstance(real, Product) and np.iscomplexobj(tf.values)
+        for want, got in _form_pairs(pot, real, tf):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert abs(oracles.diamagnetic_margin(pot, tf) - diamagnetic_margin(pot, real)) \
             <= 1e-12 * _grad_scale(tf)
 
     def test_samples_are_the_outer_product(self, rng):
         tf = random_test_function(2, rng, GRID)
-        assert np.array_equal(tf.samples().values, np.outer(tf.w, tf.g))
+        assert np.array_equal(product_samples(tf).values, np.outer(tf.w, tf.g))
 
     @pytest.mark.parametrize("desc,checks", [
         ({"kind": "aharonov_bohm", "alpha": 0.3, "a0": 0.0}, ("hardy", "diamagnetic", "hardy2d")),
@@ -430,8 +443,8 @@ class TestBatchedSweep:
             tfs = [random_test_function(pot.dimension, singles, r) for _ in range(6)]
             for margin, tf in zip(got, tfs):
                 if check == "diamagnetic":
-                    oracle = tf.samples()
-                    assert abs(margin - diamagnetic_margin(pot, oracle)) \
+                    oracle = product_samples(tf)
+                    assert abs(margin - oracles.diamagnetic_margin(pot, oracle)) \
                         <= 1e-12 * _grad_scale(oracle)
                 else:
                     assert margin == pytest.approx(_oracle_margin(pot, check, tf, R, mu1),
@@ -483,7 +496,7 @@ class TestBatchedSweep:
             want = min(_oracle_margin(pot, check, tf, 1.0, 0.09) for tf in tfs)
             got = report["margins"][check]["min_margin"]
             if check == "diamagnetic":
-                scale = max(_grad_scale(tf.samples()) for tf in tfs)
+                scale = max(_grad_scale(product_samples(tf)) for tf in tfs)
                 assert abs(got - want) <= 1e-12 * scale
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0)

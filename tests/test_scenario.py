@@ -360,6 +360,11 @@ class TestVerifySuite:
         with pytest.raises(ScenarioValidationError, match="hardy"):
             verify_suite(scn, names=["nonsense"])
 
+    def test_empty_check_list_is_rejected(self):
+        scn = scenario_from_dict(minimal_doc())
+        with pytest.raises(ScenarioValidationError, match="no check named.*hardy"):
+            verify_suite(scn, names=[])
+
     def test_seed_keeps_the_other_fields(self):
         scn = replace(parse_scenario(SCENARIOS / "verify_only.json"), sweep_count=3)
         report = verify_suite(scn, names=["hardy"], seed=scn.seed)
@@ -426,6 +431,14 @@ class TestCli:
             cli_main(["--config", str(SCENARIOS / "verify_only.json"),
                       "verify", "--check", "bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_verify_empty_check_list_is_usage_error(self, checks, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(SCENARIOS / "verify_only.json"),
+                      "verify", "--check", checks])
+        assert exc.value.code == 2
+        assert "no check named" in capsys.readouterr().err
 
     def test_missing_config_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -616,15 +629,13 @@ class TestModalFirst:
                                                                      monkeypatch):
         built = []
         for name in ("values", "du_dr", "angular_gradient"):
-            lazy = vars(FieldSample)[name]
+            lazy = vars(FieldSample)[name]  # a cached_property
 
-            def counting(field, attr, build=lazy.build):
-                out = build(field, attr)
-                if out is not None:
-                    built.append(attr)
-                return out
+            def counting(field, func=lazy.func, attr=name):
+                built.append(attr)
+                return func(field)
 
-            monkeypatch.setattr(lazy, "build", counting)
+            monkeypatch.setattr(lazy, "func", counting)
         sums = []
 
         def counting_sum(*args):
