@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.special import roots_legendre, sph_harm_y
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     AliasingError,
@@ -269,44 +268,81 @@ class SphereBasis(_Tabulated):
 
     def _make_grid(self):
         n = 2 * self.truncation + 2
-        x, wx = roots_legendre(n)
+        x, wx = leggauss(n)
         theta = np.arccos(x)
         phi = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         TH, PH = np.meshgrid(theta, phi, indexing="ij")
         W = np.outer(wx, np.full(n, 2 * np.pi / n))
         return TH.ravel(), PH.ravel(), W.ravel()
 
-    def _complex_values(self, theta, phi, diff: bool):
-        out_v = {}
-        out_dt = {}
-        out_dp = {}
-        for l in range(self.truncation + 1):
-            for m in range(0, l + 1):
-                if diff:
-                    v, grad = sph_harm_y(l, m, theta, phi, diff_n=1)
-                    out_v[(l, m)] = v
-                    out_dt[(l, m)] = grad[..., 0] if np.ndim(grad) > 1 else grad[0]
-                    out_dp[(l, m)] = grad[..., 1] if np.ndim(grad) > 1 else grad[1]
-                else:
-                    out_v[(l, m)] = sph_harm_y(l, m, theta, phi)
-        return out_v, out_dt, out_dp
+    def _legendre(self, theta):
+        """``(p, dp)``, (T + 1, T + 2, n_nodes): p[l, m] = Y_lm(theta, 0) for
+        0 <= m <= l, the complex harmonic with the Condon-Shortley phase at
+        phi = 0, and dp[l, m] its derivative in theta; zero for m > l.
 
-    def _realize(self, table, l, m):
-        if m == 0:
-            return table[(l, 0)].real
-        if m > 0:
-            return np.sqrt(2.0) * (-1.0) ** m * table[(l, m)].real
-        return np.sqrt(2.0) * (-1.0) ** (-m) * table[(l, -m)].imag
+        p comes from the normalized recurrence (Holmes and Featherstone, J.
+        Geodesy 76, 2002): p_00 = 1/sqrt(4 pi), p_mm = -sqrt((2m+1)/2m)
+        sin(theta) p_m-1,m-1, p_m+1,m = sqrt(2m+3) cos(theta) p_mm and
+
+            p_lm = a_lm (cos(theta) p_l-1,m - p_l-2,m / a_l-1,m),
+            a_lm = sqrt((4l^2 - 1) / (l^2 - m^2)).
+
+        The ladder operators give dp_lm = (sqrt((l-m)(l+m+1)) p_l,m+1 -
+        sqrt((l+m)(l-m+1)) p_l,m-1) / 2, with p_l,-1 = -p_l1, finite at
+        the poles too."""
+        T = self.truncation
+        x, s = np.cos(theta), np.sin(theta)
+        p = np.zeros((T + 1, T + 2) + np.shape(theta))
+        p[0, 0] = 1 / np.sqrt(4 * np.pi)
+        for m in range(T + 1):
+            if m:
+                p[m, m] = -np.sqrt((2 * m + 1) / (2 * m)) * s * p[m - 1, m - 1]
+            if m < T:
+                p[m + 1, m] = np.sqrt(2 * m + 3) * x * p[m, m]
+            a = np.sqrt((4 * np.arange(m + 1, T + 1) ** 2 - 1)
+                        / (np.arange(m + 1, T + 1) ** 2 - m * m))
+            for l in range(m + 2, T + 1):
+                p[l, m] = a[l - m - 1] * (x * p[l - 1, m] - p[l - 2, m] / a[l - m - 2])
+        l, m = np.arange(T + 1)[:, None], np.arange(T + 1)
+        up = np.sqrt(np.maximum((l - m) * (l + m + 1), 0))
+        down = np.sqrt(np.maximum((l + m) * (l - m + 1), 0))
+        below = np.concatenate([-p[:, 1:2], p[:, :T]], axis=1)
+        dp = np.zeros_like(p)
+        dp[:, :T + 1] = 0.5 * (up[..., None] * p[:, 1:] - down[..., None] * below)
+        return p, dp
+
+    def _harmonics(self, theta, phi, gradient: bool):
+        """The values of the S_lm at the nodes, or their gradient, one column
+        per basis function.  S_l0 = p_l0, and for m > 0 S_lm = f p_lm
+        cos(m phi) and S_l,-m = f p_lm sin(m phi), f = sqrt(2) (-1)^m, the
+        real and imaginary parts of Y_lm.  ``_legendre`` runs on the distinct
+        theta only, and the cosines and sines on the distinct phi."""
+        theta, phi = np.broadcast_arrays(theta, phi)
+        theta_u, i = np.unique(theta.ravel(), return_inverse=True)
+        phi_u, j = np.unique(phi.ravel(), return_inverse=True)
+        l, m = np.array(self.indices).T
+        a = np.abs(m)
+        f = np.where(m == 0, 1.0, np.sqrt(2.0) * (-1.0) ** a)
+        angles = np.multiply.outer(phi_u, np.arange(self.truncation + 1))
+        c, s = np.cos(angles)[:, a], np.sin(angles)[:, a]
+        p, dp = self._legendre(theta_u)
+
+        def table(legendre, trig):
+            out = legendre[l, a].T[i]
+            out *= trig[j]
+            return out.reshape(theta.shape + (self.size,))
+
+        if not gradient:
+            return table(p, f * np.where(m >= 0, c, s))
+        gp = table(p, f * a * np.where(m >= 0, -s, c))
+        gp /= np.sin(theta)[..., None]
+        return table(dp, f * np.where(m >= 0, c, s)), gp
 
     def _values(self, theta, phi):
-        vals, _, _ = self._complex_values(theta, phi, diff=False)
-        return np.stack([self._realize(vals, l, m) for l, m in self.indices], axis=-1)
+        return self._harmonics(theta, phi, gradient=False)
 
     def _gradient(self, theta, phi):
-        _, dth, dph = self._complex_values(theta, phi, diff=True)
-        gt = np.stack([self._realize(dth, l, m) for l, m in self.indices], axis=-1)
-        gp = np.stack([self._realize(dph, l, m) for l, m in self.indices], axis=-1)
-        return gt, gp / np.sin(theta)[..., None]
+        return self._harmonics(theta, phi, gradient=True)
 
     def evaluate(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return self._tabulated("values", self._values, (theta, phi))
@@ -367,6 +403,22 @@ class SphereBasis(_Tabulated):
         i = i[order]
         starts = np.searchsorted(i, np.arange(self.size))
         return _frozen((i, j[order], coef[order], comp[order], starts))
+
+    def coupling_table(self):
+        """``couplings()`` with a row per basis function: ``(cols,
+        coefficients, component)``, each (size, width), width the most
+        entries of any row, at most 10: z couples S_lm to the degrees l +- 1
+        at order m, x and y at the orders |m| +- 1.  A row's unused slots
+        hold its own column with coefficient 0."""
+        return self._kept("coupling_table", self._coupling_table)
+
+    def _coupling_table(self):
+        i, j, coef, comp, starts = self.couplings()
+        slot = np.arange(len(i)) - starts[i]
+        cols = np.repeat(np.arange(self.size)[:, None], slot.max() + 1, axis=1)
+        coefficients, component = np.zeros(cols.shape), np.zeros(cols.shape, dtype=int)
+        cols[i, slot], coefficients[i, slot], component[i, slot] = j, coef, comp
+        return _frozen((cols, coefficients, component))
 
     def reflection_blocks(self):
         """This basis split into the subspaces that a dipole along z leaves
@@ -457,7 +509,7 @@ class SphereBasis(_Tabulated):
                 n = len(above) + 1
                 # -i K = D S D^-1 for the real S with the same entries next
                 # to its diagonal on both sides, and D = diag(i^j)
-                k, S = eigh_tridiagonal(np.zeros(n), above)
+                k, S = _tridiagonal_eigh(np.zeros(n), above)
                 W = np.array([1, 1j, -1, -1j])[np.arange(n) % 4, None] * S
                 k = np.rint(k)
                 up, p = k > 0, np.count_nonzero(k > 0)
@@ -514,11 +566,12 @@ def angular_basis(dimension: int, truncation: int):
 
 def _dipole_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) -> np.ndarray:
     """M v for the dipole's Galerkin matrix M = diag(l(l+1)) - lam (n_x X +
-    n_y Y + n_z Z) in the real harmonics of ``SphereBasis``, from the
-    closed-form couplings of ``SphereBasis.couplings``, without forming M."""
-    _, j, coef, comp, starts = basis.couplings()
+    n_y Y + n_z Z) in the real harmonics of ``SphereBasis``, without forming
+    M: each row sums its fixed number of slots of
+    ``SphereBasis.coupling_table``."""
+    cols, coef, comp = basis.coupling_table()
     entries = (pot.dipole_strength * pot.dipole_axis)[comp] * coef
-    return basis.laplace_eigs[:, None] * v - np.add.reduceat(entries[:, None] * v[j], starts)
+    return basis.laplace_eigs[:, None] * v - (entries[:, None] @ np.take(v, cols, axis=0))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -736,11 +789,19 @@ def _group_blocks(mu: np.ndarray):
 
 
 def _eigh(matrix: np.ndarray, count: int):
+    """The lowest ``count`` eigenpairs of a Hermitian matrix, ascending.
+    numpy has no subset solver, so all are found and the rest dropped."""
     try:
-        # assembly has already rejected non-finite entries
-        return eigh(matrix, subset_by_index=(0, count - 1), check_finite=False)
+        w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError(f"dense eigensolver failed: {exc}") from exc
+    return w[:count], v[:, :count]
+
+
+def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray):
+    """All eigenpairs of the real symmetric tridiagonal matrix with this
+    diagonal and this off-diagonal, ascending, from its dense form."""
+    return np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def _block_eigenpairs(blocks: _ReflectionBlocks, count: int, basis: SphereBasis):

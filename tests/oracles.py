@@ -2,11 +2,15 @@
 them.  Each was moved here from the library with its arithmetic unchanged,
 so that the tests hold the new path to the old one.  The library holds a field as its modal
 profiles only; sampled fields (``Sampled``) live here, with the nodal Kelvin
-transform and the nodal quadrature of the forms of ``emlab.inequalities``."""
+transform and the nodal quadrature of the forms of ``emlab.inequalities``.
+The library runs on numpy alone; scipy's harmonics, Gauss rule and subset
+eigensolver, which it used before, are here."""
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.special import roots_legendre, sph_harm_y
 
 import emlab.angular
 import emlab.inequalities as ineq
@@ -38,6 +42,56 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         raise ValueError("truncation must be >= 1")
     basis = angular_basis(pot.dimension, truncation)
     return emlab.angular._hermitian_part(_dipole_matrix(pot, basis)), basis
+
+
+def dipole_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) -> np.ndarray:
+    """M v for the dipole's Galerkin matrix M = diag(l(l+1)) - lam (n_x X +
+    n_y Y + n_z Z) in the real harmonics of ``SphereBasis``, from the
+    closed-form couplings of ``SphereBasis.couplings``, without forming M;
+    the oracle of ``emlab.angular._dipole_product``."""
+    _, j, coef, comp, starts = basis.couplings()
+    entries = (pot.dipole_strength * pot.dipole_axis)[comp] * coef
+    return basis.laplace_eigs[:, None] * v - np.add.reduceat(entries[:, None] * v[j], starts)
+
+
+def subset_eigh(matrix: np.ndarray, count: int):
+    """The lowest ``count`` eigenpairs by scipy's subset solver; the oracle
+    of ``emlab.angular._eigh``."""
+    return eigh(matrix, subset_by_index=(0, count - 1), check_finite=False)
+
+
+def sphere_grid(basis: SphereBasis):
+    """The product grid of ``SphereBasis.grid`` from scipy's Gauss rule."""
+    n = 2 * basis.truncation + 2
+    x, wx = roots_legendre(n)
+    theta = np.arccos(x)
+    phi = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    TH, PH = np.meshgrid(theta, phi, indexing="ij")
+    W = np.outer(wx, np.full(n, 2 * np.pi / n))
+    return TH.ravel(), PH.ravel(), W.ravel()
+
+
+def sphere_tables(basis: SphereBasis, theta, phi):
+    """``(values, d/dtheta, (1/sin theta) d/dphi)`` of the real harmonics of
+    ``basis`` at the nodes, one column per basis function, from scipy's
+    ``sph_harm_y``; the oracle of ``SphereBasis.evaluate`` and ``gradient``."""
+    tables = {}, {}, {}
+    for l in range(basis.truncation + 1):
+        for m in range(0, l + 1):
+            v, grad = sph_harm_y(l, m, theta, phi, diff_n=1)
+            for table, part in zip(tables, (v, grad[..., 0], grad[..., 1])):
+                table[(l, m)] = part
+
+    def realize(table, l, m):
+        if m == 0:
+            return table[(l, 0)].real
+        if m > 0:
+            return np.sqrt(2.0) * (-1.0) ** m * table[(l, m)].real
+        return np.sqrt(2.0) * (-1.0) ** (-m) * table[(l, -m)].imag
+
+    values, dth, dph = (np.stack([realize(t, l, m) for l, m in basis.indices], axis=-1)
+                        for t in tables)
+    return values, dth, dph / np.sin(theta)[..., None]
 
 
 @dataclass(frozen=True)

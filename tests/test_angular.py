@@ -22,7 +22,14 @@ from emlab.errors import (
     NumericalFailureError,
     UnsupportedConfigurationError,
 )
-from oracles import _dipole_matrix, assemble_angular_matrix
+from oracles import (
+    _dipole_matrix,
+    assemble_angular_matrix,
+    dipole_product,
+    sphere_grid,
+    sphere_tables,
+    subset_eigh,
+)
 
 
 def ab(alpha, a0=0.0):
@@ -251,9 +258,9 @@ class TestReflectionBlocks:
                 return solve(matrix, *args, **kwargs)
             return solver
 
-        monkeypatch.setattr(emlab.angular, "eigh", recording(emlab.angular.eigh))
-        monkeypatch.setattr(emlab.angular, "eigh_tridiagonal",
-                            recording(emlab.angular.eigh_tridiagonal))
+        monkeypatch.setattr(emlab.angular, "_eigh", recording(emlab.angular._eigh))
+        monkeypatch.setattr(emlab.angular, "_tridiagonal_eigh",
+                            recording(emlab.angular._tridiagonal_eigh))
         monkeypatch.setattr(emlab.angular, "angular_basis", lambda _, T: SphereBasis(T))
         assert not hasattr(emlab.angular, "_dipole_matrix")
         for axis in self.AXES.values():
@@ -264,6 +271,19 @@ class TestReflectionBlocks:
                 sizes.clear()
                 assert angular_spectrum(pot, count=count, truncation=truncation).count == count
                 assert sizes and max(sizes) <= truncation + 1
+
+    @pytest.mark.parametrize("truncation", [1, 2, 8, 16, 32])
+    def test_product_equals_the_oracle(self, truncation):
+        basis = SphereBasis(truncation)
+        v = np.random.default_rng(truncation).normal(size=(basis.size, 7))
+        cols, coef, _ = basis.coupling_table()
+        assert cols.shape == coef.shape and cols.shape[0] == basis.size and cols.shape[1] <= 10
+        for axis in self.AXES.values():
+            pot = build_potential({"kind": "dipole", "strength": -0.8, "axis": axis})
+            want = dipole_product(pot, basis, v)
+            got = emlab.angular._dipole_product(pot, basis, v)
+            # measured at most 4.7e-17
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_residual_is_checked_in_the_unturned_frame(self, monkeypatch):
         # turning the eigenvectors the wrong way gives eigenpairs of another
@@ -505,13 +525,13 @@ class TestDiagonalSpectrum:
             "dipole_y"])
     def test_eigh_calls(self, monkeypatch, desc, sizes):
         seen = []
-        eigh = emlab.angular.eigh
+        eigh = emlab.angular._eigh
 
         def counting(matrix, *args, **kwargs):
             seen.append(len(matrix))
             return eigh(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(emlab.angular, "eigh", counting)
+        monkeypatch.setattr(emlab.angular, "_eigh", counting)
         angular_spectrum(build_potential(desc), count=4, truncation=8)
         assert seen == sizes
 
@@ -728,3 +748,56 @@ class TestTables:
         second, again = assemble_angular_matrix(pot, truncation)
         assert again is basis
         assert np.array_equal(first, second)
+
+
+class TestScipyOracles:
+    """The numpy harmonics, Gauss rule and eigensolver against scipy's, which
+    the library used before (``oracles``)."""
+
+    #: the largest deviations measured up to T = 39 are 3.2e-14 for the
+    #: values and 1.1e-12 for a gradient component
+    VALUES, GRADIENT = 1e-13, 3e-12
+
+    @pytest.mark.parametrize("truncation", [2, 16, 32, 39])
+    def test_sphere_tables(self, truncation):
+        basis = SphereBasis(truncation)
+        theta, phi, _ = basis.grid()
+        # the kept tables: every node up to T = 16, then one node of every
+        # ring of the grid, at a phi that moves from ring to ring
+        n = 2 * truncation + 2
+        rows = np.arange(n * n) if truncation <= 16 else np.arange(n) * n + 7 * np.arange(n) % n
+        tables = (basis.evaluate(theta, phi), *basis.gradient(theta, phi))
+        rng = np.random.default_rng(truncation)
+        t, p = rng.uniform(0, np.pi, 32), rng.uniform(0, 2 * np.pi, 32)
+        for got, nodes in (([a[rows] for a in tables], (theta[rows], phi[rows])),
+                           ((basis.evaluate(t, p), *basis.gradient(t, p)), (t, p))):
+            want = sphere_tables(basis, *nodes)
+            assert np.abs(got[0] - want[0]).max() <= self.VALUES
+            for g, w in zip(got[1:], want[1:]):
+                assert np.abs(g - w).max() <= self.GRADIENT
+
+    @pytest.mark.parametrize("truncation", [1, 2, 16, 32, 39])
+    def test_gauss_rule(self, truncation):
+        basis = SphereBasis(truncation)
+        for got, want in zip(basis.grid(), sphere_grid(basis)):
+            # measured at most 3.1e-15, arccos near +-1 included
+            assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 65, 129])
+    def test_eigh(self, n, complex_):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0)
+        A = (A + A.conj().T) / 2
+        gap = np.diff(np.linalg.eigvalsh(A)).min() if n > 1 else np.inf
+        for count in sorted({1, max(1, n // 3), n}):
+            w, v = emlab.angular._eigh(A, count)
+            w0, v0 = subset_eigh(A, count)
+            radius = max(np.abs(w0).max(), 1.0)
+            assert v.shape == v0.shape == (n, count)
+            # measured at most 2.4e-15 of the radius, and projectors at most
+            # 7.4e-16 of the radius over the least gap
+            assert np.abs(w - w0).max() <= 1e-13 * radius
+            P = np.einsum("ik,jk->kij", v, v.conj())
+            Q = np.einsum("ik,jk->kij", v0, v0.conj())
+            assert np.abs(P - Q).max() <= 1e-13 * radius / gap

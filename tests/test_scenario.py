@@ -793,24 +793,30 @@ def test_shipped_runs_import_no_scipy_integrate():
 
 
 def test_scipy_optimize_loads_with_the_first_limit_fit():
-    # curve_fit is imported by the fit of N's limit, so runs without a
-    # frequency block never load scipy.optimize; ab_basic, which fits, does
-    verify_only, ab_basic = str(SCENARIOS / "verify_only.json"), str(SCENARIOS / "ab_basic.json")
+    # emlab runs on numpy alone, except that curve_fit is imported by the fit
+    # of N's limit: importing emlab, a run without a frequency block and the
+    # spectrum subcommand load no scipy module; ab_basic, which fits, loads
+    # scipy.optimize
+    verify_only, ab_basic, dipole = (str(SCENARIOS / f"{name}.json")
+                                     for name in ("verify_only", "ab_basic", "dipole"))
     code = ("import contextlib, io, sys, emlab\n"
             "from emlab.cli import main\n"
-            "seen = ['scipy.optimize' in sys.modules]\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "seen = [scipy()]\n"
             f"emlab.run_scenario(emlab.parse_scenario({verify_only!r}))\n"
-            "seen.append('scipy.optimize' in sys.modules)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    main(['--config', {ab_basic!r}, 'spectrum'])\n"
-            "seen.append('scipy.optimize' in sys.modules)\n"
+            "seen.append(scipy())\n"
+            f"for path in ({ab_basic!r}, {dipole!r}):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        main(['--config', path, 'spectrum'])\n"
+            "    seen.append(scipy())\n"
             f"emlab.run_scenario(emlab.parse_scenario({ab_basic!r}))\n"
             "seen.append('scipy.optimize' in sys.modules)\n"
             "print(seen)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=source_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, False, True]"
+    assert proc.stdout.strip() == "[[], [], [], [], True]"
 
 
 def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
