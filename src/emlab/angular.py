@@ -14,7 +14,7 @@ electric case (A = 0) is supported, in the basis of real spherical harmonics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -204,8 +204,8 @@ def _frozen(tables):
 
 class _Tabulated:
     """A basis keeps its tables on its own quadrature grid: each is built
-    once, on first use, and then kept read-only.  Other nodes are evaluated
-    fresh on every call."""
+    once, on first use, and then kept read-only.  Only the tests evaluate a
+    basis elsewhere, through its table builders."""
 
     def _kept(self, name: str, build):
         """build(), made once per basis on first use and then kept."""
@@ -216,15 +216,9 @@ class _Tabulated:
     def grid(self):
         return self._kept("grid", lambda: _frozen(self._make_grid()))
 
-    def on_grid(self, nodes) -> bool:
-        grid = self.grid()[:-1]
-        return len(nodes) == len(grid) and all(
-            n is g or np.array_equal(n, g) for n, g in zip(nodes, grid))
-
-    def _tabulated(self, name: str, compute, nodes):
-        if not self.on_grid(nodes):
-            return compute(*nodes)
-        return self._kept(name, lambda: _frozen(compute(*nodes)))
+    def _on_grid(self, name: str, build):
+        """build(*nodes) on the grid's nodes, kept read-only."""
+        return self._kept(name, lambda: _frozen(build(*self.grid()[:-1])))
 
 
 class CircleBasis(_Tabulated):
@@ -246,13 +240,12 @@ class CircleBasis(_Tabulated):
     def _values(self, t):
         return np.exp(1j * np.outer(t, self.indices)) / np.sqrt(2 * np.pi)
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        """Matrix (n_nodes, size) of basis values."""
-        return self._tabulated("values", self._values, (t,))
+    def evaluate(self) -> np.ndarray:
+        """Matrix (n_nodes, size) of basis values on the grid."""
+        return self._on_grid("values", self._values)
 
-    def tangential_derivative(self, t: np.ndarray) -> np.ndarray:
-        return self._tabulated(
-            "derivative", lambda t: self.evaluate(t) * (1j * self.indices), (t,))
+    def tangential_derivative(self) -> np.ndarray:
+        return self._on_grid("derivative", lambda t: self.evaluate() * (1j * self.indices))
 
 
 class SphereBasis(_Tabulated):
@@ -344,81 +337,26 @@ class SphereBasis(_Tabulated):
     def _gradient(self, theta, phi):
         return self._harmonics(theta, phi, gradient=True)
 
-    def evaluate(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return self._tabulated("values", self._values, (theta, phi))
+    def evaluate(self) -> np.ndarray:
+        """Matrix (n_nodes, size) of basis values on the grid."""
+        return self._on_grid("values", self._values)
 
-    def gradient(self, theta: np.ndarray, phi: np.ndarray):
-        """Tangential gradient components (d/dtheta, (1/sin theta) d/dphi)."""
-        return self._tabulated("gradient", self._gradient, (theta, phi))
+    def gradient(self):
+        """Tangential gradient components (d/dtheta, (1/sin theta) d/dphi)
+        on the grid."""
+        return self._on_grid("gradient", self._gradient)
 
-    def couplings(self):
-        """The coordinate functions x, y, z in this basis:
-        ``(rows, cols, coefficients, component, starts)`` such that the matrix
-        of lam . theta has the entry lam[component] * coefficient at (row,
-        col), every nonzero entry listed once, sorted by row; row i's entries
-        begin at ``starts[i]``, and every row has one.
+    def z_couplings(self):
+        """``(upper, coefficients)``: the coordinate function z = cos(theta)
+        couples S_lm only to S_l+-1,m (Edmonds 1957, ch. 4-5); the basis
+        function at position i < T^2, of degree l < T, meets S_l+1,m at
+        ``upper[i]`` with the coefficient sqrt(((l+1)^2 - m^2) / ((2l+1)(2l+3)))."""
+        def build():
+            l, m = np.array(self.indices[: self.truncation ** 2]).T
+            d = (2 * l + 1) * (2 * l + 3)
+            return _frozen(((l + 1) * (l + 2) + m, np.sqrt(((l + 1) ** 2 - m**2) / d)))
 
-        Each couples degree l to degree l + 1 only (Edmonds 1957, ch. 4-5).
-        S_lm is a multiple of P_l^|m|(cos theta) times cos(m phi) (m > 0), 1
-        (m = 0) or sin(|m| phi) (m < 0).  z = cos(theta) keeps m; x and y,
-        sin(theta) times cos(phi) and sin(phi), move |m| = mu to mu + 1
-        through
-
-            sin(theta) p_l^mu = sqrt((l+mu+1)(l+mu+2) / ((2l+1)(2l+3))) p_{l+1}^{mu+1}
-                              - sqrt((l-mu-1)(l-mu) / ((2l-1)(2l+1))) p_{l-1}^{mu+1}
-
-        for the normalized p_l^mu without the Condon-Shortley phase; the
-        couplings from mu + 1 down to mu are the transposed entries.
-        """
-        return self._kept("couplings", self._couplings)
-
-    def _couplings(self):
-        T = self.truncation
-        l, m = np.array(self.indices[: T * T]).T  # the lower degree of each pair
-
-        def pos(l, m):
-            return l * (l + 1) + m
-
-        d = (2 * l + 1) * (2 * l + 3)
-        rows, cols = [pos(l, m)], [pos(l + 1, m)]
-        coef, comp = [np.sqrt(((l + 1) ** 2 - m**2) / d)], [np.full(len(l), 2)]
-        l, m, d = l[m >= 0], m[m >= 0], d[m >= 0]
-        # 1/sqrt(2) from the m = 0 normalization, 1/2 from the product of cosines or sines
-        f = np.where(m == 0, np.sqrt(0.5), 0.5)
-        up = f * np.sqrt((l + m + 1) * (l + m + 2) / d)
-        down = -f * np.sqrt((l - m) * (l - m + 1) / d)
-        # source (degree ls, order +-m) -- target (degree lt, order +-(m + 1))
-        for ls, lt, c in ((l, l + 1, up), (l + 1, l, down)):
-            for s, t, axis, sign, sine in ((1, 1, 0, 1, False), (-1, -1, 0, 1, True),
-                                           (1, -1, 1, 1, False), (-1, 1, 1, -1, True)):
-                k = (m < lt) & (m > 0) if sine else m < lt
-                rows.append(pos(ls, s * m)[k])
-                cols.append(pos(lt, t * (m + 1))[k])
-                coef.append(sign * c[k])
-                comp.append(np.full(k.sum(), axis))
-        # each pair of degrees is listed once; the transposed entries follow
-        i, j = np.concatenate(rows + cols), np.concatenate(cols + rows)
-        coef, comp = np.tile(np.concatenate(coef), 2), np.tile(np.concatenate(comp), 2)
-        order = np.argsort(i, kind="stable")
-        i = i[order]
-        starts = np.searchsorted(i, np.arange(self.size))
-        return _frozen((i, j[order], coef[order], comp[order], starts))
-
-    def coupling_table(self):
-        """``couplings()`` with a row per basis function: ``(cols,
-        coefficients, component)``, each (size, width), width the most
-        entries of any row, at most 10: z couples S_lm to the degrees l +- 1
-        at order m, x and y at the orders |m| +- 1.  A row's unused slots
-        hold its own column with coefficient 0."""
-        return self._kept("coupling_table", self._coupling_table)
-
-    def _coupling_table(self):
-        i, j, coef, comp, starts = self.couplings()
-        slot = np.arange(len(i)) - starts[i]
-        cols = np.repeat(np.arange(self.size)[:, None], slot.max() + 1, axis=1)
-        coefficients, component = np.zeros(cols.shape), np.zeros(cols.shape, dtype=int)
-        cols[i, slot], coefficients[i, slot], component[i, slot] = j, coef, comp
-        return _frozen((cols, coefficients, component))
+        return self._kept("z", build)
 
     def reflection_blocks(self):
         """This basis split into the subspaces that a dipole along z leaves
@@ -428,110 +366,18 @@ class SphereBasis(_Tabulated):
 
         Returns ``(rows, least, coupling, offsets)``: each block's cos-type
         positions (S_l,-m sits 2m before S_lm) and least l(l+1), and the
-        z couplings of ``couplings()`` between S_lm and S_l+1,m, by order
+        couplings of ``z_couplings()`` between S_lm and S_l+1,m, by order
         and then degree, block m's from ``offsets[m]`` to ``offsets[m + 1]``.
         """
         return self._kept("blocks", self._reflection_blocks)
 
     def _reflection_blocks(self):
         T = self.truncation
-        l, m = np.array(self.indices).T
-        i, j, coef, comp, _ = self.couplings()
-        up = np.flatnonzero((comp == 2) & (j > i) & (m[i] >= 0))
-        up = up[np.lexsort((l[i[up]], m[i[up]]))]
+        m = np.array(self.indices)[:, 1]
         rows = _frozen(tuple(np.flatnonzero(m == order) for order in range(T + 1)))
         offsets = np.concatenate([[0], np.cumsum(np.arange(T, -1, -1))])
-        return rows, self.laplace_eigs[[r[0] for r in rows]], _frozen(coef[up]), offsets
-
-    def turn(self, v: np.ndarray, beta: float, phi: float) -> np.ndarray:
-        """The coefficients (one column each) of the functions of ``v``
-        rotated by R_z(phi) R_y(beta), which takes the z axis to (sin beta
-        cos phi, sin beta sin phi, cos beta): degree by degree, R_y by
-        ``y_turns()``, then R_z by the 2 x 2 rotations of ``turn_pairs()``.
-        R_y keeps the cos-type and the sin-type coefficients apart."""
-        out = v.copy()  # degree 0 is left as it is
-        padded = np.vstack([v, np.zeros((1, v.shape[1]))])
-        for index, Q, k in self.y_turns():
-            x = Q.transpose(0, 2, 1) @ padded[index]
-            c, s, h = np.cos(k * beta)[..., None], np.sin(k * beta)[..., None], k.shape[1]
-            xa, xb = x[:, :h], x[:, h:2 * h]
-            x[:, :h], x[:, h:2 * h] = c * xa + s * xb, c * xb - s * xa
-            inside = index < self.size
-            out[index[inside]] = (Q @ x)[inside]
-        if phi:
-            # coefficients (x, y) of S_{l,m}, S_{l,-m} in the turned frame are
-            # (x cos(m t) - y sin(m t), x sin(m t) + y cos(m t)) in the unturned one
-            p, q, m = self.turn_pairs()
-            c, s = np.cos(m * phi)[:, None], np.sin(m * phi)[:, None]
-            xp, xq = out[p], out[q]
-            out[p] = xp * c - xq * s
-            out[q] = xp * s + xq * c
-        return out
-
-    def y_turns(self):
-        """Rotations about y in closed form, for the cos-type harmonics and
-        for the sin-type ones: ``(index, Q, k)`` each.
-
-        Per degree l >= 1, a rotation by beta about y maps the coefficients
-        of C_m = S_lm and of S_m = S_l,-m by exp(beta K), whose generator K
-        keeps the two kinds apart (it commutes with y -> -y) and has
-
-            K C_m = c_m C_m+1 - c_m-1 C_m-1,   K S_m = c_m S_m+1 - c_m-1 S_m-1,
-            c_m = sqrt((l - m)(l + m + 1)) / 2,
-
-        with S_0 = 0 and a factor sqrt(2) on the couplings of C_0 and C_1,
-        from the ladder operators of the complex harmonics (Edmonds 1957,
-        ch. 2 and 4).  Each of its blocks, the cos-type S_l0..S_ll and the
-        sin-type S_l,-l..S_l,-1, has the eigenvalues i k for distinct
-        integers k, so K = Q J Q^T with Q orthogonal and J the sum of the
-        2 x 2 blocks [[0, k], [-k, 0]] on coordinate pairs (j, j + h), h =
-        ``k.shape[1]``, and 0 on the rest (the last coordinate holds the
-        kernel of K, if it has one): exp(beta K) turns each pair by k beta.
-        Row d = l - 1 of ``index`` holds the basis positions of degree l's
-        block, padded with ``size``, ``Q[d]`` its Q and ``k[d]`` its k,
-        padded with zeros.
-        """
-        return self._kept("y_turns", self._y_turns)
-
-    def _y_turns(self):
-        T = self.truncation
-        stacks = []
-        for width in (T + 1, T):  # cos-type, then sin-type
-            index = np.full((T, width), self.size)
-            Qs, ks = np.zeros((T, width, width)), np.zeros((T, width // 2))
-            for d, l in enumerate(range(1, T + 1)):
-                c = 0.5 * np.sqrt((l - np.arange(l)) * (l + np.arange(l) + 1.0))
-                c[0] *= np.sqrt(2.0)
-                # K's entries just above its diagonal: the coefficient -c_m
-                # of C_m in K C_m+1, and c_m of S_m+1 in K S_m, as S_m+1 sits
-                # just before S_m
-                above = -c if width > T else c[:0:-1]
-                n = len(above) + 1
-                # -i K = D S D^-1 for the real S with the same entries next
-                # to its diagonal on both sides, and D = diag(i^j)
-                k, S = _tridiagonal_eigh(np.zeros(n), above)
-                W = np.array([1, 1j, -1, -1j])[np.arange(n) % 4, None] * S
-                k = np.rint(k)
-                up, p = k > 0, np.count_nonzero(k > 0)
-                index[d, :n] = l * l + (l if width > T else 0) + np.arange(n)
-                Qs[d, :n, :p] = np.sqrt(2.0) * W[:, up].real
-                Qs[d, :n, width // 2:width // 2 + p] = np.sqrt(2.0) * W[:, up].imag
-                ks[d, :p] = k[up]
-                for i in np.flatnonzero(k == 0):  # real up to its phase
-                    Qs[d, :n, -1] = _fix_phase(W[:, i]).real
-            stacks.append(_frozen((index, Qs, ks)))
-        return stacks
-
-    def turn_pairs(self):
-        """``(p, q, m)``: the positions of S_{l,m} and S_{l,-m} for every
-        m > 0, the pairs that a rotation about z by an angle t mixes by the
-        2 x 2 rotation through m t."""
-        def build():
-            l, m = np.array(self.indices).T
-            p = np.flatnonzero(m > 0)
-            return _frozen((p, p - 2 * m[p], m[p]))
-
-        return self._kept("turn_pairs", build)
+        coupling = self.z_couplings()[1][np.concatenate([r[:-1] for r in rows])]
+        return rows, self.laplace_eigs[[r[0] for r in rows]], _frozen(coupling), offsets
 
 
 def angular_node_count(dimension: int, truncation: int) -> int:
@@ -564,14 +410,16 @@ def angular_basis(dimension: int, truncation: int):
     raise UnsupportedConfigurationError(f"dimension {dimension} not supported")
 
 
-def _dipole_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) -> np.ndarray:
-    """M v for the dipole's Galerkin matrix M = diag(l(l+1)) - lam (n_x X +
-    n_y Y + n_z Z) in the real harmonics of ``SphereBasis``, without forming
-    M: each row sums its fixed number of slots of
-    ``SphereBasis.coupling_table``."""
-    cols, coef, comp = basis.coupling_table()
-    entries = (pot.dipole_strength * pot.dipole_axis)[comp] * coef
-    return basis.laplace_eigs[:, None] * v - (entries[:, None] @ np.take(v, cols, axis=0))[:, 0]
+def _axis_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) -> np.ndarray:
+    """M v for the dipole's Galerkin matrix in the frame of its axis, M =
+    diag(l(l+1)) - lam Z, on the cos-type and the sin-type rows alike:
+    every S_lm of degree l < T meets S_l+1,m through ``z_couplings``."""
+    upper, coef = basis.z_couplings()
+    lower, e = slice(0, len(upper)), (pot.dipole_strength * coef)[:, None]
+    out = basis.laplace_eigs[:, None] * v
+    out[lower] -= e * v[upper]
+    out[upper] -= e * v[lower]
+    return out
 
 
 @dataclass(frozen=True)
@@ -582,11 +430,8 @@ class _ReflectionBlocks:
     ``rows`` places block m on the cos-type ones, ``bounds`` holds a lower
     bound on each one's spectrum, and ``matrix(m)`` builds block m from its
     diagonal and its couplings (``values``, from ``offsets[m]`` to
-    ``offsets[m + 1]``).  ``SphereBasis.turn`` by ``beta`` and ``phi``
-    carries the eigenvectors to the scenario's axis."""
+    ``offsets[m + 1]``)."""
 
-    beta: float
-    phi: float
     rows: tuple
     bounds: np.ndarray
     diagonal: np.ndarray
@@ -605,8 +450,7 @@ def dense_matrix_bytes(pot: AngularPotential, truncation: int) -> int:
     potential at the truncation, known without building it: none for a
     constant circle potential, solved on its diagonal; the (2T + 1)^2
     complex Galerkin matrix for any other circle potential; for the dipole,
-    the real (T + 1)^2 of its m = 0 block, which is also the size of the
-    largest kept block of ``SphereBasis.y_turns``, degree T's cos-type one."""
+    the real (T + 1)^2 of its m = 0 block."""
     T = truncation
     if pot.dimension == 2:
         return 0 if pot.magnetic_degree + pot.electric_degree == 0 else 16 * (2 * T + 1) ** 2
@@ -615,24 +459,17 @@ def dense_matrix_bytes(pot: AngularPotential, truncation: int) -> int:
 
 def _reflection_blocks(pot: AngularPotential, basis: SphereBasis) -> _ReflectionBlocks:
     """The blocks of the dipole's Galerkin matrix in the frame where its
-    axis n = (sin beta cos phi, sin beta sin phi, cos beta) is z, where the
-    matrix is the one of the z axis: the degree-T space is invariant under
-    rotations, so the spectrum depends on lam alone.  Along -z the frame is
-    not turned, and the strength changes sign instead.
+    axis is z, where the matrix is the one of the z axis: the degree-T space
+    is invariant under rotations, so the spectrum depends on lam alone.
 
     By Weyl's inequality a block's eigenvalues are at least its least
     l(l+1) minus |lam|, because multiplication by n . theta has norm at
     most 1.
     """
-    nx, ny, nz = pot.dipole_axis
-    rho = np.hypot(nx, ny)
     rows, least, coef, offsets = basis.reflection_blocks()
-    values = (pot.dipole_strength * (1.0 if rho else nz)) * coef
+    values = pot.dipole_strength * coef
     _require_finite(values)
-    # every rotation about z fixes the z axis, so that one is not turned
-    beta, phi = (float(np.arctan2(rho, nz)), float(np.arctan2(ny, nx))) if rho else (0.0, 0.0)
-    return _ReflectionBlocks(beta=beta, phi=phi, rows=rows,
-                             bounds=least - abs(pot.dipole_strength),
+    return _ReflectionBlocks(rows=rows, bounds=least - abs(pot.dipole_strength),
                              diagonal=basis.laplace_eigs, values=values, offsets=offsets)
 
 
@@ -721,7 +558,7 @@ class AngularSpectrum:
     potential: AngularPotential
     basis: object
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # (basis.size, K), columns phase-fixed
+    eigenvectors: np.ndarray  # (basis.size, K), columns phase-fixed; see ``nodes``
     blocks: list = field(default_factory=list)  # [(j0, m)] 1-based
     truncation: int = 0
     # per-mode samples on the basis grid, filled on first use
@@ -744,31 +581,41 @@ class AngularSpectrum:
                 return j0, m
         raise IndexError(f"mode index {k0} outside computed spectrum")
 
-    def _sample(self, name: str, k: int, nodes, compute):
-        """compute(column k); kept read-only per mode on the basis grid."""
-        v = self.eigenvectors[:, k - 1]
-        if not self.basis.on_grid(nodes):
-            return compute(v)
+    @cached_property
+    def nodes(self) -> tuple:
+        """The scenario coordinates, (t,) or (theta, phi), of the basis grid
+        on which ``psi_values`` and ``psi_gradient`` sample.  A dipole's
+        eigenvectors are held in the frame of its axis n = (sin b cos p,
+        sin b sin p, cos b), whose grid R_z(p) R_y(b) takes to the
+        scenario's coordinates; any other grid is in them already."""
+        *nodes, _ = self.basis.grid()
+        n = self.potential.dipole_axis
+        if n is None or (n[0] == n[1] == 0 and n[2] > 0):
+            return tuple(nodes)
+        theta, phi = nodes
+        b, p = np.arctan2(np.hypot(n[0], n[1]), n[2]), np.arctan2(n[1], n[0])
+        x, y, z = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+        x, z = np.cos(b) * x + np.sin(b) * z, np.cos(b) * z - np.sin(b) * x
+        x, y = np.cos(p) * x - np.sin(p) * y, np.sin(p) * x + np.cos(p) * y
+        return _frozen((np.arctan2(np.hypot(x, y), z), np.arctan2(y, x) % (2 * np.pi)))
+
+    def _sample(self, name: str, k: int, compute):
+        """compute(column k), kept read-only per mode."""
         key = (name, k)
         if key not in self._samples:
-            self._samples[key] = _frozen(compute(v))
+            self._samples[key] = _frozen(compute(self.eigenvectors[:, k - 1]))
         return self._samples[key]
 
-    def psi_values(self, k: int, *nodes) -> np.ndarray:
-        """Samples of psi_k at angular nodes (t,) or (theta, phi)."""
-        return self._sample("values", k, nodes, lambda v: self.basis.evaluate(*nodes) @ v)
+    def psi_values(self, k: int) -> np.ndarray:
+        """Samples of psi_k on the basis grid, at ``nodes``."""
+        return self._sample("values", k, lambda v: self.basis.evaluate() @ v)
 
-    def psi_gradient(self, k: int, *nodes):
-        """Tangential gradient samples of psi_k; 1 component on S^1, 2 on S^2."""
+    def psi_gradient(self, k: int):
+        """Tangential gradient samples of psi_k on the basis grid; 1
+        component on S^1, 2 on S^2, along the grid's own (e_theta, e_phi)."""
         if self.potential.dimension == 2:
-            return self._sample("gradient", k, nodes, lambda v: (
-                self.basis.tangential_derivative(*nodes) @ v,))
-
-        def compute(v):
-            gt, gp = self.basis.gradient(*nodes)
-            return gt @ v, gp @ v
-
-        return self._sample("gradient", k, nodes, compute)
+            return self._sample("gradient", k, lambda v: (self.basis.tangential_derivative() @ v,))
+        return self._sample("gradient", k, lambda v: tuple(g @ v for g in self.basis.gradient()))
 
     def to_json(self) -> dict:
         return {
@@ -798,15 +645,9 @@ def _eigh(matrix: np.ndarray, count: int):
     return w[:count], v[:, :count]
 
 
-def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray):
-    """All eigenpairs of the real symmetric tridiagonal matrix with this
-    diagonal and this off-diagonal, ascending, from its dense form."""
-    return np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-
-
 def _block_eigenpairs(blocks: _ReflectionBlocks, count: int, basis: SphereBasis):
-    """Lowest ``count`` eigenpairs of the blocks, in the basis of the
-    scenario's frame.
+    """Lowest ``count`` eigenpairs of the blocks, in the basis of the frame
+    of the axis.
 
     Blocks are solved in the order of their lower bounds, which is the
     order of m, each once for the cos-type and the sin-type harmonics, and
@@ -814,8 +655,7 @@ def _block_eigenpairs(blocks: _ReflectionBlocks, count: int, basis: SphereBasis)
     skipped.  The eigenvalues are merged by a stable sort, the cos-type
     blocks m = 0, 1, ... before the sin-type ones, and the partners of a
     multiplicity block are ordered in that block order, cos-type first, so
-    that mode labels do not depend on roundoff.  ``SphereBasis.turn``, which
-    keeps the two kinds apart, then carries them to the scenario's axis.
+    that mode labels do not depend on roundoff.
     """
     solved, found, kth = [], [], np.inf
     for b in range(len(blocks.rows)):
@@ -839,8 +679,6 @@ def _block_eigenpairs(blocks: _ReflectionBlocks, count: int, basis: SphereBasis)
     for i, (rows, _, vectors) in enumerate(parts):
         k = np.flatnonzero(part[order] == i)
         v[rows[:, None], k] = vectors[:, col[order[k]]]
-    if blocks.beta:
-        v = basis.turn(v, blocks.beta, blocks.phi)
     return w[order], v
 
 
@@ -849,7 +687,7 @@ def eigendecompose(matrix, count: int, basis, pot: AngularPotential) -> AngularS
     either densely (solved by ``eigh``), or by its diagonal (sorted stably,
     so equal eigenvalues keep their basis order, with unit eigenvectors), or,
     for the dipole, by its ``_ReflectionBlocks``, whose eigenpairs are
-    checked against the matrix of the scenario's axis."""
+    checked on every row against the matrix of the frame of its axis."""
     n = basis.size
     if count > n:
         raise AliasingError(f"requested {count} eigenpairs from a {n}x{n} matrix")
@@ -862,7 +700,7 @@ def eigendecompose(matrix, count: int, basis, pot: AngularPotential) -> AngularS
         resid = 0.0  # unit vectors are exact eigenvectors of a diagonal matrix
     elif isinstance(matrix, _ReflectionBlocks):
         w, v = _block_eigenpairs(matrix, count, basis)
-        resid = np.abs(_dipole_product(pot, basis, v) - v * w).max()
+        resid = np.abs(_axis_product(pot, basis, v) - v * w).max()
     else:
         w, v = _eigh(matrix, count)
         resid = np.abs(matrix @ v - v * w).max()

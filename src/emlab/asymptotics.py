@@ -89,10 +89,11 @@ class AsymptoticProfile:
     side: str
     regularity: dict
 
-    def angular_values(self, spectrum: AngularSpectrum, *nodes) -> np.ndarray:
+    def angular_values(self, spectrum: AngularSpectrum) -> np.ndarray:
+        """sum_i beta_i psi_i on the spectrum's grid."""
         out = 0
         for i in range(self.m):
-            out = out + self.beta[i] * spectrum.psi_values(self.j0 + i, *nodes)
+            out = out + self.beta[i] * spectrum.psi_values(self.j0 + i)
         return out
 
     def to_json(self) -> dict:
@@ -171,7 +172,7 @@ def blowup_profile(field: FieldSample, gamma: float, lams,
     if profile is None:
         R0 = field.r[-1] if field.side == "interior" else field.r[0]
         profile = extract_coefficients(field, gamma, R0)
-    target = profile.angular_values(spectrum, *field.angular_nodes)
+    target = profile.angular_values(spectrum)
     g = gamma if field.side == "interior" else -gamma
     rows = [grids.nearest_index(field.r, lam) for lam in lams]
     values = field.values_at(rows)
@@ -209,8 +210,8 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
     target_ang = [0] * (field.dimension - 1)
     for i in range(profile.m):
         k = profile.j0 + i
-        psi = spectrum.psi_values(k, *field.angular_nodes)
-        gpsi = spectrum.psi_gradient(k, *field.angular_nodes)
+        psi = spectrum.psi_values(k)
+        gpsi = spectrum.psi_gradient(k)
         target_rad = target_rad + profile.beta[i] * g * psi
         target_ang = [t + profile.beta[i] * d for t, d in zip(target_ang, gpsi)]
     dists = np.zeros(len(lams))

@@ -192,7 +192,7 @@ def _test_table(dimension: int) -> tuple:
         return nodes, weights, _frozen(values), _frozen((values * (1j * j),))
     if dimension == 3:
         basis, nodes, weights = _sphere_nodes()
-        return nodes, weights, basis.evaluate(*nodes), basis.gradient(*nodes)
+        return nodes, weights, basis.evaluate(), basis.gradient()
     raise UnsupportedConfigurationError(f"no test functions for N = {dimension}")
 
 

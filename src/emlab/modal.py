@@ -21,7 +21,6 @@ import numpy as np
 from . import grids
 from .angular import AngularSpectrum, _coeff_array, _eval_trig, _frozen
 from .errors import (
-    AliasingError,
     DegenerateIndicialError,
     EmlabError,
     ForcingTooSingularError,
@@ -275,8 +274,6 @@ class FieldSample:
 
     dimension: int
     r: np.ndarray
-    angular_nodes: tuple
-    angular_weights: np.ndarray
     modal: dict  # mode index -> ModalSolution
     spectrum: AngularSpectrum
     side: str = "interior"
@@ -286,13 +283,23 @@ class FieldSample:
         if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
             raise GridMismatchError("radial grid must be positive and increasing")
 
+    @property
+    def angular_nodes(self) -> tuple:
+        """The scenario coordinates of the angular samples,
+        ``spectrum.nodes``."""
+        return self.spectrum.nodes
+
+    @property
+    def angular_weights(self) -> np.ndarray:
+        return self.spectrum.basis.grid()[-1]
+
     def _sum(self, profile: str, samples, rows=slice(None)) -> np.ndarray:
         """sum_k outer(p_k[rows], samples(k)) for the profile p = phi or dphi."""
         return _outer_sum({k: getattr(sol, profile)[rows] for k, sol in self.modal.items()},
-                          samples, (len(self.r[rows]), len(self.angular_nodes[0])))
+                          samples, (len(self.r[rows]), len(self.angular_weights)))
 
     def _psi(self, k: int) -> np.ndarray:
-        return self.spectrum.psi_values(k, *self.angular_nodes)
+        return self.spectrum.psi_values(k)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -306,9 +313,10 @@ class FieldSample:
 
     @cached_property
     def angular_gradient(self) -> tuple:
-        """sum_k phi_k grad psi_k, one (n_r, n_nodes) array per component."""
-        nodes, spectrum = self.angular_nodes, self.spectrum
-        return tuple(self._sum("phi", lambda k, c=c: spectrum.psi_gradient(k, *nodes)[c])
+        """sum_k phi_k grad psi_k, one (n_r, n_nodes) array per component,
+        along the grid's own (e_theta, e_phi) as ``psi_gradient``."""
+        spectrum = self.spectrum
+        return tuple(self._sum("phi", lambda k, c=c: spectrum.psi_gradient(k)[c])
                      for c in range(self.dimension - 1))
 
     def values_at(self, rows) -> np.ndarray:
@@ -328,10 +336,8 @@ def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
     # the modes of a Picard iterate share one grid array and need no comparison
     if any(s.r is not r and (s.r.shape != r.shape or not np.allclose(s.r, r)) for s in sols):
         raise GridMismatchError("modal solutions must share the radial grid")
-    *nodes, w = spectrum.basis.grid()
     return FieldSample(
-        dimension=spectrum.potential.dimension,
-        r=r, angular_nodes=tuple(nodes), angular_weights=w, modal=dict(solutions),
+        dimension=spectrum.potential.dimension, r=r, modal=dict(solutions),
         spectrum=spectrum, side=sols[0].side, perturbation=perturbation,
     )
 
@@ -362,20 +368,13 @@ def project_onto_modes(field: FieldSample, weights: np.ndarray | None = None) ->
     sup norm of such a field is modal too (``sup_norm``).
     """
     spectrum = field.spectrum
-    n_nodes = len(field.angular_nodes[0])
-    if n_nodes <= 2 * spectrum.truncation:
-        raise AliasingError(
-            f"{n_nodes} angular nodes cannot resolve truncation {spectrum.truncation}"
-        )
     if weights is None:
         weights = field.angular_weights
-    psis = np.stack(
-        [spectrum.psi_values(k, *field.angular_nodes) for k in range(1, spectrum.count + 1)]
-    )
+    psis = np.stack([spectrum.psi_values(k) for k in range(1, spectrum.count + 1)])
     proj = np.conj(psis).T * weights[:, None]
     if "values" not in vars(field) and len(_nonzero_modes(field)) == 1:
         out = np.empty((len(field.r), spectrum.count), dtype=complex)
-        for rows in _row_blocks(len(field.r), n_nodes):
+        for rows in _row_blocks(len(field.r), len(weights)):
             out[rows] = field.values_at(rows) @ proj
         return out.T
     return (field.values @ proj).T
@@ -421,7 +420,7 @@ def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
         return 0.0
     [k] = modes
     p = u.modal[k].phi if v is None else u.modal[k].phi - v.modal[k].phi
-    return float(np.abs(p).max() * np.abs(u.spectrum.psi_values(k, *u.angular_nodes)).max())
+    return float(np.abs(p).max() * np.abs(u.spectrum.psi_values(k)).max())
 
 
 def _check_modes(spectrum: AngularSpectrum, boundary_values: dict) -> None:

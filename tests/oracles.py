@@ -4,7 +4,9 @@ so that the tests hold the new path to the old one.  The library holds a field a
 profiles only; sampled fields (``Sampled``) live here, with the nodal Kelvin
 transform and the nodal quadrature of the forms of ``emlab.inequalities``.
 The library runs on numpy alone; scipy's harmonics, Gauss rule and subset
-eigensolver, which it used before, are here."""
+eigensolver, which it used before, are here.  The library holds a dipole in
+the frame of its axis; its dense matrix in the scenario's frame, from the x,
+y and z couplings, is here."""
 
 from dataclasses import dataclass, replace
 
@@ -20,12 +22,63 @@ from emlab.inequalities import Product
 from emlab.modal import FieldSample, ModalExponents, ModalSolution, synthesize_field
 
 
+def couplings(basis: SphereBasis):
+    """The coordinate functions x, y, z in the real harmonics of ``basis``:
+    ``(rows, cols, coefficients, component, starts)`` such that the matrix
+    of lam . theta has the entry lam[component] * coefficient at (row,
+    col), every nonzero entry listed once, sorted by row; row i's entries
+    begin at ``starts[i]``, and every row has one.
+
+    Each couples degree l to degree l + 1 only (Edmonds 1957, ch. 4-5).
+    S_lm is a multiple of P_l^|m|(cos theta) times cos(m phi) (m > 0), 1
+    (m = 0) or sin(|m| phi) (m < 0).  z = cos(theta) keeps m; x and y,
+    sin(theta) times cos(phi) and sin(phi), move |m| = mu to mu + 1
+    through
+
+        sin(theta) p_l^mu = sqrt((l+mu+1)(l+mu+2) / ((2l+1)(2l+3))) p_{l+1}^{mu+1}
+                          - sqrt((l-mu-1)(l-mu) / ((2l-1)(2l+1))) p_{l-1}^{mu+1}
+
+    for the normalized p_l^mu without the Condon-Shortley phase; the
+    couplings from mu + 1 down to mu are the transposed entries.
+    """
+    T = basis.truncation
+    l, m = np.array(basis.indices[: T * T]).T  # the lower degree of each pair
+
+    def pos(l, m):
+        return l * (l + 1) + m
+
+    d = (2 * l + 1) * (2 * l + 3)
+    rows, cols = [pos(l, m)], [pos(l + 1, m)]
+    coef, comp = [np.sqrt(((l + 1) ** 2 - m**2) / d)], [np.full(len(l), 2)]
+    l, m, d = l[m >= 0], m[m >= 0], d[m >= 0]
+    # 1/sqrt(2) from the m = 0 normalization, 1/2 from the product of cosines or sines
+    f = np.where(m == 0, np.sqrt(0.5), 0.5)
+    up = f * np.sqrt((l + m + 1) * (l + m + 2) / d)
+    down = -f * np.sqrt((l - m) * (l - m + 1) / d)
+    # source (degree ls, order +-m) -- target (degree lt, order +-(m + 1))
+    for ls, lt, c in ((l, l + 1, up), (l + 1, l, down)):
+        for s, t, axis, sign, sine in ((1, 1, 0, 1, False), (-1, -1, 0, 1, True),
+                                       (1, -1, 1, 1, False), (-1, 1, 1, -1, True)):
+            k = (m < lt) & (m > 0) if sine else m < lt
+            rows.append(pos(ls, s * m)[k])
+            cols.append(pos(lt, t * (m + 1))[k])
+            coef.append(sign * c[k])
+            comp.append(np.full(k.sum(), axis))
+    # each pair of degrees is listed once; the transposed entries follow
+    i, j = np.concatenate(rows + cols), np.concatenate(cols + rows)
+    coef, comp = np.tile(np.concatenate(coef), 2), np.tile(np.concatenate(comp), 2)
+    order = np.argsort(i, kind="stable")
+    i = i[order]
+    starts = np.searchsorted(i, np.arange(basis.size))
+    return i, j[order], coef[order], comp[order], starts
+
+
 def _dipole_matrix(pot: AngularPotential, basis: SphereBasis) -> np.ndarray:
     """Real symmetric Galerkin matrix diag(l(l+1)) - lam (n_x X + n_y Y + n_z Z)
     of the dipole a = lam (n . theta) in the real harmonics of ``SphereBasis``,
-    from the closed-form couplings of ``SphereBasis.couplings``; the dense
+    in the scenario's frame, from the closed-form ``couplings``; the dense
     oracle of ``_reflection_blocks``."""
-    i, j, coef, comp, _ = basis.couplings()
+    i, j, coef, comp, _ = couplings(basis)
     M = np.diag(basis.laplace_eigs)
     M[i, j] = -(pot.dipole_strength * pot.dipole_axis)[comp] * coef
     return M
@@ -42,16 +95,6 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         raise ValueError("truncation must be >= 1")
     basis = angular_basis(pot.dimension, truncation)
     return emlab.angular._hermitian_part(_dipole_matrix(pot, basis)), basis
-
-
-def dipole_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) -> np.ndarray:
-    """M v for the dipole's Galerkin matrix M = diag(l(l+1)) - lam (n_x X +
-    n_y Y + n_z Z) in the real harmonics of ``SphereBasis``, from the
-    closed-form couplings of ``SphereBasis.couplings``, without forming M;
-    the oracle of ``emlab.angular._dipole_product``."""
-    _, j, coef, comp, starts = basis.couplings()
-    entries = (pot.dipole_strength * pot.dipole_axis)[comp] * coef
-    return basis.laplace_eigs[:, None] * v - np.add.reduceat(entries[:, None] * v[j], starts)
 
 
 def subset_eigh(matrix: np.ndarray, count: int):
@@ -122,27 +165,28 @@ def corrupted(samples: Sampled, noise: float, rng=None) -> Sampled:
                    angular_gradient=None)
 
 
-def project(spectrum: AngularSpectrum, nodes: tuple, data: np.ndarray,
-            weights: np.ndarray) -> np.ndarray:
-    """(K, n_r) profiles of nodal data on the modes of the spectrum, by the
-    angular quadrature of ``modal.project_onto_modes`` with these weights."""
-    psis = np.stack([spectrum.psi_values(k, *nodes) for k in range(1, spectrum.count + 1)])
+def project(spectrum: AngularSpectrum, data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(K, n_r) profiles of nodal data on the spectrum's grid on its modes,
+    by the angular quadrature of ``modal.project_onto_modes`` with these
+    weights."""
+    psis = np.stack([spectrum.psi_values(k) for k in range(1, spectrum.count + 1)])
     return (data @ (np.conj(psis).T * weights[:, None])).T
 
 
 def from_samples(samples: Sampled, spectrum: AngularSpectrum, perturbation=None) -> FieldSample:
     """A modal field over all K = spectrum.count modes, projected from the
-    samples by angular quadrature: phi_k from the values, phi_k' from the
-    du_dr samples or, without them, by log-grid finite differences, and
-    zeta_k of h u, h = ``perturbation``, with its angular factor folded into
-    the weights as ``modal.perturbation_samples`` does.  The projected
-    profiles solve no radial equation, so their exponents are NaN."""
+    samples, taken on the spectrum's grid, by angular quadrature: phi_k from
+    the values, phi_k' from the du_dr samples or, without them, by log-grid
+    finite differences, and zeta_k of h u, h = ``perturbation``, with its
+    angular factor folded into the weights as ``modal.perturbation_samples``
+    does.  The projected profiles solve no radial equation, so their
+    exponents are NaN."""
     nodes, w, r = samples.angular_nodes, samples.angular_weights, samples.r
-    phi = project(spectrum, nodes, samples.values, w)
+    phi = project(spectrum, samples.values, w)
     dphi = (grids.log_derivative(phi.T, r).T if samples.du_dr is None
-            else project(spectrum, nodes, samples.du_dr, w))
+            else project(spectrum, samples.du_dr, w))
     zeta = np.zeros(phi.shape, dtype=complex) if perturbation is None else (
-        project(spectrum, nodes, samples.values, w * perturbation.angular_factor(*nodes))
+        project(spectrum, samples.values, w * perturbation.angular_factor(*nodes))
         * perturbation.radial_factor(r)[None, :])
     R = r[-1] if samples.side == "interior" else r[0]
     return synthesize_field(spectrum, {k: ModalSolution(

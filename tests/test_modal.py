@@ -292,7 +292,7 @@ class TestPerturbation:
         i = 1500
         t = field.angular_nodes[0]
         hu = np.cos(t) * field.values[i] * radial_grid[i] ** (-1.5)
-        psi2 = ab_spectrum.psi_values(2, t)
+        psi2 = ab_spectrum.psi_values(2)
         direct = np.sum(field.angular_weights * hu * np.conj(psi2))
         assert z[1][i] == pytest.approx(direct, rel=1e-12)
 
@@ -486,10 +486,10 @@ class TestFieldSample:
 
 def _modal_sums(field):
     """values, du_dr and angular gradient summed here from the profiles."""
-    sp, nodes = field.spectrum, field.angular_nodes
-    values = sum(np.outer(s.phi, sp.psi_values(k, *nodes)) for k, s in field.modal.items())
-    du_dr = sum(np.outer(s.dphi, sp.psi_values(k, *nodes)) for k, s in field.modal.items())
-    grads = [sp.psi_gradient(k, *nodes) for k in field.modal]
+    sp = field.spectrum
+    values = sum(np.outer(s.phi, sp.psi_values(k)) for k, s in field.modal.items())
+    du_dr = sum(np.outer(s.dphi, sp.psi_values(k)) for k, s in field.modal.items())
+    grads = [sp.psi_gradient(k) for k in field.modal]
     ang = tuple(
         sum(np.outer(s.phi, g[c]) for s, g in zip(field.modal.values(), grads))
         for c in range(field.dimension - 1)
@@ -573,8 +573,7 @@ class TestLazyNodalArrays:
 
 def _nodal_values(spectrum, sols):
     """sum_k phi_k psi_k on the basis grid, every mode's product added."""
-    nodes = spectrum.basis.grid()[:-1]
-    return sum(np.outer(s.phi, spectrum.psi_values(k, *nodes)) for k, s in sols.items())
+    return sum(np.outer(s.phi, spectrum.psi_values(k)) for k, s in sols.items())
 
 
 def _nodal_picard(spectrum, h, boundary_values, r):
@@ -583,12 +582,12 @@ def _nodal_picard(spectrum, h, boundary_values, r):
     formed on the product grid and projected, and successive fields are
     compared through their nodal values.  Returns (sols, values, residuals)."""
     N, K = spectrum.potential.dimension, spectrum.count
-    *nodes, w = spectrum.basis.grid()
+    nodes, w = spectrum.nodes, spectrum.basis.grid()[-1]
     exps = {k: characteristic_exponents(N, spectrum.mu(k), k) for k in range(1, K + 1)}
     bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
     sols = homogeneous_solutions(spectrum, bvals, r, side=h.side)
     values = _nodal_values(spectrum, sols)
-    psis = np.stack([spectrum.psi_values(k, *nodes) for k in range(1, K + 1)])
+    psis = np.stack([spectrum.psi_values(k) for k in range(1, K + 1)])
     g = h.angular_factor(*nodes)
     zero = np.zeros_like(r, dtype=complex)
     residuals = []
@@ -612,7 +611,7 @@ def _nodal_picard(spectrum, h, boundary_values, r):
 
 def _whole_projection(field, data, weights):
     """The projection of a whole nodal array onto the field's modes."""
-    return project(field.spectrum, field.angular_nodes, data, weights)
+    return project(field.spectrum, data, weights)
 
 
 def _field(request, name):
