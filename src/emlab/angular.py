@@ -358,27 +358,6 @@ class SphereBasis(_Tabulated):
 
         return self._kept("z", build)
 
-    def reflection_blocks(self):
-        """This basis split into the subspaces that a dipole along z leaves
-        invariant: it conserves m, so there is one tridiagonal block per
-        order m = 0..T, on the cos-type S_lm, l = m..T, and the sin-type
-        S_l,-m carry the same block.
-
-        Returns ``(rows, least, coupling, offsets)``: each block's cos-type
-        positions (S_l,-m sits 2m before S_lm) and least l(l+1), and the
-        couplings of ``z_couplings()`` between S_lm and S_l+1,m, by order
-        and then degree, block m's from ``offsets[m]`` to ``offsets[m + 1]``.
-        """
-        return self._kept("blocks", self._reflection_blocks)
-
-    def _reflection_blocks(self):
-        T = self.truncation
-        m = np.array(self.indices)[:, 1]
-        rows = _frozen(tuple(np.flatnonzero(m == order) for order in range(T + 1)))
-        offsets = np.concatenate([[0], np.cumsum(np.arange(T, -1, -1))])
-        coupling = self.z_couplings()[1][np.concatenate([r[:-1] for r in rows])]
-        return rows, self.laplace_eigs[[r[0] for r in rows]], _frozen(coupling), offsets
-
 
 def angular_node_count(dimension: int, truncation: int) -> int:
     """Nodes of the quadrature grid of ``angular_basis(dimension,
@@ -422,29 +401,6 @@ def _axis_product(pot: AngularPotential, basis: SphereBasis, v: np.ndarray) -> n
     return out
 
 
-@dataclass(frozen=True)
-class _ReflectionBlocks:
-    """The dipole's Galerkin matrix in the frame where its axis is z, as the
-    tridiagonal blocks of ``SphereBasis.reflection_blocks``, one per order
-    m, each carried by the cos-type and the sin-type harmonics of order m:
-    ``rows`` places block m on the cos-type ones, ``bounds`` holds a lower
-    bound on each one's spectrum, and ``matrix(m)`` builds block m from its
-    diagonal and its couplings (``values``, from ``offsets[m]`` to
-    ``offsets[m + 1]``)."""
-
-    rows: tuple
-    bounds: np.ndarray
-    diagonal: np.ndarray
-    values: np.ndarray
-    offsets: np.ndarray
-
-    def matrix(self, b: int) -> np.ndarray:
-        A = np.diag(self.diagonal[self.rows[b]])
-        k = np.arange(len(A) - 1)
-        A[k, k + 1] = A[k + 1, k] = -self.values[self.offsets[b]:self.offsets[b + 1]]
-        return A
-
-
 def dense_matrix_bytes(pot: AngularPotential, truncation: int) -> int:
     """Bytes of the largest dense matrix ``angular_spectrum`` builds for the
     potential at the truncation, known without building it: none for a
@@ -455,22 +411,6 @@ def dense_matrix_bytes(pot: AngularPotential, truncation: int) -> int:
     if pot.dimension == 2:
         return 0 if pot.magnetic_degree + pot.electric_degree == 0 else 16 * (2 * T + 1) ** 2
     return 8 * (T + 1) ** 2
-
-
-def _reflection_blocks(pot: AngularPotential, basis: SphereBasis) -> _ReflectionBlocks:
-    """The blocks of the dipole's Galerkin matrix in the frame where its
-    axis is z, where the matrix is the one of the z axis: the degree-T space
-    is invariant under rotations, so the spectrum depends on lam alone.
-
-    By Weyl's inequality a block's eigenvalues are at least its least
-    l(l+1) minus |lam|, because multiplication by n . theta has norm at
-    most 1.
-    """
-    rows, least, coef, offsets = basis.reflection_blocks()
-    values = pot.dipole_strength * coef
-    _require_finite(values)
-    return _ReflectionBlocks(rows=rows, bounds=least - abs(pot.dipole_strength),
-                             diagonal=basis.laplace_eigs, values=values, offsets=offsets)
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -530,7 +470,8 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
 
     with fhat_m the e^{imt} expansion coefficient, on the band |j - l| <=
     max(2 deg A, deg a); constant alpha and a give the diagonal (alpha + j)^2 - a0.
-    The dipole on the sphere is solved by its blocks (``_reflection_blocks``).
+    The dipole on the sphere is solved by its blocks of order m
+    (``_dipole_eigenpairs``).
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -645,30 +586,37 @@ def _eigh(matrix: np.ndarray, count: int):
     return w[:count], v[:, :count]
 
 
-def _block_eigenpairs(blocks: _ReflectionBlocks, count: int, basis: SphereBasis):
-    """Lowest ``count`` eigenpairs of the blocks, in the basis of the frame
-    of the axis.
-
-    Blocks are solved in the order of their lower bounds, which is the
-    order of m, each once for the cos-type and the sin-type harmonics, and
-    a block whose bound lies above the count-th eigenvalue found so far is
-    skipped.  The eigenvalues are merged by a stable sort, the cos-type
-    blocks m = 0, 1, ... before the sin-type ones, and the partners of a
-    multiplicity block are ordered in that block order, cos-type first, so
-    that mode labels do not depend on roundoff.
+def _dipole_eigenpairs(pot: AngularPotential, basis: SphereBasis, count: int):
+    """Lowest ``count`` eigenpairs of the dipole's Galerkin matrix in the
+    frame where its axis is z.  The degree-T space is invariant under
+    rotations, so there the matrix is diag(l(l+1)) - lam Z, whatever the
+    axis.  It conserves m: block m is tridiagonal on the cos-type S_lm,
+    l = m..T, at l(l+1) + m, coupled by ``z_couplings``, and the sin-type
+    S_l,-m, 2m positions before, carry it too.  Its eigenvalues are at least
+    m(m+1) - |lam| (Weyl: n . theta has norm at most 1), so a block whose
+    bound lies above the count-th eigenvalue found so far is skipped.  The
+    eigenvalues are merged by a stable sort, the cos-type blocks m = 0, 1,
+    ... before the sin-type ones, and the partners of a multiplicity block
+    in that order, so that mode labels do not depend on roundoff.
     """
+    lam, T = pot.dipole_strength, basis.truncation
+    coupling = lam * basis.z_couplings()[1]
+    _require_finite(coupling)
     solved, found, kth = [], [], np.inf
-    for b in range(len(blocks.rows)):
-        if blocks.bounds[b] > kth:
+    for m in range(T + 1):
+        if m * (m + 1) - abs(lam) > kth:
             break
-        w, v = _eigh(blocks.matrix(b), min(count, len(blocks.rows[b])))
-        solved.append((b, w, v))
-        found += [w] if b == 0 else [w, w]
+        l = np.arange(m, T + 1)
+        rows = l * (l + 1) + m
+        A = np.diag(basis.laplace_eigs[rows])
+        k = np.arange(T - m)
+        A[k, k + 1] = A[k + 1, k] = -coupling[rows[:-1]]
+        w, v = _eigh(A, min(count, len(rows)))
+        solved.append((rows, w, v))
+        found += [w] if m == 0 else [w, w]
         if sum(map(len, found)) >= count:
             kth = np.partition(np.concatenate(found), count - 1)[count - 1]
-    # S_l,-m sits 2m before S_lm
-    parts = [(blocks.rows[b], w, v) for b, w, v in solved]
-    parts += [(blocks.rows[b] - 2 * b, w, v) for b, w, v in solved if b]
+    parts = solved + [(rows - 2 * m, w, v) for m, (rows, w, v) in enumerate(solved) if m]
     w = np.concatenate([p[1] for p in parts])
     part = np.repeat(np.arange(len(parts)), [len(p[1]) for p in parts])
     col = np.concatenate([np.arange(len(p[1])) for p in parts])
@@ -686,8 +634,9 @@ def eigendecompose(matrix, count: int, basis, pot: AngularPotential) -> AngularS
     """Lowest `count` eigenpairs of the Hermitian Galerkin matrix, given
     either densely (solved by ``eigh``), or by its diagonal (sorted stably,
     so equal eigenvalues keep their basis order, with unit eigenvectors), or,
-    for the dipole, by its ``_ReflectionBlocks``, whose eigenpairs are
-    checked on every row against the matrix of the frame of its axis."""
+    for the dipole, as None: its blocks of order m are built from closed
+    forms (``_dipole_eigenpairs``), and its eigenpairs are checked on every
+    row against the matrix of the frame of its axis."""
     n = basis.size
     if count > n:
         raise AliasingError(f"requested {count} eigenpairs from a {n}x{n} matrix")
@@ -698,8 +647,8 @@ def eigendecompose(matrix, count: int, basis, pot: AngularPotential) -> AngularS
         v = np.zeros((n, count), dtype=matrix.dtype)
         v[order, np.arange(count)] = 1.0
         resid = 0.0  # unit vectors are exact eigenvectors of a diagonal matrix
-    elif isinstance(matrix, _ReflectionBlocks):
-        w, v = _block_eigenpairs(matrix, count, basis)
+    elif matrix is None:
+        w, v = _dipole_eigenpairs(pot, basis, count)
         resid = np.abs(_axis_product(pot, basis, v) - v * w).max()
     else:
         w, v = _eigh(matrix, count)
@@ -734,7 +683,7 @@ def angular_spectrum(pot: AngularPotential, count: int = 16,
         )
     basis = angular_basis(pot.dimension, truncation)
     if pot.dimension == 3:
-        return eigendecompose(_reflection_blocks(pot, basis), count, basis, pot)
+        return eigendecompose(None, count, basis, pot)
     if degree_needed == 0:
         return eigendecompose(_hermitian_part(_circle_band(pot, basis)[2]), count, basis, pot)
     M, basis = assemble_angular_matrix(pot, truncation)

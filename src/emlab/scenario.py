@@ -175,13 +175,18 @@ def _number(value, what: str, kind=float):
     return number
 
 
-def _reject_booleans(doc: dict) -> None:
+def _check_json_types(doc: dict) -> None:
     """A JSON boolean is a check toggle and nothing else: no number, list
-    or string entry takes one."""
+    or string entry takes one.  A JSON string is a name, which only
+    potential.kind, side and perturbation.side take: a number given as a
+    string is rejected, not read."""
     stack = [(v, k) for k, v in doc.items() if k != "checks"]
     while stack:
         value, what = stack.pop()
         _validate(not isinstance(value, bool), f"{what} must not be a boolean")
+        _validate(not isinstance(value, str)
+                  or what in ("potential.kind", "side", "perturbation.side"),
+                  f"{what} must not be a string, got {value!r}")
         if isinstance(value, dict):
             stack += [(v, f"{what}.{k}") for k, v in value.items()]
         elif isinstance(value, list):
@@ -238,7 +243,7 @@ def _asymptotics_radii(side: str, R: float):
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a scenario document and fill defaults."""
     _validate(isinstance(doc, dict), "scenario must be a JSON object")
-    _reject_booleans(doc)
+    _check_json_types(doc)
     pot_desc = doc.get("potential")
     _validate(isinstance(pot_desc, dict), "scenario needs a potential descriptor")
     dimension = _number(doc.get("dimension", 3 if pot_desc.get("kind") == "dipole" else 2),

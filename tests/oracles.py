@@ -77,7 +77,7 @@ def _dipole_matrix(pot: AngularPotential, basis: SphereBasis) -> np.ndarray:
     """Real symmetric Galerkin matrix diag(l(l+1)) - lam (n_x X + n_y Y + n_z Z)
     of the dipole a = lam (n . theta) in the real harmonics of ``SphereBasis``,
     in the scenario's frame, from the closed-form ``couplings``; the dense
-    oracle of ``_reflection_blocks``."""
+    oracle of ``_dipole_eigenpairs``."""
     i, j, coef, comp, _ = couplings(basis)
     M = np.diag(basis.laplace_eigs)
     M[i, j] = -(pot.dipole_strength * pot.dipole_axis)[comp] * coef

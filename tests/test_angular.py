@@ -185,19 +185,26 @@ class TestDipoleClosedForm:
         assert np.abs(M - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_sphere_spectrum_is_real(self, monkeypatch):
-        # the spectrum is solved from the real blocks of the reflections
-        forms = []
-        eig = emlab.angular.eigendecompose
+        # the spectrum is solved from the real tridiagonal blocks of order m:
+        # eigendecompose is handed no dense dipole matrix, and every matrix
+        # the eigensolver sees is real
+        forms, solved = [], []
+        eig, eigh = emlab.angular.eigendecompose, emlab.angular._eigh
 
         def keeping(matrix, *args, **kwargs):
             forms.append(matrix)
             return eig(matrix, *args, **kwargs)
 
+        def recording(matrix, *args, **kwargs):
+            solved.append(matrix)
+            return eigh(matrix, *args, **kwargs)
+
         monkeypatch.setattr(emlab.angular, "eigendecompose", keeping)
+        monkeypatch.setattr(emlab.angular, "_eigh", recording)
         pot = build_potential({"kind": "dipole", "strength": 0.8, "axis": [1, 2, 2]})
         spectrum = angular_spectrum(pot, count=4, truncation=8)
-        assert [type(m) for m in forms] == [emlab.angular._ReflectionBlocks]
-        assert forms[0].matrix(0).dtype == np.float64
+        assert forms == [None]
+        assert solved and all(m.dtype == np.float64 for m in solved)
         assert spectrum.eigenvectors.dtype == np.float64
 
     def test_reads_no_basis_table(self, monkeypatch):
@@ -211,7 +218,7 @@ class TestDipoleClosedForm:
 
 
 class TestReflectionBlocks:
-    """The dipole spectrum from its reflection blocks against the dense
+    """The dipole spectrum from its blocks of order m against the dense
     ``eigh`` of ``assemble_angular_matrix``, the oracle."""
 
     AXES = {"z": [0, 0, 1], "-z": [0, 0, -1], "x": [1, 0, 0], "-x": [-1, 0, 0],
@@ -225,11 +232,10 @@ class TestReflectionBlocks:
         pot = build_potential({"kind": "dipole", "strength": strength, "axis": self.AXES[axis]})
         for truncation in range(1, 17):
             M, basis = assemble_angular_matrix(pot, truncation)
-            blocks = emlab.angular._reflection_blocks(pot, basis)
             table = None
             # up to count = n, so that no block the spectrum needs is skipped
             for count in sorted({1, min(8, basis.size), basis.size}):
-                sp = emlab.angular.eigendecompose(blocks, count, basis, pot)
+                sp = emlab.angular.eigendecompose(None, count, basis, pot)
                 if table is None:
                     table = values_at(basis, *sp.nodes)
                 dense = emlab.angular.eigendecompose(M, count, basis, pot)
@@ -249,7 +255,7 @@ class TestReflectionBlocks:
                     assert eigenspace_gap(sp, table, dense.eigenvectors, j0, m) <= bound
             if truncation > 1:  # T = 1 cannot resolve a dipole
                 spectrum = angular_spectrum(pot, 8, truncation)
-                direct = emlab.angular.eigendecompose(blocks, 8, basis, pot)
+                direct = emlab.angular.eigendecompose(None, 8, basis, pot)
                 assert np.array_equal(spectrum.eigenvalues, direct.eigenvalues)
                 assert np.array_equal(spectrum.eigenvectors, direct.eigenvectors)
 
@@ -295,6 +301,41 @@ class TestReflectionBlocks:
                 assert angular_spectrum(pot, count=count, truncation=truncation).count == count
                 assert sizes and max(sizes) <= truncation + 1
 
+    def test_blocks_are_read_from_closed_forms(self, monkeypatch):
+        # S_lm sits at l(l+1) + m and S_l,-m at l(l+1) - m for every
+        # truncation the basis budget admits (T <= 39), and each block the
+        # eigensolver sees is the matrix of the axis frame on the cos-type and
+        # on the sin-type rows of its order
+        indices = SphereBasis(39).indices
+        for l in range(40):
+            for m in range(l + 1):
+                assert indices[l * (l + 1) + m] == (l, m)
+                assert indices[l * (l + 1) - m] == (l, -m)
+        seen = []
+        eigh = emlab.angular._eigh
+
+        def recording(matrix, *args, **kwargs):
+            seen.append(matrix)
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(emlab.angular, "_eigh", recording)
+        for truncation in (1, 2, 8, 16, 39):
+            basis = angular_basis(3, truncation)
+            order = np.array(basis.indices)[:, 1]
+            # nonzero strengths: at lam = 0 a block's coupling is -(0.0), but
+            # the product's entry is 0 - 0.0, the same value of another sign
+            for strength in (-0.7, 1.2):
+                pot = build_potential({"kind": "dipole", "strength": strength,
+                                       "axis": [1, 2, 2]})
+                seen.clear()
+                # count = basis size, so that no block is skipped
+                emlab.angular.eigendecompose(None, basis.size, basis, pot)
+                M = emlab.angular._axis_product(pot, basis, np.eye(basis.size))
+                assert len(seen) == truncation + 1
+                for m, block in enumerate(seen):
+                    for rows in (np.flatnonzero(order == m), np.flatnonzero(order == -m)):
+                        assert_bitwise_equal(block, M[np.ix_(rows, rows)])
+
     @pytest.mark.parametrize("truncation", [1, 2, 8, 16, 32])
     def test_product_equals_the_oracle(self, truncation):
         # the residual check's product in the frame of the axis, against the
@@ -309,16 +350,16 @@ class TestReflectionBlocks:
 
     @staticmethod
     def misplaced(monkeypatch, move):
-        """``_block_eigenpairs`` with ``move(v, basis)`` applied to the
+        """``_dipole_eigenpairs`` with ``move(v, basis)`` applied to the
         eigenvectors it places."""
-        solve = emlab.angular._block_eigenpairs
+        solve = emlab.angular._dipole_eigenpairs
 
-        def solver(blocks, count, basis):
-            w, v = solve(blocks, count, basis)
+        def solver(pot, basis, count):
+            w, v = solve(pot, basis, count)
             move(v, basis)
             return w, v
 
-        monkeypatch.setattr(emlab.angular, "_block_eigenpairs", solver)
+        monkeypatch.setattr(emlab.angular, "_dipole_eigenpairs", solver)
 
     def test_residual_is_checked_in_the_unturned_frame(self, monkeypatch):
         # a sin-type partner moved one row on, from S_l,-m to S_l,-m+1, sits
@@ -370,16 +411,6 @@ class TestReflectionBlocks:
 FUNCTION_SPACE = 1e-12
 
 
-def frame_matrix(blocks, size):
-    """The dipole's matrix in the frame of its axis, from its blocks, each
-    placed on its cos-type and its sin-type harmonics."""
-    M = np.zeros((size, size))
-    for b, rows in enumerate(blocks.rows):
-        for r in (rows, rows - 2 * b):
-            M[np.ix_(r, r)] = blocks.matrix(b)
-    return M
-
-
 class TestTurn:
     """The turn R_z(p) R_y(b) from the frame of the dipole's axis to the
     scenario's, which acts on the nodes of the grid (``AngularSpectrum.nodes``),
@@ -387,9 +418,7 @@ class TestTurn:
 
     @staticmethod
     def spectrum(pot, truncation):
-        basis = angular_basis(3, truncation)
-        blocks = emlab.angular._reflection_blocks(pot, basis)
-        return emlab.angular.eigendecompose(blocks, 1, basis, pot), blocks
+        return emlab.angular.eigendecompose(None, 1, angular_basis(3, truncation), pot)
 
     @pytest.mark.parametrize("strength", [-0.7, 1.2])
     @pytest.mark.parametrize("axis", TestReflectionBlocks.AXES)
@@ -397,7 +426,7 @@ class TestTurn:
         pot = build_potential({"kind": "dipole", "strength": strength,
                                "axis": TestReflectionBlocks.AXES[axis]})
         for truncation in (1, 4, 16):
-            sp, _ = self.spectrum(pot, truncation)
+            sp = self.spectrum(pot, truncation)
             theta = sp.basis.grid()[0]
             a = pot.electric_sphere(*sp.nodes)
             assert np.abs(a - strength * np.cos(theta)).max() <= 1e-14 * abs(strength)
@@ -410,14 +439,14 @@ class TestTurn:
     @pytest.mark.parametrize("axis", TestReflectionBlocks.AXES)
     def test_turned_frame_matrix_is_the_axis_matrix(self, axis):
         # the potential at the turned nodes, expanded in the harmonics of
-        # the grid, gives the blocks' matrix
+        # the grid, gives the matrix the eigenpairs are checked against
         pot = build_potential({"kind": "dipole", "strength": -1.3,
                                "axis": TestReflectionBlocks.AXES[axis]})
         for truncation in range(1, 17):
-            sp, blocks = self.spectrum(pot, truncation)
+            sp = self.spectrum(pot, truncation)
             w = sp.basis.grid()[-1]
             turned = galerkin_by_quadrature(sp.basis, w * pot.electric_sphere(*sp.nodes))
-            frame = frame_matrix(blocks, sp.basis.size)
+            frame = emlab.angular._axis_product(pot, sp.basis, np.eye(sp.basis.size))
             assert np.abs(turned - frame).max() <= 1e-13 * np.abs(frame).max()
 
     @pytest.mark.parametrize("axis", ["x", "xy", "xyz", "random3"])
@@ -516,13 +545,24 @@ class TestDenseMatrixBytes:
     matrix the spectrum builds."""
 
     @pytest.mark.parametrize("axis", TestReflectionBlocks.AXES)
-    def test_dipole_is_its_largest_reflection_block(self, axis):
+    def test_dipole_is_its_largest_reflection_block(self, axis, monkeypatch):
+        # with count = basis size no block is skipped
+        sizes = []
+        eigh = emlab.angular._eigh
+
+        def recording(matrix, *args, **kwargs):
+            sizes.append(matrix.nbytes)
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(emlab.angular, "_eigh", recording)
         pot = build_potential({"kind": "dipole", "strength": 0.7,
                                "axis": TestReflectionBlocks.AXES[axis]})
         for truncation in range(1, 13):
-            blocks = emlab.angular._reflection_blocks(pot, angular_basis(3, truncation))
-            largest = max(blocks.matrix(b).nbytes for b in range(len(blocks.rows)))
-            assert dense_matrix_bytes(pot, truncation) == largest
+            basis = angular_basis(3, truncation)
+            sizes.clear()
+            emlab.angular.eigendecompose(None, basis.size, basis, pot)
+            assert len(sizes) == truncation + 1
+            assert dense_matrix_bytes(pot, truncation) == max(sizes)
 
     def test_circle_is_the_galerkin_matrix_unless_constant(self):
         for desc in CIRCLE_POTENTIALS.values():

@@ -244,6 +244,20 @@ class TestParsing:
         with pytest.raises(ScenarioValidationError, match=rf"^{named} must not be a boolean"):
             scenario_from_dict(minimal_doc(**over))
 
+    @pytest.mark.parametrize("over,named", [
+        ({"potential": {"kind": "aharonov_bohm", "alpha": "0.3"}}, r"potential\.alpha"),
+        ({"grid": {"nodes": "300"}}, r"grid\.nodes"), ({"seed": "7"}, "seed"),
+        ({"boundary": {"values": {"1": "1"}}}, r"boundary\.values\.1"),
+        ({"dimension": 3, "potential": {"kind": "dipole", "axis": [0, 0, "1"]}},
+         r"potential\.axis\[2\]"),
+        ({"perturbation": {"amplitude": "0.05"}}, r"perturbation\.amplitude"),
+        ({"radii": [0.1, "0.2"]}, r"radii\[1\]"), ({"label": "x"}, "label"),
+    ], ids=["alpha", "nodes", "seed", "boundary_value", "axis", "amplitude", "radius",
+            "unknown_entry"])
+    def test_strings_are_not_numbers(self, over, named):
+        with pytest.raises(ScenarioValidationError, match=rf"^{named} must not be a string"):
+            scenario_from_dict(minimal_doc(**over))
+
     def test_angular_factor_on_a_sphere_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({"dimension": 3, "potential": {"kind": "dipole"},
@@ -852,10 +866,20 @@ def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
     {"perturbation": {"amplitude": float("nan"), "epsilon": 0.5}},
     {"perturbation": {"amplitude": float("inf"), "epsilon": 0.5}},
     {"truncation": 4000, "grid": {"nodes": 100}},
+    # a number given as a JSON string
+    {"potential": {"kind": "aharonov_bohm", "alpha": "0.3"}},
+    {"grid": {"nodes": "300"}},
+    {"seed": "7"},
+    {"boundary": {"values": {"1": "1"}}},
+    {"dimension": 3, "potential": {"kind": "dipole", "axis": ["0", "0", "1"]}},
+    {"perturbation": {"amplitude": "0.05", "epsilon": 0.5}},
+    {"radii": [0.1, "0.2"]},
 ], ids=["sweep_count", "eigen_count", "alpha", "nodes", "seed", "radii",
         "default_radii_inside", "default_radii_outside", "boundary", "grid", "checks",
         "boundary_values", "perturbation_angular", "empty_radii", "fourier_magnetic",
-        "dipole_axis", "amplitude_nan", "amplitude_infinity", "circle_basis_tables"])
+        "dipole_axis", "amplitude_nan", "amplitude_infinity", "circle_basis_tables",
+        "alpha_string", "nodes_string", "seed_string", "boundary_value_string",
+        "axis_strings", "amplitude_string", "radius_string"])
 def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
     proc = run_cli(tmp_path, minimal_doc(**over))
     assert proc.returncode == 2, proc.stderr
