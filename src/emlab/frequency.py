@@ -23,8 +23,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from math import copysign
 
 import numpy as np
+from numpy.linalg import norm
 
 from . import grids
 from .errors import DegenerateSolutionError, NumericalFailureError, TailFitError
@@ -66,29 +68,279 @@ def _fit_window(field: FieldSample, radii: np.ndarray):
     return idx
 
 
+# The limit fit is the trust-region reflective method of Branch, Coleman and
+# Li (SIAM J. Sci. Comput. 21 (1999) 1) as scipy's least_squares runs it for
+# curve_fit ("trf", exact trust-region solver, 2-point Jacobian, x_scale 1,
+# linear loss), operation by operation and in scipy's memory layout, so that
+# every fit rounds as curve_fit's did.
+
+#: the box of the fitted parameters (gamma, C, eps)
+_LB = np.array([-np.inf, -np.inf, 1e-3])
+_UB = np.array([np.inf, np.inf, 10.0])
+#: residual evaluations a fit may spend, Jacobians apart
+_MAX_NFEV = 20000
+#: the ftol, xtol and gtol of the termination tests
+_TOL = 1e-8
+_EPS = np.finfo(float).eps
+
+
+def _jacobian(fun, x, f):
+    """Forward differences of ``fun`` at ``x``, where it is ``f``."""
+    h = _EPS**0.5 * ((x >= 0).astype(float) * 2 - 1) * np.maximum(1.0, np.abs(x))
+    # from a strictly feasible eps so small a step crosses a bound only by
+    # its sign, so flipping it is the whole adjustment to the box
+    h[(x + h < _LB) | (x + h > _UB)] *= -1
+    J_t = np.empty((x.size, f.size))
+    for i in range(x.size):
+        x1 = x.copy()
+        x1[i] = x[i] + h[i]
+        J_t[i] = (fun(x1) - f) / ((x[i] + h[i]) - x[i])
+    return J_t.T
+
+
+def _scaling(x, g):
+    """Coleman-Li scaling vector v and its derivative's sign dv: the
+    distance to the bound the gradient points away from."""
+    v, dv = np.ones(3), np.zeros(3)
+    if g[2] < 0:
+        v[2], dv[2] = _UB[2] - x[2], -1
+    elif g[2] > 0:
+        v[2], dv[2] = x[2] - _LB[2], 1
+    return v, dv
+
+
+def _step_to_bound(x, s):
+    """The step t at which x + t s first meets the box, and the mask of
+    the components that meet it."""
+    nz = np.nonzero(s)
+    steps = np.full_like(x, np.inf)
+    with np.errstate(over="ignore"):
+        steps[nz] = np.maximum((_LB - x)[nz] / s[nz], (_UB - x)[nz] / s[nz])
+    t = np.min(steps)
+    return t, (steps == t) & (s != 0)
+
+
+def _to_trust_region(x, s, Delta):
+    """The larger step t with |x + t s| = Delta."""
+    a, b = np.dot(s, s), np.dot(x, s)
+    c = np.dot(x, x) - Delta**2
+    if a == 0 or c > 0:
+        raise NumericalFailureError("frequency limit fit failed: a step left its trust region")
+    q = -(b + copysign(np.sqrt(b * b - a * c), b))
+    return max(q / a, c / q)
+
+
+def _quadratic_1d(J, g, s, diag, s0=None):
+    """Coefficients of the model 1/2 |J p|^2 + 1/2 p.diag.p + g.p along
+    p = s0 + t s, as (a, b) or, given s0, (a, b, c)."""
+    v = J.dot(s)
+    a = np.dot(v, v)
+    a += np.dot(s * diag, s)
+    a *= 0.5
+    b = np.dot(g, s)
+    if s0 is None:
+        return a, b
+    u = J.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    b += np.dot(s0 * diag, s)
+    c += 0.5 * np.dot(s0 * diag, s0)
+    return a, b, c
+
+
+def _minimize_1d(a, b, lb, ub, c=0):
+    """(t, value) at the minimum of a t^2 + b t + c on [lb, ub]."""
+    t = [lb, ub]
+    if a != 0 and lb < -0.5 * b / a < ub:
+        t.append(-0.5 * b / a)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    i = np.argmin(y)
+    return t[i], y[i]
+
+
+def _model_value(J, g, s, diag):
+    """The model of ``_quadratic_1d`` at p = s, which is a + b along s."""
+    a, b = _quadratic_1d(J, g, s, diag)
+    return a + b
+
+
+def _trust_region_step(m, uf, s, V, Delta, alpha):
+    """(p, alpha): the trust-region step from the SVD of the augmented
+    Jacobian, by safeguarded Newton iterations on |p(alpha)| = Delta."""
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    suf = s * uf
+    full_rank = s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+    alpha_upper = norm(suf) / Delta
+    alpha_lower = 0.0
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < 0.01 * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= Delta / norm(p)
+    return p, alpha
+
+
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, theta):
+    """(step, scaled step, predicted reduction): the best of the
+    trust-region step, its reflection at the bound it crosses and the
+    scaled gradient step, each kept strictly inside the box."""
+    if np.all((x + p >= _LB) & (x + p <= _UB)):
+        return p, p_h, -_model_value(J_h, g_h, p_h, diag_h)
+    p_stride, hits = _step_to_bound(x, p)
+    r_h = np.copy(p_h)
+    r_h[hits] *= -1
+    r = d * r_h
+    p *= p_stride
+    p_h *= p_stride
+    to_tr = _to_trust_region(p_h, r_h, Delta)
+    to_bound, _ = _step_to_bound(x + p, r)
+    r_stride = min(to_bound, to_tr)
+    if r_stride > 0:
+        r_stride_l = (1 - theta) * p_stride / r_stride
+        r_stride_u = theta * to_bound if r_stride == to_bound else to_tr
+    else:
+        r_stride_l, r_stride_u = 0, -1
+    r_value = np.inf
+    if r_stride_l <= r_stride_u:
+        a, b, c = _quadratic_1d(J_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_1d(a, b, r_stride_l, r_stride_u, c=c)
+        r_h *= r_stride
+        r_h += p_h
+        r = r_h * d
+    p *= theta
+    p_h *= theta
+    p_value = _model_value(J_h, g_h, p_h, diag_h)
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = Delta / norm(ag_h)
+    to_bound, _ = _step_to_bound(x, ag)
+    ag_stride = theta * to_bound if to_bound < to_tr else to_tr
+    a, b = _quadratic_1d(J_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_1d(a, b, 0, ag_stride)
+    ag_h *= ag_stride
+    ag *= ag_stride
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return ag, ag_h, -ag_value
+
+
+def _least_squares(fun, x):
+    """The minimizer of |fun|^2 over the box from the feasible ``x``."""
+    f = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise NumericalFailureError("frequency limit fit failed: the residuals at the "
+                                    "start are not finite")
+    J = _jacobian(fun, x, f)
+    m, nfev = f.size, 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    Delta = norm(x / _scaling(x, g)[0]**0.5) or 1.0
+    f_augmented = np.zeros(m + 3)
+    J_augmented = np.empty((m + 3, 3))
+    alpha = 0.0  # the Levenberg-Marquardt parameter
+    status = None
+    while True:
+        v, dv = _scaling(x, g)
+        g_norm = norm(g * v, ord=np.inf)
+        if g_norm < _TOL:
+            status = 1
+        if status is not None or nfev == _MAX_NFEV:
+            break
+        d = v**0.5
+        diag_h = g * dv
+        g_h = d * g
+        f_augmented[:m] = f
+        J_augmented[:m] = J * d
+        J_h = J_augmented[:m]
+        J_augmented[m:] = np.diag(diag_h**0.5)
+        if not np.all(np.isfinite(J_augmented)):
+            raise NumericalFailureError("frequency limit fit failed: the Jacobian is not finite")
+        U, s, Vt = np.linalg.svd(J_augmented, full_matrices=False)
+        # LAPACK's own layout, in which scipy returns them: the products
+        # below round differently on the transposed one
+        V = np.asfortranarray(Vt).T
+        uf = np.asfortranarray(U).T.dot(f_augmented)
+        theta = max(0.995, 1 - g_norm)  # how far a step stays off the bound
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < _MAX_NFEV:
+            p_h, alpha = _trust_region_step(m, uf, s, V, Delta, alpha)
+            step, step_h, predicted_reduction = _select_step(
+                x, J_h, diag_h, g_h, d * p_h, p_h, d, Delta, theta)
+            x_new = x + step
+            lower, upper = x_new <= _LB, x_new >= _UB
+            x_new[lower] = np.nextafter(_LB[lower], _UB[lower])
+            x_new[upper] = np.nextafter(_UB[upper], _LB[upper])
+            f_new = fun(x_new)
+            nfev += 1
+            step_h_norm = norm(step_h)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            ratio = (actual_reduction / predicted_reduction if predicted_reduction > 0
+                     else 1 if predicted_reduction == actual_reduction == 0 else 0)
+            Delta_new = (0.25 * step_h_norm if ratio < 0.25 else Delta * 2.0
+                         if ratio > 0.75 and step_h_norm > 0.95 * Delta else Delta)
+            if (actual_reduction < _TOL * cost and ratio > 0.25  # ftol
+                    or norm(step) < _TOL * (_TOL + norm(x))):  # xtol
+                status = 2
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = _jacobian(fun, x, f)
+            g = J.T.dot(f)
+    if status is None:
+        raise NumericalFailureError(
+            "frequency limit fit failed: Optimal parameters not found: "
+            "The maximum number of function evaluations is exceeded.")
+    return x
+
+
 def _fit_frequency_limit(r_w: np.ndarray, n_w: np.ndarray, side: str):
     """(gamma, eps) of the least-squares fit of N(r) = gamma + C r^(+-eps)
-    on the fit window."""
-    from scipy.optimize import curve_fit  # loaded by the first fit only
+    on the fit window, with 1e-3 <= eps <= 10."""
     near = 0 if side == "interior" else -1
     gamma0 = float(n_w[near])
     if np.ptp(n_w) < 1e-11:
         return gamma0, float("nan")
     sign = 1.0 if side == "interior" else -1.0
-
-    def model(logr, g, c, e):
-        return g + c * np.exp(sign * e * logr)
-
     x = np.log(r_w)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(n_w))):
+        raise NumericalFailureError("frequency limit fit failed: the fit window is not finite")
+
+    def residuals(p):
+        g, c, e = p
+        return g + c * np.exp(sign * e * x) - n_w
+
     c0 = n_w[-1 if side == "interior" else 0] - gamma0
-    try:
-        popt, _ = curve_fit(
-            model, x, n_w, p0=(gamma0, c0, 0.75),
-            bounds=([-np.inf, -np.inf, 1e-3], [np.inf, np.inf, 10.0]),
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise NumericalFailureError(f"frequency limit fit failed: {exc}") from exc
+    popt = _least_squares(residuals, np.array([gamma0, c0, 0.75]))
     return float(popt[0]), float(popt[2])
 
 

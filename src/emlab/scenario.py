@@ -193,6 +193,38 @@ def _check_json_types(doc: dict) -> None:
             stack += [(v, f"{what}[{i}]") for i, v in enumerate(value)]
 
 
+#: the entries each object of a scenario document takes, a potential's by
+#: its kind; the check toggles and the boundary values have rules of their own
+ENTRIES = {
+    "": ("dimension", "potential", "perturbation", "side", "boundary", "grid",
+         "eigen_count", "truncation", "radii", "checks", "sweep_count", "seed"),
+    "perturbation": ("amplitude", "epsilon", "angular", "side"),
+    "boundary": ("radius", "values"),
+    "grid": ("nodes", "rmin_ratio", "exterior_span"),
+    "potential.aharonov_bohm": ("kind", "alpha", "a0"),
+    "potential.fourier": ("kind", "magnetic", "electric", "dimension"),
+    "potential.dipole": ("kind", "strength", "lam", "axis", "dimension"),
+}
+
+
+def _check_entries(doc: dict) -> None:
+    """Reject an entry the parser would not read, by name, with the nearest
+    known one: a misspelt entry would otherwise run with its default."""
+    pot = doc.get("potential")
+    kind = pot.get("kind") if isinstance(pot, dict) else None
+    for path, known in ENTRIES.items():
+        where = path.split(".")[0]
+        obj = doc.get(where) if where else doc
+        if not isinstance(obj, dict) or (where == "potential" and path != f"potential.{kind}"):
+            continue
+        for key in (k for k in obj if k not in known):
+            import difflib  # on a bad document only: a valid run need not load it
+            name = f"{where}.{key}" if where else key
+            near = difflib.get_close_matches(str(key), known, n=1)
+            raise ScenarioValidationError(f"unknown entry {name!r}"
+                                          + (f"; did you mean {near[0]!r}?" if near else ""))
+
+
 def _object(value, what: str) -> dict:
     """``value``, or a validation error naming the entry if it is not a
     JSON object."""
@@ -244,6 +276,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a scenario document and fill defaults."""
     _validate(isinstance(doc, dict), "scenario must be a JSON object")
     _check_json_types(doc)
+    _check_entries(doc)
     pot_desc = doc.get("potential")
     _validate(isinstance(pot_desc, dict), "scenario needs a potential descriptor")
     dimension = _number(doc.get("dimension", 3 if pot_desc.get("kind") == "dipole" else 2),

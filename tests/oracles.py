@@ -6,12 +6,14 @@ transform and the nodal quadrature of the forms of ``emlab.inequalities``.
 The library runs on numpy alone; scipy's harmonics, Gauss rule and subset
 eigensolver, which it used before, are here.  The library holds a dipole in
 the frame of its axis; its dense matrix in the scenario's frame, from the x,
-y and z couplings, is here."""
+y and z couplings, is here.  The fit of the frequency limit by scipy's
+``curve_fit``, which the library's trust-region port reproduces, is here."""
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.optimize import curve_fit
 from scipy.special import roots_legendre, sph_harm_y
 
 import emlab.angular
@@ -95,6 +97,28 @@ def assemble_angular_matrix(pot: AngularPotential, truncation: int):
         raise ValueError("truncation must be >= 1")
     basis = angular_basis(pot.dimension, truncation)
     return emlab.angular._hermitian_part(_dipole_matrix(pot, basis)), basis
+
+
+def fit_frequency_limit(r_w: np.ndarray, n_w: np.ndarray, side: str, maxfev: int = 20000):
+    """(gamma, eps) of N(r) = gamma + C r^(+-eps) fitted by ``curve_fit``;
+    the oracle of ``emlab.frequency._fit_frequency_limit``."""
+    near = 0 if side == "interior" else -1
+    gamma0 = float(n_w[near])
+    if np.ptp(n_w) < 1e-11:
+        return gamma0, float("nan")
+    sign = 1.0 if side == "interior" else -1.0
+
+    def model(logr, g, c, e):
+        return g + c * np.exp(sign * e * logr)
+
+    x = np.log(r_w)
+    c0 = n_w[-1 if side == "interior" else 0] - gamma0
+    popt, _ = curve_fit(
+        model, x, n_w, p0=(gamma0, c0, 0.75),
+        bounds=([-np.inf, -np.inf, 1e-3], [np.inf, np.inf, 10.0]),
+        maxfev=maxfev,
+    )
+    return float(popt[0]), float(popt[2])
 
 
 def subset_eigh(matrix: np.ndarray, count: int):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from emlab import asymptotics, frequency, grids
 from emlab.asymptotics import extract_coefficients, kelvin_transform
-from emlab.errors import DegenerateSolutionError, EmlabError
+from emlab.errors import DegenerateSolutionError, EmlabError, NumericalFailureError
 from emlab.frequency import (
     FrequencyTrace,
     check_height_derivative,
@@ -20,7 +20,8 @@ from emlab.modal import (
     solve_perturbed_field,
     synthesize_field,
 )
-from oracles import Sampled, corrupted, from_samples, samples_of
+from emlab.scenario import Pipeline, scenario_from_dict
+from oracles import Sampled, corrupted, fit_frequency_limit, from_samples, samples_of
 
 RADII = np.geomspace(1e-5, 0.5, 20)
 
@@ -355,3 +356,121 @@ class TestCarriedModes:
                 continue
             assert fast.beta.tobytes() == slow.beta.tobytes()
             assert (fast.k0, fast.j0, fast.m, fast.R) == (slow.k0, slow.j0, slow.m, slow.R)
+
+
+def _ab_doc(side, alpha, amplitude, epsilon, mode, nodes):
+    return {"potential": {"kind": "aharonov_bohm", "alpha": alpha}, "side": side,
+            "perturbation": {"amplitude": amplitude, "epsilon": epsilon, "side": side},
+            "boundary": {"values": {str(mode): 1.0}}, "grid": {"nodes": nodes}}
+
+
+def _tail(side, epsilon, c, noise=0.0):
+    """N = 0.3 + c r^(+-epsilon) on a decade of 40 nodes, plus a wiggle of
+    size ``noise``: a window whose fit runs into a bound of eps when epsilon
+    lies near or beyond it."""
+    r = np.geomspace(0.05, 0.5, 40) if side == "interior" else np.geomspace(2.0, 20.0, 40)
+    sign = 1.0 if side == "interior" else -1.0
+    return r, 0.3 + c * r ** (sign * epsilon) + noise * np.sin(7 * np.log(r))
+
+
+def _bits(fit):
+    return np.array(fit, dtype=float).tobytes()
+
+
+class TestLimitFit:
+    """The trust-region fit of N's limit against scipy's ``curve_fit``,
+    which it reproduces bit for bit: (gamma, eps) as float64 bytes."""
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        docs = [_ab_doc("interior", 0.3, 0.05, 0.5, 1, 600),
+                _ab_doc("exterior", 0.3, 0.05, 0.5, 1, 600),
+                _ab_doc("interior", 0.45, 0.08, 0.8, 2, 400),
+                _ab_doc("exterior", 0.25, 0.02, 0.6, 2, 400)]
+        traces = [Pipeline(scenario_from_dict(doc)).trace for doc in docs]
+        return [(tr.dense_r, tr.dense_N, tr.side) for tr in traces]
+
+    @staticmethod
+    def _reflections(monkeypatch) -> list:
+        """Record, for every step the fit selects, whether it is the
+        reflected one: neither the trust-region step, which is returned as
+        the very array it was given, nor a multiple of the gradient."""
+        taken, select = [], frequency._select_step
+
+        def spy(x, J_h, diag_h, g_h, p, p_h, *rest):
+            step, step_h, value = select(x, J_h, diag_h, g_h, p, p_h, *rest)
+            along_g = np.allclose(step_h / np.linalg.norm(step_h),
+                                  -g_h / np.linalg.norm(g_h), rtol=0, atol=1e-12)
+            taken.append(step_h is not p_h and not along_g)
+            return step, step_h, value
+
+        monkeypatch.setattr(frequency, "_select_step", spy)
+        return taken
+
+    def test_scenario_windows(self, windows):
+        for r_w, n_w, side in windows:
+            fit = frequency._fit_frequency_limit(r_w, n_w, side)
+            assert np.isfinite(fit).all()
+            assert _bits(fit) == _bits(fit_frequency_limit(r_w, n_w, side))
+
+    def test_ulp_perturbed_windows(self, windows):
+        rng = np.random.default_rng(27)
+        for r_w, n_w, side in windows:
+            for _ in range(3):
+                noisy = n_w + rng.integers(-3, 4, n_w.size) * np.spacing(n_w)
+                assert _bits(frequency._fit_frequency_limit(r_w, noisy, side)) == \
+                    _bits(fit_frequency_limit(r_w, noisy, side))
+
+    # on the wiggled tails the fit steps on after a Jacobian taken next to a
+    # bound, its step turned back into the box, or the layout of V matters
+    @pytest.mark.parametrize("side, epsilon, c, noise", [
+        ("interior", 1e-3, 0.05, 0), ("exterior", 1e-3, -0.05, 0), ("interior", 1.2e-3, 0.5, 0),
+        ("exterior", 1.2e-3, 0.5, 0), ("interior", 12.0, 0.5, 0), ("exterior", 12.0, -0.5, 0),
+        ("interior", 12.0, -0.05, 0), ("exterior", 12.0, 0.05, 0),
+        ("interior", 13.0, -0.5, 1e-7), ("exterior", 13.0, 0.5, 1e-9),
+        ("interior", 1e-3, 0.5, 1e-9), ("exterior", 1e-3, 0.5, 1e-9),
+    ])
+    def test_tails_at_the_bounds_of_eps(self, monkeypatch, side, epsilon, c, noise):
+        r, n = _tail(side, epsilon, c, noise)
+        taken = self._reflections(monkeypatch)
+        fit = frequency._fit_frequency_limit(r, n, side)
+        assert _bits(fit) == _bits(fit_frequency_limit(r, n, side))
+        assert 1e-3 < fit[1] < 10.0 and any(taken)
+
+    @pytest.mark.parametrize("side, epsilon, c, gamma, eps", [
+        ("interior", 1.2e-3, 0.5, "0x1.33333332fab42p-2", "0x1.3a92a30530745p-10"),
+        ("exterior", 1.2e-3, -0.5, "0x1.332f9812b737ap-2", "0x1.3a94db525584cp-10"),
+        ("interior", 12.0, 0.5, "0x1.33330db164f26p-2", "0x1.3fffffffffffdp+3"),
+        ("exterior", 12.0, -0.5, "0x1.333358b5063fcp-2", "0x1.3fffffffffffdp+3"),
+    ])
+    def test_pinned_values(self, side, epsilon, c, gamma, eps):
+        # the library's own results, whatever scipy the tests run with
+        fit = frequency._fit_frequency_limit(*_tail(side, epsilon, c), side)
+        assert fit == (float.fromhex(gamma), float.fromhex(eps))
+
+    def test_flat_window_fits_nothing(self, monkeypatch):
+        monkeypatch.setattr(frequency, "_least_squares", None)
+        r = np.geomspace(1e-5, 1e-4, 20)
+        gamma, eps = frequency._fit_frequency_limit(r, np.full(20, 0.3), "interior")
+        assert gamma == 0.3 and np.isnan(eps)
+
+    def test_running_out_of_evaluations(self, monkeypatch, windows):
+        r_w, n_w, side = windows[0]
+        with pytest.raises(RuntimeError, match="maximum number of function evaluations"):
+            fit_frequency_limit(r_w, n_w, side, maxfev=5)
+        monkeypatch.setattr(frequency, "_MAX_NFEV", 5)
+        with pytest.raises(NumericalFailureError, match="frequency limit fit failed: .*"
+                                                        "maximum number of function evaluations"):
+            frequency._fit_frequency_limit(r_w, n_w, side)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window(self, windows, bad):
+        r_w, n_w, side = windows[0]
+        n_w = n_w.copy()
+        n_w[3] = bad
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            frequency._fit_frequency_limit(r_w, n_w, side)
+        r_w = r_w.copy()
+        r_w[3] = bad
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            frequency._fit_frequency_limit(r_w, windows[0][1], side)

@@ -103,6 +103,38 @@ class TestParsing:
         with pytest.raises(ScenarioValidationError, match="unknown check"):
             scenario_from_dict(minimal_doc(checks={"bogus": True}))
 
+    @pytest.mark.parametrize("over, name, near", [
+        ({"grid": {"node": 300}}, "grid.node", "nodes"),
+        ({"eigencount": 4}, "eigencount", "eigen_count"),
+        ({"perturbaton": {"amplitude": 0.05, "epsilon": 0.5}}, "perturbaton", "perturbation"),
+        ({"potential": {"kind": "aharonov_bohm", "alhpa": 0.3}}, "potential.alhpa", "alpha"),
+        ({"boundary": {"value": {"1": 1.0}}}, "boundary.value", "values"),
+        ({"perturbation": {"amplitude": 0.05, "epsilom": 0.5}}, "perturbation.epsilom",
+         "epsilon"),
+    ])
+    def test_unknown_entry_named_with_the_nearest_key(self, over, name, near):
+        with pytest.raises(ScenarioValidationError) as info:
+            scenario_from_dict(minimal_doc(**over))
+        assert str(info.value) == f"unknown entry {name!r}; did you mean {near!r}?"
+
+    def test_entries_are_known_per_potential_kind(self):
+        dipole = {"kind": "dipole", "strength": 1.0, "lam": 1.0, "axis": [0, 0, 1],
+                  "dimension": 3}
+        scenario_from_dict({"potential": dipole})
+        with pytest.raises(ScenarioValidationError, match="unknown entry 'potential.alpha'"):
+            scenario_from_dict({"potential": {**dipole, "alpha": 0.3}})
+        with pytest.raises(ScenarioValidationError, match="unknown entry 'potential.axis'"):
+            scenario_from_dict(minimal_doc(potential={"kind": "aharonov_bohm", "axis": [0, 0, 1]}))
+        with pytest.raises(ScenarioValidationError, match="^unknown entry 'zzz'$"):
+            scenario_from_dict(minimal_doc(zzz=1))
+
+    def test_misspelt_perturbation_exits_2(self, tmp_path):
+        # it used to run the unperturbed problem and report pass
+        proc = run_cli(tmp_path, minimal_doc(perturbaton={"amplitude": 0.05}))
+        assert proc.returncode == 2
+        assert proc.stderr == ("emlab: unknown entry 'perturbaton'; "
+                               "did you mean 'perturbation'?\n")
+
     def test_complex_boundary_value(self):
         scn = scenario_from_dict(minimal_doc(
             boundary={"radius": 1.0, "values": {"1": [0.0, 2.0]}}
@@ -794,43 +826,31 @@ def run_cli(tmp_path, doc, command="run"):
                           capture_output=True, text=True, env=source_env(), timeout=120)
 
 
-def test_shipped_runs_import_no_scipy_integrate():
-    # radial quadrature is emlab's own (grids._cumulative_simpson)
-    code = ("import sys, emlab\n"
-            f"for path in {sorted(str(p) for p in SCENARIOS.glob('*.json'))!r}:\n"
-            "    emlab.run_scenario(emlab.parse_scenario(path))\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=source_env(), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_scipy_optimize_loads_with_the_first_limit_fit():
-    # emlab runs on numpy alone, except that curve_fit is imported by the fit
-    # of N's limit: importing emlab, a run without a frequency block and the
-    # spectrum subcommand load no scipy module; ab_basic, which fits, loads
-    # scipy.optimize
-    verify_only, ab_basic, dipole = (str(SCENARIOS / f"{name}.json")
-                                     for name in ("verify_only", "ab_basic", "dipole"))
-    code = ("import contextlib, io, sys, emlab\n"
+def test_shipped_scenarios_run_without_scipy():
+    # emlab runs on numpy alone: with every scipy import refused, each shipped
+    # scenario runs to a pass and every CLI subcommand exits 0 on it, and no
+    # scipy module is loaded
+    paths = sorted(str(p) for p in SCENARIOS.glob("*.json"))
+    code = ("import contextlib, io, sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'no scipy here: {name}')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "import emlab\n"
             "from emlab.cli import main\n"
-            "def scipy():\n"
-            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "seen = [scipy()]\n"
-            f"emlab.run_scenario(emlab.parse_scenario({verify_only!r}))\n"
-            "seen.append(scipy())\n"
-            f"for path in ({ab_basic!r}, {dipole!r}):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        main(['--config', path, 'spectrum'])\n"
-            "    seen.append(scipy())\n"
-            f"emlab.run_scenario(emlab.parse_scenario({ab_basic!r}))\n"
-            "seen.append('scipy.optimize' in sys.modules)\n"
-            "print(seen)\n")
+            "codes = []\n"
+            f"for path in {paths!r}:\n"
+            "    assert emlab.run_scenario(emlab.parse_scenario(path))['status'] == 'pass', path\n"
+            "    for command in ('run', 'verify', 'spectrum', 'solve', 'frequency',\n"
+            "                    'asymptotics', 'kelvin'):\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            codes.append(main(['--config', path, command]))\n"
+            "print(codes.count(0), len(codes), [m for m in sys.modules if m.startswith('scipy')])\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=source_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[[], [], [], [], True]"
+    assert proc.stdout.strip() == f"{7 * len(paths)} {7 * len(paths)} []"
 
 
 def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
