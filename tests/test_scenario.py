@@ -826,6 +826,18 @@ def run_cli(tmp_path, doc, command="run"):
                           capture_output=True, text=True, env=source_env(), timeout=120)
 
 
+def test_shipped_runs_import_no_scipy_integrate():
+    # radial quadrature is emlab's own (grids._cumulative_simpson)
+    code = ("import sys, emlab\n"
+            f"for path in {sorted(str(p) for p in SCENARIOS.glob('*.json'))!r}:\n"
+            "    emlab.run_scenario(emlab.parse_scenario(path))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=source_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_shipped_scenarios_run_without_scipy():
     # emlab runs on numpy alone: with every scipy import refused, each shipped
     # scenario runs to a pass and every CLI subcommand exits 0 on it, and no
