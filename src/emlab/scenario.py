@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -126,36 +128,69 @@ class Scenario:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "potential": self.potential,
-            "perturbation": self.perturbation,
-            "side": self.side,
-            "boundary": {
-                "radius": self.boundary_radius,
-                "values": {
-                    str(k): [v.real, v.imag] for k, v in
-                    sorted(self.boundary_values.items())
-                },
-            },
-            "grid": {
-                "nodes": self.grid_nodes,
-                "rmin_ratio": self.rmin_ratio,
-                "exterior_span": self.exterior_span,
-            },
-            "eigen_count": self.eigen_count,
-            "truncation": self.truncation,
-            "radii": [float(v) for v in self.radii],
-            "checks": dict(sorted(self.checks.items())),
-            "sweep_count": self.sweep_count,
-            "seed": self.seed,
-        }
+        """The scenario as a document: the field of each entry at its path."""
+        doc = {}
+        for e in ENTRIES.values():
+            if e.field is not None:  # at the top level or in one object
+                parent, _, key = e.path.rpartition(".")
+                node = doc.setdefault(parent, {}) if parent else doc
+                node[key] = getattr(self, e.field)
+        doc["boundary"]["values"] = {str(k): [v.real, v.imag]
+                                     for k, v in self.boundary_values.items()}
+        doc["radii"] = [float(v) for v in self.radii]
+        return doc
 
 
-def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+#: one entry of a scenario document: its path, its JSON type (see ``_typed``),
+#: the ``Scenario`` field it fills, its default (REQUIRED if a document must
+#: give it), its rule (a test of the read value and the words that end "<path>
+#: must ...") and, for a potential entry, the kinds that take it
+Entry = namedtuple("Entry", "path type field default rule kinds", defaults=(None, None, (), ()))
+REQUIRED = "required"
+
+#: the scenario document, each object before its entries; a potential entry
+#: with no default takes ``build_potential``'s, and ``scenario_from_dict``
+#: checks the rules that tie entries together
+ENTRIES = {e.path: e for e in (
+    Entry("dimension", "integer", "dimension"),
+    Entry("potential", "object", "potential", REQUIRED),
+    Entry("potential.kind", "string", None, REQUIRED,
+          (("aharonov_bohm", "fourier", "dipole").__contains__,
+           "be 'aharonov_bohm', 'fourier' or 'dipole'")),
+    Entry("potential.alpha", "number", kinds=("aharonov_bohm",)),
+    Entry("potential.a0", "number", kinds=("aharonov_bohm",)),
+    Entry("potential.magnetic", "coefficients", kinds=("fourier",)),
+    Entry("potential.electric", "coefficients", kinds=("fourier",)),
+    Entry("potential.strength", "number", kinds=("dipole",)),
+    Entry("potential.lam", "number", kinds=("dipole",)),
+    Entry("potential.axis", "numbers", kinds=("dipole",)),
+    Entry("potential.dimension", "integer", kinds=("fourier", "dipole")),
+    Entry("perturbation", "object or null", "perturbation"),
+    Entry("perturbation.amplitude", "complex", default=PerturbationSpec.amplitude),
+    Entry("perturbation.epsilon", "number", default=PerturbationSpec.epsilon),
+    Entry("perturbation.angular", "coefficients or null"),
+    Entry("perturbation.side", "string"),
+    Entry("side", "string", "side", "interior",
+          (("interior", "exterior").__contains__, "be 'interior' or 'exterior'")),
+    Entry("boundary", "object", default={}),
+    Entry("boundary.radius", "number", "boundary_radius", 1.0, (lambda v: v > 0, "be positive")),
+    Entry("boundary.values", "modes", "boundary_values", {"1": 1.0},
+          (lambda v: any(v.values()), "give a mode a nonzero value")),
+    Entry("grid", "object", default={}),
+    Entry("grid.nodes", "integer", "grid_nodes", grids.DEFAULT_RADIAL_NODES,
+          (lambda v: v >= 100, "be >= 100")),
+    Entry("grid.rmin_ratio", "number", "rmin_ratio", grids.DEFAULT_RMIN_RATIO,
+          (lambda v: 0 < v < 1, "lie in (0, 1)")),
+    Entry("grid.exterior_span", "number", "exterior_span", 1e8, (lambda v: v > 1, "exceed 1")),
+    Entry("eigen_count", "integer", "eigen_count", 8, (lambda v: v >= 1, "be >= 1")),
+    Entry("truncation", "integer or null", "truncation", None, (lambda v: v >= 1, "be >= 1")),
+    Entry("radii", "numbers or null", "radii", None, (len, "be non-empty")),
+    Entry("checks", "toggles", "checks", DEFAULT_CHECKS),
+    Entry("sweep_count", "integer", "sweep_count", 50, (lambda v: v >= 1, "be >= 1")),
+    Entry("seed", "integer", "seed", 42, (lambda v: v >= 0, "be >= 0")),
+)}
+#: the entries of a coefficient object, by type
+COEFFICIENTS = {"mean": "number", "cos": "numbers", "sin": "numbers"}
 
 
 def _validate(cond: bool, message: str) -> None:
@@ -163,82 +198,98 @@ def _validate(cond: bool, message: str) -> None:
         raise ScenarioValidationError(message)
 
 
-def _number(value, what: str, kind=float):
-    """``kind(value)``, or a validation error naming the entry; an integer
-    entry takes no fractional part."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, IndexError, OverflowError):
-        raise ScenarioValidationError(f"{what} must be a number, got {value!r}") from None
-    _validate(kind is not int or not isinstance(value, float) or value.is_integer(),
-              f"{what} must be an integer, got {value!r}")
-    return number
+def _must(cond: bool, what: str, words: str, value) -> None:
+    """Unless ``cond``, reject ``what``: "<what> must <words>, got <value>"."""
+    if not cond:
+        raise ScenarioValidationError(f"{what} must {words}, got {value!r}")
 
 
-def _check_json_types(doc: dict) -> None:
-    """A JSON boolean is a check toggle and nothing else: no number, list
-    or string entry takes one.  A JSON string is a name, which only
-    potential.kind, side and perturbation.side take: a number given as a
-    string is rejected, not read."""
-    stack = [(v, k) for k, v in doc.items() if k != "checks"]
-    while stack:
-        value, what = stack.pop()
-        _validate(not isinstance(value, bool), f"{what} must not be a boolean")
-        _validate(not isinstance(value, str)
-                  or what in ("potential.kind", "side", "perturbation.side"),
-                  f"{what} must not be a string, got {value!r}")
-        if isinstance(value, dict):
-            stack += [(v, f"{what}.{k}") for k, v in value.items()]
-        elif isinstance(value, list):
-            stack += [(v, f"{what}[{i}]") for i, v in enumerate(value)]
-
-
-#: the entries each object of a scenario document takes, a potential's by
-#: its kind; the check toggles and the boundary values have rules of their own
-ENTRIES = {
-    "": ("dimension", "potential", "perturbation", "side", "boundary", "grid",
-         "eigen_count", "truncation", "radii", "checks", "sweep_count", "seed"),
-    "perturbation": ("amplitude", "epsilon", "angular", "side"),
-    "boundary": ("radius", "values"),
-    "grid": ("nodes", "rmin_ratio", "exterior_span"),
-    "potential.aharonov_bohm": ("kind", "alpha", "a0"),
-    "potential.fourier": ("kind", "magnetic", "electric", "dimension"),
-    "potential.dipole": ("kind", "strength", "lam", "axis", "dimension"),
-}
-
-
-def _check_entries(doc: dict) -> None:
-    """Reject an entry the parser would not read, by name, with the nearest
-    known one: a misspelt entry would otherwise run with its default."""
-    pot = doc.get("potential")
-    kind = pot.get("kind") if isinstance(pot, dict) else None
-    for path, known in ENTRIES.items():
-        where = path.split(".")[0]
-        obj = doc.get(where) if where else doc
-        if not isinstance(obj, dict) or (where == "potential" and path != f"potential.{kind}"):
-            continue
-        for key in (k for k in obj if k not in known):
-            import difflib  # on a bad document only: a valid run need not load it
-            name = f"{where}.{key}" if where else key
-            near = difflib.get_close_matches(str(key), known, n=1)
-            raise ScenarioValidationError(f"unknown entry {name!r}"
-                                          + (f"; did you mean {near[0]!r}?" if near else ""))
-
-
-def _object(value, what: str) -> dict:
-    """``value``, or a validation error naming the entry if it is not a
-    JSON object."""
-    _validate(isinstance(value, dict), f"{what} must be a JSON object, got {value!r}")
+def _typed(value, what: str, type: str):
+    """``value`` read as an entry of ``type``, or an error naming ``what``: a
+    "number" is finite, an "integer" has no fractional part, a "complex" is a
+    number or a [re, im] pair, "coefficients" a number, a list of complex or
+    an object of COEFFICIENTS.  Only a check toggle takes a JSON boolean, and
+    only a name a JSON string: a number given as a string is not read."""
+    if value is None and type.endswith(" or null"):
+        return None
+    type = type.removesuffix(" or null")
+    _must(not isinstance(value, bool), what, "not be a boolean", value)
+    _must(isinstance(value, str) == (type == "string"), what,
+          "be a string" if type == "string" else "not be a string", value)
+    if type in ("number", "integer"):
+        _must(isinstance(value, (int, float)), what, "be a number", value)
+        _must(type == "number" or isinstance(value, int) or value.is_integer(),
+              what, "be an integer", value)
+        _must(type == "integer" or abs(value) <= sys.float_info.max, what, "be finite", value)
+        return int(value) if type == "integer" else float(value)
+    if type == "complex" and isinstance(value, list):
+        _must(len(value) == 2, what, "be a number or a [re, im] pair", value)
+        return complex(*(_typed(v, f"{what}[{i}]", "number") for i, v in enumerate(value)))
+    if type == "complex":
+        return complex(_typed(value, what, "number"))
+    if type == "numbers":
+        _must(isinstance(value, list), what, "be a list of numbers", value)
+        return [_typed(v, f"{what}[{i}]", "number") for i, v in enumerate(value)]
+    if type == "coefficients" and isinstance(value, dict):
+        _check_keys(value, what, COEFFICIENTS)
+        for key, v in value.items():
+            _typed(v, f"{what}.{key}", COEFFICIENTS[key])
+    elif type == "coefficients":  # a number, or a list of complex
+        for i, v in enumerate(value if isinstance(value, list) else [value]):
+            _typed(v, f"{what}[{i}]" if isinstance(value, list) else what, "complex")
+    if type in ("object", "modes", "toggles"):
+        _must(isinstance(value, dict), what, "be a JSON object", value)
+    if type == "modes":
+        return {key: _typed(v, f"{what}.{key}", "complex") for key, v in value.items()}
+    if type == "toggles":
+        for name, toggle in value.items():
+            _validate(name in DEFAULT_CHECKS,
+                      f"unknown check toggle {name!r}; valid: {sorted(DEFAULT_CHECKS)}")
+            _must(isinstance(toggle, bool), f"{what}.{name}", "be true or false", toggle)
+        return {**DEFAULT_CHECKS, **value}
     return value
 
 
+def _check_keys(obj: dict, where: str, known) -> None:
+    """Reject an entry of ``obj`` the table does not hold, by name, with the
+    nearest known one: a misspelt entry would otherwise run with its default."""
+    for key in (k for k in obj if k not in known):
+        name = f"{where}.{key}" if where else key
+        _typed(obj[key], name, "unknown")  # a boolean or a string is named as such
+        import difflib  # on a bad document only: a valid run need not load it
+        near = difflib.get_close_matches(str(key), known, n=1)
+        raise ScenarioValidationError(f"unknown entry {name!r}"
+                                      + (f"; did you mean {near[0]!r}?" if near else ""))
+
+
+def _read(doc: dict) -> dict:
+    """Read a document by ENTRIES in table order: path -> typed value, an
+    absent entry at its default.  The potential's kind, read first, picks its
+    entries, and an object's unknown entries are rejected after all of them."""
+    read, known = {"": doc}, {}
+    for e in ENTRIES.values():
+        parent, _, key = e.path.rpartition(".")
+        obj = read.get(parent)
+        if not isinstance(obj, dict) or e.kinds and read["potential.kind"] not in e.kinds:
+            continue
+        known.setdefault(parent, []).append(key)
+        _validate(key in obj or e.default is not REQUIRED, f"{e.path} is required")
+        value = obj.get(key, e.default)
+        typed = None if value is None and key not in obj else _typed(value, e.path, e.type)
+        if e.rule and typed is not None:
+            _must(e.rule[0](typed), e.path, e.rule[1], value)
+        read[e.path] = typed
+    for where, keys in known.items():
+        _check_keys(read[where], where, keys)
+    return read
+
+
 def _perturbation(desc: dict) -> PerturbationSpec:
-    """The spec of a perturbation entry; its errors name the entry."""
-    amplitude = _number(desc.get("amplitude", 0.0), "perturbation.amplitude", _as_complex)
-    epsilon = _number(desc.get("epsilon", 0.5), "perturbation.epsilon")
+    """The spec of a perturbation entry, read by ENTRIES; errors name the entry."""
     try:
-        return PerturbationSpec(amplitude=amplitude, epsilon=epsilon,
-                                angular=desc.get("angular"), side=desc.get("side", "interior"))
+        return PerturbationSpec(**{key: _typed(v, f"perturbation.{key}",
+                                               ENTRIES[f"perturbation.{key}"].type)
+                                   for key, v in desc.items()})
     except ValueError as exc:
         raise ScenarioValidationError(f"perturbation.{exc}") from None
 
@@ -272,144 +323,74 @@ def _asymptotics_radii(side: str, R: float):
     return 2 * R, np.geomspace(1e2 * R, 1e4 * R, 8)
 
 
+def _budget(nbytes: int, what: str) -> None:
+    """Reject a scenario whose ``what`` takes ``nbytes`` over the budget."""
+    _validate(nbytes <= NODAL_ARRAY_BUDGET, f"{what} {nbytes / 2**20:.0f} MiB, over the "
+                                            f"budget of {NODAL_ARRAY_BUDGET >> 20} MiB")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Validate a scenario document and fill defaults."""
-    _validate(isinstance(doc, dict), "scenario must be a JSON object")
-    _check_json_types(doc)
-    _check_entries(doc)
-    pot_desc = doc.get("potential")
-    _validate(isinstance(pot_desc, dict), "scenario needs a potential descriptor")
-    dimension = _number(doc.get("dimension", 3 if pot_desc.get("kind") == "dipole" else 2),
-                        "dimension", int)
-    if pot_desc.get("kind") == "dipole":
-        _validate(dimension == 3, "dipole potentials require dimension 3")
-    else:
-        _validate(dimension == 2, f"potential kind {pot_desc.get('kind')!r} requires dimension 2")
-    for key in ("alpha", "a0", "strength", "lam"):
-        if key in pot_desc:
-            _validate(np.isfinite(_number(pot_desc[key], f"potential.{key}")),
-                      f"potential.{key} must be finite")
+    """Validate a scenario document by ENTRIES, then by the rules that tie
+    its entries together, and fill defaults."""
+    read = _read(_typed(doc, "scenario", "object"))
+    kind, side, R = read["potential.kind"], read["side"], read["boundary.radius"]
+    dimension = 3 if kind == "dipole" else 2
+    _validate(read["dimension"] in (None, dimension),
+              f"potential kind {kind!r} requires dimension {dimension}")
     try:
-        pot = build_potential(pot_desc)
+        pot = build_potential(read["potential"])
     except (TypeError, ValueError, OverflowError, EmlabError) as exc:
         raise ScenarioValidationError(f"potential: {exc}") from None
 
-    pert = doc.get("perturbation")
-    side = doc.get("side", "interior")
-    _validate(side in ("interior", "exterior"), f"unknown side {side!r}")
+    pert = read["perturbation"]
     if pert is not None:
-        pert = {"side": side, **_object(pert, "perturbation")}
+        pert = {"side": side, **pert}
         _validate(dimension == 2 or pert.get("angular") is None,
                   "perturbation.angular: trig angular factors are circle-only")
     amplitude = 0 if pert is None else _perturbation(pert).amplitude
     _validate(pert is None or pert["side"] == side, "perturbation.side must be the scenario side")
 
-    boundary = _object(doc.get("boundary", {}), "boundary")
-    R = _number(boundary.get("radius", 1.0), "boundary radius")
-    _validate(np.isfinite(R) and R > 0, "boundary radius must be positive")
-    eigen_count = _number(doc.get("eigen_count", 8), "eigen_count", int)
-    _validate(eigen_count >= 1, "eigen_count must be >= 1")
-    truncation = doc.get("truncation")
-    T = DEFAULT_TRUNCATION_CIRCLE if dimension == 2 else DEFAULT_TRUNCATION_SPHERE
-    if truncation is not None:
-        truncation = T = _number(truncation, "truncation", int)
-        _validate(truncation >= 1, "truncation must be >= 1")
-    else:  # an explicit basis is checked at run time, after the aliasing guard
-        size = 2 * T + 1 if dimension == 2 else (T + 1) ** 2
-        _validate(eigen_count <= size, f"eigen_count {eigen_count} exceeds the {size} "
-                                       f"functions of the default angular basis")
-    values = {}
-    for key, val in _object(boundary.get("values", {"1": 1.0}), "boundary.values").items():
-        k = _number(key, "boundary mode", int)
-        _validate(1 <= k <= eigen_count,
-                  f"boundary mode {k} outside the requested {eigen_count} eigenvalues")
-        values[k] = _number(val, f"boundary value of mode {k}", _as_complex)
-    _validate(any(v != 0 for v in values.values()),
-              "boundary values must give at least one mode a nonzero value")
-    _validate(all(np.isfinite([v.real, v.imag]).all() for v in values.values()),
-              "boundary values must be finite")
+    eigen_count, truncation = read["eigen_count"], read["truncation"]
+    T = truncation or (DEFAULT_TRUNCATION_CIRCLE if dimension == 2 else DEFAULT_TRUNCATION_SPHERE)
+    size = 2 * T + 1 if dimension == 2 else (T + 1) ** 2
+    # an explicit basis is checked at run time, after the aliasing guard
+    _validate(truncation is not None or eigen_count <= size,
+              f"eigen_count {eigen_count} exceeds the {size} functions of the default basis")
+    for key in read["boundary.values"]:
+        # a mode is written as its number: "01", "+1" or "1_0" name none
+        k = int(key) if str(key).isdecimal() and len(str(key)) <= len(str(eigen_count)) else 0
+        _validate(str(k) == key and 1 <= k <= eigen_count, f"boundary.values: mode {key!r} is "
+                  f"outside the requested modes '1'..'{eigen_count}'")
+    values = {int(k): v for k, v in read["boundary.values"].items()}
 
-    grid = _object(doc.get("grid", {}), "grid")
-    nodes = _number(grid.get("nodes", grids.DEFAULT_RADIAL_NODES), "grid.nodes", int)
-    _validate(nodes >= 100, "radial grid needs at least 100 nodes")
-    rmin_ratio = _number(grid.get("rmin_ratio", grids.DEFAULT_RMIN_RATIO), "grid.rmin_ratio")
-    _validate(0 < rmin_ratio < 1, "rmin_ratio must lie in (0, 1)")
-    span = _number(grid.get("exterior_span", 1e8), "grid.exterior_span")
-    _validate(1 < span < np.inf, "exterior_span must be finite and exceed 1")
-    n_angular = angular_node_count(dimension, T)
-    nodal = nodes * n_angular * 16
-    _validate(nodal <= NODAL_ARRAY_BUDGET,
-              f"a nodal array on {nodes} radial x {n_angular} angular nodes (truncation {T}) "
-              f"takes {nodal / 2**20:.0f} MiB, over the budget of "
-              f"{NODAL_ARRAY_BUDGET >> 20} MiB")
-    dense = dense_matrix_bytes(pot, T)
-    _validate(dense <= NODAL_ARRAY_BUDGET,
-              f"the largest dense matrix of the angular spectrum at truncation {T} "
-              f"takes {dense / 2**20:.0f} MiB, over the budget of "
-              f"{NODAL_ARRAY_BUDGET >> 20} MiB")
-    tables = basis_table_bytes(dimension, T)
-    _validate(tables <= NODAL_ARRAY_BUDGET,
-              f"the angular basis tables at truncation {T} take "
-              f"{tables / 2**20:.0f} MiB, over the budget of "
-              f"{NODAL_ARRAY_BUDGET >> 20} MiB")
+    nodes, n_angular = read["grid.nodes"], angular_node_count(dimension, T)
+    _budget(nodes * n_angular * 16, f"a nodal array on {nodes} radial x {n_angular} angular "
+                                    f"nodes (truncation {T}) takes")
+    _budget(dense_matrix_bytes(pot, T),
+            f"the largest dense matrix of the angular spectrum at truncation {T} takes")
+    _budget(basis_table_bytes(dimension, T), f"the angular basis tables at truncation {T} take")
+    _budget(sweep_batch_bytes(dimension, read["sweep_count"]),
+            f"a sweep of {read['sweep_count']} test functions takes")
 
-    radii = doc.get("radii")
-    if radii is None:
-        if side == "interior":
-            radii = np.geomspace(1e-5 * R, 0.5 * R, 20)
-        else:
-            radii = np.geomspace(2 * R, 1e6 * R, 20)
-    else:
-        _validate(isinstance(radii, list) and len(radii) > 0,
-                  "radii must be a non-empty list of numbers")
-        radii = np.asarray([_number(v, "each radius") for v in radii], dtype=float)
-    lo, hi = _radial_bounds(side, R, rmin_ratio, span)
+    lo, hi = _radial_bounds(side, R, read["grid.rmin_ratio"], read["grid.exterior_span"])
     _validate(0 < lo and hi < np.inf, f"radial grid [{lo:g}, {hi:g}] must be positive and finite")
+    ends = (1e-5 * R, 0.5 * R) if side == "interior" else (2 * R, 1e6 * R)
+    with np.errstate(invalid="ignore"):  # an end that overflows fails the grid check below
+        radii = np.asarray(np.geomspace(*ends, 20) if read["radii"] is None else read["radii"],
+                           dtype=float)
     if not np.all(np.isfinite(radii) & (radii >= lo) & (radii <= hi)):
-        raise ScenarioValidationError(
-            f"trace radii {radii.min():g}..{radii.max():g} must be finite and lie "
-            f"on the radial grid [{lo:g}, {hi:g}]")
-
-    checks = dict(DEFAULT_CHECKS)
-    for name, toggle in _object(doc.get("checks", {}), "checks").items():
-        _validate(name in DEFAULT_CHECKS,
-                  f"unknown check toggle {name!r}; valid: {sorted(DEFAULT_CHECKS)}")
-        _validate(isinstance(toggle, bool), f"checks.{name} must be true or false, "
-                                            f"got {toggle!r}")
-        checks[name] = toggle
-    if checks["asymptotics"]:
+        raise ScenarioValidationError(f"trace radii {radii.min():g}..{radii.max():g} must be "
+                                      f"finite and lie on the radial grid [{lo:g}, {hi:g}]")
+    if read["checks"]["asymptotics"]:
         second, blowup = _asymptotics_radii(side, R)
-        read = np.append(second, blowup if amplitude != 0 else [])
-        outside = read[(read < lo) | (read > hi)]
+        read_at = np.append(second, blowup if amplitude != 0 else [])
+        outside = read_at[(read_at < lo) | (read_at > hi)]
         _validate(outside.size == 0,
                   f"the asymptotics check reads radii {', '.join(f'{v:g}' for v in outside)}"
                   f" outside the radial grid [{lo:g}, {hi:g}]")
-
-    sweep_count = _number(doc.get("sweep_count", 50), "sweep_count", int)
-    _validate(sweep_count >= 1, "sweep_count must be >= 1")
-    batch = sweep_batch_bytes(dimension, sweep_count)
-    _validate(batch <= NODAL_ARRAY_BUDGET,
-              f"a sweep of {sweep_count} test functions takes {batch / 2**20:.0f} MiB, "
-              f"over the budget of {NODAL_ARRAY_BUDGET >> 20} MiB")
-    seed = _number(doc.get("seed", 42), "seed", int)
-    _validate(seed >= 0, "seed must be >= 0")
-    return Scenario(
-        dimension=dimension,
-        potential=pot_desc,
-        perturbation=pert,
-        side=side,
-        boundary_radius=R,
-        boundary_values=values,
-        grid_nodes=nodes,
-        rmin_ratio=rmin_ratio,
-        exterior_span=span,
-        eigen_count=eigen_count,
-        truncation=truncation,
-        radii=radii,
-        checks=checks,
-        sweep_count=sweep_count,
-        seed=seed,
-    )
+    fields = {e.field: read[e.path] for e in ENTRIES.values() if e.field is not None}
+    return Scenario(**{**fields, "dimension": dimension, "perturbation": pert,
+                       "boundary_values": values, "radii": radii})
 
 
 def parse_scenario(path) -> Scenario:
@@ -425,8 +406,7 @@ def parse_scenario(path) -> Scenario:
 
 
 def scenario_hash(scn: Scenario) -> str:
-    blob = json.dumps(scn.to_json(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(json.dumps(scn.to_json(), sort_keys=True).encode()).hexdigest()
 
 
 class Pipeline:
@@ -495,10 +475,8 @@ class Pipeline:
 
 
 def _check(name: str, value: float, tol: float, ok=None) -> dict:
-    if ok is None:
-        ok = bool(abs(value) <= tol)
-    return {"name": name, "value": float(value), "tolerance": float(tol),
-            "pass": bool(ok)}
+    ok = abs(value) <= tol if ok is None else ok
+    return {"name": name, "value": float(value), "tolerance": float(tol), "pass": bool(ok)}
 
 
 def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
@@ -627,10 +605,7 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
 def run_scenario(scn: Scenario, out_dir=None, tol_scale: float = 1.0,
                  seed: int | None = None) -> dict:
     """Execute the spectrum and every check block the scenario enables."""
-    names = {"spectrum"}
-    for toggle, enabled in scn.checks.items():
-        if enabled:
-            names.update(TOGGLE_BLOCKS[toggle])
+    names = {"spectrum"}.union(*(TOGGLE_BLOCKS[t] for t, on in scn.checks.items() if on))
     return _execute(scn, names, out_dir, tol_scale, seed)
 
 
@@ -639,13 +614,9 @@ def verify_suite(scn: Scenario, names=None, out_dir=None,
     """Run only the named verification checks (default: all of them), in
     pipeline order whatever order they are named in."""
     names = set(VERIFY_CHECKS if names is None else names)
-    if not names:
-        raise ScenarioValidationError(f"no check named; valid: {list(VERIFY_CHECKS)}")
+    _validate(names, f"no check named; valid: {list(VERIFY_CHECKS)}")
     unknown = sorted(names - set(VERIFY_CHECKS))
-    if unknown:
-        raise ScenarioValidationError(
-            f"unknown check name(s) {unknown}; valid: {list(VERIFY_CHECKS)}"
-        )
+    _validate(not unknown, f"unknown check name(s) {unknown}; valid: {list(VERIFY_CHECKS)}")
     return _execute(scn, names, out_dir, tol_scale, seed)
 
 

@@ -94,10 +94,13 @@ class TestParsing:
             parse_scenario(bad)
 
     def test_mode_index_out_of_range(self):
-        with pytest.raises(ScenarioValidationError, match="outside"):
-            scenario_from_dict(minimal_doc(
-                eigen_count=4, boundary={"radius": 1.0, "values": {"9": 1.0}}
-            ))
+        # a mode is written as its number, so two keys cannot name one mode
+        for mode in ("9", "1_0", " 2", "01", "+1"):
+            with pytest.raises(ScenarioValidationError, match="outside") as info:
+                scenario_from_dict(minimal_doc(
+                    eigen_count=4, boundary={"radius": 1.0, "values": {mode: 1.0}}
+                ))
+            assert str(info.value).startswith("boundary.values: ")
 
     def test_unknown_toggle(self):
         with pytest.raises(ScenarioValidationError, match="unknown check"):
@@ -111,6 +114,10 @@ class TestParsing:
         ({"boundary": {"value": {"1": 1.0}}}, "boundary.value", "values"),
         ({"perturbation": {"amplitude": 0.05, "epsilom": 0.5}}, "perturbation.epsilom",
          "epsilon"),
+        ({"potential": {"kind": "fourier", "magnetic": {"mean": 0.3, "coss": [0.5]}}},
+         "potential.magnetic.coss", "cos"),
+        ({"perturbation": {"amplitude": 0.05, "angular": {"coss": [1.0]}}},
+         "perturbation.angular.coss", "cos"),
     ])
     def test_unknown_entry_named_with_the_nearest_key(self, over, name, near):
         with pytest.raises(ScenarioValidationError) as info:
@@ -253,7 +260,9 @@ class TestParsing:
         ({"eigen_count": 2.7}, "eigen_count"), ({"truncation": 12.5}, "truncation"),
         ({"grid": {"nodes": 300.9}}, "grid.nodes"), ({"sweep_count": 3.5}, "sweep_count"),
         ({"seed": 1.5}, "seed"),
-    ], ids=["eigen_count", "truncation", "grid_nodes", "sweep_count", "seed"])
+        ({"potential": {"kind": "fourier", "dimension": 2.5}}, r"potential\.dimension"),
+    ], ids=["eigen_count", "truncation", "grid_nodes", "sweep_count", "seed",
+            "potential_dimension"])
     def test_integer_entries_take_no_fraction(self, over, named):
         with pytest.raises(ScenarioValidationError, match=rf"^{named} must be an integer"):
             scenario_from_dict(minimal_doc(**over))
@@ -906,12 +915,14 @@ def test_huge_dipole_axis_is_normalized_without_overflow(tmp_path):
     {"dimension": 3, "potential": {"kind": "dipole", "axis": ["0", "0", "1"]}},
     {"perturbation": {"amplitude": "0.05", "epsilon": 0.5}},
     {"radii": [0.1, "0.2"]},
+    # the last default trace radius, 1e6 R, overflows
+    {"side": "exterior", "boundary": {"radius": 1e303}, "grid": {"exterior_span": 2}},
 ], ids=["sweep_count", "eigen_count", "alpha", "nodes", "seed", "radii",
         "default_radii_inside", "default_radii_outside", "boundary", "grid", "checks",
         "boundary_values", "perturbation_angular", "empty_radii", "fourier_magnetic",
         "dipole_axis", "amplitude_nan", "amplitude_infinity", "circle_basis_tables",
         "alpha_string", "nodes_string", "seed_string", "boundary_value_string",
-        "axis_strings", "amplitude_string", "radius_string"])
+        "axis_strings", "amplitude_string", "radius_string", "default_radii_overflow"])
 def test_malformed_scenario_exits_2_with_a_message(tmp_path, over):
     proc = run_cli(tmp_path, minimal_doc(**over))
     assert proc.returncode == 2, proc.stderr
@@ -988,12 +999,14 @@ def test_unreadable_scenario_file_exits_2_with_a_message(tmp_path, content):
 
 
 SHIPPED = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
-#: entries of a scenario document, as key paths, that mutations replace or drop
-PATHS = [(k,) for k in sorted({k for d in SHIPPED for k in d} | {"radii", "truncation", "grid"})]
-PATHS += [("potential", k) for k in ("kind", "alpha", "a0", "strength", "axis")]
-PATHS += [("perturbation", k) for k in ("amplitude", "epsilon", "side", "angular")]
-PATHS += [("boundary", "radius"), ("boundary", "values"), ("boundary", "values", "1")]
-PATHS += [("grid", k) for k in ("nodes", "rmin_ratio", "exterior_span")]
+#: entries of a scenario document, as key paths, that mutations replace or drop:
+#: every entry of the scenario table, the keys of each coefficient object, a
+#: boundary mode, and the check toggles with an unknown one
+ENTRIES = emlab.scenario.ENTRIES
+PATHS = [tuple(path.split(".")) for path in ENTRIES]
+PATHS += [(*path.split("."), key) for path, e in ENTRIES.items()
+          if e.type.startswith("coefficients") for key in emlab.scenario.COEFFICIENTS]
+PATHS += [("boundary", "values", "1")]
 PATHS += [("checks", k) for k in (*DEFAULT_CHECKS, "bogus")]
 
 JSON_VALUES = st.recursive(
@@ -1095,6 +1108,11 @@ class TestTolScale:
         for name, tol in rows.items():
             key = "margin" if name.endswith("_margin") else name
             assert tol == TOLERANCES[key] * 2.0, name
+
+
+def test_readme_lists_every_scenario_entry():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [path for path in ENTRIES if f"| `{path}` |" not in readme] == []
 
 
 def test_cli_imports_no_private_names():
