@@ -246,12 +246,13 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
     t = 1.0 / field.r[::-1]
     new_side = "exterior" if field.side == "interior" else "interior"
     h = None if field.perturbation is None else replace(field.perturbation, side=new_side)
+    t_phi, t_dphi, t_n, t_zeta = t ** (2 - N), (2 - N) * t ** (1 - N), t ** (-N), t ** (-2 - N)
     new_sols = {
         k: ModalSolution(
             exponents=sol.exponents, r=t,
-            phi=t ** (2 - N) * sol.phi[::-1],
-            dphi=(2 - N) * t ** (1 - N) * sol.phi[::-1] - t ** (-N) * sol.dphi[::-1],
-            zeta=t ** (-2 - N) * sol.zeta[::-1],
+            phi=t_phi * sol.phi[::-1],
+            dphi=t_dphi * sol.phi[::-1] - t_n * sol.dphi[::-1],
+            zeta=t_zeta * sol.zeta[::-1],
             boundary_radius=1.0 / sol.boundary_radius, c1=sol.c1, side=new_side,
         )
         for k, sol in field.modal.items()

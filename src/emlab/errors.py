@@ -37,6 +37,10 @@ class GridMismatchError(EmlabError):
     """Operands sampled on incompatible grids."""
 
 
+class OffGridError(EmlabError, ValueError):
+    """A radius lies outside the radial grid."""
+
+
 class DegenerateSolutionError(EmlabError):
     """H(r) vanishes on requested radii; field is degenerate there."""
 

@@ -26,7 +26,6 @@ from functools import cached_property
 from math import copysign
 
 import numpy as np
-from numpy.linalg import norm
 
 from . import grids
 from .errors import DegenerateSolutionError, NumericalFailureError, TailFitError
@@ -165,21 +164,27 @@ def _model_value(J, g, s, diag):
     return a + b
 
 
-def _trust_region_step(m, uf, s, V, Delta, alpha):
-    """(p, alpha): the trust-region step from the SVD of the augmented
-    Jacobian, by safeguarded Newton iterations on |p(alpha)| = Delta."""
-    def phi_and_derivative(alpha):
-        denom = s**2 + alpha
-        p_norm = norm(suf / denom)
-        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+def _norm(v):
+    """norm(v) of a real vector, by numpy's own formula for it."""
+    return np.sqrt(v.dot(v))
 
-    suf = s * uf
+
+def _trust_region_step(m, terms, V, Delta, alpha):
+    """(p, alpha): the trust-region step from the SVD of the augmented
+    Jacobian, ``terms`` = (uf, s, s**2, s*uf, (s*uf)**2), by safeguarded
+    Newton iterations on |p(alpha)| = Delta."""
+    def phi_and_derivative(alpha):
+        denom = s2 + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - Delta, -np.sum(suf2 / denom**3) / p_norm
+
+    uf, s, s2, suf, suf2 = terms
     full_rank = s[-1] > _EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
-        if norm(p) <= Delta:
+        if _norm(p) <= Delta:
             return p, 0.0
-    alpha_upper = norm(suf) / Delta
+    alpha_upper = _norm(suf) / Delta
     alpha_lower = 0.0
     if full_rank:
         phi, phi_prime = phi_and_derivative(0.0)
@@ -197,8 +202,8 @@ def _trust_region_step(m, uf, s, V, Delta, alpha):
         alpha -= (phi + Delta) * ratio / Delta
         if np.abs(phi) < 0.01 * Delta:
             break
-    p = -V.dot(suf / (s**2 + alpha))
-    p *= Delta / norm(p)
+    p = -V.dot(suf / (s2 + alpha))
+    p *= Delta / _norm(p)
     return p, alpha
 
 
@@ -234,7 +239,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, theta):
     p_value = _model_value(J_h, g_h, p_h, diag_h)
     ag_h = -g_h
     ag = d * ag_h
-    to_tr = Delta / norm(ag_h)
+    to_tr = Delta / _norm(ag_h)
     to_bound, _ = _step_to_bound(x, ag)
     ag_stride = theta * to_bound if to_bound < to_tr else to_tr
     a, b = _quadratic_1d(J_h, g_h, ag_h, diag_h)
@@ -258,14 +263,14 @@ def _least_squares(fun, x):
     m, nfev = f.size, 1
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
-    Delta = norm(x / _scaling(x, g)[0]**0.5) or 1.0
+    Delta = _norm(x / _scaling(x, g)[0]**0.5) or 1.0
     f_augmented = np.zeros(m + 3)
     J_augmented = np.empty((m + 3, 3))
     alpha = 0.0  # the Levenberg-Marquardt parameter
     status = None
     while True:
         v, dv = _scaling(x, g)
-        g_norm = norm(g * v, ord=np.inf)
+        g_norm = np.abs(g * v).max()
         if g_norm < _TOL:
             status = 1
         if status is not None or nfev == _MAX_NFEV:
@@ -284,10 +289,11 @@ def _least_squares(fun, x):
         # below round differently on the transposed one
         V = np.asfortranarray(Vt).T
         uf = np.asfortranarray(U).T.dot(f_augmented)
+        terms = uf, s, s**2, s * uf, (s * uf) ** 2  # read by every step from this SVD
         theta = max(0.995, 1 - g_norm)  # how far a step stays off the bound
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < _MAX_NFEV:
-            p_h, alpha = _trust_region_step(m, uf, s, V, Delta, alpha)
+            p_h, alpha = _trust_region_step(m, terms, V, Delta, alpha)
             step, step_h, predicted_reduction = _select_step(
                 x, J_h, diag_h, g_h, d * p_h, p_h, d, Delta, theta)
             x_new = x + step
@@ -296,7 +302,7 @@ def _least_squares(fun, x):
             x_new[upper] = np.nextafter(_UB[upper], _LB[upper])
             f_new = fun(x_new)
             nfev += 1
-            step_h_norm = norm(step_h)
+            step_h_norm = _norm(step_h)
             if not np.all(np.isfinite(f_new)):
                 Delta = 0.25 * step_h_norm
                 continue
@@ -307,7 +313,7 @@ def _least_squares(fun, x):
             Delta_new = (0.25 * step_h_norm if ratio < 0.25 else Delta * 2.0
                          if ratio > 0.75 and step_h_norm > 0.95 * Delta else Delta)
             if (actual_reduction < _TOL * cost and ratio > 0.25  # ftol
-                    or norm(step) < _TOL * (_TOL + norm(x))):  # xtol
+                    or _norm(step) < _TOL * (_TOL + _norm(x))):  # xtol
                 status = 2
                 break
             alpha *= Delta / Delta_new
@@ -448,6 +454,7 @@ def check_height_derivative(trace: FrequencyTrace) -> float:
     return float(resid[mask].max())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # r^N far from r = 1: an error, not a warning
 def pohozaev_residual(field: FieldSample, r: float) -> float:
     """Normalized defect of the Pohozaev identity at radius r.
 
@@ -498,6 +505,8 @@ def pohozaev_residual(field: FieldSample, r: float) -> float:
     scale = abs(t1) + abs(t2) + abs(flux) + abs(h_term) + 1e-10 * ri ** (N_dim - 1) * H_i
     if scale == 0:
         return 0.0
+    if not np.isfinite(defect / scale):
+        raise NumericalFailureError(f"the Pohozaev terms at r = {ri:g} are not finite")
     return float(defect / scale)
 
 

@@ -10,9 +10,11 @@ choice of end for every caller.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .errors import TailFitError
+from .errors import OffGridError, TailFitError
 
 #: default number of radial nodes
 DEFAULT_RADIAL_NODES = 3000
@@ -22,36 +24,75 @@ DEFAULT_RMIN_RATIO = 1e-8
 TAIL_FIT_NODES = 30
 
 
-def log_grid(r_min: float, r_max: float, num: int = DEFAULT_RADIAL_NODES) -> np.ndarray:
+class RadialGrid(np.ndarray):
+    """A read-only radial grid that keeps log r and its ``_simpson_rule``,
+    built on first read and freed with it.  A view of a grid is a grid of its
+    own nodes; what numpy makes from one (r**p, zeros_like(r)) is a plain array."""
+
+    def __array_wrap__(self, arr, context=None, return_scalar=False):
+        return arr[()] if return_scalar else arr
+
+    def __array_function__(self, func, types, args, kwargs):
+        out = super().__array_function__(func, types, args, kwargs)
+        return out.view(np.ndarray) if isinstance(out, RadialGrid) else out
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        return np.log(self)
+
+    @cached_property
+    def simpson(self) -> list:
+        return _simpson_rule(self.log)
+
+
+def _grid(r) -> RadialGrid:
+    """r if a read-only grid, else a grid view of r that builds all afresh."""
+    keeps = isinstance(r, RadialGrid) and not r.flags.writeable
+    return r if keeps else np.asarray(r).view(RadialGrid)
+
+
+def log_grid(r_min: float, r_max: float, num: int = DEFAULT_RADIAL_NODES) -> RadialGrid:
     """Strictly increasing geometric grid from r_min to r_max."""
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-    return np.geomspace(r_min, r_max, num)
+    r = np.geomspace(r_min, r_max, num).view(RadialGrid)
+    r.flags.writeable = False
+    return r
 
 
-def _cumulative_simpson(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Integral of g over [x[0], x[i]] for every i, along the last axis of g,
-    which may be complex: Simpson for unequal intervals (Cartwright, J. Math.
-    Sci. Math. Educ. 12(2), 2017) in the operation order of scipy's
-    ``cumulative_simpson(g, x=x, initial=0)``."""
+def _simpson_rule(x: np.ndarray) -> list:
+    """[forward, backward] Simpson weights (h21/6, 3 - h21/h31, 3 + cross +
+    h21/h31, -cross), cross = h21/h31 * h21/h32, of the first interval of each
+    node triple of x, for its spacings in order and reversed (of -x[::-1] swapped)."""
     if len(x) < 3:
         raise ValueError(f"Simpson quadrature needs at least 3 nodes, got {len(x)}")
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("Input x must be strictly increasing.")
-
-    def intervals(y, h):
-        # over the first interval of each node triple, by the parabola through all three
+    rule = []
+    for h in (dx, dx[::-1]):
         h21, h32 = h[:-1], h[1:]
         h21_h31 = h21 / (h21 + h32)
-        h21_h32 = h21 / h32
-        cross = h21_h31 * h21_h32
-        return h21 / 6 * ((3 - h21_h31) * y[..., :-2]
-                          + (3 + cross + h21_h31) * y[..., 1:-1] + -cross * y[..., 2:])
+        cross = h21_h31 * (h21 / h32)
+        rule.append((h21 / 6, 3 - h21_h31, 3 + cross + h21_h31, -cross))
+    return rule
 
-    forward = intervals(g, dx)
-    backward = intervals(g[..., ::-1], dx[::-1])[..., ::-1]
-    pieces = np.empty(g.shape[:-1] + dx.shape, dtype=np.result_type(g, dx))
+
+def _cumulative_simpson(g: np.ndarray, x=None, *, rule=None) -> np.ndarray:
+    """Integral of g over [x[0], x[i]] for every i, along the last axis of g,
+    which may be complex: Simpson for unequal intervals (Cartwright, J. Math.
+    Sci. Math. Educ. 12(2), 2017) in the operation order of scipy's
+    ``cumulative_simpson(g, x=x, initial=0)``; ``rule``, if given, is
+    ``_simpson_rule(x)``."""
+    forward_w, backward_w = _simpson_rule(x) if rule is None else rule
+
+    def intervals(y, w):
+        # over the first interval of each node triple, by the parabola through all three
+        return w[0] * (w[1] * y[..., :-2] + w[2] * y[..., 1:-1] + w[3] * y[..., 2:])
+
+    forward = intervals(g, forward_w)
+    backward = intervals(g[..., ::-1], backward_w)[..., ::-1]
+    pieces = np.empty(g.shape[:-1] + (g.shape[-1] - 1,), dtype=np.result_type(g, forward_w[0]))
     pieces[..., :-1:2] = forward[..., ::2]
     pieces[..., 1::2] = backward[..., ::2]
     pieces[..., -1] = backward[..., -1]
@@ -63,7 +104,7 @@ def _cumulative_simpson(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 def cumulative_integral(f: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Integral of f over [r[0], r[i]] for every i, Simpson in log space;
     f may be complex, r must be increasing."""
-    return _cumulative_simpson(f * r, np.log(r))  # ds = s dx
+    return _cumulative_simpson(f * r, rule=_grid(r).simpson)  # ds = s dx
 
 
 def _tail_fit_real(r: np.ndarray, f: np.ndarray, lower: bool, scale: float) -> float:
@@ -116,12 +157,13 @@ def singular_integral(f: np.ndarray, r: np.ndarray, side: str,
         tail = tail + 1j * _tail_fit_real(rw, fw.imag, lower, scale)
     if lower:
         return tail + cumulative_integral(f, r)
-    return _cumulative_simpson((f * r)[::-1], -np.log(r)[::-1])[::-1] + tail
+    rule = _grid(r).simpson[::-1]  # of the nodes -log(r)[::-1]
+    return _cumulative_simpson((f * r)[::-1], rule=rule)[::-1] + tail
 
 
 def log_derivative(f: np.ndarray, r: np.ndarray) -> np.ndarray:
     """d f / d r on a geometric grid, fourth-order stencil in x = log r."""
-    x = np.log(r)
+    x = _grid(r).log
     h = x[1] - x[0]
     if not np.allclose(np.diff(x), h, rtol=1e-8):
         raise ValueError("log_derivative requires a geometric grid")
@@ -146,5 +188,5 @@ def fitted_slope(r: np.ndarray, f: np.ndarray) -> float:
 def nearest_index(r: np.ndarray, value: float) -> int:
     """Index of the grid node closest to value (in log distance)."""
     if not (r[0] <= value <= r[-1]):
-        raise ValueError(f"radius {value} outside grid [{r[0]}, {r[-1]}]")
-    return int(np.argmin(np.abs(np.log(r) - np.log(value))))
+        raise OffGridError(f"radius {value} outside grid [{r[0]}, {r[-1]}]")
+    return int(np.argmin(np.abs(_grid(r).log - np.log(value))))

@@ -32,11 +32,10 @@ from .errors import (
 #: Picard stops once successive fields agree to this fraction of their sup norm
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
-#: bytes of one row block of a field's values when they are projected
-#: without being built whole.  numpy asks the kernel for huge pages for
-#: arrays of 4 MiB or more, and a block stays below that; smaller blocks
-#: cost more calls and, in glibc, let the heap be trimmed and faulted in again
-PROJECTION_BLOCK_BYTES = 3 << 20
+#: bytes of the one block of rows, reused per solve, in which a one-mode field's
+#: values are summed and projected: on a 3000 x 260 field, 1 MiB took 2.54 ms a
+#: projection, 3 MiB 3.04 ms, 256 KiB 2.83 ms (median of 42, 1 BLAS thread, x86-64)
+PROJECTION_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,20 @@ class ModalExponents:
         """Frequency limit of this mode at the singular end: sigma_plus at
         the origin (interior), -sigma_minus at infinity (exterior)."""
         return self.sigma_plus if side == "interior" else -self.sigma_minus
+
+    def branch_powers(self, r: np.ndarray, side: str) -> tuple:
+        """(r^a, r^b, r^(1-a), r^(1-b), a r^(a-1), b r^(b-1)) for the branches
+        a and b of ``solve_radial_mode``, kept for the last read-only grid and
+        side, so a Picard solve, which builds its exponents once, builds them once."""
+        kept = vars(self).get("_powers")
+        if kept is None or kept[0] is not r or kept[1] != side:
+            a, b = ((self.sigma_plus, self.sigma_minus) if side == "interior"
+                    else (self.sigma_minus, self.sigma_plus))
+            kept = r, side, (r**a, r**b, r ** (1.0 - a), r ** (1.0 - b),
+                             a * r ** (a - 1), b * r ** (b - 1))
+            if not r.flags.writeable:
+                vars(self)["_powers"] = kept
+        return kept[2]
 
 
 def characteristic_exponents(N: int, mu: float, k: int = 0) -> ModalExponents:
@@ -215,12 +228,13 @@ def _variation_of_parameters(exp: ModalExponents, zeta: np.ndarray,
     a, b = (sp, sm) if interior else (sm, sp)
     iR = -1 if interior else 0
     R = r[iR]
-    cum_a = grids.cumulative_integral(r ** (1.0 - a) * zeta / gap, r)
+    r_a, r_b, r_1a, r_1b, dr_a, dr_b = exp.branch_powers(r, side)
+    cum_a = grids.cumulative_integral(r_1a * zeta / gap, r)
     I_a = cum_a[-1] - cum_a if interior else cum_a  # between s and R
-    I_b = grids.singular_integral(r ** (1.0 - b) * zeta / gap, r, side, scale)
+    I_b = grids.singular_integral(r_1b * zeta / gap, r, side, scale)
     c1 = boundary_value * R ** (-a) - R ** (b - a) * I_b[iR]
-    phi = r**a * (c1 + I_a) + r**b * I_b
-    dphi = a * r ** (a - 1) * (c1 + I_a) + b * r ** (b - 1) * I_b
+    phi = r_a * (c1 + I_a) + r_b * I_b
+    dphi = dr_a * (c1 + I_a) + dr_b * I_b
     return ModalSolution(
         exponents=exp, r=r, phi=phi, dphi=dphi, zeta=zeta,
         boundary_radius=float(R), c1=complex(c1), side=side,
@@ -319,6 +333,11 @@ class FieldSample:
         return tuple(self._sum("phi", lambda k, c=c: spectrum.psi_gradient(k)[c])
                      for c in range(self.dimension - 1))
 
+    @cached_property
+    def nonzero_modes(self) -> frozenset:
+        """The modes whose profile phi is nonzero."""
+        return frozenset(k for k, s in self.modal.items() if s.phi.any())
+
     def values_at(self, rows) -> np.ndarray:
         """``values[rows]`` for an index list or a slice, summed for just
         these rows with the same products as the full array."""
@@ -358,26 +377,36 @@ def modal_stack(field: FieldSample):
                  for name in ("phi", "dphi", "zeta"))
 
 
-def project_onto_modes(field: FieldSample, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-mode radial profiles phi_k(r_i) of the field's values by angular
-    quadrature, an array (K, n_r) over the field's spectrum.  `weights`
-    defaults to the field's angular quadrature weights; pass w*g to project
-    g*u without forming it.  A field in one mode whose values have not been
-    built is summed and projected one block of rows at a time
-    (``PROJECTION_BLOCK_BYTES``), so no (n_r, n_nodes) array is built; the
-    sup norm of such a field is modal too (``sup_norm``).
-    """
-    spectrum = field.spectrum
-    if weights is None:
-        weights = field.angular_weights
+def _projector(spectrum: AngularSpectrum, weights: np.ndarray, n_r: int):
+    """project(field), the (K, n_r) profiles of a field's values by angular
+    quadrature with ``weights`` (w*g projects g*u), for fields on one grid: the
+    operator, block and output are built once, and a result is overwritten by
+    the next call.  A one-mode field whose values are not built is summed and
+    projected by blocks of rows (``PROJECTION_BLOCK_BYTES``), never whole."""
     psis = np.stack([spectrum.psi_values(k) for k in range(1, spectrum.count + 1)])
     proj = np.conj(psis).T * weights[:, None]
-    if "values" not in vars(field) and len(_nonzero_modes(field)) == 1:
-        out = np.empty((len(field.r), spectrum.count), dtype=complex)
-        for rows in _row_blocks(len(field.r), len(weights)):
-            out[rows] = field.values_at(rows) @ proj
+    out = np.empty((n_r, spectrum.count), dtype=complex)
+    blocks = _row_blocks(n_r, len(weights))
+    buf = np.empty((max(b.stop - b.start for b in blocks), len(weights)), dtype=complex)
+
+    def project(field: FieldSample) -> np.ndarray:
+        modes = () if "values" in vars(field) else field.nonzero_modes
+        if len(modes) != 1:
+            return (field.values @ proj).T
+        [k] = modes
+        p, psi = field.modal[k].phi, spectrum.psi_values(k)
+        for rows in blocks:
+            block = buf[: rows.stop - rows.start]
+            _outer_rows(p[rows], psi, block)
+            np.matmul(block, proj, out=out[rows])
         return out.T
-    return (field.values @ proj).T
+
+    return project
+
+
+def _outer_rows(p: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+    """np.outer(p, psi) written into ``out``, with np.outer's own products."""
+    np.multiply(p[:, None], psi[None, :], out=out)
 
 
 def _row_blocks(n_r: int, n_nodes: int) -> list:
@@ -391,19 +420,6 @@ def _row_blocks(n_r: int, n_nodes: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def perturbation_samples(field: FieldSample) -> np.ndarray:
-    """Forcing coefficients zeta_k(r_i) of h*u, h the field's perturbation,
-    shape (K, n_r); the angular factor g is folded into the weights."""
-    h = field.perturbation
-    g = h.angular_factor(*field.angular_nodes)
-    zeta = project_onto_modes(field, weights=field.angular_weights * g)
-    return zeta * h.radial_factor(field.r)[None, :]
-
-
-def _nonzero_modes(*fields: FieldSample) -> set:
-    return {k for f in fields for k, s in f.modal.items() if s.phi.any()}
-
-
 def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
     """max over the product grid of |u - v| (of |u| without v), for fields
     on one grid.
@@ -413,7 +429,7 @@ def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
     Otherwise it is read from the fields' nodal values, which are built once
     and kept with the fields.
     """
-    modes = _nonzero_modes(u) if v is None else _nonzero_modes(u, v)
+    modes = u.nonzero_modes if v is None else u.nonzero_modes | v.nonzero_modes
     if len(modes) > 1:
         return float(np.abs(u.values if v is None else u.values - v.values).max())
     if not modes:
@@ -468,18 +484,23 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
     bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
     field = synthesize_field(spectrum, homogeneous_solutions(spectrum, bvals, r, side=side), h)
     zero = _frozen(np.zeros_like(r, dtype=complex))
+    # the forcing c r^(-2+-eps) <g u, psi_k>, with all that no iterate changes built once
+    g = h.angular_factor(*spectrum.nodes)
+    project = _projector(spectrum, field.angular_weights * g, len(r))
+    with np.errstate(all="ignore"):
+        radial = h.radial_factor(r)[None, :]
     residuals = []
     for _ in range(PICARD_MAX_ITER):
         with np.errstate(all="ignore"):
-            zeta = perturbation_samples(field)
+            zeta = project(field) * radial
         if not np.isfinite(zeta).all():
             raise NumericalFailureError(f"the forcing of amplitude {h.amplitude:g} overflows")
         # modes carrying only projection roundoff are treated as unforced
-        zmax = np.abs(zeta).max()
+        zmax = np.abs(zeta).max(axis=1)
         new_field = synthesize_field(spectrum, {
             k: solve_radial_mode(
                 exps[k],
-                zeta[k - 1] if np.abs(zeta[k - 1]).max() > 1e-13 * zmax else zero,
+                zeta[k - 1] if zmax[k - 1] > 1e-13 * zmax.max() else zero,
                 bvals[k], r, side=side,
             )
             for k in range(1, K + 1)

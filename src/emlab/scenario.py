@@ -538,7 +538,8 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
         if "height_derivative" in names:
             add("height_derivative", check_height_derivative(pipe.trace))
         if "pohozaev" in names:
-            r_mid = float(np.sqrt(scn.radii.min() * scn.radii.max()))
+            lo, hi = scn.radii.min(), scn.radii.max()  # their product may overflow
+            r_mid = float(min(max(np.sqrt(lo) * np.sqrt(hi), lo), hi))
             add("pohozaev", pohozaev_residual(pipe.solution[0], r_mid))
 
         if "asymptotics" in names:

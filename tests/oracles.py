@@ -7,7 +7,9 @@ The library runs on numpy alone; scipy's harmonics, Gauss rule and subset
 eigensolver, which it used before, are here.  The library holds a dipole in
 the frame of its axis; its dense matrix in the scenario's frame, from the x,
 y and z couplings, is here.  The fit of the frequency limit by scipy's
-``curve_fit``, which the library's trust-region port reproduces, is here."""
+``curve_fit``, which the library's trust-region port reproduces, is here.
+The forcing projection and the Picard loop that rebuilt their operator,
+branch powers and quadrature weights on every call are here too."""
 
 from dataclasses import dataclass, replace
 
@@ -18,10 +20,19 @@ from scipy.special import roots_legendre, sph_harm_y
 
 import emlab.angular
 import emlab.inequalities as ineq
-from emlab import grids
+from emlab import grids, modal
 from emlab.angular import AngularPotential, AngularSpectrum, SphereBasis, angular_basis
 from emlab.inequalities import Product
-from emlab.modal import FieldSample, ModalExponents, ModalSolution, synthesize_field
+from emlab.modal import (
+    FieldSample,
+    ModalExponents,
+    ModalSolution,
+    characteristic_exponents,
+    homogeneous_solutions,
+    solve_radial_mode,
+    sup_norm,
+    synthesize_field,
+)
 
 
 def couplings(basis: SphereBasis):
@@ -191,7 +202,7 @@ def corrupted(samples: Sampled, noise: float, rng=None) -> Sampled:
 
 def project(spectrum: AngularSpectrum, data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(K, n_r) profiles of nodal data on the spectrum's grid on its modes,
-    by the angular quadrature of ``modal.project_onto_modes`` with these
+    by the angular quadrature of ``project_onto_modes`` with these
     weights."""
     psis = np.stack([spectrum.psi_values(k) for k in range(1, spectrum.count + 1)])
     return (data @ (np.conj(psis).T * weights[:, None])).T
@@ -202,7 +213,7 @@ def from_samples(samples: Sampled, spectrum: AngularSpectrum, perturbation=None)
     samples, taken on the spectrum's grid, by angular quadrature: phi_k from
     the values, phi_k' from the du_dr samples or, without them, by log-grid
     finite differences, and zeta_k of h u, h = ``perturbation``, with its
-    angular factor folded into the weights as ``modal.perturbation_samples``
+    angular factor folded into the weights as ``perturbation_samples``
     does.  The projected profiles solve no radial equation, so their
     exponents are NaN."""
     nodes, w, r = samples.angular_nodes, samples.angular_weights, samples.r
@@ -280,3 +291,63 @@ def diamagnetic_margin(pot: AngularPotential, s: Sampled) -> float:
         mod = (np.real(np.conj(u) * s.du_dr) / m) ** 2 + sum(
             (np.real(np.conj(u) * g) / m) ** 2 for g in s.angular_gradient) / r2
     return float((mag - mod)[m > ineq.ZERO_CUTOFF].min())
+
+
+def project_onto_modes(field: FieldSample, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-mode radial profiles (K, n_r) of the field's values by angular
+    quadrature, with the field's weights or ``weights`` (pass w*g to project
+    g*u): the library's projection as it was, with a fresh operator on each
+    call and a one-mode field's values summed by ``np.outer`` one block of
+    rows at a time (``FieldSample.values_at``)."""
+    spectrum = field.spectrum
+    if weights is None:
+        weights = field.angular_weights
+    psis = np.stack([spectrum.psi_values(k) for k in range(1, spectrum.count + 1)])
+    proj = np.conj(psis).T * weights[:, None]
+    if "values" not in vars(field) and sum(s.phi.any() for s in field.modal.values()) == 1:
+        out = np.empty((len(field.r), spectrum.count), dtype=complex)
+        for rows in modal._row_blocks(len(field.r), len(weights)):
+            out[rows] = field.values_at(rows) @ proj
+        return out.T
+    return (field.values @ proj).T
+
+
+def perturbation_samples(field: FieldSample) -> np.ndarray:
+    """Forcing coefficients zeta_k(r_i) of h*u, h the field's perturbation,
+    shape (K, n_r); the angular factor g is folded into the weights."""
+    h = field.perturbation
+    g = h.angular_factor(*field.angular_nodes)
+    zeta = project_onto_modes(field, weights=field.angular_weights * g)
+    return zeta * h.radial_factor(field.r)[None, :]
+
+
+def solve_perturbed_field(spectrum: AngularSpectrum, h, boundary_values: dict, r):
+    """``modal.solve_perturbed_field`` as it was, with nothing kept between
+    calls: each iteration projects the forcing with ``perturbation_samples``
+    above, and each radial solve builds its exponents, branch powers and
+    Simpson weights afresh, on a plain array copy of the grid."""
+    r = np.array(r)  # a plain array keeps no quadrature rule
+    N, K = spectrum.potential.dimension, spectrum.count
+    bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
+    field = synthesize_field(spectrum, homogeneous_solutions(spectrum, bvals, r, side=h.side), h)
+    zero = np.zeros_like(r, dtype=complex)
+    residuals = []
+    for _ in range(modal.PICARD_MAX_ITER):
+        with np.errstate(all="ignore"):
+            zeta = perturbation_samples(field)
+        zmax = np.abs(zeta).max()
+        field_next = synthesize_field(spectrum, {
+            k: solve_radial_mode(
+                characteristic_exponents(N, spectrum.mu(k), k),
+                zeta[k - 1] if np.abs(zeta[k - 1]).max() > 1e-13 * zmax else zero,
+                bvals[k], r, side=h.side,
+            )
+            for k in range(1, K + 1)
+        }, h)
+        residuals.append(sup_norm(field_next, field))
+        field = field_next
+        scale = max(sup_norm(field), 1e-300)
+        if residuals[-1] < modal.PICARD_TOL * scale:
+            break
+    converged = bool(residuals and residuals[-1] < modal.PICARD_TOL * scale)
+    return field, {"iterations": len(residuals), "residuals": residuals, "converged": converged}

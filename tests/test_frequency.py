@@ -407,6 +407,12 @@ class TestLimitFit:
         monkeypatch.setattr(frequency, "_select_step", spy)
         return taken
 
+    def test_vector_norm_is_numpys(self):
+        # the fit's 2-norm is numpy's own formula for a real vector
+        rng = np.random.default_rng(3)
+        for v in rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-150, 150, (2000, 1)):
+            assert frequency._norm(v) == np.linalg.norm(v)
+
     def test_scenario_windows(self, windows):
         for r_w, n_w, side in windows:
             fit = frequency._fit_frequency_limit(r_w, n_w, side)

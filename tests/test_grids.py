@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from emlab import grids
+from emlab.errors import EmlabError, OffGridError
 
 R_IN = grids.log_grid(1e-6, 1.0, 400)
 R_OUT = grids.log_grid(1.0, 1e6, 400)
@@ -70,3 +71,47 @@ class TestSingularIntegral:
 def test_singular_integral_rejects_unknown_side():
     with pytest.raises(ValueError, match="side"):
         grids.singular_integral(R_IN, R_IN, "lower")
+
+
+class TestKeptRule:
+    """A grid from ``log_grid`` keeps log r and its Simpson weights; each
+    helper gives, bit for bit, what it gives on a plain copy of the grid,
+    which builds them afresh on every call."""
+
+    @pytest.mark.parametrize("r", [R_IN, R_OUT, grids.log_grid(1e-8, 1.0, 3001)],
+                             ids=["interior", "exterior", "odd"])
+    def test_equals_a_freshly_built_rule(self, r):
+        plain = np.array(r)
+        assert type(plain) is np.ndarray
+        wobble = 1 + 0.1 * np.sin(np.log(plain))
+        for side, f in (("interior", (0.3 - 2j) * plain**0.5 * wobble),
+                        ("exterior", (0.3 - 2j) * plain**-2.5 * wobble)):
+            for got, want in ((grids.cumulative_integral(f, r),
+                               grids.cumulative_integral(f, plain)),
+                              (grids.singular_integral(f, r, side),
+                               grids.singular_integral(f, plain, side)),
+                              (grids.log_derivative(f, r), grids.log_derivative(f, plain))):
+                assert np.array_equal(got, want)
+        radii = np.geomspace(r[0], r[-1], 23)
+        assert ([grids.nearest_index(r, v) for v in radii]
+                == [grids.nearest_index(plain, v) for v in radii])
+        fresh = grids._simpson_rule(np.log(plain))
+        for kept, built in zip(r.simpson, fresh):
+            assert all(np.array_equal(a, b) for a, b in zip(kept, built))
+
+    def test_built_once_and_kept_by_the_grid_alone(self):
+        r = grids.log_grid(1e-8, 1.0, 300)
+        assert not r.flags.writeable
+        assert r.log is r.log and r.simpson is r.simpson
+        # what is computed from a grid is a plain array and keeps nothing
+        for a in (r**2, np.log(r), r * 1j, np.zeros_like(r, dtype=complex)):
+            assert type(a) is np.ndarray
+        # a view is a grid of its own nodes
+        assert np.array_equal(r[::2].log, np.log(np.array(r)[::2]))
+
+
+@pytest.mark.parametrize("value", [R_IN[0] / 2, 2.0, np.inf, np.nan])
+def test_off_grid_radius_is_an_emlab_error(value):
+    with pytest.raises(OffGridError, match="outside grid") as info:
+        grids.nearest_index(R_IN, value)
+    assert isinstance(info.value, EmlabError) and isinstance(info.value, ValueError)

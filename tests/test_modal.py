@@ -19,13 +19,19 @@ from emlab.modal import (
     PerturbationSpec,
     characteristic_exponents,
     homogeneous_solutions,
-    perturbation_samples,
-    project_onto_modes,
     solve_perturbed_field,
     solve_radial_mode,
     synthesize_field,
 )
-from oracles import corrupted, from_samples, project, samples_of
+import oracles
+from oracles import (
+    corrupted,
+    from_samples,
+    perturbation_samples,
+    project,
+    project_onto_modes,
+    samples_of,
+)
 
 
 class TestCharacteristicExponents:
@@ -388,6 +394,22 @@ class _CountingNumpy:
         return np.outer(a, b)
 
 
+class _CountingRows:
+    """``modal._outer_rows``, the row-summing hook of the blocked forcing
+    projection, counting the rows it sums and keeping the largest block."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        self.largest = 0
+        self.hook = modal._outer_rows
+        monkeypatch.setattr(modal, "_outer_rows", self)
+
+    def __call__(self, p, psi, out):
+        self.rows += len(p)
+        self.largest = max(self.largest, len(p))
+        return self.hook(p, psi, out)
+
+
 class TestPicardWork:
     """Only modes carrying a forcing are integrated, only modes carrying data
     are summed, and skipping the others changes no bit of the solution."""
@@ -412,6 +434,7 @@ class TestPicardWork:
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side=side)
         numpy = _CountingNumpy()
         monkeypatch.setattr(modal, "np", numpy)
+        summed = _CountingRows(monkeypatch)
         field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
         n = info["iterations"]
         assert n > 1
@@ -420,10 +443,11 @@ class TestPicardWork:
         # the values the forcing reads, each row once: those of the start and
         # of every iterate but the last, whose sup norms are modal; summed by
         # row blocks, never over the whole grid
-        assert numpy.outer_rows == n * len(r)
-        assert numpy.largest < len(r)
+        assert summed.rows == n * len(r)
+        assert summed.largest < len(r)
+        assert numpy.outer_rows == 0
         field.du_dr, field.angular_gradient
-        assert numpy.outer_rows == (n + 2) * len(r)
+        assert numpy.outer_rows == 2 * len(r)
 
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     def test_skipping_changes_no_bit(self, angular, ab_spectrum, radial_grid, solved,
@@ -704,21 +728,23 @@ class TestBlockedProjection:
     def _both(field, spectrum):
         """(blocked, whole) projections with the plain and a cos-weighted rule."""
         weights = field.angular_weights * np.cos(field.angular_nodes[0])
-        for w in (None, weights):
+        for w in (field.angular_weights, weights):
             fresh = synthesize_field(spectrum, field.modal)
-            blocked = project_onto_modes(fresh, weights=w)
+            blocked = modal._projector(spectrum, w, len(fresh.r))(fresh)
             assert "values" not in vars(fresh)
-            yield blocked, _whole_projection(
-                fresh, fresh.values, fresh.angular_weights if w is None else w)
+            yield blocked, _whole_projection(fresh, fresh.values, w)
 
     @pytest.mark.parametrize("side", ["interior", "exterior"])
     def test_equals_the_whole_array_projection(self, side, ab_spectrum):
-        # 4 blocks of 756 rows and one row over, which joins the last block
-        r = grids.log_grid(*((1e-8, 1.0) if side == "interior" else (1.0, 1e8)), 3025)
+        # 4 blocks of PROJECTION_BLOCK_BYTES and one row over, which joins
+        # the last block
+        n_nodes = len(ab_spectrum.nodes[0])
+        step = modal.PROJECTION_BLOCK_BYTES // (16 * n_nodes)
+        r = grids.log_grid(*((1e-8, 1.0) if side == "interior" else (1.0, 1e8)), 4 * step + 1)
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side=side)
         field = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)[0]
-        blocks = modal._row_blocks(len(r), len(field.angular_nodes[0]))
-        assert [b.stop - b.start for b in blocks] == [756] * 3 + [757]
+        blocks = modal._row_blocks(len(r), n_nodes)
+        assert [b.stop - b.start for b in blocks] == [step] * 3 + [step + 1]
         for blocked, whole in self._both(field, ab_spectrum):
             assert np.array_equal(blocked, whole)
 
@@ -754,6 +780,55 @@ class TestBlockedProjection:
             tracemalloc.stop()
         assert info["iterations"] > 1 and "values" not in vars(field)
         assert peak < 0.5 * len(radial_grid) * len(field.angular_nodes[0]) * 16
+
+
+class TestHoistedPicard:
+    """The Picard loop builds its forcing operator, branch powers and
+    quadrature weights once per solve; the loop that built them on every
+    call stays in ``oracles`` and gives the same bits."""
+
+    @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_equals_the_per_call_loop(self, side, angular, ab_spectrum, radial_grid,
+                                      exterior_grid):
+        r = radial_grid if side == "interior" else exterior_grid
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular, side=side)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
+        want, want_info = oracles.solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
+        assert info == want_info and info["iterations"] > 1
+        assert field.modal.keys() == want.modal.keys()
+        for k, sol in want.modal.items():
+            for name in ("phi", "dphi", "zeta"):
+                assert np.array_equal(getattr(field.modal[k], name), getattr(sol, name))
+            assert field.modal[k].c1 == sol.c1
+
+    def test_projector_equals_the_per_call_forcing(self, ab_perturbed):
+        # one operator for a field in one mode, one in several and the first
+        # again: the buffers it reuses keep nothing from the last field
+        field, h = ab_perturbed
+        phi = field.modal[1].phi
+        several = synthesize_field(field.spectrum, {
+            k: replace(s, phi=(1 + 0.1j * k) * phi) for k, s in field.modal.items()})
+        project = modal._projector(field.spectrum, field.angular_weights
+                                   * h.angular_factor(*field.angular_nodes), len(field.r))
+        for f in (field, several, field):
+            f = synthesize_field(f.spectrum, f.modal, h)
+            want = perturbation_samples(f)
+            assert np.array_equal(project(f) * h.radial_factor(f.r)[None, :], want)
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_branch_powers_kept_per_grid_and_side(self, side, radial_grid):
+        exp = characteristic_exponents(2, 0.49, 1)
+        kept = exp.branch_powers(radial_grid, side)
+        assert exp.branch_powers(radial_grid, side) is kept
+        # the powers the radial solve took on each call
+        r = np.array(radial_grid)
+        a, b = ((exp.sigma_plus, exp.sigma_minus) if side == "interior"
+                else (exp.sigma_minus, exp.sigma_plus))
+        want = (r**a, r**b, r ** (1.0 - a), r ** (1.0 - b), a * r ** (a - 1), b * r ** (b - 1))
+        assert all(np.array_equal(got, w) for got, w in zip(kept, want, strict=True))
+        other = "exterior" if side == "interior" else "interior"
+        assert exp.branch_powers(radial_grid, other) is not kept
 
 
 class TestBoundaryModes:

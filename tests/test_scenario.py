@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import emlab.angular
 import emlab.frequency
+import emlab.grids
 import emlab.scenario
 from emlab.angular import AngularSpectrum
 from emlab.asymptotics import kelvin_transform
@@ -700,6 +703,14 @@ class TestModalFirst:
 
         outer_sum = emlab.modal._outer_sum
         monkeypatch.setattr(emlab.modal, "_outer_sum", counting_sum)
+        block_rows = []
+
+        def counting_rows(p, psi, out):
+            block_rows.append(len(p))
+            return outer_rows(p, psi, out)
+
+        outer_rows = emlab.modal._outer_rows
+        monkeypatch.setattr(emlab.modal, "_outer_rows", counting_rows)
         doc = json.loads((SCENARIOS / scenario).read_text())
         doc["checks"] = {"frequency": True, "identities": True, "asymptotics": True,
                          "kelvin": True}
@@ -718,12 +729,15 @@ class TestModalFirst:
             # blow-up rows (8 of them)
             assert report["status"] == "pass"
             assert built == []
-            assert sum(shape[0] for shape in sums if shape[0] != 8) == n * n_r
+            assert sum(block_rows) == n * n_r and max(block_rows) < n_r
+            assert [shape[0] for shape in sums] == [8]
         else:
             # several modes: the start and every iterate, whose values the
             # residual reads, and K(K(u)) for the involution, as in the
             # nodal loop
             assert built == ["values"] * (n + 2)
+            # the start lies in one mode: its forcing alone is summed by blocks
+            assert sum(block_rows) == n_r
 
     @pytest.mark.parametrize("doc", [
         json.loads((SCENARIOS / "exterior_kelvin.json").read_text()),
@@ -984,6 +998,45 @@ def test_overflowing_exterior_run_writes_nothing_to_stderr(tmp_path):
     report = json.loads(proc.stdout)
     assert report["status"] == "error"
     assert report["error"]["type"] == "NumericalFailureError"
+
+
+def test_huge_radius_ends_in_a_report_without_warnings(tmp_path):
+    # the Pohozaev radius, the geometric mean of the trace radii, is taken
+    # without their product, which overflowed to inf off the grid
+    proc = run_cli(tmp_path, {"potential": {"kind": "aharonov_bohm", "alpha": 0.3},
+                              "boundary": {"radius": 1e200}, "grid": {"nodes": 200}})
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["status"] in ("fail", "error")
+    assert "outside grid" not in report.get("error", {}).get("message", "")
+
+
+@pytest.mark.parametrize("scenario", ["ab_basic.json", "dipole.json"])
+def test_no_state_outlives_a_run(scenario, monkeypatch):
+    # the run's radial grid keeps its quadrature weights, and the solve its
+    # branch powers; all of it is freed with the run
+    kept = []
+
+    def logged_grid(*args):
+        r = log_grid(*args)
+        kept.append(weakref.ref(r))
+        return r
+
+    def logged_rule(x):
+        rule = simpson_rule(x)
+        kept.append(weakref.ref(rule[0][0]))
+        return rule
+
+    log_grid, simpson_rule = emlab.grids.log_grid, emlab.grids._simpson_rule
+    monkeypatch.setattr(emlab.grids, "log_grid", logged_grid)
+    monkeypatch.setattr(emlab.grids, "_simpson_rule", logged_rule)
+    doc = json.loads((SCENARIOS / scenario).read_text())
+    doc["checks"] = {"frequency": True, "identities": True, "asymptotics": True,
+                     "kelvin": True}
+    assert run_scenario(scenario_from_dict(doc))["status"] == "pass"
+    gc.collect()
+    assert len(kept) > 2 and all(ref() is None for ref in kept)
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
