@@ -214,15 +214,18 @@ def gradient_blowup_profile(field: FieldSample, gamma: float, lams,
         gpsi = spectrum.psi_gradient(k)
         target_rad = target_rad + profile.beta[i] * g * psi
         target_ang = [t + profile.beta[i] * d for t, d in zip(target_ang, gpsi)]
+    rows = [grids.nearest_index(field.r, lam) for lam in lams]
+    du_dr = field.sum_rows("dphi", spectrum.psi_values, rows)
+    grad = [field.sum_rows("phi", lambda k, c=c: spectrum.psi_gradient(k)[c], rows)
+            for c in range(field.dimension - 1)]
     dists = np.zeros(len(lams))
-    for n, lam in enumerate(lams):
-        i = grids.nearest_index(field.r, lam)
+    for n, i in enumerate(rows):
         ri = field.r[i]
         scale_pow = ri ** (-g)
-        d_rad = np.abs(ri * scale_pow * field.du_dr[i] - target_rad).max()
+        d_rad = np.abs(ri * scale_pow * du_dr[n] - target_rad).max()
         d_ang = max(
-            np.abs(scale_pow * comp[i] - t).max()
-            for comp, t in zip(field.angular_gradient, target_ang)
+            np.abs(scale_pow * comp[n] - t).max()
+            for comp, t in zip(grad, target_ang)
         )
         dists[n] = max(float(d_rad), float(d_ang))
     scale = max(float(np.abs(target_rad).max()),

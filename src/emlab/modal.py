@@ -29,11 +29,12 @@ from .errors import (
     NumericalFailureError,
 )
 
-#: Picard stops once successive fields agree to this fraction of their sup norm
+#: Picard stops once successive fields agree to this fraction of the field's
+#: modal norm ``sup_norm``: the nodal maximum for one mode, a bound on it for several
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
-#: bytes of the one block of rows, reused per solve, in which a one-mode field's
-#: values are summed and projected: on a 3000 x 260 field, 1 MiB took 2.54 ms a
+#: bytes of the one block of rows, reused per solve, in which a field's values
+#: are summed and projected: on a 3000 x 260 field, 1 MiB took 2.54 ms a
 #: projection, 3 MiB 3.04 ms, 256 KiB 2.83 ms (median of 42, 1 BLAS thread, x86-64)
 PROJECTION_BLOCK_BYTES = 1 << 20
 
@@ -262,19 +263,19 @@ def _power_profile(exp: ModalExponents, zeta: np.ndarray, boundary_value: comple
     )
 
 
-def _outer_sum(profiles: dict, samples, shape: tuple) -> np.ndarray:
-    """sum_k outer(p_k, samples(k)) in mode order over the nonzero profiles:
-    the first product is the result, the later ones are added to it in
-    place.  Zeros of ``shape`` when every profile is zero."""
-    out = None
-    for k, p in profiles.items():
-        if p.any():
-            # no name keeps a product alive while the next one is formed
-            if out is None:
-                out = np.outer(p, samples(k))
-            else:
-                out += np.outer(p, samples(k))
-    return np.zeros(shape, dtype=complex) if out is None else out
+def _sum_rows(terms: list, rows, out: np.ndarray) -> np.ndarray:
+    """sum_k p_k[rows] psi_k over ``terms`` = [(p_k, psi_k), ...], written
+    into ``out``: the first product is written, the later ones are added in
+    order, with np.outer's own products, so a block of rows holds the same
+    bits as those rows of the whole sum.  Zeros without terms."""
+    if not terms:
+        out[...] = 0
+        return out
+    (p, psi), *rest = terms
+    np.multiply(p[rows, None], psi[None, :], out=out)
+    for p, psi in rest:
+        out += p[rows, None] * psi[None, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -282,8 +283,10 @@ class FieldSample:
     """A field on a log-radial x angular product grid, held as its modal
     profiles, u = sum_k phi_k psi_k.
 
-    Its nodal arrays are summed from the profiles on first read and kept;
-    a mode whose profile is zero adds nothing and is skipped.
+    Every nodal value is a row sum of the profiles (``sum_rows``); a mode
+    whose profile is zero adds nothing and is skipped.  The whole arrays
+    ``values``, ``du_dr`` and ``angular_gradient`` are summed on first read
+    and kept, a convenience that no algorithm of the library reads.
     """
 
     dimension: int
@@ -307,30 +310,35 @@ class FieldSample:
     def angular_weights(self) -> np.ndarray:
         return self.spectrum.basis.grid()[-1]
 
-    def _sum(self, profile: str, samples, rows=slice(None)) -> np.ndarray:
-        """sum_k outer(p_k[rows], samples(k)) for the profile p = phi or dphi."""
-        return _outer_sum({k: getattr(sol, profile)[rows] for k, sol in self.modal.items()},
-                          samples, (len(self.r[rows]), len(self.angular_weights)))
+    def _terms(self, profile: str, samples) -> list:
+        """[(p_k, samples(k))] in mode order over the modes whose profile
+        p = phi or dphi is nonzero: the terms of one nodal sum, chosen once
+        from the whole profiles."""
+        return [(getattr(sol, profile), samples(k)) for k, sol in self.modal.items()
+                if getattr(sol, profile).any()]
 
-    def _psi(self, k: int) -> np.ndarray:
-        return self.spectrum.psi_values(k)
+    def sum_rows(self, profile: str, samples, rows=slice(None)) -> np.ndarray:
+        """sum_k p_k[rows] samples(k) for the profile p = phi or dphi, for an
+        index list or a slice of rows."""
+        out = np.empty((len(self.r[rows]), len(self.angular_weights)), dtype=complex)
+        return _sum_rows(self._terms(profile, samples), rows, out)
 
     @cached_property
     def values(self) -> np.ndarray:
         """sum_k phi_k psi_k, shape (n_r, n_nodes)."""
-        return self._sum("phi", self._psi)
+        return self.sum_rows("phi", self.spectrum.psi_values)
 
     @cached_property
     def du_dr(self) -> np.ndarray:
         """sum_k phi_k' psi_k, shape (n_r, n_nodes)."""
-        return self._sum("dphi", self._psi)
+        return self.sum_rows("dphi", self.spectrum.psi_values)
 
     @cached_property
     def angular_gradient(self) -> tuple:
         """sum_k phi_k grad psi_k, one (n_r, n_nodes) array per component,
         along the grid's own (e_theta, e_phi) as ``psi_gradient``."""
         spectrum = self.spectrum
-        return tuple(self._sum("phi", lambda k, c=c: spectrum.psi_gradient(k)[c])
+        return tuple(self.sum_rows("phi", lambda k, c=c: spectrum.psi_gradient(k)[c])
                      for c in range(self.dimension - 1))
 
     @cached_property
@@ -341,7 +349,7 @@ class FieldSample:
     def values_at(self, rows) -> np.ndarray:
         """``values[rows]`` for an index list or a slice, summed for just
         these rows with the same products as the full array."""
-        return self._sum("phi", self._psi, rows)
+        return self.sum_rows("phi", self.spectrum.psi_values, rows)
 
 
 def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
@@ -381,8 +389,8 @@ def _projector(spectrum: AngularSpectrum, weights: np.ndarray, n_r: int):
     """project(field), the (K, n_r) profiles of a field's values by angular
     quadrature with ``weights`` (w*g projects g*u), for fields on one grid: the
     operator, block and output are built once, and a result is overwritten by
-    the next call.  A one-mode field whose values are not built is summed and
-    projected by blocks of rows (``PROJECTION_BLOCK_BYTES``), never whole."""
+    the next call.  The values are summed and projected by blocks of rows
+    (``PROJECTION_BLOCK_BYTES``), never whole."""
     psis = np.stack([spectrum.psi_values(k) for k in range(1, spectrum.count + 1)])
     proj = np.conj(psis).T * weights[:, None]
     out = np.empty((n_r, spectrum.count), dtype=complex)
@@ -390,23 +398,13 @@ def _projector(spectrum: AngularSpectrum, weights: np.ndarray, n_r: int):
     buf = np.empty((max(b.stop - b.start for b in blocks), len(weights)), dtype=complex)
 
     def project(field: FieldSample) -> np.ndarray:
-        modes = () if "values" in vars(field) else field.nonzero_modes
-        if len(modes) != 1:
-            return (field.values @ proj).T
-        [k] = modes
-        p, psi = field.modal[k].phi, spectrum.psi_values(k)
+        terms = field._terms("phi", spectrum.psi_values)
         for rows in blocks:
-            block = buf[: rows.stop - rows.start]
-            _outer_rows(p[rows], psi, block)
+            block = _sum_rows(terms, rows, buf[: rows.stop - rows.start])
             np.matmul(block, proj, out=out[rows])
         return out.T
 
     return project
-
-
-def _outer_rows(p: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
-    """np.outer(p, psi) written into ``out``, with np.outer's own products."""
-    np.multiply(p[:, None], psi[None, :], out=out)
 
 
 def _row_blocks(n_r: int, n_nodes: int) -> list:
@@ -421,22 +419,18 @@ def _row_blocks(n_r: int, n_nodes: int) -> list:
 
 
 def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
-    """max over the product grid of |u - v| (of |u| without v), for fields
-    on one grid.
+    """sum_k max_r |phi_u,k - phi_v,k| max |psi_k| (v = 0 without v) over the
+    modes u or v carries, for fields on one grid, read from the profiles.
 
-    When every nonzero profile of u and v lies in one mode k, the maximum
-    factors as max|phi_u - phi_v| max|psi_k| and no nodal array is built.
-    Otherwise it is read from the fields' nodal values, which are built once
-    and kept with the fields.
+    With one such mode it is max |u - v| over the product grid; with several
+    it is an upper bound on that maximum.  No nodal array is built.
     """
     modes = u.nonzero_modes if v is None else u.nonzero_modes | v.nonzero_modes
-    if len(modes) > 1:
-        return float(np.abs(u.values if v is None else u.values - v.values).max())
-    if not modes:
-        return 0.0
-    [k] = modes
-    p = u.modal[k].phi if v is None else u.modal[k].phi - v.modal[k].phi
-    return float(np.abs(p).max() * np.abs(u.spectrum.psi_values(k)).max())
+    total = 0.0
+    for k in sorted(modes):
+        p = u.modal[k].phi if v is None else u.modal[k].phi - v.modal[k].phi
+        total += float(np.abs(p).max() * np.abs(u.spectrum.psi_values(k)).max())
+    return total
 
 
 def _check_modes(spectrum: AngularSpectrum, boundary_values: dict) -> None:
@@ -468,12 +462,10 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
 
     Starts from the homogeneous field matching the boundary data, then
     alternates forcing projection and radial solves until successive fields
-    agree in sup norm to PICARD_TOL.  When the field lives in one mode the
-    sup norms are read from its profiles (``sup_norm``) and the forcing
-    projection sums the values by row blocks, so no iteration builds a whole
-    nodal array; with several modes the next iterate's values are built for
-    the residual and reused by the next projection.  Returns (FieldSample
-    carrying h, info dict); a forcing that overflows raises
+    agree to PICARD_TOL in the modal norm ``sup_norm``.  The forcing
+    projection sums the values by row blocks and the norms are read from the
+    profiles, so no iteration builds a whole nodal array.  Returns
+    (FieldSample carrying h, info dict); a forcing that overflows raises
     NumericalFailureError.
     """
     _check_modes(spectrum, boundary_values)

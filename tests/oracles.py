@@ -9,7 +9,9 @@ the frame of its axis; its dense matrix in the scenario's frame, from the x,
 y and z couplings, is here.  The fit of the frequency limit by scipy's
 ``curve_fit``, which the library's trust-region port reproduces, is here.
 The forcing projection and the Picard loop that rebuilt their operator,
-branch powers and quadrature weights on every call are here too."""
+branch powers and quadrature weights on every call are here too.  So is
+the truth: the exact series of a one-mode field under a perturbation with
+a constant angular factor."""
 
 from dataclasses import dataclass, replace
 
@@ -351,3 +353,40 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h, boundary_values: dict, r
             break
     converged = bool(residuals and residuals[-1] < modal.PICARD_TOL * scale)
     return field, {"iterations": len(residuals), "residuals": residuals, "converged": converged}
+
+
+def exact_series(N: int, mu: float, c: complex, eps: float, side: str):
+    """(s, a): the exponents and coefficients of the exact profile
+    phi = sum_j a_j r^(s_j) of a mode with eigenvalue ``mu`` under
+    h = c |x|^(-2 +- eps) with a constant angular factor, a_0 = 1.
+
+    s_j = sigma_+ + j eps inside and sigma_- - j eps outside, the branch
+    that ``modal.solve_radial_mode`` keeps, and -phi'' - (N-1)/r phi'
+    + mu/r^2 phi = c r^(-2 +- eps) phi term by term gives
+
+        a_j = -c a_(j-1) / (s_j (s_j + N - 2) - mu),
+
+    summed until a term falls below 1e-18 (at r = 1, where the terms are
+    largest on the grid of either side)."""
+    exp = characteristic_exponents(N, mu)
+    s0, step = ((exp.sigma_plus, eps) if side == "interior" else (exp.sigma_minus, -eps))
+    s, a = [s0], [1.0 + 0j]
+    while abs(a[-1]) >= 1e-18:
+        s.append(s[-1] + step)
+        a.append(-c * a[-1] / (s[-1] * (s[-1] + N - 2) - mu))
+    return np.array(s), np.array(a)
+
+
+def series_frequency(s: np.ndarray, a: np.ndarray, r: np.ndarray, side: str) -> np.ndarray:
+    """N(r) of the one-mode field phi(r) psi of the series (s, a):
+    r Re(phi'/phi) inside, minus that outside, where the energy is taken
+    over the complement of the ball."""
+    powers = np.asarray(r, dtype=float)[:, None] ** s[None, :]
+    n = np.real((powers * (a * s)[None, :]).sum(axis=1) / (powers * a[None, :]).sum(axis=1))
+    return n if side == "interior" else -n
+
+
+def series_beta(s: np.ndarray, a: np.ndarray, b: complex, R: float) -> complex:
+    """beta of the series profile matching phi(R) = b: its leading
+    coefficient, the a_0 = 1 term's, after scaling by b / sum_j a_j R^(s_j)."""
+    return b / complex(np.sum(a * R**s))

@@ -377,37 +377,20 @@ class TestPerturbationSpec:
             PerturbationSpec(**entries)
 
 
-class _CountingNumpy:
-    """numpy as seen from one module, counting the rows of the outer
-    products formed and keeping the largest."""
-
-    def __init__(self):
-        self.outer_rows = 0
-        self.largest = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def outer(self, a, b):
-        self.outer_rows += len(a)
-        self.largest = max(self.largest, len(a))
-        return np.outer(a, b)
-
-
 class _CountingRows:
-    """``modal._outer_rows``, the row-summing hook of the blocked forcing
-    projection, counting the rows it sums and keeping the largest block."""
+    """``modal._sum_rows``, the one kernel of every nodal sum, counting the
+    rows it sums and keeping the largest block."""
 
     def __init__(self, monkeypatch):
         self.rows = 0
         self.largest = 0
-        self.hook = modal._outer_rows
-        monkeypatch.setattr(modal, "_outer_rows", self)
+        self.hook = modal._sum_rows
+        monkeypatch.setattr(modal, "_sum_rows", self)
 
-    def __call__(self, p, psi, out):
-        self.rows += len(p)
-        self.largest = max(self.largest, len(p))
-        return self.hook(p, psi, out)
+    def __call__(self, terms, rows, out):
+        self.rows += len(out)
+        self.largest = max(self.largest, len(out))
+        return self.hook(terms, rows, out)
 
 
 class TestPicardWork:
@@ -432,8 +415,6 @@ class TestPicardWork:
             self, side, ab_spectrum, radial_grid, exterior_grid, solved, monkeypatch):
         r = radial_grid if side == "interior" else exterior_grid
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side=side)
-        numpy = _CountingNumpy()
-        monkeypatch.setattr(modal, "np", numpy)
         summed = _CountingRows(monkeypatch)
         field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
         n = info["iterations"]
@@ -445,9 +426,8 @@ class TestPicardWork:
         # row blocks, never over the whole grid
         assert summed.rows == n * len(r)
         assert summed.largest < len(r)
-        assert numpy.outer_rows == 0
         field.du_dr, field.angular_gradient
-        assert numpy.outer_rows == 2 * len(r)
+        assert summed.rows == (n + 2) * len(r)
 
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     def test_skipping_changes_no_bit(self, angular, ab_spectrum, radial_grid, solved,
@@ -652,6 +632,14 @@ def _field(request, name):
     return solve_perturbed_field(request.getfixturevalue("ab_spectrum"), h, {1: 1.0}, r)[0]
 
 
+def _modal_bound(u, v=None):
+    """sum_k max|phi_u,k - phi_v,k| max|psi_k| over the modes u or v carries."""
+    psi_max = {k: np.abs(u.spectrum.psi_values(k)).max() for k in u.modal}
+    return sum(float(np.abs(s.phi if v is None else s.phi - v.modal[k].phi).max() * psi_max[k])
+               for k, s in sorted(u.modal.items())
+               if s.phi.any() or (v is not None and v.modal[k].phi.any()))
+
+
 class TestModalSupNorm:
     """The Picard stopping rule, the Kelvin involution and the blow-up rows
     read the modal profiles; the nodal formulas stay here as their oracle."""
@@ -663,12 +651,13 @@ class TestModalSupNorm:
         field = _field(request, name)
         several = sum(s.phi.any() for s in field.modal.values()) > 1
         got = modal.sup_norm(field)
-        # one mode: read from the profile, no nodal array built
-        assert ("values" in vars(field)) == several
+        # read from the profiles, no nodal array built
+        assert "values" not in vars(field)
         want = float(np.abs(field.values).max())
         if several:
-            # several modes: the nodal array itself is read
-            assert got == want
+            # several modes: the sum over the modes bounds the nodal max
+            assert got == _modal_bound(field)
+            assert want <= got
         else:
             assert abs(got - want) <= 1e-15 * want
 
@@ -679,9 +668,11 @@ class TestModalSupNorm:
         scaled = {k: replace(s, phi=(1 + 1e-3j) * s.phi) for k, s in u.modal.items()}
         v = synthesize_field(u.spectrum, scaled)
         got = modal.sup_norm(u, v)
+        assert "values" not in vars(u) and "values" not in vars(v)
         want = float(np.abs(u.values - v.values).max())
         if sum(s.phi.any() for s in u.modal.values()) > 1:
-            assert got == want
+            assert got == _modal_bound(u, v)
+            assert want <= got
         else:
             assert abs(got - want) <= 1e-15 * float(np.abs(u.values).max())
 
@@ -701,7 +692,11 @@ class TestModalSupNorm:
         sols, values, residuals = _nodal_picard(ab_spectrum, h, {1: 1.0}, r)
         assert info["iterations"] == len(residuals) > 1
         sup = float(np.abs(values).max())
-        assert_allclose(info["residuals"], residuals, rtol=0, atol=1e-15 * sup)
+        if angular is None:
+            assert_allclose(info["residuals"], residuals, rtol=0, atol=1e-15 * sup)
+        else:
+            # several modes: the modal residual bounds the nodal one
+            assert all(nodal <= got for nodal, got in zip(residuals, info["residuals"]))
         for k, sol in sols.items():
             if angular is None:
                 assert np.array_equal(field.modal[k].phi, sol.phi)
@@ -721,8 +716,8 @@ class TestModalSupNorm:
 
 
 class TestBlockedProjection:
-    """A one-mode field's forcing is projected by row blocks; the projection
-    of its whole values array stays here as the oracle."""
+    """A field's forcing is projected by row blocks; the projection of its
+    whole values array stays here as the oracle."""
 
     @staticmethod
     def _both(field, spectrum):
@@ -770,16 +765,25 @@ class TestBlockedProjection:
         assert (sizes * 16 * n_nodes).max() <= max(2 * 16 * n_nodes,
                                                    2 * modal.PROJECTION_BLOCK_BYTES)
 
-    def test_loop_builds_no_whole_array(self, ab_spectrum, radial_grid):
-        h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
+    @staticmethod
+    def _loop_builds_no_whole_array(spectrum, r, angular):
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular)
         tracemalloc.start()
         try:
-            field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
+            field, info = solve_perturbed_field(spectrum, h, {1: 1.0}, r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert info["iterations"] > 1 and "values" not in vars(field)
-        assert peak < 0.5 * len(radial_grid) * len(field.angular_nodes[0]) * 16
+        assert peak < 0.5 * len(r) * len(field.angular_nodes[0]) * 16
+
+    def test_loop_builds_no_whole_array(self, ab_spectrum, radial_grid):
+        self._loop_builds_no_whole_array(ab_spectrum, radial_grid, None)
+
+    def test_several_mode_loop_builds_no_whole_array(self, ab_spectrum, radial_grid):
+        # cos couples each mode to its neighbours: with several modes too, the
+        # residual is modal and the forcing summed by row blocks
+        self._loop_builds_no_whole_array(ab_spectrum, radial_grid, {"cos": [1.0]})
 
 
 class TestHoistedPicard:

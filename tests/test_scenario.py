@@ -21,7 +21,7 @@ import emlab.frequency
 import emlab.grids
 import emlab.scenario
 from emlab.angular import AngularSpectrum
-from emlab.asymptotics import kelvin_transform
+from emlab.asymptotics import gradient_blowup_profile, kelvin_transform
 from emlab.cli import main as cli_main
 from emlab.errors import ScenarioValidationError
 from emlab.inequalities import hardy_2d_constant_check, mu1_comparison
@@ -456,6 +456,19 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["converged"]
 
+    @pytest.mark.parametrize("doc,modes", [
+        (json.loads((SCENARIOS / "ab_basic.json").read_text()), [1]),
+        (minimal_doc(boundary={"values": {"1": 1.0, "3": 0}}), [1]),
+        ({**minimal_doc(boundary={"values": {"1": 1.0}}),
+          "perturbation": {"amplitude": 0.05, "epsilon": 0.5, "angular": {"cos": [1.0]}}},
+         [1, 2, 3, 4, 5, 6, 7]),
+    ], ids=["perturbed one mode", "zero boundary value", "cos-coupled"])
+    def test_solve_lists_the_modes_the_field_carries(self, doc, modes, tmp_path, capsys):
+        config = tmp_path / "doc.json"
+        config.write_text(json.dumps(doc))
+        assert cli_main(["--config", str(config), "solve"]) == 0
+        assert json.loads(capsys.readouterr().out)["modes"] == modes
+
     def test_frequency_subcommand(self, tmp_path):
         code = cli_main(["--config", str(SCENARIOS / "ab_basic.json"),
                          "--out", str(tmp_path), "frequency"])
@@ -683,8 +696,7 @@ class TestModalFirst:
         ("ab_basic.json", None), ("exterior_kelvin.json", None),
         ("ab_basic.json", {"cos": [1.0]}), ("exterior_kelvin.json", {"cos": [1.0]}),
     ], ids=["interior", "exterior", "interior cos", "exterior cos"])
-    def test_picard_run_builds_values_arrays_only_with_several_modes(self, scenario, angular,
-                                                                     monkeypatch):
+    def test_picard_run_builds_no_values_array(self, scenario, angular, monkeypatch):
         built = []
         for name in ("values", "du_dr", "angular_gradient"):
             lazy = vars(FieldSample)[name]  # a cached_property
@@ -694,23 +706,14 @@ class TestModalFirst:
                 return func(field)
 
             monkeypatch.setattr(lazy, "func", counting)
-        sums = []
-
-        def counting_sum(*args):
-            out = outer_sum(*args)
-            sums.append(out.shape)
-            return out
-
-        outer_sum = emlab.modal._outer_sum
-        monkeypatch.setattr(emlab.modal, "_outer_sum", counting_sum)
         block_rows = []
 
-        def counting_rows(p, psi, out):
-            block_rows.append(len(p))
-            return outer_rows(p, psi, out)
+        def counting_rows(terms, rows, out):
+            block_rows.append(len(out))
+            return sum_rows(terms, rows, out)
 
-        outer_rows = emlab.modal._outer_rows
-        monkeypatch.setattr(emlab.modal, "_outer_rows", counting_rows)
+        sum_rows = emlab.modal._sum_rows
+        monkeypatch.setattr(emlab.modal, "_sum_rows", counting_rows)
         doc = json.loads((SCENARIOS / scenario).read_text())
         doc["checks"] = {"frequency": True, "identities": True, "asymptotics": True,
                          "kelvin": True}
@@ -720,24 +723,14 @@ class TestModalFirst:
         assert {"kelvin_involution", "blowup_rate"} <= {c["name"] for c in report["checks"]}
         n = report["solver"]["iterations"]
         n_r = scenario_from_dict(doc).grid_nodes
-        # every nodal sum over the whole grid is a lazy values array
-        whole = [shape for shape in sums if shape[0] == n_r]
-        assert n > 1 and len(whole) == len(built)
+        # with one mode or several, each forcing projection sums the values
+        # by row blocks, every row once, and nothing is summed after the loop
+        # but the blow-up rows (8 of them)
+        assert n > 1 and built == []
+        assert sum(block_rows) == n * n_r + 8 and max(block_rows) < n_r
+        assert block_rows[-1] == 8
         if angular is None:
-            # one mode: each forcing projection sums the values by row blocks,
-            # every row once, and nothing is summed after the loop but the
-            # blow-up rows (8 of them)
             assert report["status"] == "pass"
-            assert built == []
-            assert sum(block_rows) == n * n_r and max(block_rows) < n_r
-            assert [shape[0] for shape in sums] == [8]
-        else:
-            # several modes: the start and every iterate, whose values the
-            # residual reads, and K(K(u)) for the involution, as in the
-            # nodal loop
-            assert built == ["values"] * (n + 2)
-            # the start lies in one mode: its forcing alone is summed by blocks
-            assert sum(block_rows) == n_r
 
     @pytest.mark.parametrize("doc", [
         json.loads((SCENARIOS / "exterior_kelvin.json").read_text()),
@@ -754,6 +747,47 @@ class TestModalFirst:
         nodal = float(np.abs(back.values - field.values).max()
                       / max(np.abs(field.values).max(), 1e-300))
         assert abs(pipe.kelvin[0] - nodal) <= 1e-15
+
+    @pytest.fixture
+    def two_mode_dipole(self):
+        """A pipeline on a two-mode dipole and the bytes of one nodal array."""
+        pipe = Pipeline(scenario_from_dict({
+            "dimension": 3, "potential": {"kind": "dipole", "strength": 1.0, "axis": [0, 0, 1]},
+            "boundary": {"values": {"1": 1.0, "2": 1.0}}, "truncation": 16,
+            "grid": {"nodes": 2000}}))
+        field = pipe.solution[0]
+        assert field.nonzero_modes == {1, 2}
+        return pipe, len(field.r) * len(field.angular_weights) * 16
+
+    @staticmethod
+    def _peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_kelvin_of_several_modes_builds_no_whole_array(self, two_mode_dipole):
+        pipe, nodal_bytes = two_mode_dipole
+        assert self._peak(lambda: pipe.kelvin) < 0.5 * nodal_bytes
+        assert "values" not in vars(pipe.solution[0])
+
+    def test_gradient_blowup_of_several_modes_builds_no_whole_array(self, two_mode_dipole):
+        pipe, nodal_bytes = two_mode_dipole
+        field = pipe.solution[0]
+        _, gamma = pipe.target
+        lams = np.geomspace(1e-6, 1e-2, 8)
+        assert self._peak(lambda: gradient_blowup_profile(field, gamma, lams)) \
+            < 0.5 * nodal_bytes
+        assert not {"du_dr", "angular_gradient"} & vars(field).keys()
+        # the rows it reads are those of the whole arrays, bit for bit
+        rows = [emlab.grids.nearest_index(field.r, lam) for lam in lams]
+        sp = field.spectrum
+        assert np.array_equal(field.sum_rows("dphi", sp.psi_values, rows), field.du_dr[rows])
+        for c, whole in enumerate(field.angular_gradient):
+            part = field.sum_rows("phi", lambda k: sp.psi_gradient(k)[c], rows)
+            assert np.array_equal(part, whole[rows])
 
     def test_3d_hardy_sweep_uses_the_pipeline_spectrum(self, monkeypatch):
         calls = []
