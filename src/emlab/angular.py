@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     AliasingError,
@@ -260,6 +259,8 @@ class SphereBasis(_Tabulated):
         self._tables = {}
 
     def _make_grid(self):
+        # loaded here, so that a run without a sphere grid loads no numpy.polynomial
+        from numpy.polynomial.legendre import leggauss
         n = 2 * self.truncation + 2
         x, wx = leggauss(n)
         theta = np.arccos(x)

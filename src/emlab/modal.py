@@ -184,7 +184,9 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
     to infinity, so that the profile decays at infinity.
 
     A mode without data (zero boundary value, zero forcing) has the zero
-    profile; it is returned as one read-only zero array without integrating.
+    profile; it is returned without integrating, as the caller's ``zeta`` if
+    that is read-only (the modes of a Picard iterate share one zero), else as
+    a new read-only zero array.
     A mode with a boundary value and no forcing has the power law
     phi = c1 r^a of its matched branch a (``_power_profile``), whose
     integrals are exact zeros, and is not integrated either.
@@ -200,7 +202,7 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
         raise GridMismatchError("zeta samples must live on the radial grid")
     forced = zeta.any()
     if boundary_value == 0 and not forced:
-        zero = _frozen(np.zeros_like(zeta))
+        zero = _frozen(np.zeros_like(zeta)) if zeta.flags.writeable else zeta
         R = r[-1] if side == "interior" else r[0]
         return ModalSolution(
             exponents=exp, r=r, phi=zero, dphi=zero, zeta=zeta,
@@ -284,7 +286,9 @@ class FieldSample:
     profiles, u = sum_k phi_k psi_k.
 
     Every nodal value is a row sum of the profiles (``sum_rows``); a mode
-    whose profile is zero adds nothing and is skipped.  The whole arrays
+    whose profile is zero adds nothing and is skipped.  In a Picard iterate
+    a forced mode owns its forcing row, and the modes without data share one
+    read-only zero for phi, dphi and zeta.  The whole arrays
     ``values``, ``du_dr`` and ``angular_gradient`` are summed on first read
     and kept, a convenience that no algorithm of the library reads.
     """
@@ -423,12 +427,14 @@ def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
     modes u or v carries, for fields on one grid, read from the profiles.
 
     With one such mode it is max |u - v| over the product grid; with several
-    it is an upper bound on that maximum.  No nodal array is built.
+    it is an upper bound on that maximum.  A mode a field does not hold reads
+    as zero.  No nodal array is built.
     """
     modes = u.nonzero_modes if v is None else u.nonzero_modes | v.nonzero_modes
     total = 0.0
     for k in sorted(modes):
-        p = u.modal[k].phi if v is None else u.modal[k].phi - v.modal[k].phi
+        phi_u = getattr(u.modal.get(k), "phi", 0.0)
+        p = phi_u if v is None else phi_u - getattr(v.modal.get(k), "phi", 0.0)
         total += float(np.abs(p).max() * np.abs(u.spectrum.psi_values(k)).max())
     return total
 
@@ -484,7 +490,9 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
     residuals = []
     for _ in range(PICARD_MAX_ITER):
         with np.errstate(all="ignore"):
-            zeta = project(field) * radial
+            # the projector's output, scaled in place: the next call overwrites it
+            zeta = project(field)
+            zeta *= radial
         if not np.isfinite(zeta).all():
             raise NumericalFailureError(f"the forcing of amplitude {h.amplitude:g} overflows")
         # modes carrying only projection roundoff are treated as unforced
@@ -492,7 +500,7 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
         new_field = synthesize_field(spectrum, {
             k: solve_radial_mode(
                 exps[k],
-                zeta[k - 1] if zmax[k - 1] > 1e-13 * zmax.max() else zero,
+                zeta[k - 1].copy() if zmax[k - 1] > 1e-13 * zmax.max() else zero,
                 bvals[k], r, side=side,
             )
             for k in range(1, K + 1)

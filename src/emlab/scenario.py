@@ -565,12 +565,14 @@ def _execute(scn: Scenario, names: set, out_dir=None, tol_scale: float = 1.0,
             add("kelvin_involution", inv)
             add("kelvin_conjugacy", conj)
 
-        # the sweeps share one generator and always draw in this order, so the
-        # same names give the same report whatever order they were listed in
-        rng = np.random.default_rng(scn.seed)
+        # the sweeps share one generator, made at the first sweep, and always
+        # draw in this order, so the same names give the same report whatever
+        # order they were listed in; a run without sweeps loads no numpy.random
+        rng = None
         margins = {}
         for name in ("hardy", "diamagnetic", "hardy2d"):
             if name in names and (name != "hardy2d" or scn.dimension == 2):
+                rng = rng or np.random.default_rng(scn.seed)
                 mu1 = pipe.spectrum.mu1() if name == "hardy" else None
                 out = inequality_sweep(pipe.potential, name, count=scn.sweep_count,
                                        rng=rng, tol=TOLERANCES["margin"] * tol_scale,

@@ -258,6 +258,26 @@ class TestKelvin:
         b_modal, b_nodal = (extract_coefficients(v, 0.3, 1.0).beta for v in (modal, nodal))
         assert np.abs(b_nodal - b_modal).max() <= 1e-12 * np.abs(b_modal).max()
 
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_image_holds_the_carried_modes(self, side, ab_perturbed, ab_exterior_perturbed):
+        # constant g forces the data's mode alone: the other seven are zero,
+        # and the image holds only the one it carries
+        field = (ab_perturbed if side == "interior" else ab_exterior_perturbed)[0]
+        v = kelvin_transform(field)
+        assert v.modal.keys() == {1} == kelvin_transform(v).modal.keys()
+        sol, image = field.modal[1], v.modal[1]
+        t = 1.0 / field.r[::-1]
+        assert np.array_equal(image.phi, sol.phi[::-1])
+        assert np.array_equal(image.zeta, t ** -4 * sol.zeta[::-1])
+
+    def test_image_of_a_zero_field_keeps_its_modes(self, ab_spectrum, radial_grid):
+        field = synthesize_field(
+            ab_spectrum, homogeneous_solutions(ab_spectrum, {1: 0.0, 3: 0.0}, radial_grid))
+        v = kelvin_transform(field)
+        assert v.modal.keys() == {1, 3} and v.side == "exterior"
+        assert_allclose(v.r, 1.0 / radial_grid[::-1], rtol=0)
+        assert not any(s.phi.any() or s.dphi.any() for s in v.modal.values())
+
     def test_pointwise_rule_2d(self, ab_perturbed):
         # N = 2: v(t, theta) = u(1/t, theta)
         field = ab_perturbed[0]

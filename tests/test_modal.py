@@ -457,6 +457,43 @@ class TestPicardWork:
             assert {1, 2, 3} <= set(carrying)
 
 
+class TestHeldModes:
+    """A Picard iterate holds only what its modes carry: the modes without
+    data share the loop's one read-only zero, and a forced mode owns its
+    forcing row, not a view of the whole (K, n_r) forcing."""
+
+    @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_uncarried_modes_share_one_zero(self, side, angular, ab_spectrum, radial_grid,
+                                            exterior_grid):
+        r = radial_grid if side == "interior" else exterior_grid
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular, side=side)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
+        assert info["iterations"] > 1
+        carried = {k: s for k, s in field.modal.items()
+                   if s.phi.any() or s.dphi.any() or s.zeta.any()}
+        rest = [s for k, s in field.modal.items() if k not in carried]
+        if angular is None:
+            assert carried.keys() == {1}
+        else:
+            # cos t couples each mode to its Fourier neighbours
+            assert {1, 2, 3} <= carried.keys()
+        zeros = {id(a) for s in rest for a in (s.phi, s.dphi, s.zeta)}
+        assert len(zeros) == (1 if rest else 0)
+        assert all(not s.zeta.flags.writeable for s in rest)
+        for s in carried.values():
+            assert s.zeta.base is None
+
+    def test_writeable_zero_forcing_gets_its_own_zero(self, radial_grid):
+        exp = characteristic_exponents(2, 0.09)
+        zeta = np.zeros_like(radial_grid, dtype=complex)
+        sol = solve_radial_mode(exp, zeta, 0.0, radial_grid)
+        assert sol.zeta is zeta and sol.phi is sol.dphi and sol.phi is not zeta
+        assert not sol.phi.flags.writeable and zeta.flags.writeable
+        zeta.flags.writeable = False
+        assert solve_radial_mode(exp, zeta, 0.0, radial_grid).phi is zeta
+
+
 class TestFieldSample:
     def test_solved_field_carries_its_perturbation(self, ab_perturbed, ab_spectrum,
                                                    radial_grid):
@@ -675,6 +712,24 @@ class TestModalSupNorm:
             assert want <= got
         else:
             assert abs(got - want) <= 1e-15 * float(np.abs(u.values).max())
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_a_mode_a_field_does_not_hold_reads_as_zero(self, side, ab_spectrum,
+                                                         radial_grid, exterior_grid):
+        # a one-mode homogeneous field against a cos-factor Picard field, which
+        # holds all eight modes, in both orders
+        r = radial_grid if side == "interior" else exterior_grid
+        u = synthesize_field(ab_spectrum,
+                             homogeneous_solutions(ab_spectrum, {1: 1.0}, r, side=side))
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular={"cos": [1.0]}, side=side)
+        v = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)[0]
+        assert u.modal.keys() == {1} and len(v.nonzero_modes) > 1
+        psi_max = {k: np.abs(ab_spectrum.psi_values(k)).max() for k in v.modal}
+        want = sum(float(np.abs((u.modal[k].phi if k in u.modal else 0.0) - s.phi).max()
+                         * psi_max[k]) for k, s in sorted(v.modal.items())
+                   if k in v.nonzero_modes)
+        assert modal.sup_norm(u, v) == want == modal.sup_norm(v, u)
+        assert float(np.abs(u.values - v.values).max()) <= want
 
     def test_zero_profiles(self, ab_spectrum, radial_grid):
         field = synthesize_field(

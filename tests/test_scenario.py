@@ -895,6 +895,46 @@ def test_shipped_runs_import_no_scipy_integrate():
     assert proc.stdout.strip() == "[]"
 
 
+def _loaded_after(code: str) -> dict:
+    """{module: loaded} for numpy.polynomial and numpy.random after ``code``
+    in a fresh interpreter, with ``result``, which the code may set; None for
+    a module that ``import numpy`` loads itself (``before``)."""
+    code = ("import json, sys, numpy\nbefore = set(sys.modules)\nresult = None\n" + code
+            + "\nprint(json.dumps({'result': result, **{m: None if m in before else"
+            " m in sys.modules for m in ('numpy.polynomial', 'numpy.random')}}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_numpy_polynomial():
+    # only a sphere grid reads the Gauss-Legendre rule, and loads it then
+    assert not _loaded_after("import emlab")["numpy.polynomial"]
+
+
+@pytest.mark.parametrize("name", ["ab_basic", "dipole"])
+def test_runs_without_sweeps_load_no_numpy_random(name):
+    # the sweep generator is made at the first sweep, and these sweep nothing
+    loaded = _loaded_after("import emlab\nresult = emlab.run_scenario(emlab.parse_scenario("
+                           f"{str(SCENARIOS / (name + '.json'))!r}))['status']")
+    assert loaded["result"] == "pass"
+    assert not loaded["numpy.polynomial"] and not loaded["numpy.random"]
+
+
+def test_sweeps_load_numpy_random_and_repeat():
+    # the generator is made at the first sweep, not before: a check without a
+    # sweep loads no numpy.random, and the sweeps then draw as one made up front
+    loaded = _loaded_after(
+        "import emlab\nscn = emlab.parse_scenario("
+        f"{str(SCENARIOS / 'verify_only.json')!r})\n"
+        "emlab.verify_suite(scn, ['mu1'])\nresult = ['numpy.random' in set(sys.modules) - before]\n"
+        "result += [emlab.run_scenario(scn)['margins'] for _ in range(2)]")
+    unswept, first, second = loaded["result"]
+    assert not unswept and loaded["numpy.random"] in (True, None) and first == second
+    assert {"hardy", "diamagnetic", "hardy2d"} <= first.keys()
+
+
 def test_shipped_scenarios_run_without_scipy():
     # emlab runs on numpy alone: with every scipy import refused, each shipped
     # scenario runs to a pass and every CLI subcommand exits 0 on it, and no
