@@ -240,8 +240,7 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
     Exchanges interior and exterior fields and the side of the field's
     perturbation, since |y|^-4 h(y/|y|^2) = c|y|^(-2 -+ eps) g for
     h = c|x|^(-2 +- eps) g; applied twice it is the identity.  The image holds
-    the modes the field carries (phi, dphi or zeta nonzero, as in
-    ``modal_stack``; all of them if it carries none), each transformed exactly:
+    the modes the field holds, each transformed exactly:
 
         phi_v(t) = t^{2-N} phi_u(1/t),
         zeta_v(t) = t^{-2-N} zeta_u(1/t).
@@ -251,8 +250,6 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
     new_side = "exterior" if field.side == "interior" else "interior"
     h = None if field.perturbation is None else replace(field.perturbation, side=new_side)
     t_phi, t_dphi, t_n, t_zeta = t ** (2 - N), (2 - N) * t ** (1 - N), t ** (-N), t ** (-2 - N)
-    carried = {k: sol for k, sol in field.modal.items()
-               if sol.phi.any() or sol.dphi.any() or sol.zeta.any()} or field.modal
     new_sols = {
         k: ModalSolution(
             exponents=sol.exponents, r=t,
@@ -261,6 +258,6 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
             zeta=t_zeta * sol.zeta[::-1],
             boundary_radius=1.0 / sol.boundary_radius, c1=sol.c1, side=new_side,
         )
-        for k, sol in carried.items()
+        for k, sol in field.modal.items()
     }
     return synthesize_field(field.spectrum, new_sols, h)

@@ -35,11 +35,11 @@ from .modal import FieldSample, modal_stack
 EDGE_EXCLUSION = 5
 
 
-def _energy_density(mu, phi, dphi, zeta, r):
-    """Radial density g(s) with int over B_r = int_0^r s^{N-1} g(s) ds."""
+def _energy_density(mu, phi, dphi, r):
+    """The h-free radial density g(s), int over B_r = int_0^r s^{N-1} g(s) ds,
+    of the modes with eigenvalues ``mu``: sum_k |phi_k'|^2 + mu_k |phi_k|^2 / s^2."""
     g = np.sum(np.abs(dphi) ** 2, axis=0)
     g += np.sum(mu[:, None] * np.abs(phi) ** 2, axis=0) / r**2
-    g -= np.real(np.sum(zeta * np.conj(phi), axis=0))
     return g
 
 
@@ -407,7 +407,9 @@ def frequency_trace(field: FieldSample, radii) -> FrequencyTrace:
     # a diverged solve overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         H = np.sum(np.abs(phi) ** 2, axis=0)
-        f = r ** (N_dim - 1) * _energy_density(mu[ks - 1], phi, dphi, zeta, r)
+        g = _energy_density(mu[ks - 1], phi, dphi, r)
+        g -= np.real(np.sum(zeta * np.conj(phi), axis=0))  # the h u conj(u) term
+        f = r ** (N_dim - 1) * g
         # a magnitude reference for the integrand, so that tails made of pure
         # roundoff (e.g. differentiated constants) are dropped as zero
         scale = max(float(np.abs(f).max()),
@@ -477,9 +479,6 @@ def pohozaev_residual(field: FieldSample, r: float) -> float:
     mu = field.spectrum.eigenvalues[ks - 1]
     i = grids.nearest_index(rg, r)
     ri = rg[i]
-    dens = np.sum(np.abs(dphi) ** 2, axis=0) + np.sum(
-        mu[:, None] * np.abs(phi) ** 2, axis=0
-    ) / rg**2
     def volume_to(f):
         try:
             return grids.singular_integral(f, rg, field.side)[i]
@@ -489,7 +488,7 @@ def pohozaev_residual(field: FieldSample, r: float) -> float:
             # the identity defect left is the point of the residual
             return grids.singular_integral(f, rg, field.side, np.inf)[i]
 
-    f0 = rg ** (N_dim - 1) * dens
+    f0 = rg ** (N_dim - 1) * _energy_density(mu, phi, dphi, rg)
     E0 = volume_to(f0)
     e0 = f0[i]
     K = field.spectrum.count

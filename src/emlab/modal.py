@@ -184,9 +184,7 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
     to infinity, so that the profile decays at infinity.
 
     A mode without data (zero boundary value, zero forcing) has the zero
-    profile; it is returned without integrating, as the caller's ``zeta`` if
-    that is read-only (the modes of a Picard iterate share one zero), else as
-    a new read-only zero array.
+    profile; it is returned without integrating, as a new read-only zero array.
     A mode with a boundary value and no forcing has the power law
     phi = c1 r^a of its matched branch a (``_power_profile``), whose
     integrals are exact zeros, and is not integrated either.
@@ -202,7 +200,7 @@ def solve_radial_mode(exp: ModalExponents, zeta: np.ndarray, boundary_value: com
         raise GridMismatchError("zeta samples must live on the radial grid")
     forced = zeta.any()
     if boundary_value == 0 and not forced:
-        zero = _frozen(np.zeros_like(zeta)) if zeta.flags.writeable else zeta
+        zero = _frozen(np.zeros_like(zeta))
         R = r[-1] if side == "interior" else r[0]
         return ModalSolution(
             exponents=exp, r=r, phi=zero, dphi=zero, zeta=zeta,
@@ -285,10 +283,8 @@ class FieldSample:
     """A field on a log-radial x angular product grid, held as its modal
     profiles, u = sum_k phi_k psi_k.
 
-    Every nodal value is a row sum of the profiles (``sum_rows``); a mode
-    whose profile is zero adds nothing and is skipped.  In a Picard iterate
-    a forced mode owns its forcing row, and the modes without data share one
-    read-only zero for phi, dphi and zeta.  The whole arrays
+    It holds the modes it carries (``synthesize_field``), and every nodal
+    value is a row sum of their profiles (``sum_rows``).  The whole arrays
     ``values``, ``du_dr`` and ``angular_gradient`` are summed on first read
     and kept, a convenience that no algorithm of the library reads.
     """
@@ -315,11 +311,9 @@ class FieldSample:
         return self.spectrum.basis.grid()[-1]
 
     def _terms(self, profile: str, samples) -> list:
-        """[(p_k, samples(k))] in mode order over the modes whose profile
-        p = phi or dphi is nonzero: the terms of one nodal sum, chosen once
-        from the whole profiles."""
-        return [(getattr(sol, profile), samples(k)) for k, sol in self.modal.items()
-                if getattr(sol, profile).any()]
+        """[(p_k, samples(k))] over the held modes, in their order, for the
+        profile p = phi or dphi: the terms of one nodal sum."""
+        return [(getattr(sol, profile), samples(k)) for k, sol in self.modal.items()]
 
     def sum_rows(self, profile: str, samples, rows=slice(None)) -> np.ndarray:
         """sum_k p_k[rows] samples(k) for the profile p = phi or dphi, for an
@@ -345,11 +339,6 @@ class FieldSample:
         return tuple(self.sum_rows("phi", lambda k, c=c: spectrum.psi_gradient(k)[c])
                      for c in range(self.dimension - 1))
 
-    @cached_property
-    def nonzero_modes(self) -> frozenset:
-        """The modes whose profile phi is nonzero."""
-        return frozenset(k for k, s in self.modal.items() if s.phi.any())
-
     def values_at(self, rows) -> np.ndarray:
         """``values[rows]`` for an index list or a slice, summed for just
         these rows with the same products as the full array."""
@@ -359,7 +348,9 @@ class FieldSample:
 def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
                      perturbation: PerturbationSpec | None = None) -> FieldSample:
     """u(r, theta) = sum_k phi_k(r) psi_k(theta) on the shared product grid,
-    solving L u = h u for h = ``perturbation``; nodal arrays are summed later."""
+    solving L u = h u for h = ``perturbation``; nodal arrays are summed later.
+    It holds, in the caller's order, the modes it carries, whose phi, dphi or
+    zeta is nonzero, and all of them if none is, so a zero field has modes."""
     sols = list(solutions.values())
     if not sols:
         raise ValueError("no modal solutions supplied")
@@ -367,22 +358,23 @@ def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
     # the modes of a Picard iterate share one grid array and need no comparison
     if any(s.r is not r and (s.r.shape != r.shape or not np.allclose(s.r, r)) for s in sols):
         raise GridMismatchError("modal solutions must share the radial grid")
+    carried = {k: s for k, s in solutions.items()
+               if s.phi.any() or s.dphi.any() or s.zeta.any()}
     return FieldSample(
-        dimension=spectrum.potential.dimension, r=r, modal=dict(solutions),
+        dimension=spectrum.potential.dimension, r=r, modal=carried or dict(solutions),
         spectrum=spectrum, side=sols[0].side, perturbation=perturbation,
     )
 
 
 def modal_stack(field: FieldSample):
-    """(ks, phi, dphi, zeta): the mode numbers ``ks`` a field carries, in
+    """(ks, phi, dphi, zeta): the mode numbers ``ks`` a field holds, in
     mode order, and their profiles as arrays of shape (len(ks), n_r).
 
-    A field carries the modes whose phi, dphi or zeta is nonzero; a mode it
-    does not carry is zero throughout, so a sum over the rows along axis 0
-    equals the one over all K = spectrum.count modes bit for bit.
+    A mode the field does not hold is zero throughout, so a sum over the
+    rows along axis 0 equals the one over all K = spectrum.count modes bit
+    for bit.
     """
-    ks = np.array(sorted(k for k, s in field.modal.items()
-                         if s.phi.any() or s.dphi.any() or s.zeta.any()), dtype=int)
+    ks = np.array(sorted(field.modal), dtype=int)
     shape = (len(ks), len(field.r))
     return ks, *(np.array([getattr(field.modal[k], name) for k in ks],
                           dtype=complex).reshape(shape)
@@ -424,13 +416,13 @@ def _row_blocks(n_r: int, n_nodes: int) -> list:
 
 def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
     """sum_k max_r |phi_u,k - phi_v,k| max |psi_k| (v = 0 without v) over the
-    modes u or v carries, for fields on one grid, read from the profiles.
+    modes u or v holds, for fields on one grid, read from the profiles.
 
     With one such mode it is max |u - v| over the product grid; with several
     it is an upper bound on that maximum.  A mode a field does not hold reads
     as zero.  No nodal array is built.
     """
-    modes = u.nonzero_modes if v is None else u.nonzero_modes | v.nonzero_modes
+    modes = u.modal.keys() if v is None else u.modal.keys() | v.modal.keys()
     total = 0.0
     for k in sorted(modes):
         phi_u = getattr(u.modal.get(k), "phi", 0.0)
@@ -463,12 +455,14 @@ def homogeneous_solutions(spectrum: AngularSpectrum, boundary_values: dict,
 
 def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
                           boundary_values: dict, r: np.ndarray):
-    """Self-consistent solution of L u = h u by Picard iteration over all
+    """Self-consistent solution of L u = h u by Picard iteration over the
     ``spectrum.count`` modes.
 
     Starts from the homogeneous field matching the boundary data, then
     alternates forcing projection and radial solves until successive fields
-    agree to PICARD_TOL in the modal norm ``sup_norm``.  The forcing
+    agree to PICARD_TOL in the modal norm ``sup_norm``.  Each iteration
+    solves only the modes with boundary data or forcing; with neither
+    anywhere, the field is zero and holds every mode.  The forcing
     projection sums the values by row blocks and the norms are read from the
     profiles, so no iteration builds a whole nodal array.  Returns
     (FieldSample carrying h, info dict); a forcing that overflows raises
@@ -480,8 +474,8 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
     K = spectrum.count
     exps = {k: characteristic_exponents(N, spectrum.mu(k), k) for k in range(1, K + 1)}
     bvals = {k: complex(boundary_values.get(k, 0.0)) for k in range(1, K + 1)}
-    field = synthesize_field(spectrum, homogeneous_solutions(spectrum, bvals, r, side=side), h)
-    zero = _frozen(np.zeros_like(r, dtype=complex))
+    data = {k: v for k, v in bvals.items() if v != 0}
+    field = synthesize_field(spectrum, homogeneous_solutions(spectrum, data or bvals, r, side), h)
     # the forcing c r^(-2+-eps) <g u, psi_k>, with all that no iterate changes built once
     g = h.angular_factor(*spectrum.nodes)
     project = _projector(spectrum, field.angular_weights * g, len(r))
@@ -497,13 +491,12 @@ def solve_perturbed_field(spectrum: AngularSpectrum, h: PerturbationSpec,
             raise NumericalFailureError(f"the forcing of amplitude {h.amplitude:g} overflows")
         # modes carrying only projection roundoff are treated as unforced
         zmax = np.abs(zeta).max(axis=1)
+        forced = zmax > 1e-13 * zmax.max()
+        zeta[~forced] = 0
+        held = [k for k in range(1, K + 1) if forced[k - 1] or k in data]
         new_field = synthesize_field(spectrum, {
-            k: solve_radial_mode(
-                exps[k],
-                zeta[k - 1].copy() if zmax[k - 1] > 1e-13 * zmax.max() else zero,
-                bvals[k], r, side=side,
-            )
-            for k in range(1, K + 1)
+            k: solve_radial_mode(exps[k], zeta[k - 1].copy(), bvals[k], r, side=side)
+            for k in held or range(1, K + 1)
         }, h)
         resid = sup_norm(new_field, field)
         residuals.append(resid)

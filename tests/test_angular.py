@@ -301,6 +301,24 @@ class TestReflectionBlocks:
                 assert angular_spectrum(pot, count=count, truncation=truncation).count == count
                 assert sizes and max(sizes) <= truncation + 1
 
+    @pytest.mark.parametrize("strength,count", [(2.0, 1), (3.0, 4), (4.5, 9), (6.0, 6),
+                                                (1.0, 8)])
+    def test_solves_exactly_the_blocks_within_the_weyl_bound(self, strength, count,
+                                                              monkeypatch):
+        # the orders m whose bound m(m+1) - |lam| lies at or below the
+        # count-th eigenvalue, and no other
+        orders = []
+        eigh = emlab.angular._eigh
+
+        def recording(matrix, *args, **kwargs):
+            orders.append(16 + 1 - len(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(emlab.angular, "_eigh", recording)
+        pot = build_potential({"kind": "dipole", "strength": strength, "axis": [0, 0, 1]})
+        mu = angular_spectrum(pot, count=count, truncation=16).eigenvalues[count - 1]
+        assert orders == [m for m in range(17) if m * (m + 1) - strength <= mu]
+
     def test_blocks_are_read_from_closed_forms(self, monkeypatch):
         # S_lm sits at l(l+1) + m and S_l,-m at l(l+1) - m for every
         # truncation the basis budget admits (T <= 39), and each block the

@@ -443,6 +443,18 @@ class TestLimitFit:
         assert _bits(fit) == _bits(fit_frequency_limit(r, n, side))
         assert 1e-3 < fit[1] < 10.0 and any(taken)
 
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    @pytest.mark.parametrize("epsilon, c", [(12.0, 0.5), (20.0, -0.5), (40.0, 0.05)])
+    def test_a_step_past_the_upper_bound_stays_inside(self, side, epsilon, c):
+        # on the decade next to r = 1 a tail far steeper than the box runs
+        # into eps = 10; the step that reaches it is put one ulp inside, as
+        # scipy's make_strictly_feasible does
+        r = np.geomspace(0.1, 1.0, 60) if side == "interior" else np.geomspace(1.0, 10.0, 60)
+        n = 0.3 + c * r ** (epsilon if side == "interior" else -epsilon)
+        fit = frequency._fit_frequency_limit(r, n, side)
+        assert fit[1] == np.nextafter(10.0, 0.0)
+        assert _bits(fit) == _bits(fit_frequency_limit(r, n, side))
+
     @pytest.mark.parametrize("side, epsilon, c, gamma, eps", [
         ("interior", 1.2e-3, 0.5, "0x1.33333332fab42p-2", "0x1.3a92a30530745p-10"),
         ("exterior", 1.2e-3, -0.5, "0x1.332f9812b737ap-2", "0x1.3a94db525584cp-10"),

@@ -457,41 +457,110 @@ class TestPicardWork:
             assert {1, 2, 3} <= set(carrying)
 
 
+def _carries(sol) -> bool:
+    return bool(sol.phi.any() or sol.dphi.any() or sol.zeta.any())
+
+
 class TestHeldModes:
-    """A Picard iterate holds only what its modes carry: the modes without
-    data share the loop's one read-only zero, and a forced mode owns its
-    forcing row, not a view of the whole (K, n_r) forcing."""
+    """A field holds exactly the modes it carries, those whose phi, dphi or
+    zeta is nonzero, in its caller's order; a field that carries none holds
+    them all.  The Picard loop solves only the modes with boundary data or
+    forcing, and a forced mode owns its forcing row, not a view of the whole
+    (K, n_r) forcing."""
 
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     @pytest.mark.parametrize("side", ["interior", "exterior"])
-    def test_uncarried_modes_share_one_zero(self, side, angular, ab_spectrum, radial_grid,
-                                            exterior_grid):
+    def test_holds_exactly_the_carried_modes(self, side, angular, ab_spectrum, radial_grid,
+                                             exterior_grid):
         r = radial_grid if side == "interior" else exterior_grid
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular, side=side)
         field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
         assert info["iterations"] > 1
-        carried = {k: s for k, s in field.modal.items()
-                   if s.phi.any() or s.dphi.any() or s.zeta.any()}
-        rest = [s for k, s in field.modal.items() if k not in carried]
+        assert all(_carries(s) for s in field.modal.values())
+        assert list(field.modal) == sorted(field.modal)
+        # the modes the nodal loop, which solves every mode, carries
+        sols = _nodal_picard(ab_spectrum, h, {1: 1.0}, r)[0]
+        coupled = {k for k, s in sols.items() if _carries(s)}
+        assert field.modal.keys() == coupled
         if angular is None:
-            assert carried.keys() == {1}
+            assert coupled == {1}
         else:
             # cos t couples each mode to its Fourier neighbours
-            assert {1, 2, 3} <= carried.keys()
-        zeros = {id(a) for s in rest for a in (s.phi, s.dphi, s.zeta)}
-        assert len(zeros) == (1 if rest else 0)
-        assert all(not s.zeta.flags.writeable for s in rest)
-        for s in carried.values():
+            assert {1, 2, 3} <= coupled
+        for s in field.modal.values():
             assert s.zeta.base is None
 
+    @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
+    @pytest.mark.parametrize("amplitude", [0.05, 0.0], ids=["forced", "unforced"])
+    def test_loop_solves_only_the_held_modes(self, amplitude, angular, ab_spectrum,
+                                             radial_grid, monkeypatch):
+        calls = []
+        solve = modal.solve_radial_mode
+
+        def counting(exp, *args, **kwargs):
+            calls.append(exp.k)
+            return solve(exp, *args, **kwargs)
+
+        monkeypatch.setattr(modal, "solve_radial_mode", counting)
+        h = PerturbationSpec(amplitude=amplitude, epsilon=0.5, angular=angular)
+        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
+        # the homogeneous start solves the mode with a boundary value; each
+        # iteration solves its held modes, in mode order, once each
+        start, loop = calls[:1], calls[1:]
+        assert start == [1]
+        per_iteration = [[]]
+        for k in loop:
+            if per_iteration[-1] and k <= per_iteration[-1][-1]:
+                per_iteration.append([])
+            per_iteration[-1].append(k)
+        assert len(per_iteration) == info["iterations"]
+        assert per_iteration[-1] == sorted(field.modal)
+        if angular is None or amplitude == 0:
+            assert loop == [1] * info["iterations"]
+        else:
+            # the start's forcing reaches mode 1's Fourier neighbours alone
+            assert per_iteration[0] == [1, 2, 3]
+        if amplitude == 0:
+            assert info["iterations"] == 1
+
+    def test_homogeneous_field_holds_the_modes_with_data(self, ab_spectrum, radial_grid):
+        field = synthesize_field(
+            ab_spectrum, homogeneous_solutions(ab_spectrum, {1: 1.0, 3: 0}, radial_grid))
+        assert field.modal.keys() == {1}
+
+    @pytest.mark.parametrize("carrier", ["phi", "dphi", "zeta"])
+    def test_one_nonzero_profile_carries_a_mode(self, carrier, ab_spectrum, radial_grid):
+        # modes 3, 1 and 2 in the caller's order: 3 carries data, 2 carries
+        # only ``carrier``, 1 carries nothing
+        sols = homogeneous_solutions(ab_spectrum, {3: 1.0, 1: 0.0, 2: 0.0}, radial_grid)
+        sols[2] = replace(sols[2], **{carrier: np.full_like(radial_grid, 1e-300, dtype=complex)})
+        assert list(synthesize_field(ab_spectrum, sols).modal) == [3, 2]
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    @pytest.mark.parametrize("boundary_values", [{}, {1: 0.0, 4: 0.0}], ids=["none", "zeros"])
+    def test_zero_data_gives_the_zero_field_of_every_mode(self, side, boundary_values,
+                                                          ab_spectrum, radial_grid,
+                                                          exterior_grid):
+        r = radial_grid if side == "interior" else exterior_grid
+        h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular={"cos": [1.0]}, side=side)
+        field, info = solve_perturbed_field(ab_spectrum, h, boundary_values, r)
+        assert info == {"iterations": 1, "residuals": [0.0], "converged": True}
+        assert list(field.modal) == list(range(1, ab_spectrum.count + 1))
+        assert not any(_carries(s) for s in field.modal.values())
+        assert field.side == side and field.perturbation is h
+
     def test_writeable_zero_forcing_gets_its_own_zero(self, radial_grid):
+        # zero data gives a new read-only zero profile, whatever the forcing
+        # array's flags
         exp = characteristic_exponents(2, 0.09)
         zeta = np.zeros_like(radial_grid, dtype=complex)
         sol = solve_radial_mode(exp, zeta, 0.0, radial_grid)
         assert sol.zeta is zeta and sol.phi is sol.dphi and sol.phi is not zeta
         assert not sol.phi.flags.writeable and zeta.flags.writeable
         zeta.flags.writeable = False
-        assert solve_radial_mode(exp, zeta, 0.0, radial_grid).phi is zeta
+        again = solve_radial_mode(exp, zeta, 0.0, radial_grid)
+        assert again.zeta is zeta and again.phi is not zeta
+        assert not again.phi.flags.writeable and not again.phi.any()
 
 
 class TestFieldSample:
@@ -558,10 +627,15 @@ class TestLazyNodalArrays:
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
     def test_zero_modes_skipped_bit_identically(self, field):
-        # the perturbed AB fields keep modes 2..8 at zero; the sums skip them
-        zero_modes = [k for k, s in field.modal.items() if not s.phi.any()]
-        assert len(zero_modes) == (0 if field.dimension == 3 else 7)
-        values, du_dr, ang = _modal_sums(field)
+        # the perturbed AB fields carry mode 1 alone and hold no other: their
+        # sums equal those over all K modes, modes 2..8 added as zeros
+        K = field.spectrum.count
+        assert len(field.modal) == (3 if field.dimension == 3 else 1)
+        zero = np.zeros_like(field.r, dtype=complex)
+        zero_mode = replace(field.modal[1], phi=zero, dphi=zero, zeta=zero)
+        padded = replace(field, modal={k: field.modal.get(k, zero_mode)
+                                       for k in range(1, K + 1)})
+        values, du_dr, ang = _modal_sums(padded)
         assert np.array_equal(field.values, values)
         assert np.array_equal(field.du_dr, du_dr)
         for got, want in zip(field.angular_gradient, ang, strict=True):
@@ -717,17 +791,16 @@ class TestModalSupNorm:
     def test_a_mode_a_field_does_not_hold_reads_as_zero(self, side, ab_spectrum,
                                                          radial_grid, exterior_grid):
         # a one-mode homogeneous field against a cos-factor Picard field, which
-        # holds all eight modes, in both orders
+        # holds several modes, in both orders
         r = radial_grid if side == "interior" else exterior_grid
         u = synthesize_field(ab_spectrum,
                              homogeneous_solutions(ab_spectrum, {1: 1.0}, r, side=side))
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular={"cos": [1.0]}, side=side)
         v = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)[0]
-        assert u.modal.keys() == {1} and len(v.nonzero_modes) > 1
+        assert u.modal.keys() == {1} and len(v.modal) > 1 and 1 in v.modal
         psi_max = {k: np.abs(ab_spectrum.psi_values(k)).max() for k in v.modal}
         want = sum(float(np.abs((u.modal[k].phi if k in u.modal else 0.0) - s.phi).max()
-                         * psi_max[k]) for k, s in sorted(v.modal.items())
-                   if k in v.nonzero_modes)
+                         * psi_max[k]) for k, s in sorted(v.modal.items()))
         assert modal.sup_norm(u, v) == want == modal.sup_norm(v, u)
         assert float(np.abs(u.values - v.values).max()) <= want
 
@@ -752,12 +825,16 @@ class TestModalSupNorm:
         else:
             # several modes: the modal residual bounds the nodal one
             assert all(nodal <= got for nodal, got in zip(residuals, info["residuals"]))
+        assert field.modal.keys() <= sols.keys()
+        zero = np.zeros_like(r, dtype=complex)
         for k, sol in sols.items():
+            # a mode the field does not hold reads as zero
+            held = field.modal.get(k, replace(sol, phi=zero, dphi=zero))
             if angular is None:
-                assert np.array_equal(field.modal[k].phi, sol.phi)
-                assert np.array_equal(field.modal[k].dphi, sol.dphi)
+                assert np.array_equal(held.phi, sol.phi)
+                assert np.array_equal(held.dphi, sol.dphi)
             else:
-                assert_allclose(field.modal[k].phi, sol.phi, rtol=0, atol=1e-14 * sup)
+                assert_allclose(held.phi, sol.phi, rtol=0, atol=1e-14 * sup)
         if angular is None:
             assert np.array_equal(field.values, values)
 

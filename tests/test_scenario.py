@@ -653,13 +653,13 @@ class TestOnePipeline:
         # the frequency and identity blocks read one trace of u; the Kelvin
         # block adds the trace of K(u)
         calls = []
-        density = emlab.frequency._energy_density
+        trace = emlab.scenario.frequency_trace
 
         def counting(*args):
             calls.append(1)
-            return density(*args)
+            return trace(*args)
 
-        monkeypatch.setattr(emlab.frequency, "_energy_density", counting)
+        monkeypatch.setattr(emlab.scenario, "frequency_trace", counting)
         report = run_scenario(scenario_from_dict({
             "dimension": 2,
             "potential": {"kind": "aharonov_bohm", "alpha": 0.35, "a0": 0.0},
@@ -756,7 +756,7 @@ class TestModalFirst:
             "boundary": {"values": {"1": 1.0, "2": 1.0}}, "truncation": 16,
             "grid": {"nodes": 2000}}))
         field = pipe.solution[0]
-        assert field.nonzero_modes == {1, 2}
+        assert field.modal.keys() == {1, 2}
         return pipe, len(field.r) * len(field.angular_weights) * 16
 
     @staticmethod
