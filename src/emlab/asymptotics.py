@@ -20,13 +20,7 @@ from .errors import (
     IndefiniteFormError,
     NoEigenvalueMatchError,
 )
-from .modal import (
-    FieldSample,
-    ModalSolution,
-    characteristic_exponents,
-    modal_stack,
-    synthesize_field,
-)
+from .modal import FieldSample, characteristic_exponents
 
 #: exponent distance within which gamma is matched to an eigenvalue block
 BLOCK_MATCH_TOL = 1e-4
@@ -129,8 +123,7 @@ def extract_coefficients(field: FieldSample, gamma: float, R: float) -> Asymptot
     r = field.r
     iR = grids.nearest_index(r, R)
     R = r[iR]
-    ks, phi, _, zeta = modal_stack(field)
-    row = {k: n for n, k in enumerate(ks)}
+    row = {k: n for n, k in enumerate(field.modes)}
     # outside, the integral from infinity to R is minus the one over [R, inf)
     orient = 1.0 if side == "interior" else -1.0
     beta = np.zeros(m, dtype=complex)  # a mode the field does not carry: zero
@@ -138,8 +131,8 @@ def extract_coefficients(field: FieldSample, gamma: float, R: float) -> Asymptot
         n = row.get(j0 + i)
         if n is None:
             continue
-        z = zeta[n]
-        val = R ** (-g) * phi[n, iR]
+        z = field.zeta[n]
+        val = R ** (-g) * field.phi[n, iR]
         if np.abs(z).max() > 0:
             w = orient * z / d * (r ** (1 - g) - r ** (g + N - 1) / R**d)
             val = val + grids.singular_integral(w, r, side)[iR]
@@ -175,7 +168,7 @@ def blowup_profile(field: FieldSample, gamma: float, lams,
     target = profile.angular_values(spectrum)
     g = gamma if field.side == "interior" else -gamma
     rows = [grids.nearest_index(field.r, lam) for lam in lams]
-    values = field.values_at(rows)
+    values = field.sum_rows("phi", spectrum.psi_values, rows)
     profiles = []
     dists = np.zeros(len(lams))
     for n, i in enumerate(rows):
@@ -240,24 +233,18 @@ def kelvin_transform(field: FieldSample) -> FieldSample:
     Exchanges interior and exterior fields and the side of the field's
     perturbation, since |y|^-4 h(y/|y|^2) = c|y|^(-2 -+ eps) g for
     h = c|x|^(-2 +- eps) g; applied twice it is the identity.  The image holds
-    the modes the field holds, each transformed exactly:
+    the modes the field holds, each row of its profile stacks transformed
+    exactly, on a read-only grid:
 
         phi_v(t) = t^{2-N} phi_u(1/t),
         zeta_v(t) = t^{-2-N} zeta_u(1/t).
     """
     N = field.dimension
-    t = 1.0 / field.r[::-1]
+    t = (1.0 / field.r[::-1]).view(grids.RadialGrid)
+    t.flags.writeable = False  # so t keeps its log r and Simpson rule
     new_side = "exterior" if field.side == "interior" else "interior"
     h = None if field.perturbation is None else replace(field.perturbation, side=new_side)
     t_phi, t_dphi, t_n, t_zeta = t ** (2 - N), (2 - N) * t ** (1 - N), t ** (-N), t ** (-2 - N)
-    new_sols = {
-        k: ModalSolution(
-            exponents=sol.exponents, r=t,
-            phi=t_phi * sol.phi[::-1],
-            dphi=t_dphi * sol.phi[::-1] - t_n * sol.dphi[::-1],
-            zeta=t_zeta * sol.zeta[::-1],
-            boundary_radius=1.0 / sol.boundary_radius, c1=sol.c1, side=new_side,
-        )
-        for k, sol in field.modal.items()
-    }
-    return synthesize_field(field.spectrum, new_sols, h)
+    phi, dphi, zeta = field.phi[:, ::-1], field.dphi[:, ::-1], field.zeta[:, ::-1]
+    return replace(field, r=t, phi=t_phi * phi, dphi=t_dphi * phi - t_n * dphi,
+                   zeta=t_zeta * zeta, side=new_side, perturbation=h)

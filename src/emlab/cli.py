@@ -90,7 +90,7 @@ def main(argv=None) -> int:
                 "converged": info["converged"],
                 "iterations": info["iterations"],
                 "residuals": [float(v) for v in info["residuals"]],
-                "modes": sorted(field.modal),
+                "modes": list(field.modes),
             }
             _emit(doc, args.out, "solve.json")
             return 0 if info["converged"] else 1

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import grids
 from .errors import DegenerateSolutionError, NumericalFailureError, TailFitError
-from .modal import FieldSample, modal_stack
+from .modal import FieldSample
 
 #: nodes next to each grid edge excluded from fits and residual scans
 EDGE_EXCLUSION = 5
@@ -43,12 +43,12 @@ def _energy_density(mu, phi, dphi, r):
     return g
 
 
-def _mode_sum(ks: np.ndarray, K: int, terms: np.ndarray) -> float:
-    """Sum over all K modes of the terms of the modes ``ks``, the others
+def _mode_sum(modes: tuple, K: int, terms: np.ndarray) -> float:
+    """Sum over all K modes of the terms of the ``modes``, the others
     zero.  numpy sums a vector pairwise, so where the zeros sit decides how
     the terms are grouped, and with them the rounding."""
     full = np.zeros(K)
-    full[ks - 1] = terms
+    full[np.subtract(modes, 1)] = terms
     return float(np.sum(full))
 
 
@@ -402,12 +402,12 @@ def frequency_trace(field: FieldSample, radii) -> FrequencyTrace:
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     N_dim = field.dimension
     r = field.r
-    ks, phi, dphi, zeta = modal_stack(field)
+    phi, dphi, zeta = field.phi, field.dphi, field.zeta
     mu = field.spectrum.eigenvalues
     # a diverged solve overflows here; the finiteness check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         H = np.sum(np.abs(phi) ** 2, axis=0)
-        g = _energy_density(mu[ks - 1], phi, dphi, r)
+        g = _energy_density(mu[np.subtract(field.modes, 1)], phi, dphi, r)
         g -= np.real(np.sum(zeta * np.conj(phi), axis=0))  # the h u conj(u) term
         f = r ** (N_dim - 1) * g
         # a magnitude reference for the integrand, so that tails made of pure
@@ -475,8 +475,8 @@ def pohozaev_residual(field: FieldSample, r: float) -> float:
     """
     N_dim = field.dimension
     rg = field.r
-    ks, phi, dphi, zeta = modal_stack(field)
-    mu = field.spectrum.eigenvalues[ks - 1]
+    phi, dphi, zeta = field.phi, field.dphi, field.zeta
+    mu = field.spectrum.eigenvalues[np.subtract(field.modes, 1)]
     i = grids.nearest_index(rg, r)
     ri = rg[i]
     def volume_to(f):
@@ -492,14 +492,14 @@ def pohozaev_residual(field: FieldSample, r: float) -> float:
     E0 = volume_to(f0)
     e0 = f0[i]
     K = field.spectrum.count
-    flux = ri**N_dim * _mode_sum(ks, K, np.abs(dphi[:, i]) ** 2)
+    flux = ri**N_dim * _mode_sum(field.modes, K, np.abs(dphi[:, i]) ** 2)
     fh = rg**N_dim * np.real(np.sum(zeta * np.conj(dphi), axis=0))
     h_term = volume_to(fh) if np.abs(fh).max() > 0 else 0.0
     sgn = -1.0 if field.side == "exterior" else 1.0
     t1 = -(N_dim - 2) / 2.0 * E0
     t2 = sgn * 0.5 * ri * e0
     defect = abs((t1 + t2) - (sgn * flux + h_term))
-    H_i = _mode_sum(ks, K, np.abs(phi[:, i]) ** 2)
+    H_i = _mode_sum(field.modes, K, np.abs(phi[:, i]) ** 2)
     # floor keeps the trivial 0 = 0 case from dividing roundoff by roundoff
     scale = abs(t1) + abs(t2) + abs(flux) + abs(h_term) + 1e-10 * ri ** (N_dim - 1) * H_i
     if scale == 0:

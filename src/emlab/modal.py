@@ -283,15 +283,22 @@ class FieldSample:
     """A field on a log-radial x angular product grid, held as its modal
     profiles, u = sum_k phi_k psi_k.
 
-    It holds the modes it carries (``synthesize_field``), and every nodal
-    value is a row sum of their profiles (``sum_rows``).  The whole arrays
+    It holds the modes it carries, ``modes`` in ascending order
+    (``synthesize_field``), and their profiles as read-only stacks ``phi``,
+    ``dphi`` and ``zeta`` of shape (len(modes), n_r), one row per mode.  A
+    mode it does not hold is zero throughout, so a sum over the rows equals
+    the one over all K = spectrum.count modes bit for bit.  Every nodal value
+    is a row sum of the profiles (``sum_rows``).  The whole arrays
     ``values``, ``du_dr`` and ``angular_gradient`` are summed on first read
     and kept, a convenience that no algorithm of the library reads.
     """
 
     dimension: int
     r: np.ndarray
-    modal: dict  # mode index -> ModalSolution
+    modes: tuple
+    phi: np.ndarray
+    dphi: np.ndarray
+    zeta: np.ndarray
     spectrum: AngularSpectrum
     side: str = "interior"
     perturbation: PerturbationSpec | None = None  # the h of L u = h u solved; None: h = 0
@@ -299,6 +306,7 @@ class FieldSample:
     def __post_init__(self):
         if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
             raise GridMismatchError("radial grid must be positive and increasing")
+        _frozen((self.phi, self.dphi, self.zeta))
 
     @property
     def angular_nodes(self) -> tuple:
@@ -311,9 +319,9 @@ class FieldSample:
         return self.spectrum.basis.grid()[-1]
 
     def _terms(self, profile: str, samples) -> list:
-        """[(p_k, samples(k))] over the held modes, in their order, for the
-        profile p = phi or dphi: the terms of one nodal sum."""
-        return [(getattr(sol, profile), samples(k)) for k, sol in self.modal.items()]
+        """[(p_k, samples(k))] over the held modes, in ascending order, for
+        the profile p = phi or dphi: the terms of one nodal sum."""
+        return list(zip(getattr(self, profile), map(samples, self.modes)))
 
     def sum_rows(self, profile: str, samples, rows=slice(None)) -> np.ndarray:
         """sum_k p_k[rows] samples(k) for the profile p = phi or dphi, for an
@@ -339,18 +347,14 @@ class FieldSample:
         return tuple(self.sum_rows("phi", lambda k, c=c: spectrum.psi_gradient(k)[c])
                      for c in range(self.dimension - 1))
 
-    def values_at(self, rows) -> np.ndarray:
-        """``values[rows]`` for an index list or a slice, summed for just
-        these rows with the same products as the full array."""
-        return self.sum_rows("phi", self.spectrum.psi_values, rows)
-
 
 def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
                      perturbation: PerturbationSpec | None = None) -> FieldSample:
     """u(r, theta) = sum_k phi_k(r) psi_k(theta) on the shared product grid,
     solving L u = h u for h = ``perturbation``; nodal arrays are summed later.
-    It holds, in the caller's order, the modes it carries, whose phi, dphi or
-    zeta is nonzero, and all of them if none is, so a zero field has modes."""
+    It holds the modes it carries, whose phi, dphi or zeta is nonzero, and all
+    of them if none is, so a zero field has modes; their profiles are stacked
+    once, in ascending mode order."""
     sols = list(solutions.values())
     if not sols:
         raise ValueError("no modal solutions supplied")
@@ -358,27 +362,14 @@ def synthesize_field(spectrum: AngularSpectrum, solutions: dict,
     # the modes of a Picard iterate share one grid array and need no comparison
     if any(s.r is not r and (s.r.shape != r.shape or not np.allclose(s.r, r)) for s in sols):
         raise GridMismatchError("modal solutions must share the radial grid")
-    carried = {k: s for k, s in solutions.items()
-               if s.phi.any() or s.dphi.any() or s.zeta.any()}
+    carried = [k for k, s in solutions.items() if s.phi.any() or s.dphi.any() or s.zeta.any()]
+    modes = tuple(sorted(carried or solutions))
+    stack = {name: np.array([getattr(solutions[k], name) for k in modes], dtype=complex)
+             for name in ("phi", "dphi", "zeta")}
     return FieldSample(
-        dimension=spectrum.potential.dimension, r=r, modal=carried or dict(solutions),
+        dimension=spectrum.potential.dimension, r=r, modes=modes, **stack,
         spectrum=spectrum, side=sols[0].side, perturbation=perturbation,
     )
-
-
-def modal_stack(field: FieldSample):
-    """(ks, phi, dphi, zeta): the mode numbers ``ks`` a field holds, in
-    mode order, and their profiles as arrays of shape (len(ks), n_r).
-
-    A mode the field does not hold is zero throughout, so a sum over the
-    rows along axis 0 equals the one over all K = spectrum.count modes bit
-    for bit.
-    """
-    ks = np.array(sorted(field.modal), dtype=int)
-    shape = (len(ks), len(field.r))
-    return ks, *(np.array([getattr(field.modal[k], name) for k in ks],
-                          dtype=complex).reshape(shape)
-                 for name in ("phi", "dphi", "zeta"))
 
 
 def _projector(spectrum: AngularSpectrum, weights: np.ndarray, n_r: int):
@@ -422,11 +413,12 @@ def sup_norm(u: FieldSample, v: FieldSample | None = None) -> float:
     it is an upper bound on that maximum.  A mode a field does not hold reads
     as zero.  No nodal array is built.
     """
-    modes = u.modal.keys() if v is None else u.modal.keys() | v.modal.keys()
+    phis = [dict(zip(f.modes, f.phi)) for f in (u, v) if f is not None]
     total = 0.0
-    for k in sorted(modes):
-        phi_u = getattr(u.modal.get(k), "phi", 0.0)
-        p = phi_u if v is None else phi_u - getattr(v.modal.get(k), "phi", 0.0)
+    for k in sorted(set().union(*phis)):
+        p = phis[0].get(k, 0.0)
+        if v is not None:
+            p = p - phis[1].get(k, 0.0)
         total += float(np.abs(p).max() * np.abs(u.spectrum.psi_values(k)).max())
     return total
 

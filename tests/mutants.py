@@ -48,13 +48,23 @@ class Mutant:
 MUTANTS = (
     # a field holds exactly the modes it carries: phi, dphi or zeta nonzero
     Mutant("carried-without-zeta", "src/emlab/modal.py",
-           "if s.phi.any() or s.dphi.any() or s.zeta.any()}",
-           "if s.phi.any() or s.dphi.any()}",
+           "if s.phi.any() or s.dphi.any() or s.zeta.any()]",
+           "if s.phi.any() or s.dphi.any()]",
            ("tests/test_modal.py::TestHeldModes",)),
     Mutant("carried-without-dphi", "src/emlab/modal.py",
-           "if s.phi.any() or s.dphi.any() or s.zeta.any()}",
-           "if s.phi.any() or s.zeta.any()}",
+           "if s.phi.any() or s.dphi.any() or s.zeta.any()]",
+           "if s.phi.any() or s.zeta.any()]",
            ("tests/test_modal.py::TestHeldModes",)),
+    # and stacks them in ascending mode order, whatever the caller's order
+    Mutant("stack-in-callers-order", "src/emlab/modal.py",
+           "modes = tuple(sorted(carried or solutions))",
+           "modes = tuple(carried or solutions)",
+           ("tests/test_frequency.py::TestCallerOrder",)),
+    # the Kelvin image of phi' is (2 - N) t^(1-N) phi(1/t) - t^-N phi'(1/t)
+    Mutant("kelvin-dphi-sign", "src/emlab/asymptotics.py",
+           "dphi=t_dphi * phi - t_n * dphi",
+           "dphi=t_dphi * phi + t_n * dphi",
+           ("tests/test_asymptotics.py::TestKelvin::test_image_derivative_equals_the_nodal_rule",)),
     # the Picard loop solves the modes with boundary data or forcing
     Mutant("loop-without-boundary-data", "src/emlab/modal.py",
            "if forced[k - 1] or k in data]",

@@ -232,6 +232,18 @@ def from_samples(samples: Sampled, spectrum: AngularSpectrum, perturbation=None)
     ) for k in range(1, spectrum.count + 1)}, perturbation)
 
 
+def padded(field: FieldSample) -> FieldSample:
+    """The field over all K = spectrum.count modes, mode k at row k - 1 of
+    its stacks and the modes it does not hold as zero rows: the oracle of a
+    field that holds only the modes it carries."""
+    K, n_r = field.spectrum.count, len(field.r)
+    stack = {}
+    for name in ("phi", "dphi", "zeta"):
+        stack[name] = np.zeros((K, n_r), dtype=complex)
+        stack[name][np.subtract(field.modes, 1)] = getattr(field, name)
+    return replace(field, modes=tuple(range(1, K + 1)), **stack)
+
+
 def kelvin_transform(samples: Sampled) -> Sampled:
     """v(x) = |x|^{2-N} u(x/|x|^2) on the inverted radial grid, sample by
     sample; the oracle of ``asymptotics.kelvin_transform``."""
@@ -300,16 +312,16 @@ def project_onto_modes(field: FieldSample, weights: np.ndarray | None = None) ->
     quadrature, with the field's weights or ``weights`` (pass w*g to project
     g*u): the library's projection as it was, with a fresh operator on each
     call and a one-mode field's values summed by ``np.outer`` one block of
-    rows at a time (``FieldSample.values_at``)."""
+    rows at a time (``FieldSample.sum_rows``)."""
     spectrum = field.spectrum
     if weights is None:
         weights = field.angular_weights
     psis = np.stack([spectrum.psi_values(k) for k in range(1, spectrum.count + 1)])
     proj = np.conj(psis).T * weights[:, None]
-    if "values" not in vars(field) and sum(s.phi.any() for s in field.modal.values()) == 1:
+    if "values" not in vars(field) and sum(p.any() for p in field.phi) == 1:
         out = np.empty((len(field.r), spectrum.count), dtype=complex)
         for rows in modal._row_blocks(len(field.r), len(weights)):
-            out[rows] = field.values_at(rows) @ proj
+            out[rows] = field.sum_rows("phi", spectrum.psi_values, rows) @ proj
         return out.T
     return (field.values @ proj).T
 

@@ -145,12 +145,14 @@ class TestExteriorCoefficients:
         # beta = R^gamma phi(R) + int_R^inf zeta/(2 gamma - N + 2)
         #        (s^{gamma+1} - R^{2 gamma-N+2} s^{-gamma+N-1}) ds
         field = ab_exterior_perturbed[0]
-        gamma, N, r, sol = 0.3, 2, field.r, field.modal[1]
+        gamma, N, r = 0.3, 2, field.r
+        assert field.modes == (1,)
+        (phi,), (zeta,) = field.phi, field.zeta
         denom = 2 * gamma - N + 2
         for R in (1.0, 2.0, 50.0):
             i = grids.nearest_index(r, R)
-            w = sol.zeta / denom * (r ** (gamma + 1) - r[i] ** denom * r ** (-gamma + N - 1))
-            want = r[i] ** gamma * sol.phi[i] + grids.singular_integral(w, r, "exterior")[i]
+            w = zeta / denom * (r ** (gamma + 1) - r[i] ** denom * r ** (-gamma + N - 1))
+            want = r[i] ** gamma * phi[i] + grids.singular_integral(w, r, "exterior")[i]
             got = extract_coefficients(field, gamma, R).beta[0]
             assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -201,7 +203,7 @@ class TestBlowupRows:
         lams = (np.geomspace(1e-4, 1e-2, 8) if request.param == "interior"
                 else np.geomspace(1e2, 1e4, 8))
         # a fresh field whose nodal arrays are not built yet
-        return synthesize_field(field.spectrum, field.modal, h), 0.3, lams
+        return replace(field), 0.3, lams
 
     def test_rows_equal_the_nodal_rows(self, case):
         field, gamma, lams = case
@@ -264,19 +266,43 @@ class TestKelvin:
         # and the image holds only the one it carries
         field = (ab_perturbed if side == "interior" else ab_exterior_perturbed)[0]
         v = kelvin_transform(field)
-        assert v.modal.keys() == {1} == kelvin_transform(v).modal.keys()
-        sol, image = field.modal[1], v.modal[1]
+        assert v.modes == (1,) == kelvin_transform(v).modes
         t = 1.0 / field.r[::-1]
-        assert np.array_equal(image.phi, sol.phi[::-1])
-        assert np.array_equal(image.zeta, t ** -4 * sol.zeta[::-1])
+        assert np.array_equal(v.phi, field.phi[:, ::-1])
+        assert np.array_equal(v.zeta, t ** -4 * field.zeta[:, ::-1])
 
     def test_image_of_a_zero_field_keeps_its_modes(self, ab_spectrum, radial_grid):
         field = synthesize_field(
             ab_spectrum, homogeneous_solutions(ab_spectrum, {1: 0.0, 3: 0.0}, radial_grid))
         v = kelvin_transform(field)
-        assert v.modal.keys() == {1, 3} and v.side == "exterior"
+        assert v.modes == (1, 3) and v.side == "exterior"
         assert_allclose(v.r, 1.0 / radial_grid[::-1], rtol=0)
-        assert not any(s.phi.any() or s.dphi.any() for s in v.modal.values())
+        assert not (v.phi.any() or v.dphi.any())
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_image_lives_on_a_read_only_grid(self, side, ab_perturbed, ab_exterior_perturbed):
+        # a read-only grid keeps its log r and Simpson rule, so the image's
+        # frequency trace builds them once
+        field = (ab_perturbed if side == "interior" else ab_exterior_perturbed)[0]
+        for v in (kelvin_transform(field), kelvin_transform(kelvin_transform(field))):
+            assert isinstance(v.r, grids.RadialGrid) and not v.r.flags.writeable
+            assert v.r.log is v.r.log and v.r.simpson is v.r.simpson
+            assert not (v.phi.flags.writeable or v.dphi.flags.writeable
+                        or v.zeta.flags.writeable)
+        assert np.array_equal(kelvin_transform(field).r, 1.0 / field.r[::-1])
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_image_derivative_equals_the_nodal_rule(self, dimension, ab_perturbed,
+                                                     dipole_spectrum, radial_grid):
+        # v' = (2 - N) t^(1-N) u(1/t) - t^-N u'(1/t), sample by sample; the
+        # involution cannot tell the sign of the second term, which squares
+        if dimension == 2:
+            field = ab_perturbed[0]
+        else:
+            sols = homogeneous_solutions(dipole_spectrum, {1: 1.0, 2: 0.3}, radial_grid)
+            field = synthesize_field(dipole_spectrum, sols)
+        got, want = kelvin_transform(field).du_dr, nodal_kelvin(samples_of(field)).du_dr
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_pointwise_rule_2d(self, ab_perturbed):
         # N = 2: v(t, theta) = u(1/t, theta)

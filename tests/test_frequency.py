@@ -1,8 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from emlab import asymptotics, frequency, grids
+from emlab import frequency, grids
 from emlab.asymptotics import extract_coefficients, kelvin_transform
 from emlab.errors import DegenerateSolutionError, EmlabError, NumericalFailureError
 from emlab.frequency import (
@@ -16,12 +18,18 @@ from emlab.modal import (
     PerturbationSpec,
     characteristic_exponents,
     homogeneous_solutions,
-    modal_stack,
     solve_perturbed_field,
     synthesize_field,
 )
 from emlab.scenario import Pipeline, scenario_from_dict
-from oracles import Sampled, corrupted, fit_frequency_limit, from_samples, samples_of
+from oracles import (
+    Sampled,
+    corrupted,
+    fit_frequency_limit,
+    from_samples,
+    padded,
+    samples_of,
+)
 
 RADII = np.geomspace(1e-5, 0.5, 20)
 
@@ -87,15 +95,15 @@ class TestDirichlet:
         field = ab_perturbed[0]
         r = field.r
         i = grids.nearest_index(r, 0.25)
-        sol = field.modal[1]
+        rows = list(zip(field.modes, field.phi, field.dphi, field.zeta))
+        (k, phi, dphi, zeta), *rest = rows
+        assert k == 1
         mu1 = field.spectrum.mu(1)
-        dens = np.abs(sol.dphi) ** 2 + mu1 * np.abs(sol.phi) ** 2 / r**2
-        dens = dens - np.real(sol.zeta * np.conj(sol.phi))
-        for k, s in field.modal.items():
-            if k == 1:
-                continue
-            dens += np.abs(s.dphi) ** 2 + field.spectrum.mu(k) * np.abs(s.phi) ** 2 / r**2
-            dens -= np.real(s.zeta * np.conj(s.phi))
+        dens = np.abs(dphi) ** 2 + mu1 * np.abs(phi) ** 2 / r**2
+        dens = dens - np.real(zeta * np.conj(phi))
+        for k, phi, dphi, zeta in rest:
+            dens += np.abs(dphi) ** 2 + field.spectrum.mu(k) * np.abs(phi) ** 2 / r**2
+            dens -= np.real(zeta * np.conj(phi))
         f = r * dens
         oracle = grids.singular_integral(f, r, "interior")[i]
         assert frequency_trace(field, [r[i]]).D[0] == pytest.approx(oracle, rel=1e-8)
@@ -266,16 +274,6 @@ class TestDriftCorrection:
         assert np.isfinite(out["C2"])
 
 
-def _padded_stack(field):
-    """The K-row stack of a synthesized field, each mode at row k - 1 and
-    the modes it does not carry as zero rows: the oracle of ``modal_stack``."""
-    K, n_r = field.spectrum.count, len(field.r)
-    phi, dphi, zeta = (np.zeros((K, n_r), dtype=complex) for _ in range(3))
-    for k, sol in field.modal.items():
-        phi[k - 1], dphi[k - 1], zeta[k - 1] = sol.phi, sol.dphi, sol.zeta
-    return np.arange(1, K + 1), phi, dphi, zeta
-
-
 def _homogeneous(sp, r):
     return synthesize_field(sp, homogeneous_solutions(sp, {3: 1.0, 5: 0.3 - 0.7j}, r))
 
@@ -293,7 +291,7 @@ CARRIED = {"homogeneous": _homogeneous, "constant_g": _picard(None, 2),
 
 class TestCarriedModes:
     """The analysis reads only the modes a synthesized field carries, and
-    gives what the zero-padded stack over all K modes gives, bit for bit."""
+    gives what the field zero-padded to all K modes gives, bit for bit."""
 
     @pytest.fixture(scope="class", params=[False, True], ids=["field", "kelvin_image"])
     def kelvin(self, request):
@@ -304,53 +302,47 @@ class TestCarriedModes:
         field = CARRIED[request.param](ab_spectrum, radial_grid)
         return kelvin_transform(field) if kelvin else field
 
-    def _both(self, field, monkeypatch, analysis):
-        """The analysis on the carried modes and on the padded stack; an
+    def _both(self, field, analysis):
+        """The analysis on the carried modes and on the padded field; an
         error stands for its type and message."""
-        def outcome():
+        def outcome(f):
             try:
-                return analysis(field)
+                return analysis(f)
             except EmlabError as exc:
                 return type(exc), str(exc)
 
-        fast = outcome()
-        with monkeypatch.context() as m:
-            for module in (frequency, asymptotics):
-                m.setattr(module, "modal_stack", _padded_stack)
-            slow = outcome()
-        return fast, slow
+        return outcome(field), outcome(padded(field))
 
     def test_carries_the_nonzero_profiles(self, field):
-        ks, phi, dphi, zeta = modal_stack(field)
-        nonzero = [k for k, s in sorted(field.modal.items()) if s.phi.any()]
-        assert ks.tolist() == nonzero and len(ks) < field.spectrum.count
-        assert phi.shape == dphi.shape == zeta.shape == (len(ks), len(field.r))
+        ks = field.modes
+        nonzero = [k for k, p in zip(ks, field.phi) if p.any()]
+        assert list(ks) == sorted(ks) == nonzero and len(ks) < field.spectrum.count
+        assert field.phi.shape == field.dphi.shape == field.zeta.shape == (len(ks), len(field.r))
 
-    def test_frequency_trace(self, field, monkeypatch):
+    def test_frequency_trace(self, field):
         radii = RADII if field.side == "interior" else np.sort(1.0 / RADII)
-        fast, slow = self._both(field, monkeypatch, lambda f: frequency_trace(f, radii))
+        fast, slow = self._both(field, lambda f: frequency_trace(f, radii))
         for name in ("H", "D", "N", "grid_H", "grid_D", "dense_N"):
             assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
         assert np.array([fast.gamma_hat, fast.eps_hat]).tobytes() == \
             np.array([slow.gamma_hat, slow.eps_hat]).tobytes()
 
     @pytest.mark.parametrize("r", [1e-3, 0.1])
-    def test_pohozaev_residual(self, field, monkeypatch, r):
+    def test_pohozaev_residual(self, field, r):
         r = r if field.side == "interior" else 1.0 / r
-        fast, slow = self._both(field, monkeypatch, lambda f: pohozaev_residual(f, r))
+        fast, slow = self._both(field, lambda f: pohozaev_residual(f, r))
         assert np.array([fast]).tobytes() == np.array([slow]).tobytes()
 
     @pytest.mark.parametrize("mode", [1, 2, 3, 5])
-    def test_extract_coefficients(self, field, monkeypatch, mode):
+    def test_extract_coefficients(self, field, mode):
         # a mode the field does not carry contributes a zero coefficient; the
         # exponent of another mode than the field's may leave the integral
         # divergent, which both stacks then report alike
         exp = characteristic_exponents(2, field.spectrum.mu(mode), mode)
         gamma = exp.limit_exponent(field.side)
-        own = mode == min(k for k, s in field.modal.items() if s.phi.any())
+        own = mode == min(k for k, p in zip(field.modes, field.phi) if p.any())
         for R in ((1.0, 0.1) if field.side == "interior" else (1.0, 10.0)):
-            fast, slow = self._both(field, monkeypatch,
-                                    lambda f: extract_coefficients(f, gamma, R))
+            fast, slow = self._both(field, lambda f: extract_coefficients(f, gamma, R))
             if isinstance(slow, tuple):
                 assert not own and fast == slow
                 continue
@@ -375,6 +367,38 @@ def _tail(side, epsilon, c, noise=0.0):
 
 def _bits(fit):
     return np.array(fit, dtype=float).tobytes()
+
+
+class TestCallerOrder:
+    """The same modal solutions, given to ``synthesize_field`` in any order,
+    make one field: its modes ascend and its stacks, frequency trace,
+    Pohozaev residual and coefficients are the same bits."""
+
+    @staticmethod
+    def _bits(field, radii, gamma) -> list:
+        tr = frequency_trace(field, radii)
+        return [
+            field.modes,
+            *(getattr(field, name).tobytes() for name in ("phi", "dphi", "zeta")),
+            *(getattr(tr, name).tobytes() for name in ("H", "D", "N", "grid_H", "grid_D")),
+            np.array([tr.gamma_hat, tr.eps_hat, *(pohozaev_residual(field, radii[i])
+                                                  for i in (0, 10, -1))]).tobytes(),
+            extract_coefficients(field, gamma, 1.0).beta.tobytes(),
+        ]
+
+    @pytest.mark.parametrize("side", ["interior", "exterior"])
+    def test_any_order_gives_the_same_field(self, side, ab_spectrum, radial_grid,
+                                            exterior_grid):
+        r = radial_grid if side == "interior" else exterior_grid
+        sols = homogeneous_solutions(ab_spectrum, {5: 0.2 - 0.3j, 1: 1.0, 3: 0.5}, r, side=side)
+        gamma = characteristic_exponents(2, ab_spectrum.mu(1), 1).limit_exponent(side)
+        radii = RADII if side == "interior" else np.sort(1.0 / RADII)
+        fields = [synthesize_field(ab_spectrum, {k: sols[k] for k in order})
+                  for order in permutations(sols)]
+        want = self._bits(fields[0], radii, gamma)
+        assert want[0] == (1, 3, 5)
+        for field in fields[1:]:
+            assert self._bits(field, radii, gamma) == want
 
 
 class TestLimitFit:

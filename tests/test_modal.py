@@ -27,11 +27,17 @@ import oracles
 from oracles import (
     corrupted,
     from_samples,
+    padded,
     perturbation_samples,
     project,
     project_onto_modes,
     samples_of,
 )
+
+
+def _phi(field, k):
+    """The profile phi_k of a mode the field holds."""
+    return field.phi[field.modes.index(k)]
 
 
 class TestCharacteristicExponents:
@@ -242,7 +248,7 @@ class TestSynthesisProjection:
         field = synthesize_field(free_circle_spectrum, sols)
         # replace values by a constant; only the constant mode should survive
         const = replace(samples_of(field), values=field.values * 0 + 1.0)
-        prof = from_samples(const, free_circle_spectrum).modal[1].phi
+        prof = _phi(from_samples(const, free_circle_spectrum), 1)
         assert np.abs(prof - prof[0]).max() < 1e-12
         assert np.abs(prof[0]) == pytest.approx(np.sqrt(2 * np.pi), abs=1e-12)
 
@@ -317,13 +323,14 @@ class TestPicard:
         field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
         assert info["converged"]
         z = perturbation_samples(field)
-        sol1 = solve_radial_mode(field.modal[1].exponents, z[0], 1.0, radial_grid)
-        assert_allclose(sol1.phi, field.modal[1].phi, atol=1e-10)
+        exp = characteristic_exponents(2, ab_spectrum.mu(1), 1)
+        sol1 = solve_radial_mode(exp, z[0], 1.0, radial_grid)
+        assert_allclose(sol1.phi, _phi(field, 1), atol=1e-10)
 
     def test_leading_slope_is_sigma_plus(self, ab_spectrum, radial_grid):
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5)
         field, _ = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
-        slope = grids.fitted_slope(radial_grid[:200], np.abs(field.modal[1].phi[:200]))
+        slope = grids.fitted_slope(radial_grid[:200], np.abs(_phi(field, 1)[:200]))
         assert slope == pytest.approx(0.3, abs=1e-3)
 
     def test_converges_without_gradient_samples(self, ab_spectrum, radial_grid, monkeypatch):
@@ -339,7 +346,7 @@ class TestPicard:
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, side="exterior")
         field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, exterior_grid)
         assert info["converged"]
-        slope = grids.fitted_slope(exterior_grid[-200:], np.abs(field.modal[1].phi[-200:]))
+        slope = grids.fitted_slope(exterior_grid[-200:], np.abs(_phi(field, 1)[-200:]))
         assert slope == pytest.approx(-0.3, abs=1e-3)
 
     def test_overflowing_forcing_raises_without_warnings(self, ab_spectrum, radial_grid):
@@ -446,9 +453,9 @@ class TestPicardWork:
         fast_calls = solved.copy()
         oracle, oracle_info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, radial_grid)
         assert info == oracle_info
-        for k, sol in oracle.modal.items():
-            assert np.array_equal(field.modal[k].phi, sol.phi)
-            assert np.array_equal(field.modal[k].dphi, sol.dphi)
+        assert field.modes == oracle.modes
+        assert np.array_equal(field.phi, oracle.phi)
+        assert np.array_equal(field.dphi, oracle.dphi)
         assert np.array_equal(field.values, _modal_sums(oracle)[0])
         # the general body ran exactly for the solves that carried a forcing
         assert fast_calls == carrying
@@ -463,10 +470,10 @@ def _carries(sol) -> bool:
 
 class TestHeldModes:
     """A field holds exactly the modes it carries, those whose phi, dphi or
-    zeta is nonzero, in its caller's order; a field that carries none holds
+    zeta is nonzero, in ascending order; a field that carries none holds
     them all.  The Picard loop solves only the modes with boundary data or
-    forcing, and a forced mode owns its forcing row, not a view of the whole
-    (K, n_r) forcing."""
+    forcing, and a field owns its forcing stack, not a view of the whole
+    (K, n_r) forcing that the next projection overwrites."""
 
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     @pytest.mark.parametrize("side", ["interior", "exterior"])
@@ -476,19 +483,19 @@ class TestHeldModes:
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular, side=side)
         field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
         assert info["iterations"] > 1
-        assert all(_carries(s) for s in field.modal.values())
-        assert list(field.modal) == sorted(field.modal)
+        assert all(p.any() or d.any() or z.any()
+                   for p, d, z in zip(field.phi, field.dphi, field.zeta))
+        assert list(field.modes) == sorted(field.modes)
         # the modes the nodal loop, which solves every mode, carries
         sols = _nodal_picard(ab_spectrum, h, {1: 1.0}, r)[0]
         coupled = {k for k, s in sols.items() if _carries(s)}
-        assert field.modal.keys() == coupled
+        assert set(field.modes) == coupled
         if angular is None:
             assert coupled == {1}
         else:
             # cos t couples each mode to its Fourier neighbours
             assert {1, 2, 3} <= coupled
-        for s in field.modal.values():
-            assert s.zeta.base is None
+        assert field.zeta.base is None
 
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     @pytest.mark.parametrize("amplitude", [0.05, 0.0], ids=["forced", "unforced"])
@@ -514,7 +521,7 @@ class TestHeldModes:
                 per_iteration.append([])
             per_iteration[-1].append(k)
         assert len(per_iteration) == info["iterations"]
-        assert per_iteration[-1] == sorted(field.modal)
+        assert per_iteration[-1] == list(field.modes)
         if angular is None or amplitude == 0:
             assert loop == [1] * info["iterations"]
         else:
@@ -526,15 +533,17 @@ class TestHeldModes:
     def test_homogeneous_field_holds_the_modes_with_data(self, ab_spectrum, radial_grid):
         field = synthesize_field(
             ab_spectrum, homogeneous_solutions(ab_spectrum, {1: 1.0, 3: 0}, radial_grid))
-        assert field.modal.keys() == {1}
+        assert field.modes == (1,)
 
     @pytest.mark.parametrize("carrier", ["phi", "dphi", "zeta"])
     def test_one_nonzero_profile_carries_a_mode(self, carrier, ab_spectrum, radial_grid):
         # modes 3, 1 and 2 in the caller's order: 3 carries data, 2 carries
-        # only ``carrier``, 1 carries nothing
+        # only ``carrier``, 1 carries nothing; the field holds 2 and 3, ascending
         sols = homogeneous_solutions(ab_spectrum, {3: 1.0, 1: 0.0, 2: 0.0}, radial_grid)
         sols[2] = replace(sols[2], **{carrier: np.full_like(radial_grid, 1e-300, dtype=complex)})
-        assert list(synthesize_field(ab_spectrum, sols).modal) == [3, 2]
+        field = synthesize_field(ab_spectrum, sols)
+        assert field.modes == (2, 3)
+        assert np.array_equal(getattr(field, carrier)[0], getattr(sols[2], carrier))
 
     @pytest.mark.parametrize("side", ["interior", "exterior"])
     @pytest.mark.parametrize("boundary_values", [{}, {1: 0.0, 4: 0.0}], ids=["none", "zeros"])
@@ -545,8 +554,8 @@ class TestHeldModes:
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular={"cos": [1.0]}, side=side)
         field, info = solve_perturbed_field(ab_spectrum, h, boundary_values, r)
         assert info == {"iterations": 1, "residuals": [0.0], "converged": True}
-        assert list(field.modal) == list(range(1, ab_spectrum.count + 1))
-        assert not any(_carries(s) for s in field.modal.values())
+        assert field.modes == tuple(range(1, ab_spectrum.count + 1))
+        assert not (field.phi.any() or field.dphi.any() or field.zeta.any())
         assert field.side == side and field.perturbation is h
 
     def test_writeable_zero_forcing_gets_its_own_zero(self, radial_grid):
@@ -590,18 +599,18 @@ class TestFieldSample:
         sols = homogeneous_solutions(ab_spectrum, {1: 1.0}, radial_grid)
         field = synthesize_field(ab_spectrum, sols)
         bare = samples_of(field)
-        assert not hasattr(bare, "modal")
+        assert not hasattr(bare, "phi")
         assert np.shares_memory(bare.values, field.values)
 
 
 def _modal_sums(field):
     """values, du_dr and angular gradient summed here from the profiles."""
     sp = field.spectrum
-    values = sum(np.outer(s.phi, sp.psi_values(k)) for k, s in field.modal.items())
-    du_dr = sum(np.outer(s.dphi, sp.psi_values(k)) for k, s in field.modal.items())
-    grads = [sp.psi_gradient(k) for k in field.modal]
+    values = sum(np.outer(phi, sp.psi_values(k)) for k, phi in zip(field.modes, field.phi))
+    du_dr = sum(np.outer(dphi, sp.psi_values(k)) for k, dphi in zip(field.modes, field.dphi))
+    grads = [sp.psi_gradient(k) for k in field.modes]
     ang = tuple(
-        sum(np.outer(s.phi, g[c]) for s, g in zip(field.modal.values(), grads))
+        sum(np.outer(phi, g[c]) for phi, g in zip(field.phi, grads))
         for c in range(field.dimension - 1)
     )
     return values, du_dr, ang
@@ -629,13 +638,8 @@ class TestLazyNodalArrays:
     def test_zero_modes_skipped_bit_identically(self, field):
         # the perturbed AB fields carry mode 1 alone and hold no other: their
         # sums equal those over all K modes, modes 2..8 added as zeros
-        K = field.spectrum.count
-        assert len(field.modal) == (3 if field.dimension == 3 else 1)
-        zero = np.zeros_like(field.r, dtype=complex)
-        zero_mode = replace(field.modal[1], phi=zero, dphi=zero, zeta=zero)
-        padded = replace(field, modal={k: field.modal.get(k, zero_mode)
-                                       for k in range(1, K + 1)})
-        values, du_dr, ang = _modal_sums(padded)
+        assert len(field.modes) == (3 if field.dimension == 3 else 1)
+        values, du_dr, ang = _modal_sums(padded(field))
         assert np.array_equal(field.values, values)
         assert np.array_equal(field.du_dr, du_dr)
         for got, want in zip(field.angular_gradient, ang, strict=True):
@@ -660,7 +664,7 @@ class TestLazyNodalArrays:
 
     def test_detached_carries_the_arrays(self, field):
         bare = samples_of(field)
-        assert not hasattr(bare, "modal")
+        assert not hasattr(bare, "phi")
         assert bare.values is field.values
         assert bare.du_dr is field.du_dr
         assert bare.angular_gradient is field.angular_gradient
@@ -675,7 +679,7 @@ class TestLazyNodalArrays:
         monkeypatch.setattr(AngularSpectrum, "psi_values", no_samples)
         monkeypatch.setattr(AngularSpectrum, "psi_gradient", no_samples)
         field = synthesize_field(dipole_spectrum, sols)
-        assert field.modal.keys() == {1}
+        assert field.modes == (1,)
         with pytest.raises(AssertionError):
             field.values
 
@@ -744,11 +748,13 @@ def _field(request, name):
 
 
 def _modal_bound(u, v=None):
-    """sum_k max|phi_u,k - phi_v,k| max|psi_k| over the modes u or v carries."""
-    psi_max = {k: np.abs(u.spectrum.psi_values(k)).max() for k in u.modal}
-    return sum(float(np.abs(s.phi if v is None else s.phi - v.modal[k].phi).max() * psi_max[k])
-               for k, s in sorted(u.modal.items())
-               if s.phi.any() or (v is not None and v.modal[k].phi.any()))
+    """sum_k max|phi_u,k - phi_v,k| max|psi_k| over the modes u or v carries,
+    for a v that holds the modes of u."""
+    assert v is None or v.modes == u.modes
+    psi_max = {k: np.abs(u.spectrum.psi_values(k)).max() for k in u.modes}
+    rows = zip(u.modes, u.phi, u.phi if v is None else v.phi)
+    return sum(float(np.abs(p if v is None else p - q).max() * psi_max[k])
+               for k, p, q in rows if p.any() or (v is not None and q.any()))
 
 
 class TestModalSupNorm:
@@ -760,7 +766,7 @@ class TestModalSupNorm:
                                       "N3 one mode", "N3 three modes"])
     def test_equals_the_nodal_max(self, request, name):
         field = _field(request, name)
-        several = sum(s.phi.any() for s in field.modal.values()) > 1
+        several = sum(p.any() for p in field.phi) > 1
         got = modal.sup_norm(field)
         # read from the profiles, no nodal array built
         assert "values" not in vars(field)
@@ -776,12 +782,11 @@ class TestModalSupNorm:
                                       "N3 one mode", "N3 three modes"])
     def test_distance_equals_the_nodal_max(self, request, name):
         u = _field(request, name)
-        scaled = {k: replace(s, phi=(1 + 1e-3j) * s.phi) for k, s in u.modal.items()}
-        v = synthesize_field(u.spectrum, scaled)
+        v = replace(u, phi=(1 + 1e-3j) * u.phi)
         got = modal.sup_norm(u, v)
         assert "values" not in vars(u) and "values" not in vars(v)
         want = float(np.abs(u.values - v.values).max())
-        if sum(s.phi.any() for s in u.modal.values()) > 1:
+        if sum(p.any() for p in u.phi) > 1:
             assert got == _modal_bound(u, v)
             assert want <= got
         else:
@@ -797,10 +802,11 @@ class TestModalSupNorm:
                              homogeneous_solutions(ab_spectrum, {1: 1.0}, r, side=side))
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular={"cos": [1.0]}, side=side)
         v = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)[0]
-        assert u.modal.keys() == {1} and len(v.modal) > 1 and 1 in v.modal
-        psi_max = {k: np.abs(ab_spectrum.psi_values(k)).max() for k in v.modal}
-        want = sum(float(np.abs((u.modal[k].phi if k in u.modal else 0.0) - s.phi).max()
-                         * psi_max[k]) for k, s in sorted(v.modal.items()))
+        assert u.modes == (1,) and len(v.modes) > 1 and 1 in v.modes
+        psi_max = {k: np.abs(ab_spectrum.psi_values(k)).max() for k in v.modes}
+        u_phi = dict(zip(u.modes, u.phi))
+        want = sum(float(np.abs(u_phi.get(k, 0.0) - p).max() * psi_max[k])
+                   for k, p in zip(v.modes, v.phi))
         assert modal.sup_norm(u, v) == want == modal.sup_norm(v, u)
         assert float(np.abs(u.values - v.values).max()) <= want
 
@@ -825,16 +831,17 @@ class TestModalSupNorm:
         else:
             # several modes: the modal residual bounds the nodal one
             assert all(nodal <= got for nodal, got in zip(residuals, info["residuals"]))
-        assert field.modal.keys() <= sols.keys()
+        assert set(field.modes) <= sols.keys()
         zero = np.zeros_like(r, dtype=complex)
+        held = {k: (p, d) for k, p, d in zip(field.modes, field.phi, field.dphi)}
         for k, sol in sols.items():
             # a mode the field does not hold reads as zero
-            held = field.modal.get(k, replace(sol, phi=zero, dphi=zero))
+            phi, dphi = held.get(k, (zero, zero))
             if angular is None:
-                assert np.array_equal(held.phi, sol.phi)
-                assert np.array_equal(held.dphi, sol.dphi)
+                assert np.array_equal(phi, sol.phi)
+                assert np.array_equal(dphi, sol.dphi)
             else:
-                assert_allclose(held.phi, sol.phi, rtol=0, atol=1e-14 * sup)
+                assert_allclose(phi, sol.phi, rtol=0, atol=1e-14 * sup)
         if angular is None:
             assert np.array_equal(field.values, values)
 
@@ -856,7 +863,7 @@ class TestBlockedProjection:
         """(blocked, whole) projections with the plain and a cos-weighted rule."""
         weights = field.angular_weights * np.cos(field.angular_nodes[0])
         for w in (field.angular_weights, weights):
-            fresh = synthesize_field(spectrum, field.modal)
+            fresh = replace(field)  # a field whose nodal arrays are not built yet
             blocked = modal._projector(spectrum, w, len(fresh.r))(fresh)
             assert "values" not in vars(fresh)
             yield blocked, _whole_projection(fresh, fresh.values, w)
@@ -923,32 +930,48 @@ class TestHoistedPicard:
     quadrature weights once per solve; the loop that built them on every
     call stays in ``oracles`` and gives the same bits."""
 
+    @staticmethod
+    def _with_last_c1(module, solve, monkeypatch):
+        """(solve(), {k: c1 of the last radial solve of mode k}), the solves
+        being those that ``module`` calls."""
+        c1, inner = {}, module.solve_radial_mode
+
+        def recording(exp, *args, **kwargs):
+            sol = inner(exp, *args, **kwargs)
+            c1[exp.k] = sol.c1
+            return sol
+
+        with monkeypatch.context() as m:
+            m.setattr(module, "solve_radial_mode", recording)
+            return solve(), c1
+
     @pytest.mark.parametrize("angular", [None, {"cos": [1.0]}], ids=["constant", "cos"])
     @pytest.mark.parametrize("side", ["interior", "exterior"])
     def test_equals_the_per_call_loop(self, side, angular, ab_spectrum, radial_grid,
-                                      exterior_grid):
+                                      exterior_grid, monkeypatch):
         r = radial_grid if side == "interior" else exterior_grid
         h = PerturbationSpec(amplitude=0.05, epsilon=0.5, angular=angular, side=side)
-        field, info = solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
-        want, want_info = oracles.solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r)
+        (field, info), c1 = self._with_last_c1(
+            modal, lambda: solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r), monkeypatch)
+        (want, want_info), want_c1 = self._with_last_c1(
+            oracles, lambda: oracles.solve_perturbed_field(ab_spectrum, h, {1: 1.0}, r),
+            monkeypatch)
         assert info == want_info and info["iterations"] > 1
-        assert field.modal.keys() == want.modal.keys()
-        for k, sol in want.modal.items():
-            for name in ("phi", "dphi", "zeta"):
-                assert np.array_equal(getattr(field.modal[k], name), getattr(sol, name))
-            assert field.modal[k].c1 == sol.c1
+        assert field.modes == want.modes
+        for name in ("phi", "dphi", "zeta"):
+            assert np.array_equal(getattr(field, name), getattr(want, name))
+        assert [c1[k] for k in field.modes] == [want_c1[k] for k in want.modes]
 
     def test_projector_equals_the_per_call_forcing(self, ab_perturbed):
         # one operator for a field in one mode, one in several and the first
         # again: the buffers it reuses keep nothing from the last field
         field, h = ab_perturbed
-        phi = field.modal[1].phi
-        several = synthesize_field(field.spectrum, {
-            k: replace(s, phi=(1 + 0.1j * k) * phi) for k, s in field.modal.items()})
+        phi = _phi(field, 1)
+        several = replace(field, phi=np.array([(1 + 0.1j * k) * phi for k in field.modes]))
         project = modal._projector(field.spectrum, field.angular_weights
                                    * h.angular_factor(*field.angular_nodes), len(field.r))
         for f in (field, several, field):
-            f = synthesize_field(f.spectrum, f.modal, h)
+            f = replace(f, perturbation=h)
             want = perturbation_samples(f)
             assert np.array_equal(project(f) * h.radial_factor(f.r)[None, :], want)
 

@@ -748,6 +748,20 @@ class TestModalFirst:
                       / max(np.abs(field.values).max(), 1e-300))
         assert abs(pipe.kelvin[0] - nodal) <= 1e-15
 
+    @pytest.mark.parametrize("name", ["exterior_kelvin", "ab_basic", "dipole"])
+    def test_kelvin_residuals_on_a_read_only_grid(self, name):
+        # the image's grid keeps its log r and Simpson rule; a plain copy of
+        # it, which builds them afresh on every read, gives the same bits
+        pipe = Pipeline(parse_scenario(SCENARIOS / f"{name}.json"))
+        field, tr_u = pipe.solution[0], pipe.trace
+        v = kelvin_transform(field)
+        assert isinstance(v.r, emlab.grids.RadialGrid) and not v.r.flags.writeable
+        plain = replace(v, r=np.array(v.r))
+        tr_v = emlab.frequency.frequency_trace(plain, np.sort(1.0 / tr_u.r))
+        outer, inner = (tr_v, tr_u) if field.side == "exterior" else (tr_u, tr_v)
+        conj = np.abs(np.sort(outer.N) - (np.sort(inner.N) - (field.dimension - 2))).max()
+        assert np.array(pipe.kelvin[1]).tobytes() == np.array(conj).tobytes()
+
     @pytest.fixture
     def two_mode_dipole(self):
         """A pipeline on a two-mode dipole and the bytes of one nodal array."""
@@ -756,7 +770,7 @@ class TestModalFirst:
             "boundary": {"values": {"1": 1.0, "2": 1.0}}, "truncation": 16,
             "grid": {"nodes": 2000}}))
         field = pipe.solution[0]
-        assert field.modal.keys() == {1, 2}
+        assert field.modes == (1, 2)
         return pipe, len(field.r) * len(field.angular_weights) * 16
 
     @staticmethod
