@@ -57,11 +57,11 @@ def _fit_window(field: FieldSample, radii: np.ndarray):
     r = field.r
     if field.side == "interior":
         lo = max(r[EDGE_EXCLUSION], radii.min())
-        mask = (r >= lo) & (r <= 10 * lo)
+        hi = 10 * lo
     else:
         hi = min(r[-1 - EDGE_EXCLUSION], radii.max())
-        mask = (r <= hi) & (r >= hi / 10)
-    idx = np.nonzero(mask)[0]
+        lo = hi / 10
+    idx = np.arange(r.searchsorted(lo), r.searchsorted(hi, side="right"))  # lo <= r <= hi
     if len(idx) < 8:
         raise NumericalFailureError("fit window contains too few grid nodes")
     return idx
@@ -493,8 +493,10 @@ def pohozaev_residual(field: FieldSample, r: float) -> float:
     e0 = f0[i]
     K = field.spectrum.count
     flux = ri**N_dim * _mode_sum(field.modes, K, np.abs(dphi[:, i]) ** 2)
-    fh = rg**N_dim * np.real(np.sum(zeta * np.conj(dphi), axis=0))
-    h_term = volume_to(fh) if np.abs(fh).max() > 0 else 0.0
+    h_term = 0.0
+    if zeta.any():  # an unforced field has no h term
+        fh = rg**N_dim * np.real(np.sum(zeta * np.conj(dphi), axis=0))
+        h_term = volume_to(fh) if np.abs(fh).max() > 0 else 0.0
     sgn = -1.0 if field.side == "exterior" else 1.0
     t1 = -(N_dim - 2) / 2.0 * E0
     t2 = sgn * 0.5 * ri * e0

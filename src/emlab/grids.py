@@ -10,7 +10,8 @@ choice of end for every caller.
 
 from __future__ import annotations
 
-from functools import cached_property
+import warnings
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,12 +23,16 @@ DEFAULT_RADIAL_NODES = 3000
 DEFAULT_RMIN_RATIO = 1e-8
 #: grid nodes next to the singular end that the power-law tail is fitted on
 TAIL_FIT_NODES = 30
+#: grids ``log_grid`` keeps, the most recent first: two hold both sides of a
+#: batch; each keeps 10 arrays of its n nodes, 720 KB at 9000 nodes
+GRID_CACHE_SIZE = 2
 
 
 class RadialGrid(np.ndarray):
-    """A read-only radial grid that keeps log r and its ``_simpson_rule``,
-    built on first read and freed with it.  A view of a grid is a grid of its
-    own nodes; what numpy makes from one (r**p, zeros_like(r)) is a plain array."""
+    """A read-only radial grid that keeps log r, its ``_simpson_rule`` and its
+    other per-grid facts, built on first read and kept as long as the grid
+    (``log_grid`` keeps its last GRID_CACHE_SIZE).  A view of a grid is a grid
+    of its own nodes; what numpy makes from one (r**p) is a plain array."""
 
     def __array_wrap__(self, arr, context=None, return_scalar=False):
         return arr[()] if return_scalar else arr
@@ -44,6 +49,28 @@ class RadialGrid(np.ndarray):
     def simpson(self) -> list:
         return _simpson_rule(self.log)
 
+    @cached_property
+    def tail_designs(self) -> tuple:
+        """(window, vander, column scale, rcond) of ``np.polyfit``'s scaled line
+        in log r on the upper, then the lower, TAIL_FIT_NODES end nodes."""
+        designs = []
+        for window in (slice(-TAIL_FIT_NODES, None), slice(0, TAIL_FIT_NODES)):
+            lhs = np.vander(np.log(self[window]), 2)
+            scale = np.sqrt((lhs * lhs).sum(axis=0))
+            designs.append((window, lhs / scale, scale, len(lhs) * np.finfo(lhs.dtype).eps))
+        return tuple(designs)
+
+    @cached_property
+    def log_step(self) -> float | None:
+        """The step of log r if it is uniform to 1e-8, else None."""
+        h = self.log[1] - self.log[0]
+        return h if np.allclose(np.diff(self.log), h, rtol=1e-8) else None
+
+    @cached_property
+    def increasing(self) -> bool:
+        """r[0] > 0 and r strictly increasing, as far as NaN nodes tell."""
+        return not (self[0] <= 0 or np.any(np.diff(self) <= 0))
+
 
 def _grid(r) -> RadialGrid:
     """r if a read-only grid, else a grid view of r that builds all afresh."""
@@ -51,8 +78,9 @@ def _grid(r) -> RadialGrid:
     return r if keeps else np.asarray(r).view(RadialGrid)
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
 def log_grid(r_min: float, r_max: float, num: int = DEFAULT_RADIAL_NODES) -> RadialGrid:
-    """Strictly increasing geometric grid from r_min to r_max."""
+    """Strictly increasing geometric grid from r_min to r_max, kept."""
     if not (0.0 < r_min < r_max):
         raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
     r = np.geomspace(r_min, r_max, num).view(RadialGrid)
@@ -83,19 +111,21 @@ def _cumulative_simpson(g: np.ndarray, x=None, *, rule=None) -> np.ndarray:
     which may be complex: Simpson for unequal intervals (Cartwright, J. Math.
     Sci. Math. Educ. 12(2), 2017) in the operation order of scipy's
     ``cumulative_simpson(g, x=x, initial=0)``; ``rule``, if given, is
-    ``_simpson_rule(x)``."""
+    ``_simpson_rule(x)``.  The forward rule is evaluated on the even
+    intervals, the backward one on the odd intervals and the last."""
     forward_w, backward_w = _simpson_rule(x) if rule is None else rule
+    m = g.shape[-1] - 2  # node triples
 
-    def intervals(y, w):
-        # over the first interval of each node triple, by the parabola through all three
-        return w[0] * (w[1] * y[..., :-2] + w[2] * y[..., 1:-1] + w[3] * y[..., 2:])
+    def intervals(y, w, s):
+        # over the first interval of the node triples s, by the parabola through all three
+        return w[0][s] * (w[1][s] * y[..., :-2][..., s] + w[2][s] * y[..., 1:-1][..., s]
+                          + w[3][s] * y[..., 2:][..., s])
 
-    forward = intervals(g, forward_w)
-    backward = intervals(g[..., ::-1], backward_w)[..., ::-1]
-    pieces = np.empty(g.shape[:-1] + (g.shape[-1] - 1,), dtype=np.result_type(g, forward_w[0]))
-    pieces[..., :-1:2] = forward[..., ::2]
-    pieces[..., 1::2] = backward[..., ::2]
-    pieces[..., -1] = backward[..., -1]
+    pieces = np.empty(g.shape[:-1] + (m + 1,), dtype=np.result_type(g, forward_w[0]))
+    pieces[..., :-1:2] = intervals(g, forward_w, slice(0, None, 2))
+    # reversed triple q holds interval m - q: the odd ones from q = (m - 1) % 2
+    pieces[..., 1::2] = intervals(g[..., ::-1], backward_w, slice((m - 1) % 2, None, 2))[..., ::-1]
+    pieces[..., -1] = intervals(g[..., ::-1], backward_w, slice(0, 1))[..., 0]
     out = np.zeros(g.shape, dtype=pieces.dtype)
     out[..., 1:] = np.cumsum(pieces, axis=-1) + 0.0  # initial=0 turns -0.0 into 0.0
     return out
@@ -107,10 +137,10 @@ def cumulative_integral(f: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _cumulative_simpson(f * r, rule=_grid(r).simpson)  # ds = s dx
 
 
-def _tail_fit_real(r: np.ndarray, f: np.ndarray, lower: bool, scale: float) -> float:
-    """Integral of the real power law f ~ C r^p fitted on the window r over
-    (0, r[0]) if ``lower``, else over (r[-1], +inf); ``scale``, the magnitude
-    of the whole integrand, tells when a tail is negligible."""
+def _tail_fit_real(r: RadialGrid, f: np.ndarray, lower: bool, scale: float) -> float:
+    """Integral over (0, r[0]) if ``lower``, else over (r[-1], +inf), of the
+    power law f ~ C r^p fitted as ``np.polyfit`` to real f on the grid's end
+    window; ``scale``, the integrand's magnitude, tells when it is negligible."""
     window = np.abs(f)
     if window.max() <= 1e-300:
         return 0.0
@@ -120,7 +150,11 @@ def _tail_fit_real(r: np.ndarray, f: np.ndarray, lower: bool, scale: float) -> f
         if window.max() <= 1e-9 * scale:
             return 0.0
         raise TailFitError("tail window is not sign-definite; cannot extrapolate")
-    p, intercept = np.polyfit(np.log(r), np.log(window), 1)
+    _, lhs, col_scale, rcond = r.tail_designs[lower]
+    c, _, rank, _ = np.linalg.lstsq(lhs, np.log(window), rcond)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning)
+    p, intercept = c / col_scale
     coef = np.sign(f[np.argmax(window)]) * np.exp(intercept)
     diverges = (p <= -1.0) if lower else (p >= -1.0)
     if diverges:
@@ -148,24 +182,23 @@ def singular_integral(f: np.ndarray, r: np.ndarray, side: str,
     if side not in ("interior", "exterior"):
         raise ValueError(f"unknown side {side!r}")
     lower = side == "interior"
-    window = slice(0, TAIL_FIT_NODES) if lower else slice(-TAIL_FIT_NODES, None)
-    rw, fw = r[window], f[window]
+    grid = _grid(r)
+    fw = f[grid.tail_designs[lower][0]]
     if scale is None:
         scale = float(np.abs(f).max())
-    tail = _tail_fit_real(rw, fw.real, lower, scale)
+    tail = _tail_fit_real(grid, fw.real, lower, scale)
     if np.iscomplexobj(f):
-        tail = tail + 1j * _tail_fit_real(rw, fw.imag, lower, scale)
+        tail = tail + 1j * _tail_fit_real(grid, fw.imag, lower, scale)
     if lower:
-        return tail + cumulative_integral(f, r)
-    rule = _grid(r).simpson[::-1]  # of the nodes -log(r)[::-1]
+        return tail + _cumulative_simpson(f * r, rule=grid.simpson)
+    rule = grid.simpson[::-1]  # of the nodes -log(r)[::-1]
     return _cumulative_simpson((f * r)[::-1], rule=rule)[::-1] + tail
 
 
 def log_derivative(f: np.ndarray, r: np.ndarray) -> np.ndarray:
     """d f / d r on a geometric grid, fourth-order stencil in x = log r."""
-    x = _grid(r).log
-    h = x[1] - x[0]
-    if not np.allclose(np.diff(x), h, rtol=1e-8):
+    h = _grid(r).log_step
+    if h is None:
         raise ValueError("log_derivative requires a geometric grid")
     df = np.empty_like(f)
     # interior: five-point fourth-order centered stencil
@@ -186,7 +219,12 @@ def fitted_slope(r: np.ndarray, f: np.ndarray) -> float:
 
 
 def nearest_index(r: np.ndarray, value: float) -> int:
-    """Index of the grid node closest to value (in log distance)."""
+    """Index of the grid node closest to value (in log distance), the lower
+    one on a tie."""
     if not (r[0] <= value <= r[-1]):
         raise OffGridError(f"radius {value} outside grid [{r[0]}, {r[-1]}]")
-    return int(np.argmin(np.abs(_grid(r).log - np.log(value))))
+    x, t = _grid(r).log, np.log(value)
+    i = int(x.searchsorted(t))  # x[i - 1] < t <= x[i]
+    if i == len(x) or (i > 0 and abs(x[i - 1] - t) <= abs(x[i] - t)):
+        i -= 1
+    return i

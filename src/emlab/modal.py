@@ -304,7 +304,7 @@ class FieldSample:
     perturbation: PerturbationSpec | None = None  # the h of L u = h u solved; None: h = 0
 
     def __post_init__(self):
-        if self.r[0] <= 0 or np.any(np.diff(self.r) <= 0):
+        if not grids._grid(self.r).increasing:
             raise GridMismatchError("radial grid must be positive and increasing")
         _frozen((self.phi, self.dphi, self.zeta))
 

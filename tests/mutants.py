@@ -80,6 +80,21 @@ MUTANTS = (
            "x_new[upper] = np.nextafter(_UB[upper], _LB[upper])",
            "x_new[upper] = _UB[upper]",
            ("tests/test_frequency.py::TestLimitFit",)),
+    # a lookup takes the lower of two nodes at the same log distance
+    Mutant("nearest-tie-to-upper", "src/emlab/grids.py",
+           "abs(x[i - 1] - t) <= abs(x[i] - t)",
+           "abs(x[i - 1] - t) < abs(x[i] - t)",
+           ("tests/test_grids.py::TestNearestIndex",)),
+    # the backward Simpson rule runs on the odd intervals only
+    Mutant("simpson-backward-start", "src/emlab/grids.py",
+           "slice((m - 1) % 2, None, 2)",
+           "slice(m % 2, None, 2)",
+           ("tests/test_grids.py::TestCumulativeSimpson",)),
+    # the kept tail-fit design is that of the TAIL_FIT_NODES end nodes
+    Mutant("tail-window-shifted", "src/emlab/grids.py",
+           "slice(0, TAIL_FIT_NODES)",
+           "slice(1, TAIL_FIT_NODES + 1)",
+           ("tests/test_grids.py::TestKeptTailFit",)),
     # the dipole eigensolve skips a block whose Weyl bound lies above the
     # count-th eigenvalue found so far
     Mutant("weyl-skip-loosened", "src/emlab/angular.py",

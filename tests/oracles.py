@@ -9,9 +9,10 @@ the frame of its axis; its dense matrix in the scenario's frame, from the x,
 y and z couplings, is here.  The fit of the frequency limit by scipy's
 ``curve_fit``, which the library's trust-region port reproduces, is here.
 The forcing projection and the Picard loop that rebuilt their operator,
-branch powers and quadrature weights on every call are here too.  So is
-the truth: the exact series of a one-mode field under a perturbation with
-a constant angular factor."""
+branch powers and quadrature weights on every call are here too, and so
+are the grid lookups that scanned the whole grid and the tail fit that
+called ``np.polyfit`` on every call.  So is the truth: the exact series of
+a one-mode field under a perturbation with a constant angular factor."""
 
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,7 @@ import emlab.angular
 import emlab.inequalities as ineq
 from emlab import grids, modal
 from emlab.angular import AngularPotential, AngularSpectrum, SphereBasis, angular_basis
+from emlab.errors import OffGridError, TailFitError
 from emlab.inequalities import Product
 from emlab.modal import (
     FieldSample,
@@ -35,6 +37,37 @@ from emlab.modal import (
     sup_norm,
     synthesize_field,
 )
+
+
+def nearest_index(r: np.ndarray, value: float) -> int:
+    """``grids.nearest_index`` as it was: an argmin of the log distance over
+    the whole grid, the first node on a tie."""
+    if not (r[0] <= value <= r[-1]):
+        raise OffGridError(f"radius {value} outside grid [{r[0]}, {r[-1]}]")
+    return int(np.argmin(np.abs(grids._grid(r).log - np.log(value))))
+
+
+def tail_fit_real(r: np.ndarray, f: np.ndarray, lower: bool, scale: float) -> float:
+    """``grids._tail_fit_real`` as it was: the power law fitted by
+    ``np.polyfit`` on the window r of f on every call."""
+    window = np.abs(f)
+    if window.max() <= 1e-300:
+        return 0.0
+    if window.min() <= 1e-14 * window.max():
+        if window.max() <= 1e-9 * scale:
+            return 0.0
+        raise TailFitError("tail window is not sign-definite; cannot extrapolate")
+    p, intercept = np.polyfit(np.log(r), np.log(window), 1)
+    coef = np.sign(f[np.argmax(window)]) * np.exp(intercept)
+    diverges = (p <= -1.0) if lower else (p >= -1.0)
+    if diverges:
+        if window.max() <= 1e-13 * scale:
+            return 0.0
+        raise TailFitError(f"{'lower' if lower else 'upper'} tail exponent {p:.3f} "
+                           "does not converge")
+    if lower:
+        return coef * r[0] ** (p + 1) / (p + 1)
+    return -coef * r[-1] ** (p + 1) / (p + 1)
 
 
 def couplings(basis: SphereBasis):

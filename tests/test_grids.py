@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from emlab import grids
-from emlab.errors import EmlabError, OffGridError
+from emlab.errors import EmlabError, OffGridError, TailFitError
+from oracles import nearest_index as scanned_index
+from oracles import tail_fit_real as polyfit_tail
 
 R_IN = grids.log_grid(1e-6, 1.0, 400)
 R_OUT = grids.log_grid(1.0, 1e6, 400)
@@ -115,3 +117,98 @@ def test_off_grid_radius_is_an_emlab_error(value):
     with pytest.raises(OffGridError, match="outside grid") as info:
         grids.nearest_index(R_IN, value)
     assert isinstance(info.value, EmlabError) and isinstance(info.value, ValueError)
+
+
+class TestNearestIndex:
+    """Bisection of the kept log r against the argmin scan it replaced, on a
+    grid and on a plain copy of it."""
+
+    @pytest.mark.parametrize("r", [R_IN, R_OUT, grids.log_grid(1e-8, 1.0, 3000),
+                                   grids.log_grid(2e-8, 2.0, 3000),
+                                   grids.log_grid(1e-8, 1.0, 3001)],
+                             ids=["interior", "exterior", "even", "even_R2", "odd"])
+    def test_equals_the_argmin_scan(self, r):
+        x = np.log(np.array(r))
+        log_midpoints = np.exp((x[:-1] + x[1:]) / 2)
+        # every node, both ends, every midpoint, and the first blow-up radius 1e-4 R
+        values = [*r, *log_midpoints, *np.sqrt(r[:-1] * r[1:]), 1e-4 * r[-1]]
+        for grid in (r, np.array(r)):
+            assert [grids.nearest_index(grid, v) for v in values] \
+                == [scanned_index(grid, v) for v in values]
+        # exact ties in log distance, which both give to the lower node
+        t = np.log(log_midpoints)
+        assert np.any(np.abs(x[:-1] - t) == np.abs(x[1:] - t))
+
+
+def _outcome(fit, *args):
+    """What a tail fit returns, or the message of the TailFitError it raises."""
+    try:
+        return fit(*args)
+    except TailFitError as err:
+        return str(err)
+
+
+class TestKeptTailFit:
+    """The tail fit on the grid's kept design against ``np.polyfit`` on the
+    window, real and imaginary parts, converging and diverging exponents."""
+
+    @pytest.mark.parametrize("r", [R_IN, R_OUT, grids.log_grid(1e-8, 1.0, 3001),
+                                   grids.log_grid(1.0, 50.0, 20)],
+                             ids=["interior", "exterior", "odd", "shorter_than_the_window"])
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    @pytest.mark.parametrize("converges", [True, False], ids=["converging", "diverging"])
+    def test_equals_polyfit(self, r, lower, converges):
+        n = grids.TAIL_FIT_NODES
+        window = slice(0, n) if lower else slice(-n, None)
+        plain = np.array(r)
+        p = (0.5 if lower else -2.5) if converges else (-1.5 if lower else 0.5)
+        f = (0.3 - 2j) * plain**p * (1 + 0.1 * np.sin(np.log(plain)))
+        scale = float(np.abs(f).max())
+        for grid in (r, grids._grid(plain)):
+            for part in (f.real, f.imag):
+                got = _outcome(grids._tail_fit_real, grid, part[window], lower, scale)
+                want = _outcome(polyfit_tail, plain[window], part[window], lower, scale)
+                assert type(got) is type(want) and got == want
+                assert isinstance(want, float) == converges
+
+    def test_rank_deficient_window_warns_as_polyfit(self):
+        # nodes a few ulps apart: the scaled design has rank 1
+        r = grids.log_grid(1e6, 1e6 * (1 + 1e-13), 40)
+        f = np.array(r) ** -2.5
+        for lower in (True, False):
+            window = slice(0, 30) if lower else slice(-30, None)
+            with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+                polyfit_tail(np.array(r)[window], f[window], lower, 1.0)
+            with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+                grids._tail_fit_real(r, f[window], lower, 1.0)
+
+
+class TestKeptGrids:
+    """``log_grid`` keeps its last GRID_CACHE_SIZE grids by their arguments."""
+
+    def test_equal_arguments_give_the_same_grid(self):
+        r = grids.log_grid(1e-7, 3.0, 500)
+        assert grids.log_grid(1e-7, 3.0, 500) is r
+        assert grids.log_grid.cache_info().maxsize == grids.GRID_CACHE_SIZE
+        others = [grids.log_grid(1e-7, 3.0, 501), grids.log_grid(2e-7, 3.0, 500),
+                  grids.log_grid(1e-7, 4.0, 500)]
+        assert all(o is not r for o in others)
+
+    def test_an_evicted_grid_is_rebuilt_bit_for_bit(self):
+        r = grids.log_grid(1e-7, 3.0, 500)
+        for n in range(grids.GRID_CACHE_SIZE):
+            grids.log_grid(1e-7, 3.0, 600 + n)
+        again = grids.log_grid(1e-7, 3.0, 500)
+        assert again is not r and not again.flags.writeable
+        assert np.array_equal(again, r) and np.array_equal(again.log, r.log)
+        for built, kept in [*zip(again.simpson, r.simpson), *zip(again.tail_designs,
+                                                                  r.tail_designs)]:
+            assert all(np.array_equal(a, b) for a, b in zip(built, kept))
+        assert (again.log_step, again.increasing) == (r.log_step, r.increasing)
+
+
+@pytest.mark.parametrize("nodes", [[1, 2, 3], [0, 1, 2], [-1, 1, 2], [1, 1, 2], [1, 3, 2],
+                                   [np.nan, 1, 2], [1, np.nan, 2], [1, 2, np.nan]])
+def test_increasing_is_the_field_grid_check(nodes):
+    r = np.array(nodes, dtype=float)
+    assert grids._grid(r).increasing == (not (r[0] <= 0 or np.any(np.diff(r) <= 0)))

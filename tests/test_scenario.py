@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import emlab.angular
 import emlab.frequency
 import emlab.grids
+import emlab.modal
 import emlab.scenario
 from emlab.angular import AngularSpectrum
 from emlab.asymptotics import gradient_blowup_profile, kelvin_transform
@@ -1102,29 +1103,69 @@ def test_huge_radius_ends_in_a_report_without_warnings(tmp_path):
 
 @pytest.mark.parametrize("scenario", ["ab_basic.json", "dipole.json"])
 def test_no_state_outlives_a_run(scenario, monkeypatch):
-    # the run's radial grid keeps its quadrature weights, and the solve its
-    # branch powers; all of it is freed with the run
-    kept = []
+    # log_grid keeps its last GRID_CACHE_SIZE grids, each with its quadrature
+    # weights, for the next run on them; every other grid and rule, and the
+    # solve's branch powers and fields, are freed with the run, and the kept
+    # grids with the cache
+    emlab.grids.log_grid.cache_clear()
+    grids, rules, run_state = [], [], []
 
     def logged_grid(*args):
         r = log_grid(*args)
-        kept.append(weakref.ref(r))
+        grids.append(weakref.ref(r))
         return r
 
     def logged_rule(x):
         rule = simpson_rule(x)
-        kept.append(weakref.ref(rule[0][0]))
+        rules.append(weakref.ref(rule[0][0]))
         return rule
 
+    def logged_powers(self, r, side):
+        powers = branch_powers(self, r, side)
+        run_state.append(weakref.ref(powers[0]))
+        return powers
+
+    def logged_field(self):
+        post_init(self)
+        run_state.append(weakref.ref(self))
+
     log_grid, simpson_rule = emlab.grids.log_grid, emlab.grids._simpson_rule
+    branch_powers = emlab.modal.ModalExponents.branch_powers
+    post_init = FieldSample.__post_init__
     monkeypatch.setattr(emlab.grids, "log_grid", logged_grid)
     monkeypatch.setattr(emlab.grids, "_simpson_rule", logged_rule)
+    monkeypatch.setattr(emlab.modal.ModalExponents, "branch_powers", logged_powers)
+    monkeypatch.setattr(FieldSample, "__post_init__", logged_field)
     doc = json.loads((SCENARIOS / scenario).read_text())
     doc["checks"] = {"frequency": True, "identities": True, "asymptotics": True,
                      "kelvin": True}
     assert run_scenario(scenario_from_dict(doc))["status"] == "pass"
     gc.collect()
-    assert len(kept) > 2 and all(ref() is None for ref in kept)
+    assert len(rules) > 1 and len(run_state) > 2
+    assert all(ref() is None for ref in run_state)
+    kept = {id(ref()): ref() for ref in grids if ref() is not None}
+    assert 0 < len(kept) <= emlab.grids.GRID_CACHE_SIZE
+    kept_rules = [r.simpson[0][0] for r in kept.values()]
+    assert all(any(ref() is k for k in kept_rules) for ref in rules if ref() is not None)
+    del kept, kept_rules
+    log_grid.cache_clear()
+    gc.collect()
+    assert all(ref() is None for ref in grids + rules)
+
+
+def test_a_kept_grid_carries_nothing_to_the_next_run():
+    # the shipped scenarios forward, then in reverse: the runs that find
+    # their grid kept give the reports of the first runs, byte for byte
+    emlab.grids.log_grid.cache_clear()
+    paths = sorted(SCENARIOS.glob("*.json"))
+
+    def report(path):
+        out = run_scenario(parse_scenario(path))
+        return json.dumps({k: v for k, v in out.items() if k != "wall_clock"}, sort_keys=True)
+
+    first = {path: report(path) for path in paths}
+    assert len(first) == 4
+    assert all(report(path) == first[path] for path in reversed(paths))
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
